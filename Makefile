@@ -9,6 +9,7 @@
 #                   at random shard boundaries, resume from checkpoints,
 #                   assert digest equality against the cold run
 #   make vet        static checks
+#   make perfbench-test  the campaign benchmark harness's tiny-scale tests
 #   make bench      campaign benchmarks, recorded as BENCH_PR1.json
 #   make bench-sim  simulated-campaign + event-core benchmarks (BENCH_PR2 set)
 #   make bench-batch batched-drain benchmarks: StepBatch vs Step (PR3 set)
@@ -49,7 +50,7 @@ FABRIC_LOG_DIR ?= fabric-smoke-logs
 # the campaign bytes.
 SMOKE_BASELINE := d19bd873ab802eecb15921fb73145c7ca0ae4b5eed4d5b6aa670791ad1557d47
 
-.PHONY: all build test chaos race crash-matrix vet bench bench-sim bench-batch benchdiff profile cover doccheck smoke serve-smoke fabric-smoke ci
+.PHONY: all build test chaos race crash-matrix vet perfbench-test bench bench-sim bench-batch benchdiff profile cover doccheck smoke serve-smoke fabric-smoke ci
 
 all: build vet test
 
@@ -69,10 +70,12 @@ chaos:
 	$(GO) test -count=1 -run 'TestChaos|TestFaultGolden' ./internal/core/ \
 		-v -timeout 10m
 
-# The concurrent paths: the parallel synthesis engine, the sharded
-# simulation fan-out (worker pool over private sub-simulations, DESIGN.md
-# §12), the accumulator/stats merges, the sweep's cell pool, the
-# checkpoint store feeding off shard workers (DESIGN.md §13), and the
+# The concurrent paths: the synthesis engine's shard pool (assigner forks
+# share the avoid set and its prefix bitmap across goroutines, DESIGN.md
+# §2), the sharded simulation fan-out (worker pool over private
+# sub-simulations, DESIGN.md §12), the wire codec both run, the
+# accumulator/stats merges, the sweep's cell pool, the checkpoint store
+# feeding off shard workers (DESIGN.md §13), and the
 # signal-to-context bridge. Each netsim.Sim, prober and DNS engine is
 # single-threaded by design — -race over them guards against a future
 # change accidentally sharing state across sub-simulations (everything a
@@ -80,6 +83,7 @@ chaos:
 # worker-equivalence tests pin the bytes, this gate pins the memory model).
 race:
 	$(GO) test -race ./internal/core/... ./internal/analysis/... \
+		./internal/population/... ./internal/dnswire/... \
 		./internal/netsim/... ./internal/prober/... ./internal/dnssrv/... \
 		./internal/obs/... ./internal/sweep/... ./internal/sigctx/... \
 		./internal/serve/... ./internal/fabric/...
@@ -94,6 +98,12 @@ crash-matrix:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a module of its own, so `go test ./...` at the root skips
+# it. Its tests run every workload at a tiny scale: a change to an API the
+# harness calls fails here rather than at benchmark time.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Coverage over the whole module; the tail line is the total.
 cover:
@@ -184,7 +194,7 @@ fabric-smoke:
 
 # The CI gauntlet, runnable locally: exactly the blocking jobs of
 # .github/workflows/ci.yml (the workflow adds a non-blocking benchdiff).
-ci: build vet test race chaos crash-matrix doccheck smoke serve-smoke fabric-smoke
+ci: build vet test perfbench-test race chaos crash-matrix doccheck smoke serve-smoke fabric-smoke
 
 # CPU and heap profiles for pprof — by default the simulated campaign:
 #   go tool pprof $(PROFILE_DIR)/cpu.out

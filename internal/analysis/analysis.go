@@ -313,6 +313,12 @@ func firstTarget(msg *dnswire.Message, t dnswire.Type) (string, bool) {
 	return "", false
 }
 
+// The RFC 1918 blocks the §IV-B4 breakdown reports separately.
+var (
+	private192 = ipv4.MustParseBlock("192.168.0.0/16")
+	private10  = ipv4.MustParseBlock("10.0.0.0/8")
+)
+
 // addEmptyQuestion ingests a §IV-B4 response with no question section.
 func (a *Accumulator) addEmptyQuestion(msg *dnswire.Message) {
 	a.eq.Total++
@@ -334,10 +340,10 @@ func (a *Accumulator) addEmptyQuestion(msg *dnswire.Message) {
 	case rr.Type == dnswire.TypeA && !rr.Malformed:
 		addr := ipv4.Addr(rr.A)
 		switch {
-		case ipv4.MustParseBlock("192.168.0.0/16").Contains(addr):
+		case private192.Contains(addr):
 			a.eq.PrivateNets++
 			a.eq.Private192++
-		case ipv4.MustParseBlock("10.0.0.0/8").Contains(addr):
+		case private10.Contains(addr):
 			a.eq.PrivateNets++
 			a.eq.Private10++
 		default:

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
+	"unsafe"
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/behavior"
@@ -51,17 +51,17 @@ type Config struct {
 	PacketsPerSec uint64
 	// KeepPackets retains raw R2 packets in the dataset (simulation mode).
 	KeepPackets bool
-	// Workers sets the campaign's parallelism. Synthetic mode splits the
-	// population into contiguous probe-index shards, each processed by one
-	// worker against its own accumulator, with the shard accumulators
-	// merged in shard order (prefix-sum-seeded assigner cursors; DESIGN.md
-	// §2). Simulation mode schedules the campaign's fixed set of private
-	// sub-simulations — contiguous probe-range shards with disjoint
-	// subdomain-cluster namespaces and proportional rate slices (DESIGN.md
-	// §12) — over a pool of Workers goroutines. In both modes the
-	// decomposition is a function of the configuration alone, so the report
-	// is byte-identical for every value. 0 uses runtime.GOMAXPROCS(0); 1
-	// runs serially.
+	// Workers sets the campaign's parallelism: the size of the worker pool
+	// that runs the campaign's fixed shard plan. Synthetic mode splits the
+	// population into a fixed number of contiguous probe-index shards, each
+	// drawing from a fork of one running assigner cursor, accumulated per
+	// worker and merged exactly (DESIGN.md §2). Simulation mode's shards
+	// are private sub-simulations — contiguous probe-range shards with
+	// disjoint subdomain-cluster namespaces and proportional rate slices
+	// (DESIGN.md §12). In both modes the plan is a function of the
+	// configuration alone, never of Workers, so the report is
+	// byte-identical for every value. 0 uses runtime.GOMAXPROCS(0); 1 runs
+	// the plan on a single worker.
 	Workers int
 	// Faults configures adverse-network fault injection and the adaptive
 	// retransmission machinery (simulation mode only; the zero value is a
@@ -249,78 +249,88 @@ func SynthesizePopulation(cfg Config, pop *population.Population, threat *threat
 // global index i. IDs start at 1 and wrap modulo 2^16 — i.e. every 65,536
 // probes the ID passes through 0 — exactly reproducing the serial engine's
 // historical bare uint16 increment. Making the wrap explicit gives shards
-// a well-defined starting ID derived from their global offset alone; the
-// helper is shared by the serial and parallel paths so they cannot drift.
+// a well-defined starting ID derived from their global offset alone.
 func ProbeQID(i uint64) uint16 {
 	return uint16((i + 1) & 0xFFFF)
 }
 
-// shardPlan describes one worker's contiguous slice of the campaign: the
-// global probe-index range it synthesizes, where that range starts in the
-// cohort list, and how many assignments of each kind precede it — the
-// prefix sums that seed the worker's assigner cursors so it draws exactly
-// the source addresses the serial walk would have drawn for the range.
+// synthShards is the size of the synthetic engine's shard plan. The count
+// is fixed — it never depends on Workers — and fine enough for the work
+// queue to keep every worker busy: population.Build emits cohorts grouped
+// by class, so per-probe cost varies along the probe range and one shard
+// per worker would leave the cheap shards' workers idle.
+const synthShards = 64
+
+// shardPlan is one contiguous slice of a synthetic campaign: the global
+// probe-index range it synthesizes and where that range starts in the
+// cohort list.
 type shardPlan struct {
 	start, end uint64 // global probe indexes [start, end)
 	cohort     int    // index of the cohort containing start
 	offset     uint64 // probes into that cohort at start
-	unpinned   uint64 // unconstrained assignments before start
-	byCountry  map[string]uint64
 }
 
-// planShards splits total probes into n balanced contiguous shards,
-// computing every shard's cohort position and assignment prefix sums in
-// one walk over the cohort list.
-func planShards(pop *population.Population, total uint64, n int) []shardPlan {
+// planShards splits pop's probes into min(synthShards, probes) balanced
+// contiguous shards, locating every shard's start in one walk over the
+// cohort list.
+func planShards(pop *population.Population) []shardPlan {
+	var total uint64
+	for _, c := range pop.Cohorts {
+		total += c.Count
+	}
+	n := min(uint64(synthShards), total)
 	plans := make([]shardPlan, 0, n)
-	var (
-		cum      uint64 // global index at the start of cohort ci
-		unpinned uint64 // unconstrained assignments before cum
-		country  = make(map[string]uint64)
-		ci       int
-	)
-	for w := 0; w < n; w++ {
-		start := total * uint64(w) / uint64(n)
-		end := total * uint64(w+1) / uint64(n)
-		// Advance the walk until cohort ci contains start.
-		for ci < len(pop.Cohorts) && cum+pop.Cohorts[ci].Count <= start {
-			c := &pop.Cohorts[ci]
-			if c.Country == "" {
-				unpinned += c.Count
-			} else {
-				country[c.Country] += c.Count
-			}
-			cum += c.Count
+	var cum uint64 // global index at the start of cohort ci
+	ci := 0
+	for s := uint64(0); s < n; s++ {
+		start := total * s / n
+		for cum+pop.Cohorts[ci].Count <= start {
+			cum += pop.Cohorts[ci].Count
 			ci++
 		}
-		p := shardPlan{
-			start: start, end: end,
-			cohort:    ci,
-			offset:    start - cum,
-			unpinned:  unpinned,
-			byCountry: make(map[string]uint64, len(country)),
-		}
-		for k, v := range country {
-			p.byCountry[k] = v
-		}
-		// The partial cohort's own prefix.
-		if ci < len(pop.Cohorts) && p.offset > 0 {
-			if c := &pop.Cohorts[ci]; c.Country == "" {
-				p.unpinned += p.offset
-			} else {
-				p.byCountry[c.Country] += p.offset
-			}
-		}
-		plans = append(plans, p)
+		plans = append(plans, shardPlan{start: start, end: total * (s + 1) / n, cohort: ci, offset: start - cum})
 	}
 	return plans
 }
 
-// synthWorker holds one worker's streaming state: its accumulator, its
-// assigner cursors, and the scratch buffers the per-probe path reuses —
-// query and response messages, the encode buffer, the qname builder, and
-// the decode message — so steady-state synthesis allocates only the qname
-// string and the decoder's name strings per probe.
+// each calls fn, in order, with every cohort the shard covers and the
+// number of the shard's probes that fall in it.
+func (p shardPlan) each(pop *population.Population, fn func(c *population.Cohort, n uint64) error) error {
+	off := p.offset
+	for g, ci := p.start, p.cohort; g < p.end; ci++ {
+		c := &pop.Cohorts[ci]
+		n := min(c.Count-off, p.end-g)
+		if err := fn(c, n); err != nil {
+			return err
+		}
+		g += n
+		off = 0
+	}
+	return nil
+}
+
+// skip advances a past every source address the shard draws.
+func (p shardPlan) skip(pop *population.Population, a *population.Assigner) error {
+	return p.each(pop, func(c *population.Cohort, n uint64) error {
+		if c.Country == "" {
+			return a.AdvanceUnpinned(n)
+		}
+		return a.AdvanceCountry(c.Country, n)
+	})
+}
+
+// synthJob is one shard handed to the worker pool, with the assigner
+// cursor positioned at the shard's first draw.
+type synthJob struct {
+	shard    int
+	plan     shardPlan
+	assigner *population.Assigner
+}
+
+// synthWorker holds one pool worker's streaming state: its accumulator,
+// its metrics shard, and the scratch the per-probe path reuses — query and
+// response messages, the encode buffer, the qname buffer and the decode
+// message — so steady-state synthesis allocates nothing per probe.
 type synthWorker struct {
 	clusterSize uint64
 	assigner    *population.Assigner
@@ -331,33 +341,26 @@ type synthWorker struct {
 	buf, name            []byte
 }
 
-// run synthesizes the worker's shard. The global probe index g determines
-// the qname and transaction ID; the assigner cursors determine the source
-// address; together they reproduce the serial loop's exact output for
-// [start, end). Cancellation is polled every 64Ki probes — cheap against
-// the per-probe work, fine-grained against a multi-minute shard.
-func (w *synthWorker) run(ctx context.Context, pop *population.Population, plan shardPlan) error {
-	g := plan.start
-	for ci := plan.cohort; ci < len(pop.Cohorts) && g < plan.end; ci++ {
-		cohort := &pop.Cohorts[ci]
-		i := uint64(0)
-		if ci == plan.cohort {
-			i = plan.offset
-		}
-		for ; i < cohort.Count && g < plan.end; i++ {
+// run synthesizes one shard into the worker's accumulator. The global
+// probe index g determines the qname and transaction ID; the job's
+// assigner cursor determines the source address; together they reproduce
+// the serial walk's exact output for the shard. Cancellation is polled
+// every 64Ki probes — cheap against the per-probe work, fine-grained
+// against a multi-minute campaign.
+func (w *synthWorker) run(ctx context.Context, pop *population.Population, job synthJob) error {
+	w.assigner = job.assigner
+	g := job.plan.start
+	return job.plan.each(pop, func(c *population.Cohort, n uint64) error {
+		for end := g + n; g < end; g++ {
 			if g&0xFFFF == 0 && ctx.Err() != nil {
 				return ErrInterrupted
 			}
-			if err := w.probe(cohort, g); err != nil {
+			if err := w.probe(c, g); err != nil {
 				return err
 			}
-			g++
 		}
-	}
-	if g != plan.end {
-		return fmt.Errorf("core: shard [%d,%d) ran out of cohorts at %d", plan.start, plan.end, g)
-	}
-	return nil
+		return nil
+	})
 }
 
 func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
@@ -367,7 +370,12 @@ func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
 	}
 	w.name = dnssrv.AppendProbeName(w.name[:0],
 		int(g/w.clusterSize), int(g%w.clusterSize), paperdata.SLD)
-	qname := dnswire.CanonicalName(string(w.name))
+	// Probe names are already canonical (lowercase, no trailing dot), so
+	// the qname aliases the name buffer instead of copying it. The alias
+	// lives only until the next probe rewrites the buffer: the query and
+	// response built here are encoded and dropped within this call, and
+	// the accumulator reads names from its own decode of the wire bytes.
+	qname := unsafe.String(unsafe.SliceData(w.name), len(w.name))
 	w.query.Header = dnswire.Header{ID: ProbeQID(g), RD: true}
 	w.query.Questions = append(w.query.Questions[:0],
 		dnswire.Question{Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN})
@@ -387,74 +395,55 @@ func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
 	return nil
 }
 
-// synthesize streams the whole population through the analysis pipeline,
-// fanning out over cfg.workers() shard workers and merging their
-// accumulators in shard order. Workers(1) runs the single shard inline —
-// the legacy serial path. Each worker forks the assigner and fast-forwards
-// its cursors past the preceding shards' draws (O(1) per country, one
-// cheap stride step per unpinned draw), so the merged accumulator is
-// provably identical to the serial one for any worker count.
+// synthesize streams the whole population through the analysis pipeline.
+// The fixed shard plan runs on a pool of cfg.workers() goroutines, each
+// accumulating every shard it takes into its own accumulator. The
+// dispatcher hands each shard a fork of one running assigner cursor and
+// then advances the cursor past the shard's draws, so every shard draws
+// exactly the source addresses the serial walk would, and the walk is
+// made once per campaign, overlapped with the workers. Accumulator.Merge
+// is exact and order-free, so the merged accumulator is identical for
+// every worker count.
 func synthesize(cfg Config, pop *population.Population, threat *threatintel.DB,
-	reg *geo.Registry, assigner *population.Assigner, clusterSize int) (*analysis.Accumulator, error) {
-	var total uint64
-	for _, c := range pop.Cohorts {
-		total += c.Count
-	}
+	reg *geo.Registry, cursor *population.Assigner, clusterSize int) (*analysis.Accumulator, error) {
+	plans := planShards(pop)
 	accCfg := analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg}
-	workers := cfg.workers()
-	if uint64(workers) > total {
-		workers = int(total)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	newWorker := func(a *population.Assigner, sh *obs.Shard) *synthWorker {
-		return &synthWorker{
+	ws := make([]*synthWorker, min(cfg.workers(), max(len(plans), 1)))
+	for i := range ws {
+		ws[i] = &synthWorker{
 			clusterSize: uint64(clusterSize),
-			assigner:    a,
 			acc:         analysis.NewAccumulator(accCfg),
-			obs:         sh,
-			buf:         make([]byte, 0, 512),
-			name:        make([]byte, 0, 64),
+			// Registered here, in worker order, so the snapshot's shard
+			// list is deterministic regardless of goroutine scheduling.
+			obs:  cfg.Obs.NewShard(fmt.Sprintf("synth-%d", i)),
+			buf:  make([]byte, 0, 512),
+			name: make([]byte, 0, 64),
 		}
-	}
-	ctx := cfg.ctx()
-	if workers == 1 {
-		w := newWorker(assigner, cfg.Obs.NewShard("synth-0"))
-		if err := w.run(ctx, pop, shardPlan{start: 0, end: total}); err != nil {
-			return nil, err
-		}
-		return w.acc, nil
 	}
 
-	plans := planShards(pop, total, workers)
-	ws := make([]*synthWorker, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i, plan := range plans {
-		// Shards are registered here, in shard order, so the snapshot's
-		// shard list is deterministic regardless of goroutine scheduling.
-		sh := cfg.Obs.NewShard(fmt.Sprintf("synth-%d", i))
-		wg.Add(1)
-		go func(i int, plan shardPlan, sh *obs.Shard) {
-			defer wg.Done()
-			fork := assigner.Fork()
-			for country, n := range plan.byCountry {
-				if err := fork.AdvanceCountry(country, n); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			if err := fork.AdvanceUnpinned(plan.unpinned); err != nil {
-				errs[i] = err
-				return
-			}
-			w := newWorker(fork, sh)
-			ws[i] = w
-			errs[i] = w.run(ctx, pop, plan)
-		}(i, plan, sh)
+	ctx := cfg.ctx()
+	// A shard that never runs — the dispatch stopped or the pool dropped
+	// it on cancellation — keeps ErrInterrupted.
+	errs := make([]error, len(plans))
+	for i := range errs {
+		errs[i] = ErrInterrupted
 	}
-	wg.Wait()
+	pool := startPool(ctx, len(ws), func(w int, job synthJob) {
+		errs[job.shard] = ws[w].run(ctx, pop, job)
+	})
+	var err error
+	for i, plan := range plans {
+		if !pool.send(synthJob{shard: i, plan: plan, assigner: cursor.Fork()}) {
+			break
+		}
+		if err = plan.skip(pop, cursor); err != nil {
+			break
+		}
+	}
+	pool.wait()
+	if err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -528,45 +517,15 @@ func SimulatePopulation(cfg Config, pop *population.Population, threat *threatin
 
 	ctx := cfg.ctx()
 	sp := tr.Begin("simulate")
-	workers := cfg.workers()
-	if workers > len(sc.shards) {
-		workers = len(sc.shards)
+	// Graceful shutdown: on cancellation, stop dispatching but let every
+	// in-flight shard drain (and checkpoint) before returning.
+	pool := startPool(ctx, min(cfg.workers(), len(sc.shards)), func(_ int, i int) { runShard(i) })
+	for i := range sc.shards {
+		if sc.runs[i] == nil && !pool.send(i) {
+			break
+		}
 	}
-	if workers <= 1 {
-		for i := range sc.shards {
-			if sc.runs[i] != nil || ctx.Err() != nil {
-				continue
-			}
-			runShard(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runShard(i)
-				}
-			}()
-		}
-		// Graceful shutdown: on cancellation, stop dispatching but let
-		// every in-flight shard drain (and checkpoint) before returning.
-	dispatch:
-		for i := range sc.shards {
-			if sc.runs[i] != nil {
-				continue
-			}
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	pool.wait()
 	tr.End(sp)
 	for _, err := range errs {
 		if err != nil {

@@ -20,8 +20,9 @@
 //   - RunSynthetic streams the population's responses directly into the
 //     analysis pipeline as encoded wire packets, in constant memory, which
 //     makes the full-scale (SampleShift 0) campaign feasible and exact.
-//     Config.Workers fans the stream out over shard workers whose merged
-//     result is provably identical to the serial walk (DESIGN.md §2).
+//     The stream splits into a fixed plan of probe-range shards run on a
+//     pool of Config.Workers goroutines, whose merged result is identical
+//     to the serial walk for every worker count (DESIGN.md §2).
 //
 // Both modes accept an optional obs.Registry (Config.Obs) that receives
 // the campaign's observability stream — phase spans for every stage, one

@@ -1,13 +1,20 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"openresolver/internal/analysis"
 	"openresolver/internal/behavior"
+	"openresolver/internal/dnssrv"
+	"openresolver/internal/dnswire"
+	"openresolver/internal/geo"
+	"openresolver/internal/ipv4"
 	"openresolver/internal/paperdata"
 	"openresolver/internal/population"
+	"openresolver/internal/scan"
 	"openresolver/internal/threatintel"
 )
 
@@ -37,29 +44,119 @@ func TestProbeQIDWrapsExplicitly(t *testing.T) {
 	}
 }
 
-func TestSyntheticWorkersDeterministic(t *testing.T) {
-	// The acceptance invariant of the parallel engine: RunSynthetic with
-	// Workers N is deep-equal to Workers 1 for the same (config, seed),
-	// for both campaign years.
+// synthCase is one population the synthetic engine is checked against.
+type synthCase struct {
+	name string
+	cfg  Config
+	pop  *population.Population
+	feed *threatintel.Feed
+}
+
+// synthCases returns both calibration years at a test scale, plus two
+// hand-cut populations: one whose cohorts are a few probes each, so cohort
+// boundaries fall inside shards and country-pinned and unpinned draws
+// interleave within one shard, and one with fewer probes than the plan
+// has shards.
+func synthCases(t *testing.T) []synthCase {
+	t.Helper()
+	var cases []synthCase
 	for _, y := range []paperdata.Year{paperdata.Y2013, paperdata.Y2018} {
-		base := Config{Year: y, SampleShift: 8, Seed: 5, Workers: 1}
-		serial, err := RunSynthetic(base)
+		cfg := Config{Year: y, SampleShift: 8, Seed: 5}
+		pop, feed, _, _, err := buildDeps(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 7, 13, runtime.GOMAXPROCS(0)} {
-			cfg := base
-			cfg.Workers = workers
-			par, err := RunSynthetic(cfg)
+		cases = append(cases, synthCase{fmt.Sprintf("%d", y), cfg, pop, feed})
+	}
+	cfg := Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 7}
+	full, feed, _, _, err := buildDeps(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Build pins every malicious cohort to a country, so its reports never
+	// see which unpinned address a probe drew. Unpinning every other one
+	// makes the malicious geolocation table depend on the cursor walk.
+	cut := func(counts ...uint64) *population.Population {
+		pop := &population.Population{Year: full.Year, Shift: full.Shift}
+		for i, c := range full.Cohorts {
+			c.Count = min(c.Count, counts[i%len(counts)])
+			if i%2 == 0 {
+				c.Country = ""
+			}
+			pop.Cohorts = append(pop.Cohorts, c)
+			pop.ExpectedR2 += c.Count
+		}
+		pop.ExpectedQ2 = pop.ExpectedR2
+		return pop
+	}
+	// Cohort sizes coprime to the shard length put every boundary mid-shard.
+	cases = append(cases, synthCase{"mid-shard-cohorts", cfg, cut(7, 1, 13, 0, 29, 3), feed})
+	small := cut(1)
+	small.Cohorts = small.Cohorts[:synthShards/2-1]
+	small.ExpectedR2 = uint64(len(small.Cohorts))
+	small.ExpectedQ2 = small.ExpectedR2
+	cases = append(cases, synthCase{"fewer-probes-than-shards", cfg, small, feed})
+	return cases
+}
+
+// referenceSynthesize is the synthetic engine reduced to its definition:
+// one assigner drawing a source address per probe in cohort order, the
+// allocating encode and decode APIs, and one accumulator. It has no shard
+// plan, no pool, no cursor forks and no scratch reuse.
+func referenceSynthesize(t *testing.T, cfg Config, pop *population.Population, threat *threatintel.DB) *analysis.Report {
+	t.Helper()
+	reg := geo.DefaultRegistry()
+	u, err := scan.NewUniverse(uint64(cfg.Seed), cfg.SampleShift, ipv4.NewReservedBlocklist())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := population.NewAssigner(u, reg, pop, ProberAddr, RootAddr, TLDAddr, AuthAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := analysis.NewAccumulator(analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg})
+	size := cfg.scaledClusterSize()
+	var g int
+	for _, c := range pop.Cohorts {
+		for i := uint64(0); i < c.Count; i++ {
+			src, err := a.Next(c.Country)
 			if err != nil {
-				t.Fatalf("year %d workers %d: %v", y, workers, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(serial.Report, par.Report) {
-				t.Errorf("year %d: report with %d workers differs from serial", y, workers)
+			q := dnswire.NewQuery(ProbeQID(uint64(g)), dnssrv.FormatProbeName(g/size, g%size, paperdata.SLD), dnswire.TypeA)
+			res := dnssrv.Result{}
+			if c.Profile.Answer == behavior.AnswerTruth {
+				res = dnssrv.Result{Addr: dnssrv.TruthAddr(q.Questions[0].Name), OK: true}
 			}
-			if serial.ClustersUsed != par.ClustersUsed {
-				t.Errorf("year %d workers %d: clusters %d vs %d",
-					y, workers, par.ClustersUsed, serial.ClustersUsed)
+			wire, err := behavior.BuildResponse(q, c.Profile, res).Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc.AddR2(src, wire)
+			g++
+		}
+	}
+	return acc.Report(syntheticCampaignCounts(cfg, pop, size))
+}
+
+func TestSyntheticWorkersDeterministic(t *testing.T) {
+	// The acceptance invariant of the synthetic engine: for every worker
+	// count the report is deep-equal to the reference synthesizer's, which
+	// shares neither the shard plan nor the pool nor the cursor walk.
+	for _, sc := range synthCases(t) {
+		want := referenceSynthesize(t, sc.cfg, sc.pop, sc.feed.DB)
+		if want.Correctness.R2 == 0 {
+			t.Fatalf("%s: empty reference", sc.name)
+		}
+		for _, workers := range []int{1, 2, 7, 13, runtime.GOMAXPROCS(0)} {
+			cfg := sc.cfg
+			cfg.Workers = workers
+			ds, err := SynthesizePopulation(cfg, sc.pop, sc.feed.DB)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", sc.name, workers, err)
+			}
+			if !reflect.DeepEqual(ds.Report, want) {
+				t.Errorf("%s: report with %d workers differs from the reference", sc.name, workers)
 			}
 		}
 	}
@@ -108,68 +205,94 @@ func TestSyntheticMoreWorkersThanProbes(t *testing.T) {
 }
 
 func TestPlanShardsCoversEveryProbeOnce(t *testing.T) {
-	pop, _, _, _, err := buildDeps(Config{Year: paperdata.Y2018, SampleShift: 10, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for _, c := range pop.Cohorts {
-		total += c.Count
-	}
-	for _, n := range []int{1, 2, 3, 8, 31} {
-		plans := planShards(pop, total, n)
-		if len(plans) != n {
-			t.Fatalf("n=%d: %d plans", n, len(plans))
+	for _, sc := range synthCases(t) {
+		pop := sc.pop
+		var total uint64
+		for _, c := range pop.Cohorts {
+			total += c.Count
 		}
+		plans := planShards(pop)
+		if want := min(uint64(synthShards), total); uint64(len(plans)) != want {
+			t.Fatalf("%s: %d shards for %d probes, want %d", sc.name, len(plans), total, want)
+		}
+		// Replaying every shard's cohort spans in plan order must rebuild
+		// the cohort list exactly: contiguous, balanced, nothing twice.
 		var covered uint64
-		var unpinned uint64
-		byCountry := map[string]uint64{}
+		seen := make([]uint64, len(pop.Cohorts))
 		for i, p := range plans {
 			if p.start != covered {
-				t.Fatalf("n=%d shard %d: start %d, want %d", n, i, p.start, covered)
+				t.Fatalf("%s shard %d: start %d, want %d", sc.name, i, p.start, covered)
 			}
-			if p.end < p.start {
-				t.Fatalf("n=%d shard %d: inverted range", n, i)
+			if n := p.end - p.start; n < total/uint64(len(plans)) || n > total/uint64(len(plans))+1 {
+				t.Fatalf("%s shard %d: %d probes, unbalanced for %d shards", sc.name, i, n, len(plans))
 			}
-			// The prefix sums must equal the assignments made by all
-			// preceding shards, tracked here by replaying cohort spans.
-			if p.unpinned != unpinned {
-				t.Fatalf("n=%d shard %d: unpinned prefix %d, want %d", n, i, p.unpinned, unpinned)
+			if seen[p.cohort] != p.offset {
+				t.Fatalf("%s shard %d: starts at offset %d of cohort %d, want %d",
+					sc.name, i, p.offset, p.cohort, seen[p.cohort])
 			}
-			for k, v := range p.byCountry {
-				if byCountry[k] != v {
-					t.Fatalf("n=%d shard %d: country %s prefix %d, want %d", n, i, k, v, byCountry[k])
+			g, ci := p.start, p.cohort
+			err := p.each(pop, func(c *population.Cohort, n uint64) error {
+				if c != &pop.Cohorts[ci] {
+					return fmt.Errorf("span out of cohort order")
 				}
-			}
-			for k, v := range byCountry {
-				if p.byCountry[k] != v {
-					t.Fatalf("n=%d shard %d: country %s prefix missing (want %d)", n, i, k, v)
-				}
-			}
-			// Replay this shard's assignments.
-			g := p.start
-			ci, off := p.cohort, p.offset
-			for g < p.end {
-				c := &pop.Cohorts[ci]
-				take := c.Count - off
-				if take > p.end-g {
-					take = p.end - g
-				}
-				if c.Country == "" {
-					unpinned += take
-				} else {
-					byCountry[c.Country] += take
-				}
-				g += take
-				off += take
-				if off == c.Count {
-					ci, off = ci+1, 0
-				}
+				seen[ci] += n
+				g += n
+				ci++
+				return nil
+			})
+			if err != nil || g != p.end {
+				t.Fatalf("%s shard %d: spans cover [%d,%d), want [%d,%d)", sc.name, i, p.start, g, p.start, p.end)
 			}
 			covered = p.end
 		}
 		if covered != total {
-			t.Fatalf("n=%d: covered %d of %d probes", n, covered, total)
+			t.Fatalf("%s: covered %d of %d probes", sc.name, covered, total)
+		}
+		for ci, c := range pop.Cohorts {
+			if seen[ci] != c.Count {
+				t.Fatalf("%s cohort %d: %d of %d probes planned", sc.name, ci, seen[ci], c.Count)
+			}
+		}
+	}
+}
+
+func TestShardCursorsReplaySerialWalk(t *testing.T) {
+	// The dispatcher's cursor walk: forking the running cursor at each shard
+	// and skipping it past the shard's draws must hand every shard exactly
+	// the source addresses one serial assigner draws for that range.
+	for _, sc := range synthCases(t) {
+		u, err := scan.NewUniverse(uint64(sc.cfg.Seed), sc.cfg.SampleShift, ipv4.NewReservedBlocklist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		newAssigner := func() *population.Assigner {
+			a, err := population.NewAssigner(u, geo.DefaultRegistry(), sc.pop, ProberAddr, RootAddr, TLDAddr, AuthAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		serial, cursor := newAssigner(), newAssigner()
+		for i, p := range planShards(sc.pop) {
+			fork := cursor.Fork()
+			if err := p.skip(sc.pop, cursor); err != nil {
+				t.Fatal(err)
+			}
+			err := p.each(sc.pop, func(c *population.Cohort, n uint64) error {
+				for ; n > 0; n-- {
+					want, err := serial.Next(c.Country)
+					if err != nil {
+						return err
+					}
+					if got, err := fork.Next(c.Country); err != nil || got != want {
+						return fmt.Errorf("drew %v (%v), serial walk drew %v", got, err, want)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s shard %d: %v", sc.name, i, err)
+			}
 		}
 	}
 }

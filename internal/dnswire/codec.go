@@ -117,35 +117,39 @@ func appendRR(dst []byte, rr *RR) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(rr.Class))
 	dst = binary.BigEndian.AppendUint32(dst, rr.TTL)
 
-	rdata := rr.Data
-	if rdata == nil {
-		// Synthesize RDATA from the decoded fields.
-		switch rr.Type {
-		case TypeA:
-			rdata = binary.BigEndian.AppendUint32(nil, rr.A)
-		case TypeNS, TypeCNAME, TypePTR:
-			if rdata, err = appendName(nil, rr.Target); err != nil {
-				return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
-			}
-		case TypeMX:
-			rdata = binary.BigEndian.AppendUint16(nil, rr.Pref)
-			if rdata, err = appendName(rdata, rr.Target); err != nil {
-				return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
-			}
-		case TypeTXT:
-			if len(rr.Target) > 255 {
-				return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
-			}
-			rdata = append([]byte{byte(len(rr.Target))}, rr.Target...)
-		default:
-			rdata = []byte{}
+	if rr.Data != nil {
+		if len(rr.Data) > 0xFFFF {
+			return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
 		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(rr.Data)))
+		return append(dst, rr.Data...), nil
 	}
-	if len(rdata) > 0xFFFF {
-		return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
+	// Synthesize RDATA from the decoded fields, in place behind an RDLENGTH
+	// that is backpatched once the data is written. Synthesized RDATA is at
+	// most 257 octets (a TXT string), so it always fits the length field.
+	rdPos := len(dst)
+	dst = append(dst, 0, 0)
+	switch rr.Type {
+	case TypeA:
+		dst = binary.BigEndian.AppendUint32(dst, rr.A)
+	case TypeNS, TypeCNAME, TypePTR:
+		if dst, err = appendName(dst, rr.Target); err != nil {
+			return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
+		}
+	case TypeMX:
+		dst = binary.BigEndian.AppendUint16(dst, rr.Pref)
+		if dst, err = appendName(dst, rr.Target); err != nil {
+			return nil, fmt.Errorf("rr %q rdata: %w", rr.Name, err)
+		}
+	case TypeTXT:
+		if len(rr.Target) > 255 {
+			return nil, fmt.Errorf("rr %q: %w", rr.Name, ErrRDataTooLong)
+		}
+		dst = append(dst, byte(len(rr.Target)))
+		dst = append(dst, rr.Target...)
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(rdata)))
-	return append(dst, rdata...), nil
+	binary.BigEndian.PutUint16(dst[rdPos:], uint16(len(dst)-rdPos-2))
+	return dst, nil
 }
 
 // Unpack decodes a wire-format message. Decoding is deliberately tolerant of

@@ -27,6 +27,12 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(edns.MustPack())
 	f.Add([]byte{})
 	f.Add([]byte{0xC0, 0x0C})
+	for _, name := range boundaryNames {
+		q := &Message{Questions: []Question{{Name: name, Type: TypeA, Class: ClassIN}}}
+		if wire, err := q.Pack(); err == nil {
+			f.Add(wire)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unpack(data)

@@ -55,6 +55,50 @@ func appendNameAny[T string | []byte](dst []byte, name T) ([]byte, error) {
 	if len(name) == 0 || (len(name) == 1 && name[0] == '.') {
 		return append(dst, 0), nil
 	}
+	if out, ok := appendPlainName(dst, name); ok {
+		return out, nil
+	}
+	return appendEscapedName(dst, name)
+}
+
+// appendPlainName is the fast path of appendNameAny for the common case: a
+// name without escapes whose labels and total length are all valid. It
+// copies each label whole. Anything else — a backslash, an empty or
+// oversized label, a name over 255 octets — reports !ok, and the caller
+// re-encodes from dst with appendEscapedName, which alone produces the
+// errors; the bytes written past len(dst) here are then overwritten.
+func appendPlainName[T string | []byte](dst []byte, name T) ([]byte, bool) {
+	if name[len(name)-1] == '.' {
+		name = name[:len(name)-1]
+	}
+	// Without escapes every label costs its length plus one length octet,
+	// so the wire form is the text plus the first length octet and the root.
+	if len(name)+2 > maxNameWire {
+		return dst, false
+	}
+	for {
+		n := 0
+		for n < len(name) && name[n] != '.' {
+			if name[n] == '\\' {
+				return dst, false
+			}
+			n++
+		}
+		if n == 0 || n > maxLabelWire {
+			return dst, false
+		}
+		dst = append(dst, byte(n))
+		dst = append(dst, name[:n]...)
+		if n == len(name) {
+			return append(dst, 0), true
+		}
+		name = name[n+1:]
+	}
+}
+
+// appendEscapedName is the general encoder behind appendNameAny: it walks
+// the name octet by octet, decoding escapes and validating every label.
+func appendEscapedName[T string | []byte](dst []byte, name T) ([]byte, error) {
 	// Trim one trailing dot, but only if it is a real separator (an even
 	// number of backslashes precedes it).
 	if name[len(name)-1] == '.' {
@@ -147,6 +191,26 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 // lowercasing ASCII letters (names compare case-insensitively and the
 // measurement groups flows by canonical qname).
 func appendPresentation(dst []byte, label []byte) []byte {
+	for _, c := range label {
+		if !plainOctet[c] {
+			return appendPresentationOctets(dst, label)
+		}
+	}
+	return append(dst, label...)
+}
+
+// plainOctet marks the octets appendPresentation copies unchanged:
+// printable, not upper case, and neither '.' nor '\\'.
+var plainOctet = func() (t [256]bool) {
+	for c := 0x21; c <= 0x7E; c++ {
+		t[c] = c != '.' && c != '\\' && (c < 'A' || c > 'Z')
+	}
+	return t
+}()
+
+// appendPresentationOctets is appendPresentation one octet at a time, for
+// labels that need escaping or lowercasing.
+func appendPresentationOctets(dst []byte, label []byte) []byte {
 	for _, c := range label {
 		switch {
 		case c == '.' || c == '\\':

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"fmt"
 	"testing"
 
 	"openresolver/internal/geo"
@@ -114,5 +115,64 @@ func TestAdvanceCountryBounds(t *testing.T) {
 	}
 	if err := a.AdvanceCountry("US", 1<<40); err == nil {
 		t.Error("advancing past the reservation succeeded")
+	}
+}
+
+func TestAvoidPrefixBitmapCoversAvoidSet(t *testing.T) {
+	pop, u := buildScaled(t, paperdata.Y2018, 10)
+	a, err := NewAssigner(u, geo.DefaultRegistry(), pop, ipv4.MustParseAddr("45.76.1.10"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.avoid) < 2 {
+		t.Fatalf("avoid set holds %d addresses, want the infrastructure plus reservations", len(a.avoid))
+	}
+	for addr := range a.avoid {
+		if !a.avoid16.has(addr) || !a.avoided(addr) {
+			t.Fatalf("%v is in the avoid set but not avoided", addr)
+		}
+	}
+	marked := 0
+	for p := uint32(0); p < 1<<16; p++ {
+		if a.avoid16.has(ipv4.Addr(p << 16)) {
+			marked++
+		}
+	}
+	if marked == 0 || marked == 1<<16 {
+		t.Errorf("%d of 65536 prefixes marked", marked)
+	}
+}
+
+func TestForksDrawConcurrently(t *testing.T) {
+	// Forks share the universe, the avoid set, its prefix bitmap and the
+	// reservations. Under -race this pins that drawing from several forks
+	// at once writes none of them.
+	pop, u := buildScaled(t, paperdata.Y2018, 12)
+	base, err := NewAssigner(u, geo.DefaultRegistry(), pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialAssignments(t, base.Fork(), pop)
+	errs := make(chan error, 4)
+	for i := 0; i < cap(errs); i++ {
+		fork := base.Fork()
+		go func() {
+			g := 0
+			for _, c := range pop.Cohorts {
+				for n := uint64(0); n < c.Count; n++ {
+					if addr, err := fork.Next(c.Country); err != nil || addr != want[g] {
+						errs <- fmt.Errorf("draw %d = %v (%v), serial %v", g, addr, err, want[g])
+						return
+					}
+					g++
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
