@@ -18,6 +18,7 @@
 #                   (PROFILE_PKG / PROFILE_BENCH select other suites)
 #   make cover      test suite with coverage profile + per-function summary
 #   make doccheck   every package documented (go vet + scripts/doccheck)
+#   make fuzz-smoke every Fuzz* target for 10s each
 #   make smoke      2×2 orsweep grid: pinned baseline digest + pool invariance
 #   make serve-smoke  same grid through the orserved HTTP API: pinned
 #                   digest, digest-cache hit, clean SIGTERM drain
@@ -50,7 +51,7 @@ FABRIC_LOG_DIR ?= fabric-smoke-logs
 # the campaign bytes.
 SMOKE_BASELINE := d19bd873ab802eecb15921fb73145c7ca0ae4b5eed4d5b6aa670791ad1557d47
 
-.PHONY: all build test chaos race crash-matrix vet perfbench-test bench bench-sim bench-batch benchdiff profile cover doccheck smoke serve-smoke fabric-smoke ci
+.PHONY: all build test chaos race crash-matrix vet perfbench-test bench bench-sim bench-batch benchdiff profile cover doccheck fuzz-smoke smoke serve-smoke fabric-smoke ci
 
 all: build vet test
 
@@ -119,6 +120,18 @@ doccheck: vet
 		-flagdoc README.md -flagcli cmd/orsweep -flagcli cmd/orserved \
 		-flagcli cmd/orfabric \
 		./internal ./cmd ./scripts
+
+# Fuzz smoke: every Fuzz* target in the module (the wire codec, the
+# capture-log reader, the impairment-spec parser, and any added later),
+# each for 10s on top of its seed corpus. `go test -fuzz`
+# takes one target per run, so the targets are found by name.
+fuzz-smoke:
+	@set -e; grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' internal cmd scripts | \
+	while IFS=: read -r file fn; do \
+		name=$${fn#func }; \
+		echo "fuzz-smoke: $$name in ./$$(dirname $$file)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s ./$$(dirname $$file); \
+	done
 
 bench:
 	$(GO) test -run '^$$' -bench 'CampaignSynthetic(Serial|Parallel)' -benchmem -count $(BENCH_COUNT) . \
@@ -194,7 +207,7 @@ fabric-smoke:
 
 # The CI gauntlet, runnable locally: exactly the blocking jobs of
 # .github/workflows/ci.yml (the workflow adds a non-blocking benchdiff).
-ci: build vet test perfbench-test race chaos crash-matrix doccheck smoke serve-smoke fabric-smoke
+ci: build vet test perfbench-test race chaos fuzz-smoke crash-matrix doccheck smoke serve-smoke fabric-smoke
 
 # CPU and heap profiles for pprof — by default the simulated campaign:
 #   go tool pprof $(PROFILE_DIR)/cpu.out

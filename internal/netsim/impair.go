@@ -336,7 +336,7 @@ func (w *Windowed) Apply(dg *Datagram, now time.Duration, rng *rand.Rand, f *Fat
 //
 //	loss:P                    i.i.d. loss with probability P
 //	ge:PGB,PBG,LG,LB          Gilbert–Elliott (transition and loss probs)
-//	dup:P[,COPIES]            duplication
+//	dup:P[,COPIES]            duplication, COPIES in [1, 16] (default 1)
 //	reorder:P,WINDOW          bounded reordering (WINDOW a duration)
 //	corrupt:P                 single-bit payload corruption
 //	blackhole:CIDR[,src]      dead prefix (",src" also eats its sources)
@@ -348,7 +348,9 @@ func (w *Windowed) Apply(dg *Datagram, now time.Duration, rng *rand.Rand, f *Fat
 //	"ge:0.05,0.2,0.125,1@2m..20m;dup:0.01"
 //
 // runs a 30%-mean burst-loss channel only between minutes 2 and 20 while
-// 1% duplication runs throughout.
+// 1% duplication runs throughout. Every probability must lie in [0, 1];
+// NaN and infinities are rejected. COPIES is capped at 16 so a
+// spec cannot multiply every packet without bound.
 func ParseImpairments(spec string) ([]Impairment, error) {
 	var out []Impairment
 	for _, part := range strings.Split(spec, ";") {
@@ -390,6 +392,9 @@ func parseOne(part string) (Impairment, error) {
 	return imp, nil
 }
 
+// maxDupCopies bounds the COPIES argument of a parsed dup element.
+const maxDupCopies = 16
+
 func parseKind(kind, args string) (Impairment, error) {
 	fields := strings.Split(args, ",")
 	prob := func(i int) (float64, error) {
@@ -397,7 +402,7 @@ func parseKind(kind, args string) (Impairment, error) {
 			return 0, fmt.Errorf("netsim: impairment %q needs %d arguments", kind, i+1)
 		}
 		p, err := strconv.ParseFloat(strings.TrimSpace(fields[i]), 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails both comparisons
 			return 0, fmt.Errorf("netsim: impairment %q: bad probability %q", kind, fields[i])
 		}
 		return p, nil
@@ -437,8 +442,8 @@ func parseKind(kind, args string) (Impairment, error) {
 		copies := 1
 		if len(fields) > 1 {
 			n, err := strconv.Atoi(strings.TrimSpace(fields[1]))
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("netsim: impairment dup: bad copy count %q", fields[1])
+			if err != nil || n < 1 || n > maxDupCopies {
+				return nil, fmt.Errorf("netsim: impairment dup: bad copy count %q (want an integer in [1, %d])", fields[1], maxDupCopies)
 			}
 			copies = n
 		}

@@ -334,10 +334,26 @@ func TestImpairmentDeterminism(t *testing.T) {
 	}
 }
 
+// goodImpairmentSpec uses every element kind once; TestParseImpairments
+// checks how it parses and FuzzParseImpairments seeds its corpus with it.
+const goodImpairmentSpec = "ge:0.05,0.2,0.125,1@2m..20m; dup:0.01,3 ;loss:0.1;reorder:0.2,100ms;corrupt:0.01;blackhole:10.0.0.0/8,src;brownout:1m,2m,0.9"
+
+// badImpairmentSpecs must all be rejected.
+var badImpairmentSpecs = []string{
+	"", "bogus:1", "loss:1.5", "loss:x", "ge:0.1,0.2", "reorder:0.5",
+	"reorder:0.5,-3s", "dup:0.1,0", "blackhole:", "blackhole:10.0.0.0/8,dst",
+	"brownout:2m,1m,0.5", "loss:0.1@x..y", "loss:0.1@5m..2m",
+	// NaN and infinities are not probabilities.
+	"loss:NaN", "dup:nan", "ge:NaN,0.2,0.1,1", "ge:0.1,0.2,0.1,+Inf",
+	"reorder:NaN,1ms", "corrupt:-Inf", "brownout:5s,20s,NaN",
+	// The duplication fan-out is bounded.
+	"dup:0.1,17", "dup:0.1,100000000",
+}
+
 // TestParseImpairments covers the spec grammar: kinds, argument counts,
 // the @window suffix, and rejection of malformed specs.
 func TestParseImpairments(t *testing.T) {
-	imps, err := ParseImpairments("ge:0.05,0.2,0.125,1@2m..20m; dup:0.01,3 ;loss:0.1;reorder:0.2,100ms;corrupt:0.01;blackhole:10.0.0.0/8,src;brownout:1m,2m,0.9")
+	imps, err := ParseImpairments(goodImpairmentSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +380,13 @@ func TestParseImpairments(t *testing.T) {
 	if b, ok := imps[6].(*Brownout); !ok || b.Loss != 0.9 {
 		t.Errorf("imps[6] = %#v, want Brownout", imps[6])
 	}
+	if imps, err := ParseImpairments("dup:1,16;loss:0;loss:1"); err != nil {
+		t.Errorf("boundary spec rejected: %v", err)
+	} else if d := imps[0].(*Duplicator); d.Copies != maxDupCopies {
+		t.Errorf("dup copies = %d, want %d", d.Copies, maxDupCopies)
+	}
 
-	for _, bad := range []string{
-		"", "bogus:1", "loss:1.5", "loss:x", "ge:0.1,0.2", "reorder:0.5",
-		"reorder:0.5,-3s", "dup:0.1,0", "blackhole:", "blackhole:10.0.0.0/8,dst",
-		"brownout:2m,1m,0.5", "loss:0.1@x..y", "loss:0.1@5m..2m",
-	} {
+	for _, bad := range badImpairmentSpecs {
 		if _, err := ParseImpairments(bad); err == nil {
 			t.Errorf("spec %q: expected error", bad)
 		}

@@ -5,10 +5,15 @@
 // subdomains that drew no response — the optimization that reduced the
 // clusters needed from a theoretical 800 to 4 (§III-B).
 //
+// Every in-flight probe's timeout lives in one timing wheel (wheel.go,
+// DESIGN.md §7) with a slot per 10 ms send-loop tick, so arming a timeout
+// is O(1) and each tick expires exactly the probes whose deadline it
+// reaches, in arm order, through one expire path.
+//
 // Beyond the paper's single-shot prober, the package carries the adaptive
 // retransmission engine of DESIGN.md §8 (retrans.go): a bounded per-probe
 // retry budget with exponential backoff and jitter, a Jacobson/Karn RTT
-// estimator that can replace the fixed sweep timeout (Karn's rule excludes
+// estimator that can replace the fixed timeout (Karn's rule excludes
 // retransmitted probes from sampling), and a shed horizon that abandons
 // stale retries under loss spikes instead of starving fresh probes. With
 // Retries == 0 and AdaptiveTimeout == false the prober is bit-identical to

@@ -28,6 +28,7 @@ func TestInstrumentedSendOneAllocBudget(t *testing.T) {
 		it: w.u.Iterate(), srcPort: 40000, nextID: 1,
 	}
 	p.tickFn = p.tick
+	p.wheel.init(p.horizon())
 	p.node = w.sim.Register(proberAddr, p)
 	p.refillCluster(0)
 
@@ -41,7 +42,7 @@ func TestInstrumentedSendOneAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 300; i++ { // warm nameBuf, payload pool, pending backing array
+	for i := 0; i < 300; i++ { // warm nameBuf, payload pool, wheel arena
 		iter()
 	}
 	if avg := testing.AllocsPerRun(300, iter); avg != 0 {

@@ -93,7 +93,9 @@ type Prober struct {
 	// (the old map[int]bool); burnedCount is its population count.
 	burnedBits  []uint64
 	burnedCount int
-	pending     []pendingName // FIFO; deadlines are monotone
+	// wheel holds the timeout of every in-flight probe, bucketed by the
+	// tick that expires it (wheel.go); wheel.n is the in-flight count.
+	wheel wheel
 
 	pauseUntil time.Duration
 	exhausted  bool
@@ -119,9 +121,9 @@ type Prober struct {
 	// sendAt[idx] is the send instant of the outstanding probe using
 	// subdomain idx of the active cluster, or -1 when idx is not in flight.
 	// A probe's qname is derivable from (cluster, idx), and every in-flight
-	// probe belongs to the active cluster — the pool only rotates once
-	// pending has drained — so this slice replaces the old qname-keyed
-	// sendTimes map. Entries are reset on response or timeout sweep.
+	// probe belongs to the active cluster — the pool only rotates once the
+	// wheel has drained — so this slice replaces the old qname-keyed
+	// sendTimes map. Entries are reset on response or expiry.
 	sendAt    []time.Duration
 	latencies []time.Duration
 	// Retransmission-engine state, parallel to sendAt (see retrans.go):
@@ -161,13 +163,8 @@ type Prober struct {
 	rmsgOK    []bool
 }
 
-type pendingName struct {
-	idx      int
-	cluster  int
-	deadline time.Duration
-}
-
-// tickInterval is the batch cadence of the send loop.
+// tickInterval is the batch cadence of the send loop. Ticks fire on this
+// grid from the prober's start, and the timeout wheel has one slot per tick.
 const tickInterval = 10 * time.Millisecond
 
 // Start registers the prober and begins the campaign immediately.
@@ -209,6 +206,7 @@ func Start(sim *netsim.Sim, cfg Config) (*Prober, error) {
 		srcPort: 40000,
 		nextID:  1,
 	}
+	p.wheel.init(p.horizon())
 	p.tickFn = p.tick
 	p.node = sim.Register(cfg.Addr, p)
 	p.start = p.node.Now()
@@ -334,7 +332,7 @@ func (p *Prober) tick() {
 	// most of the pool is burned, loading a fresh cluster beats crawling on
 	// the remnant — the discipline that puts the paper's campaign at 4
 	// clusters rather than waiting out every last name.
-	if !p.exhausted && len(p.pending) == 0 && len(p.retryq) == 0 && p.burnedCount > p.cfg.ClusterSize*3/4 {
+	if !p.exhausted && p.wheel.n == 0 && len(p.retryq) == 0 && p.burnedCount > p.cfg.ClusterSize*3/4 {
 		p.refillCluster(p.cluster + 1)
 	}
 
@@ -361,7 +359,7 @@ func (p *Prober) tick() {
 		}
 	}
 
-	if p.exhausted && len(p.pending) == 0 && len(p.retryq) == 0 {
+	if p.exhausted && p.wheel.n == 0 && len(p.retryq) == 0 {
 		p.done = true
 		p.finishedAt = p.node.Now()
 		if p.cfg.OnDone != nil {
@@ -372,40 +370,47 @@ func (p *Prober) tick() {
 	p.node.After(tickInterval, p.tickFn)
 }
 
-// sweep returns timed-out subdomains to the pool (subdomain reuse, §III-B).
-// With the retransmission engine active, deadlines are no longer monotone
-// (backoff, adaptive RTO) and expired probes may still have retry budget,
-// so sweeping switches to the full-scan variant in retrans.go.
+// sweep expires every probe whose deadline the tick at now has reached:
+// it drains the wheel's slots up to now and hands each entry, in arm
+// order, to expire.
 func (p *Prober) sweep(now time.Duration) {
-	if p.retransmitting() {
-		p.sweepScan(now)
+	last := int64((now - p.start) / tickInterval)
+	for {
+		idx, cluster, ok := p.wheel.pop(last)
+		if !ok {
+			return
+		}
+		p.expire(idx, cluster, now)
+	}
+}
+
+// expire handles one timed-out entry. Entries of a rotated-away cluster
+// and answered probes just leave. An unanswered probe with retry budget
+// left moves to the retry queue, keeping its subdomain reserved; any other
+// is given up, and its subdomain returns to the pool (subdomain reuse,
+// §III-B). With Retries == 0 this is the paper's single-shot sweep.
+func (p *Prober) expire(idx, cluster int, now time.Duration) {
+	if cluster != p.cluster || p.sendAt[idx] < 0 {
 		return
 	}
-	i := 0
-	for ; i < len(p.pending); i++ {
-		pn := p.pending[i]
-		if pn.deadline > now {
-			break
-		}
-		if pn.cluster == p.cluster {
-			if !p.cfg.DisableReuse && !p.isBurned(pn.idx) {
-				p.avail = append(p.avail, pn.idx)
-				p.reused++
-				p.cfg.Obs.Inc(obs.CProbeReused)
-			}
-			p.sendAt[pn.idx] = -1
-		}
+	if p.cfg.Retries > 0 && int(p.attempts[idx]) < p.cfg.Retries {
+		p.retryq = append(p.retryq, retryEntry{idx: int32(idx), at: now})
+		return
 	}
-	// Compact in place so the backing array is reused steady-state.
-	n := copy(p.pending, p.pending[i:])
-	p.pending = p.pending[:n]
+	p.giveUp(idx)
+}
+
+// arm schedules the timeout of the in-flight probe for subdomain idx of
+// the active cluster.
+func (p *Prober) arm(idx int, deadline time.Duration) {
+	p.wheel.arm(slotOf(deadline-p.start), idx, p.cluster)
 }
 
 // sendOne transmits the next probe; it returns false when the batch should
 // stop (universe exhausted or no subdomains available).
 func (p *Prober) sendOne(now time.Duration) bool {
 	if len(p.avail) == 0 {
-		if len(p.pending) > 0 || len(p.retryq) > 0 {
+		if p.wheel.n > 0 || len(p.retryq) > 0 {
 			// Pool exhausted but names may return after timeouts: stall.
 			return false
 		}
@@ -459,7 +464,7 @@ func (p *Prober) sendOne(now time.Duration) bool {
 		p.target[idx] = target
 		p.qid[idx] = id
 	}
-	p.pending = append(p.pending, pendingName{idx: idx, cluster: p.cluster, deadline: now + p.rto()})
+	p.arm(idx, now+p.rto())
 	return true
 }
 

@@ -35,8 +35,8 @@ func TestSendOnePackFailureRestoresSubdomain(t *testing.T) {
 	if got := log.Counters().Q1; got != 0 {
 		t.Errorf("Q1 = %d, want 0", got)
 	}
-	if len(p.pending) != 0 {
-		t.Errorf("pending = %d names, want 0", len(p.pending))
+	if p.wheel.n != 0 {
+		t.Errorf("in flight = %d names, want 0", p.wheel.n)
 	}
 	if len(p.avail) != 8 {
 		t.Errorf("avail = %d subdomains, want 8 (index leaked on Pack failure)", len(p.avail))
@@ -100,6 +100,7 @@ func TestSendOneAllocBudget(t *testing.T) {
 		it: w.u.Iterate(), srcPort: 40000, nextID: 1,
 	}
 	p.tickFn = p.tick
+	p.wheel.init(p.horizon())
 	p.node = w.sim.Register(proberAddr, p)
 	p.refillCluster(0)
 
@@ -113,7 +114,7 @@ func TestSendOneAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 300; i++ { // warm nameBuf, payload pool, pending backing array
+	for i := 0; i < 300; i++ { // warm nameBuf, payload pool, wheel arena
 		iter()
 	}
 	if avg := testing.AllocsPerRun(300, iter); avg != 0 {

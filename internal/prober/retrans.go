@@ -6,9 +6,12 @@ package prober
 // of its probes that way. This adds what production scanners (ZDNS et al.)
 // ship: a bounded per-probe retransmission budget with exponential backoff
 // and jitter, and a Jacobson/Karn RTT estimator that can replace the fixed
-// sweep timeout. Everything is off by default; with Retries == 0 and
-// AdaptiveTimeout == false the prober is bit-identical to the single-shot
-// paper behaviour (the golden tests pin this).
+// timeout. Timeouts of first transmissions and retransmissions alike go
+// through the one timeout wheel (wheel.go) and the one expire path
+// (prober.go); this file decides how long they are and what happens to an
+// expired probe that still has budget. Everything is off by default; with
+// Retries == 0 and AdaptiveTimeout == false the prober is bit-identical to
+// the single-shot paper behaviour (the golden tests pin this).
 
 import (
 	"time"
@@ -67,8 +70,8 @@ type retryEntry struct {
 }
 
 // retransmitting reports whether the engine is active; when false the
-// prober runs the legacy single-shot path (monotone-deadline sweep, fixed
-// timeout, no retry queue).
+// prober runs the single-shot path (fixed timeout, no per-probe retry
+// state, no retry queue).
 func (p *Prober) retransmitting() bool {
 	return p.cfg.Retries > 0 || p.cfg.AdaptiveTimeout
 }
@@ -102,31 +105,13 @@ func (p *Prober) backoff(attempts uint8) time.Duration {
 	return d
 }
 
-// sweepScan is the sweep used when the retransmission engine is active.
-// Backoff and adaptive RTOs break the legacy sweep's monotone-deadline
-// invariant, so expired entries are found by a full scan with in-place
-// compaction. Expired probes with budget left move to the retry queue
-// (keeping their subdomain reserved); probes out of budget are given up.
-func (p *Prober) sweepScan(now time.Duration) {
-	out := p.pending[:0]
-	for _, pn := range p.pending {
-		if pn.deadline > now {
-			out = append(out, pn)
-			continue
-		}
-		if pn.cluster != p.cluster {
-			continue
-		}
-		if p.sendAt[pn.idx] < 0 {
-			continue // answered while queued; entry just expires
-		}
-		if int(p.attempts[pn.idx]) < p.cfg.Retries {
-			p.retryq = append(p.retryq, retryEntry{idx: int32(pn.idx), at: now})
-			continue
-		}
-		p.giveUp(pn.idx)
-	}
-	p.pending = out
+// horizon is the longest timeout the prober can arm, and so what the
+// timeout wheel is sized for: rto never exceeds max(Timeout, MaxRTO) — its
+// fallback is Timeout and the estimator clamps to MaxRTO last — backoff
+// never raises it past that, and jitter adds at most an eighth.
+func (p *Prober) horizon() time.Duration {
+	d := max(p.cfg.Timeout, p.cfg.MaxRTO)
+	return d + d/8
 }
 
 // giveUp abandons an in-flight probe: its subdomain returns to the pool
@@ -192,7 +177,7 @@ func (p *Prober) retransmit(idx int, now time.Duration) {
 	p.retransmits++
 	p.cfg.Obs.Inc(obs.CProbeRetransmits)
 	p.sendAt[idx] = now
-	p.pending = append(p.pending, pendingName{idx: idx, cluster: p.cluster, deadline: now + p.backoff(p.attempts[idx])})
+	p.arm(idx, now+p.backoff(p.attempts[idx]))
 }
 
 // Stats is a snapshot of the prober's counters for the campaign report.

@@ -233,6 +233,7 @@ func TestRetransmitAllocBudget(t *testing.T) {
 		it: w.u.Iterate(), srcPort: 40000, nextID: 1,
 	}
 	p.tickFn = p.tick
+	p.wheel.init(p.horizon())
 	p.node = w.sim.Register(proberAddr, p)
 	p.refillCluster(0)
 
@@ -261,7 +262,7 @@ func TestRetransmitAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 400; i++ { // warm nameBuf, payload pool, pending/retry queues
+	for i := 0; i < 400; i++ { // warm nameBuf, payload pool, wheel arena, retry queue
 		iter()
 	}
 	if avg := testing.AllocsPerRun(300, iter); avg != 0 {

@@ -35,6 +35,7 @@ func TestShardSendOneAllocBudget(t *testing.T) {
 	}
 	p.it = w.u.Range(p.cfg.RangeStart, p.cfg.RangeEnd)
 	p.tickFn = p.tick
+	p.wheel.init(p.horizon())
 	p.node = w.sim.Register(proberAddr, p)
 	p.refillCluster(p.cfg.FirstCluster)
 
@@ -48,7 +49,7 @@ func TestShardSendOneAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 300; i++ { // warm nameBuf, payload pool, pending backing array
+	for i := 0; i < 300; i++ { // warm nameBuf, payload pool, wheel arena
 		iter()
 	}
 	if avg := testing.AllocsPerRun(300, iter); avg != 0 {
