@@ -19,8 +19,10 @@ package core
 // silently merged.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -33,6 +35,7 @@ import (
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/capture"
+	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
 	"openresolver/internal/obs"
 	"openresolver/internal/prober"
@@ -116,25 +119,31 @@ func (osCheckpointFS) ReadFile(name string) ([]byte, error) { return os.ReadFile
 func (osCheckpointFS) Remove(name string) error             { return os.Remove(name) }
 
 // checkpointVersion is the on-disk format version; any change to the
-// payload shape or the campaign-key recipe must bump it, invalidating
-// every older checkpoint rather than misreading it.
-const checkpointVersion = 1
+// envelope layout, the payload shape or the campaign-key recipe must bump
+// it, invalidating every older checkpoint rather than misreading it.
+const checkpointVersion = 2
 
-// checkpointFile is the on-disk envelope: the format version, the campaign
-// key binding the file to (configuration, shard plan), the shard index,
-// and the payload guarded by its own digest. A file that fails any of
-// these checks is treated as absent.
-type checkpointFile struct {
-	Version  int             `json:"version"`
-	Campaign string          `json:"campaign"`
-	Shard    int             `json:"shard"`
-	SHA256   string          `json:"payload_sha256"`
-	Payload  json.RawMessage `json:"payload"`
-}
+// The version-2 envelope is a fixed header followed by the payload:
+//
+//	magic "ORCK" | version u32 | campaign key [32] | shard u32 |
+//	payload SHA-256 [32] | payload
+//
+// Integers are big-endian; the campaign key is the raw digest that
+// checkpointCampaignKey renders in hex. The payload is the shard's small
+// structured state as JSON, behind a uvarint length, followed by the two
+// packet streams (R2, then auth) as packet records (appendPackets).
+const (
+	envMagic     = "ORCK"
+	envKeyOff    = len(envMagic) + 4
+	envShardOff  = envKeyOff + sha256.Size
+	envSumOff    = envShardOff + 4
+	envHeaderLen = envSumOff + sha256.Size
+)
 
-// shardCheckpoint is the serialized form of one completed sub-simulation —
+// shardCheckpoint is the decoded form of one completed sub-simulation —
 // exactly the fields mergeSimShards folds, so a restored shard merges
-// indistinguishably from a freshly run one.
+// indistinguishably from a freshly run one. The JSON tags cover the
+// structured state; the packet streams travel as binary records.
 type shardCheckpoint struct {
 	Acc           *analysis.AccumulatorState `json:"acc"`
 	NetStats      netsim.Stats               `json:"net_stats"`
@@ -146,9 +155,9 @@ type shardCheckpoint struct {
 	DurationNanos int64                      `json:"duration_nanos"`
 	ProbeCounters capture.Counters           `json:"probe_counters"`
 	AuthCounters  capture.Counters           `json:"auth_counters"`
-	R2Packets     []capture.Packet           `json:"r2_packets,omitempty"`
-	AuthPackets   []capture.Packet           `json:"auth_packets,omitempty"`
 	Obs           *obs.ShardState            `json:"obs,omitempty"`
+	R2Packets     []capture.Packet           `json:"-"`
+	AuthPackets   []capture.Packet           `json:"-"`
 }
 
 // checkpointStore writes and validates the per-shard checkpoint files of
@@ -219,13 +228,13 @@ func (s *checkpointStore) logf(format string, args ...any) {
 }
 
 // marshalShardEnvelope serializes one completed shard as the
-// self-validating checkpoint envelope: the versioned checkpointFile
-// wrapper binding (campaign key, shard index) around the digest-stamped
-// payload. The same bytes serve two transports — the checkpoint store
-// renames them into shard-NNN.ckpt, and the distributed fabric carries
-// them verbatim inside a RESULT frame — so one validator guards both.
+// self-validating checkpoint envelope: the versioned header binding
+// (campaign key, shard index) to the digest-stamped payload. The same
+// bytes serve two transports — the checkpoint store renames them into
+// shard-NNN.ckpt, and the distributed fabric carries them verbatim as the
+// raw frame after a RESULT — so one validator guards both.
 func marshalShardEnvelope(key string, shard int, run *simShardRun) ([]byte, error) {
-	payload, err := json.Marshal(&shardCheckpoint{
+	return encodeShardEnvelope(key, shard, &shardCheckpoint{
 		Acc:           run.acc.State(),
 		NetStats:      run.netStats,
 		FaultStats:    run.faultStats,
@@ -240,17 +249,110 @@ func marshalShardEnvelope(key string, shard int, run *simShardRun) ([]byte, erro
 		AuthPackets:   run.authPackets,
 		Obs:           run.obs.State(),
 	})
+}
+
+// encodeShardEnvelope lays ck out as a version-2 envelope in a single
+// allocation: the header, the structured state, both packet streams, and
+// finally the digest over everything after the header.
+func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
+	state, err := json.Marshal(ck)
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(payload)
-	return json.Marshal(&checkpointFile{
-		Version:  checkpointVersion,
-		Campaign: key,
-		Shard:    shard,
-		SHA256:   hex.EncodeToString(sum[:]),
-		Payload:  payload,
-	})
+	rawKey, err := hex.DecodeString(key)
+	if err != nil || len(rawKey) != sha256.Size {
+		return nil, fmt.Errorf("campaign key %q is not a hex SHA-256 digest", key)
+	}
+	size := envHeaderLen + binary.MaxVarintLen64 + len(state) +
+		packetsSize(ck.R2Packets) + packetsSize(ck.AuthPackets)
+	buf := make([]byte, envHeaderLen, size)
+	copy(buf, envMagic)
+	binary.BigEndian.PutUint32(buf[len(envMagic):], checkpointVersion)
+	copy(buf[envKeyOff:], rawKey)
+	binary.BigEndian.PutUint32(buf[envShardOff:], uint32(shard))
+	buf = binary.AppendUvarint(buf, uint64(len(state)))
+	buf = append(buf, state...)
+	buf = appendPackets(buf, ck.R2Packets)
+	buf = appendPackets(buf, ck.AuthPackets)
+	sum := sha256.Sum256(buf[envHeaderLen:])
+	copy(buf[envSumOff:], sum[:])
+	return buf, nil
+}
+
+// A packet stream is a uvarint record count followed by the records. A
+// record is the kind byte, At as a varint of nanoseconds, the source and
+// destination addresses (4 bytes each, big-endian), and a uvarint payload
+// length followed by the payload bytes; minPacketRecord is the smallest.
+const minPacketRecord = 1 + 1 + 4 + 4 + 1
+
+// packetsSize bounds the encoded size of one packet stream.
+func packetsSize(pkts []capture.Packet) int {
+	n := binary.MaxVarintLen64
+	for i := range pkts {
+		n += 1 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64 + len(pkts[i].Payload)
+	}
+	return n
+}
+
+// appendPackets appends pkts to buf as one packet stream.
+func appendPackets(buf []byte, pkts []capture.Packet) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(pkts)))
+	for i := range pkts {
+		p := &pkts[i]
+		buf = append(buf, byte(p.Kind))
+		buf = binary.AppendVarint(buf, int64(p.At))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(p.Src))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(p.Dst))
+		buf = binary.AppendUvarint(buf, uint64(len(p.Payload)))
+		buf = append(buf, p.Payload...)
+	}
+	return buf
+}
+
+// decodePackets reads one packet stream off the front of b and returns the
+// bytes after it. The count is checked against the bytes that remain before
+// the slice is allocated, and each payload length before it is taken.
+// Payloads alias b (capacity-capped), so the envelope buffer must never be
+// written while the packets live — and nothing downstream writes them.
+func decodePackets(b []byte) ([]capture.Packet, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return nil, nil, errors.New("bad packet count")
+	}
+	b = b[k:]
+	if n > uint64(len(b)/minPacketRecord) {
+		return nil, nil, fmt.Errorf("%d packets cannot fit in %d bytes", n, len(b))
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	pkts := make([]capture.Packet, n)
+	for i := range pkts {
+		if len(b) < minPacketRecord {
+			return nil, nil, fmt.Errorf("packet %d: truncated stream", i)
+		}
+		kind := capture.Kind(b[0])
+		if kind < capture.KindQ1 || kind > capture.KindR2 {
+			return nil, nil, fmt.Errorf("packet %d: unknown kind %d", i, b[0])
+		}
+		at, k := binary.Varint(b[1:])
+		if k <= 0 || len(b) < 1+k+8 {
+			return nil, nil, fmt.Errorf("packet %d: truncated record", i)
+		}
+		b = b[1+k:]
+		src, dst := ipv4.Addr(binary.BigEndian.Uint32(b)), ipv4.Addr(binary.BigEndian.Uint32(b[4:]))
+		ln, k := binary.Uvarint(b[8:])
+		if k <= 0 {
+			return nil, nil, fmt.Errorf("packet %d: bad payload length", i)
+		}
+		b = b[8+k:]
+		if ln > uint64(len(b)) {
+			return nil, nil, fmt.Errorf("packet %d: %d-byte payload overruns the %d bytes left", i, ln, len(b))
+		}
+		pkts[i] = capture.Packet{Kind: kind, At: time.Duration(at), Src: src, Dst: dst, Payload: b[:ln:ln]}
+		b = b[ln:]
+	}
+	return pkts, b, nil
 }
 
 // restoreShardRun rebuilds a mergeable shard run from a validated
@@ -359,34 +461,59 @@ func (s *checkpointStore) load(shard int, accCfg analysis.Config, msh *obs.Shard
 }
 
 // validateShardEnvelope checks one envelope's integrity in layers —
-// well-formed wrapper, format version, campaign key, shard index, payload
-// digest, decodable payload — and returns the decoded payload. It guards
-// both transports of the envelope format: checkpoint files read back from
-// disk and RESULT frames received from fabric workers.
+// well-formed header, format version, campaign key, shard index, payload
+// digest, decodable payload, accumulator present — and returns the decoded
+// payload, whose packet payloads alias data. It guards both transports of
+// the envelope format: checkpoint files read back from disk and RESULT
+// envelopes received from fabric workers.
 func validateShardEnvelope(key string, shard int, data []byte) (*shardCheckpoint, error) {
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return nil, fmt.Errorf("invalid checkpoint (torn or truncated write): %v", err)
+	if len(data) < envHeaderLen || string(data[:len(envMagic)]) != envMagic {
+		return nil, errors.New("invalid checkpoint (torn or truncated write, or not a binary envelope)")
 	}
-	if cf.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint version %d, want %d", cf.Version, checkpointVersion)
+	if v := binary.BigEndian.Uint32(data[len(envMagic):]); v != checkpointVersion {
+		return nil, fmt.Errorf("checkpoint version %d, want %d", v, checkpointVersion)
 	}
-	if cf.Campaign != key {
+	if hex.EncodeToString(data[envKeyOff:envShardOff]) != key {
 		return nil, errors.New("checkpoint belongs to a different campaign configuration or shard plan")
 	}
-	if cf.Shard != shard {
-		return nil, fmt.Errorf("checkpoint names shard %d", cf.Shard)
+	if got := binary.BigEndian.Uint32(data[envShardOff:]); int64(got) != int64(shard) {
+		return nil, fmt.Errorf("checkpoint names shard %d", got)
 	}
-	sum := sha256.Sum256(cf.Payload)
-	if hex.EncodeToString(sum[:]) != cf.SHA256 {
+	payload := data[envHeaderLen:]
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], data[envSumOff:envHeaderLen]) {
 		return nil, errors.New("checkpoint payload digest mismatch (torn write)")
 	}
-	var ck shardCheckpoint
-	if err := json.Unmarshal(cf.Payload, &ck); err != nil {
+	ck, err := decodeShardPayload(payload)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint payload: %v", err)
 	}
 	if ck.Acc == nil {
 		return nil, errors.New("checkpoint payload missing accumulator state")
+	}
+	return ck, nil
+}
+
+// decodeShardPayload splits a digest-checked payload into its structured
+// state and its two packet streams, and requires nothing after them.
+func decodeShardPayload(payload []byte) (*shardCheckpoint, error) {
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return nil, errors.New("bad state length")
+	}
+	var ck shardCheckpoint
+	if err := json.Unmarshal(payload[k:k+int(n)], &ck); err != nil {
+		return nil, err
+	}
+	rest := payload[k+int(n):]
+	var err error
+	if ck.R2Packets, rest, err = decodePackets(rest); err != nil {
+		return nil, fmt.Errorf("R2 packets: %v", err)
+	}
+	if ck.AuthPackets, rest, err = decodePackets(rest); err != nil {
+		return nil, fmt.Errorf("auth packets: %v", err)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(rest))
 	}
 	return &ck, nil
 }

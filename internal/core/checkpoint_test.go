@@ -12,6 +12,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -324,10 +325,12 @@ func TestCheckpointTornWriteRerunsShard(t *testing.T) {
 	}
 }
 
-// TestCheckpointFlippedByteRejected corrupts one byte in the middle of a
-// valid checkpoint file (a bit-rot / partial-overwrite stand-in): either
-// the envelope no longer parses or the payload digest no longer matches —
-// both must reject the file and rerun the shard.
+// TestCheckpointFlippedByteRejected corrupts one byte of a valid
+// checkpoint file (a bit-rot / partial-overwrite stand-in) in each of two
+// places: the header (the campaign key) of one file and the middle of the
+// packet section of another. The first no longer names this campaign and
+// the second no longer matches its payload digest — both must reject the
+// file and rerun the shard.
 func TestCheckpointFlippedByteRejected(t *testing.T) {
 	cfg := ckptTestConfig()
 	want := FaultDigest(mustSimulate(t, cfg))
@@ -335,17 +338,29 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 	dir := t.TempDir()
 	interruptCampaign(t, cfg, dir, 2)
 	files, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no checkpoints to corrupt (err=%v)", err)
+	if err != nil || len(files) < 2 {
+		t.Fatalf("%d checkpoints to corrupt, want ≥ 2 (err=%v)", len(files), err)
 	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
+	flip := func(file string, at func(data []byte) int) {
+		t.Helper()
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[at(data)] ^= 0xFF
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flip(files[0], func([]byte) int { return envKeyOff + 7 })
+	flip(files[1], func(data []byte) int {
+		stateLen, k := binary.Uvarint(data[envHeaderLen:])
+		packets := envHeaderLen + k + int(stateLen)
+		if packets >= len(data)-1 {
+			t.Fatalf("%s holds no packet section", files[1])
+		}
+		return (packets + len(data)) / 2
+	})
 
 	var log bytes.Buffer
 	resumed := cfg
@@ -355,10 +370,15 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := FaultDigest(ds); got != want {
-		t.Errorf("campaign resumed over corrupt checkpoint diverged\n got %s\nwant %s", got, want)
+		t.Errorf("campaign resumed over corrupt checkpoints diverged\n got %s\nwant %s", got, want)
+	}
+	for _, reason := range []string{"different campaign", "payload digest mismatch"} {
+		if !strings.Contains(log.String(), reason) {
+			t.Errorf("no checkpoint rejected for %q:\n%s", reason, log.String())
+		}
 	}
 	if !strings.Contains(log.String(), "rerunning shard") {
-		t.Errorf("corrupt checkpoint was not rejected:\n%s", log.String())
+		t.Errorf("corrupt checkpoints were not reported for rerun:\n%s", log.String())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,6 +86,116 @@ func TestWriteFrameOversized(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized write: got %v, want a limit rejection", err)
 	}
+}
+
+// frame renders one raw length-prefixed frame.
+func frame(body string) string {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	return string(hdr[:]) + body
+}
+
+// A RESULT's envelope crosses the wire as a raw frame after the JSON one,
+// not inside it: the JSON frame must not carry the envelope bytes.
+func TestResultEnvelopeIsRawFrame(t *testing.T) {
+	var buf bytes.Buffer
+	env := []byte("ORCK\x00\x00\x00\x02binary")
+	if err := writeFrame(&buf, &message{Type: msgResult, Key: "k", Shard: 3, Envelope: env}); err != nil {
+		t.Fatal(err)
+	}
+	wire := buf.String()
+	head := frame(`{"type":"result","key":"k","shard":3}`)
+	if want := head + frame(string(env)); wire != want {
+		t.Fatalf("RESULT on the wire:\n got %q\nwant %q", wire, want)
+	}
+}
+
+// A RESULT whose envelope frame is missing, torn or oversized is a
+// protocol error, never a RESULT with a partial envelope.
+func TestReadFrameResultEnvelopeFaults(t *testing.T) {
+	head := frame(`{"type":"result","key":"k","shard":0}`)
+	var big [4]byte
+	binary.BigEndian.PutUint32(big[:], maxFrame)
+	for _, tc := range []struct {
+		name, wire, want string
+		torn             bool
+	}{
+		{"missing", head, "before the RESULT envelope", true},
+		{"torn prefix", head + "\x00\x00", "RESULT envelope length prefix", true},
+		{"short", head + frame("0123456789")[:9], "RESULT envelope body", true},
+		{"oversize", head + string(big[:]), "exceeds", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := readFrame(strings.NewReader(tc.wire))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %+v, %v; want an error containing %q", m, err, tc.want)
+			}
+			if tc.torn != errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("torn=%t but error %v", tc.torn, err)
+			}
+		})
+	}
+}
+
+// readFrameAlloc returns the bytes readFrame allocates on wire.
+func readFrameAlloc(wire []byte) (uint64, *message, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := readFrame(bytes.NewReader(wire))
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, m, err
+}
+
+// allocBound is what readFrame may allocate for n input bytes: a first
+// chunk per frame, then memory that follows the bytes actually received.
+func allocBound(n int) uint64 { return uint64(2*frameChunk + 4*n + 16<<10) }
+
+// FuzzReadFrame feeds untrusted bytes to the frame reader. Properties: no
+// panic; every rejection is an error; allocation follows the input length
+// and never exceeds maxFrame; and an accepted message writes back out and
+// reads again to the same bytes.
+func FuzzReadFrame(f *testing.F) {
+	var big, unbacked [4]byte
+	binary.BigEndian.PutUint32(big[:], maxFrame+1)
+	binary.BigEndian.PutUint32(unbacked[:], maxFrame-64)
+	result := frame(`{"type":"result","key":"k","shard":2}`)
+	for _, seed := range []string{
+		frame(`{"type":"hello","proto":2,"name":"w0"}`),
+		frame(`{"type":"lease","key":"k","spec":{"year":2018,"shift":14,"seed":1,"loss":"loss:0.2"},"shard":0}`),
+		result + frame("ORCK envelope bytes"),
+		"",
+		"\x00\x00",
+		string(big[:]),
+		string(unbacked[:]) + "{",
+		frame(`{"type":"ready"`),
+		result,
+		result + frame("ORCK envelope bytes")[:10],
+		result + string(big[:]),
+		result + string(unbacked[:]) + "ORCK",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		alloc, m, err := readFrameAlloc(data)
+		if bound := min(allocBound(len(data)), maxFrame+allocBound(0)); alloc > bound {
+			t.Fatalf("%d input bytes cost %d bytes of allocation, want ≤ %d", len(data), alloc, bound)
+		}
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := writeFrame(&first, m); err != nil {
+			t.Fatalf("accepted %s message does not write back: %v", m.Type, err)
+		}
+		again, err := readFrame(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written-back %s message does not read: %v", m.Type, err)
+		}
+		var second bytes.Buffer
+		if err := writeFrame(&second, again); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%s message is not stable across a write/read (err=%v)", m.Type, err)
+		}
+	})
 }
 
 // The wire spec must round-trip every bytes-shaping Config field through

@@ -13,10 +13,12 @@
 //	go run ./scripts/benchdiff -fresh bench_fresh.json BENCH_PR1.json BENCH_PR2.json
 //	go run ./scripts/benchdiff -fresh bench_fresh.json -newest BENCH_PR*.json
 //
-// With -newest, only the numerically highest BENCH_PR<n>.json among the
-// arguments is used as the baseline (non-matching arguments pass through),
-// so the makefile can glob the checked-in baselines instead of naming the
-// latest one by hand.
+// With -newest, the BENCH_PR<n>.json arguments are ordered by n, so each
+// benchmark is compared against the newest file that contains it
+// (non-matching arguments pass through, ahead of them). The makefile can
+// then glob the checked-in baselines: a PR that records only the
+// benchmarks it touched leaves every other benchmark gated by an older
+// file.
 //
 // Baselines may be plain bench2json documents or the {"before","after"}
 // pair BENCH_PR2.json records; the "after" side is the baseline. Repeated
@@ -106,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	freshPath := fs.String("fresh", "", "fresh bench2json document to gate (required)")
 	maxRatio := fs.Float64("max-ratio", 1.25, "fail when fresh ns/op exceeds baseline × this ratio")
 	allocRatio := fs.Float64("alloc-ratio", 1.0, "fail when fresh allocs/op exceeds baseline × this ratio (1.0 = any growth fails; a zero-alloc baseline always fails on growth)")
-	newest := fs.Bool("newest", false, "of the BENCH_PR<n>.json baselines given, keep only the highest n")
+	newest := fs.Bool("newest", false, "order the BENCH_PR<n>.json baselines by n, so each benchmark is gated by the newest file that contains it")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -119,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	baselines := fs.Args()
 	if *newest {
 		var err error
-		if baselines, err = selectNewest(baselines); err != nil {
+		if baselines, err = orderBaselines(baselines); err != nil {
 			return err
 		}
 		if baselines == nil {
@@ -136,16 +138,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 // benchPRPattern matches checked-in per-PR baselines (BENCH_PR3.json).
 var benchPRPattern = regexp.MustCompile(`^BENCH_PR(\d+)\.json$`)
 
-// selectNewest filters the baseline list for -newest: of the arguments whose
-// basename matches BENCH_PR<n>.json, only the numerically highest n survives
-// (the glob BENCH_PR*.json can then be passed without hand-updating the
-// makefile each PR). Arguments that don't match the pattern pass through
-// untouched. When no argument matches it returns a nil slice — the caller
-// announces the skip loudly and treats the gate as advisory, because an
-// unexpanded glob (a repo with no baseline checked in yet) must not fail CI.
-func selectNewest(paths []string) ([]string, error) {
-	bestN := -1
-	best := ""
+// orderBaselines orders the baseline list for -newest: arguments whose
+// basename matches BENCH_PR<n>.json are sorted by n, ascending, after the
+// arguments that don't match (which pass through in their given order).
+// Since the merge lets the last file win on a name collision, every
+// benchmark then resolves to the newest file that contains it. When no
+// argument matches it returns a nil slice — the caller announces the skip
+// loudly and treats the gate as advisory, because an unexpanded glob (a
+// repo with no baseline checked in yet) must not fail CI.
+func orderBaselines(paths []string) ([]string, error) {
+	type numbered struct {
+		n    int
+		path string
+	}
+	var prs []numbered
 	var rest []string
 	for _, p := range paths {
 		m := benchPRPattern.FindStringSubmatch(filepath.Base(p))
@@ -157,14 +163,33 @@ func selectNewest(paths []string) ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p, err)
 		}
-		if n > bestN {
-			bestN, best = n, p
-		}
+		prs = append(prs, numbered{n, p})
 	}
-	if bestN < 0 {
+	if len(prs) == 0 {
 		return nil, nil
 	}
-	return append(rest, best), nil
+	sort.SliceStable(prs, func(i, j int) bool { return prs[i].n < prs[j].n })
+	for _, pr := range prs {
+		rest = append(rest, pr.path)
+	}
+	return rest, nil
+}
+
+// mergeBaselines loads every baseline and collapses it to per-metric
+// minima; on a name collision the file listed last wins, so the newest
+// baseline of each benchmark survives.
+func mergeBaselines(paths []string) (map[string]map[string]float64, error) {
+	base := make(map[string]map[string]float64)
+	for _, path := range paths {
+		doc, err := loadDoc(path)
+		if err != nil {
+			return nil, err
+		}
+		for name, m := range mins(doc) {
+			base[name] = m
+		}
+	}
+	return base, nil
 }
 
 // gate runs the comparison of fresh against the merged baselines.
@@ -179,17 +204,9 @@ func gate(freshPath string, maxRatio, allocRatio float64, baselinePaths []string
 	}
 	fresh := mins(freshDoc)
 
-	// Merge every baseline; on a name collision the *newest* file (last on
-	// the command line) wins, matching how successive PRs re-baseline.
-	base := make(map[string]map[string]float64)
-	for _, path := range baselinePaths {
-		doc, err := loadDoc(path)
-		if err != nil {
-			return err
-		}
-		for name, m := range mins(doc) {
-			base[name] = m
-		}
+	base, err := mergeBaselines(baselinePaths)
+	if err != nil {
+		return err
 	}
 
 	names := make([]string, 0, len(base))

@@ -136,20 +136,78 @@ func TestBenchdiffPairBaseline(t *testing.T) {
 	}
 }
 
-func TestSelectNewest(t *testing.T) {
-	got, err := selectNewest([]string{
+func TestOrderBaselines(t *testing.T) {
+	got, err := orderBaselines([]string{
 		"ci/BENCH_PR2.json", "extra.json", "BENCH_PR10.json", "BENCH_PR9.json",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "extra.json BENCH_PR10.json" // pass-through first, then the newest
+	want := "extra.json ci/BENCH_PR2.json BENCH_PR9.json BENCH_PR10.json" // pass-through first, then by n
 	if strings.Join(got, " ") != want {
-		t.Errorf("selectNewest = %v, want %q", got, want)
+		t.Errorf("orderBaselines = %v, want %q", got, want)
 	}
-	got, err = selectNewest([]string{"extra.json"})
+	got, err = orderBaselines([]string{"extra.json"})
 	if err != nil || got != nil {
-		t.Errorf("selectNewest with no BENCH_PR file: got %v, %v; want nil, nil", got, err)
+		t.Errorf("orderBaselines with no BENCH_PR file: got %v, %v; want nil, nil", got, err)
+	}
+}
+
+// TestBenchdiffNewestPerName pins per-name resolution: a benchmark that
+// only an older ledger file records is still gated by it, while a
+// benchmark both files record is gated by the newer one.
+func TestBenchdiffNewestPerName(t *testing.T) {
+	dir := t.TempDir()
+	pr1 := writeJSON(t, dir, "BENCH_PR1.json", `{"benchmarks": [
+  {"name": "BenchmarkA", "metrics": {"ns/op": 10, "allocs/op": 5}},
+  {"name": "BenchmarkOld", "metrics": {"ns/op": 100, "allocs/op": 1}}]}`)
+	pr2 := writeJSON(t, dir, "BENCH_PR2.json",
+		`{"benchmarks": [{"name": "BenchmarkA", "metrics": {"ns/op": 1000, "allocs/op": 5}}]}`)
+	run1 := func(oldNs float64) (string, error) {
+		freshPath := writeJSON(t, dir, "fresh.json", fmt.Sprintf(`{"benchmarks": [
+  {"name": "BenchmarkA", "metrics": {"ns/op": 1000, "allocs/op": 5}},
+  {"name": "BenchmarkOld", "metrics": {"ns/op": %g, "allocs/op": 1}}]}`, oldNs))
+		var out, errb bytes.Buffer
+		err := run([]string{"-fresh", freshPath, "-newest", pr2, pr1}, &out, &errb)
+		return out.String(), err
+	}
+	out, err := run1(100)
+	if err != nil {
+		t.Fatalf("both benchmarks within their newest baselines, got %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "2 benchmarks within limits") {
+		t.Errorf("BenchmarkOld was not gated by the older file:\n%s", out)
+	}
+	if out, err := run1(1000); err == nil || !strings.Contains(err.Error(), "BenchmarkOld") {
+		t.Fatalf("a 10x regression of a benchmark only PR1 records must fail, got %v\n%s", err, out)
+	}
+}
+
+// TestLedgerCoversBenchdiffSet resolves the checked-in ledger the way
+// `make benchdiff` does and requires a baseline for every benchmark that
+// target runs, so none of them is silently compared to nothing.
+func TestLedgerCoversBenchdiffSet(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_PR*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paths, err = orderBaselines(paths); err != nil || paths == nil {
+		t.Fatalf("no checked-in ledger: %v", err)
+	}
+	base, err := mergeBaselines(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"BenchmarkCampaignSyntheticSerial", "BenchmarkCampaignSyntheticParallel",
+		"BenchmarkCampaignSimulated2013", "BenchmarkCampaignSimulated2018",
+		"BenchmarkCampaignSimulatedSerial2013", "BenchmarkCampaignSimulatedSerial2018",
+		"BenchmarkTimerEnqueueDequeue", "BenchmarkHostLookup", "BenchmarkStepBatchDrain",
+		"BenchmarkShardEnvelope",
+	} {
+		if base[name]["ns/op"] <= 0 {
+			t.Errorf("%s has no ns/op baseline in the ledger", name)
+		}
 	}
 }
 

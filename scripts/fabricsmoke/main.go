@@ -254,11 +254,22 @@ func runDistributed(c cell, n int, kill bool) (string, error) {
 
 	if kill {
 		// One victim first: with the whole campaign pending it holds a
-		// lease almost immediately — SIGKILL it mid-shard.
+		// lease almost immediately — SIGKILL it mid-shard. The kill waits
+		// for the victim to log its first shard rather than for a fixed
+		// time: a fast host runs the whole campaign inside any fixed delay.
 		if err := startWorker("victim"); err != nil {
 			return "", err
 		}
-		time.Sleep(250 * time.Millisecond)
+		victimLog := filepath.Join(logdir, "worker-"+c.slug()+"-victim.log")
+		for {
+			if data, _ := os.ReadFile(victimLog); strings.Contains(string(data), "running shard") {
+				break
+			}
+			if time.Now().After(deadline) {
+				return "", fmt.Errorf("kill cell %s: victim worker never started a shard", c.slug())
+			}
+			time.Sleep(time.Millisecond)
+		}
 		if err := workers[0].Process.Signal(syscall.SIGKILL); err != nil {
 			return "", fmt.Errorf("SIGKILL victim worker: %w", err)
 		}
