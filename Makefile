@@ -118,11 +118,12 @@ cover:
 doccheck: vet
 	$(GO) run ./scripts/doccheck -api API.md -routes internal/serve/router.go \
 		-flagdoc README.md -flagcli cmd/orsweep -flagcli cmd/orserved \
-		-flagcli cmd/orfabric \
+		-flagcli cmd/orfabric -flagcli cmd/orsurvey -flagcli cmd/ortrend \
 		./internal ./cmd ./scripts
 
 # Fuzz smoke: every Fuzz* target in the module (the wire codec, the
-# capture-log reader, the impairment-spec parser, and any added later),
+# capture-log reader, the impairment-spec parser, the sweep spec-file and
+# JobSpec decoders, and any added later),
 # each for 10s on top of its seed corpus. `go test -fuzz`
 # takes one target per run, so the targets are found by name.
 fuzz-smoke:

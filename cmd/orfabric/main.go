@@ -39,9 +39,7 @@ import (
 
 	"openresolver/internal/core"
 	"openresolver/internal/fabric"
-	"openresolver/internal/netsim"
 	"openresolver/internal/obs"
-	"openresolver/internal/paperdata"
 	"openresolver/internal/sigctx"
 )
 
@@ -67,16 +65,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	name := fs.String("name", "", "worker label in coordinator logs (worker mode)")
 	listen := fs.String("listen", "127.0.0.1:0", "coordinator listen address")
 	addrFile := fs.String("addr-file", "", "write the coordinator's bound address to this file once listening")
-	year := fs.Int("year", 2018, "campaign year (2013 or 2018)")
-	shift := fs.Uint("shift", 14, "sample shift: scale to 1/2^shift (needs ≥6)")
-	seed := fs.Int64("seed", 1, "deterministic seed")
-	pps := fs.Uint64("pps", 0, "probe rate override (0 = paper value)")
-	keep := fs.Bool("keep-packets", false, "retain raw R2 packets (the full-width digest contract)")
-	lossModel := fs.String("loss-model", "", `network impairment spec, e.g. "ge:0.05,0.2,0.125,1;dup:0.1" (crosses the wire verbatim)`)
-	retries := fs.Int("retries", 0, "per-probe retransmission budget")
-	adaptive := fs.Bool("adaptive-timeout", false, "adaptive RTO probe timeout instead of the fixed 2s")
-	backoff := fs.Bool("upstream-backoff", false, "resolvers retry upstream queries with exponential backoff")
-	maxEvents := fs.Int("max-events", 0, "bound the simulator event queue (0 = unbounded)")
+	spec := core.Spec{Year: 2018, Shift: 14, Seed: 1}
+	spec.RegisterFlags(fs)
+	fs.IntVar(&spec.Year, "year", spec.Year, "campaign year (2013 or 2018)")
+	fs.Uint64Var(&spec.PPS, "pps", spec.PPS, "probe rate override (0 = paper value)")
+	fs.BoolVar(&spec.Keep, "keep-packets", spec.Keep, "retain raw R2 packets (the full-width digest contract)")
+	fs.IntVar(&spec.MaxEvents, "max-events", spec.MaxEvents, "bound the simulator event queue (0 = unbounded)")
 	ckptDir := fs.String("checkpoint-dir", "", "coordinator: persist accepted shard envelopes here and resume from them on rerun")
 	workers := fs.Int("workers", 0, "local mode: worker goroutines (0 = all cores)")
 	heartbeat := fs.Duration("heartbeat", 500*time.Millisecond, "worker PROGRESS interval announced in WELCOME")
@@ -108,33 +102,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fabric.RunWorker(ctx, fabric.WorkerConfig{Addr: *connect, Name: *name, Log: stderr})
 	}
 
-	var imps []netsim.Impairment
-	if *lossModel != "" && *lossModel != "none" {
-		var err error
-		if imps, err = netsim.ParseImpairments(*lossModel); err != nil {
-			return err
-		}
+	cfg, err := spec.Config()
+	if err != nil {
+		return err
 	}
-	cfg := core.Config{
-		Year:          paperdata.Year(*year),
-		SampleShift:   uint8(*shift),
-		Seed:          *seed,
-		PacketsPerSec: *pps,
-		KeepPackets:   *keep,
-		Workers:       *workers,
-		Faults: core.FaultPlan{
-			Impairments:     imps,
-			Retries:         *retries,
-			AdaptiveTimeout: *adaptive,
-			UpstreamBackoff: *backoff,
-			MaxQueuedEvents: *maxEvents,
-		},
-		Ctx: ctx,
-		Checkpoints: core.CheckpointPlan{
-			Dir: *ckptDir,
-			Log: stderr,
-		},
-	}
+	cfg.Workers = *workers
+	cfg.Ctx = ctx
+	cfg.Checkpoints = core.CheckpointPlan{Dir: *ckptDir, Log: stderr}
 
 	if *local {
 		ds, err := core.RunSimulation(cfg)
@@ -182,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	ds, err := co.RunCampaign(cfg, *lossModel)
+	ds, err := co.RunCampaign(cfg, spec.Loss)
 	co.Close() // release idle workers (DONE) before reporting
 	fleet.Wait()
 	fmt.Fprintf(stderr, "orfabric: leases %d granted, %d expired, %d requeued; results %d merged, %d duplicate; %d NACKs; workers %d seen\n",

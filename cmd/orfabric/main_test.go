@@ -76,4 +76,7 @@ func TestModeValidation(t *testing.T) {
 	if err := run([]string{"-worker"}, io.Discard, io.Discard); err == nil {
 		t.Error("-worker without -connect should error")
 	}
+	if err := run([]string{"-local", "-shift", "276"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "0 to 255") {
+		t.Errorf("-shift 276: got %v, want an out-of-range error", err)
+	}
 }

@@ -58,22 +58,17 @@ var metricsUp = func(addr string) {}
 func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("orsurvey", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	year := fs.Int("year", 2018, "campaign year (2013 or 2018)")
+	spec := core.Spec{Year: 2018, Seed: 1}
+	spec.RegisterFlags(fs)
+	fs.IntVar(&spec.Year, "year", spec.Year, "campaign year (2013 or 2018)")
+	fs.Uint64Var(&spec.PPS, "pps", spec.PPS, "probe rate override (0 = paper value)")
 	mode := fs.String("mode", "synth", "execution mode: synth or sim")
-	shift := fs.Uint("shift", 0, "sample shift: scale to 1/2^shift (sim mode needs ≥6)")
-	seed := fs.Int64("seed", 1, "deterministic seed")
-	pps := fs.Uint64("pps", 0, "probe rate override (0 = paper value)")
 	workers := fs.Int("workers", 0, "campaign worker goroutines, both modes (0 = all cores, 1 = serial; output is identical for every value)")
 	capturePath := fs.String("capture", "", "write the R2 capture log to this file (sim mode)")
-	lossModel := fs.String("loss-model", "", `network impairment spec (sim mode), e.g. "ge:0.05,0.2,0.125,1;dup:0.1;reorder:0.2,40ms"`)
-	retries := fs.Int("retries", 0, "per-probe retransmission budget (sim mode; 0 = the paper's single-shot prober)")
-	adaptive := fs.Bool("adaptive-timeout", false, "replace the fixed 2s probe timeout with a Jacobson/Karn RTO estimator (sim mode)")
-	backoff := fs.Bool("upstream-backoff", false, "resolvers retry upstream queries with exponential backoff and jitter (sim mode)")
 	ckptDir := fs.String("checkpoint-dir", "", "persist completed shards here and resume from them on rerun (sim mode)")
 	jsonPath := fs.String("json", "", "write the full report as JSON to this file")
 	csvDir := fs.String("csvdir", "", "write every table as CSV into this directory")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (JSON snapshot), /debug/vars (expvar), and /debug/pprof on this address")
-	progress := fs.Duration("progress", 0, "print a live progress line to stderr at this interval (e.g. 2s; 0 = off)")
+	obsFlags := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -81,64 +76,28 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
-	// The observability registry exists only when asked for; a nil registry
-	// turns every instrumentation call in the pipeline into a no-op.
-	var reg *obs.Registry
-	if *metricsAddr != "" || *progress > 0 {
-		reg = obs.NewRegistry()
-	}
-	var srv *obs.Server
-	if *metricsAddr != "" {
-		var err error
-		if srv, err = obs.Serve(*metricsAddr, reg); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "orsurvey: metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", srv.Addr)
-	}
-	if *progress > 0 {
-		stop := reg.StartProgress(stderr, *progress)
-		defer stop()
-	}
-
-	var imps []netsim.Impairment
-	if *lossModel != "" {
-		var err error
-		if imps, err = netsim.ParseImpairments(*lossModel); err != nil {
-			return err
-		}
+	spec.Keep = *capturePath != ""
+	cfg, err := spec.Config()
+	if err != nil {
+		return err
 	}
 	if *ckptDir != "" && *mode != "sim" {
 		return errors.New("-checkpoint-dir needs -mode sim (the synthetic engine streams too fast to checkpoint)")
 	}
+	reg, metricsAddr, stopObs, err := obsFlags.Start("orsurvey", stderr)
+	if err != nil {
+		return err
+	}
+	defer stopObs()
 
 	ctx, cancel := sigctx.New("orsurvey", stderr)
 	defer cancel()
-	cfg := core.Config{
-		Year:          paperdata.Year(*year),
-		SampleShift:   uint8(*shift),
-		Seed:          *seed,
-		PacketsPerSec: *pps,
-		Workers:       *workers,
-		KeepPackets:   *capturePath != "",
-		Faults: core.FaultPlan{
-			Impairments:     imps,
-			Retries:         *retries,
-			AdaptiveTimeout: *adaptive,
-			UpstreamBackoff: *backoff,
-		},
-		Obs: reg,
-		Ctx: ctx,
-		Checkpoints: core.CheckpointPlan{
-			Dir: *ckptDir,
-			Log: stderr,
-		},
-	}
+	cfg.Workers = *workers
+	cfg.Obs = reg
+	cfg.Ctx = ctx
+	cfg.Checkpoints = core.CheckpointPlan{Dir: *ckptDir, Log: stderr}
 
-	var (
-		ds  *core.Dataset
-		err error
-	)
+	var ds *core.Dataset
 	switch *mode {
 	case "synth":
 		ds, err = core.RunSynthetic(cfg)
@@ -225,8 +184,8 @@ func run(args []string, stderr io.Writer) error {
 		}
 		fmt.Printf("CSV tables written to %s\n", *csvDir)
 	}
-	if srv != nil {
-		metricsUp(srv.Addr)
+	if metricsAddr != "" {
+		metricsUp(metricsAddr)
 	}
 	return nil
 }

@@ -48,6 +48,20 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-year", "1999"}, io.Discard); err == nil {
 		t.Error("unknown year accepted")
 	}
+	// A shift past 255 must not wrap: 276 would run at 1/2^20 and 256 at
+	// full scale.
+	if err := run([]string{"-shift", "276"}, io.Discard); err == nil || !strings.Contains(err.Error(), "0 to 255") {
+		t.Errorf("-shift 276: got %v, want an out-of-range error", err)
+	}
+}
+
+// "none" names the pristine network in every CLI. The synthetic engine
+// rejects any impairment, so the run succeeding shows "none" compiled to
+// an empty fault plan.
+func TestRunLossModelNone(t *testing.T) {
+	if err := run([]string{"-shift", "12", "-loss-model", "none"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestUsageListsWorkers(t *testing.T) {

@@ -38,7 +38,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"openresolver/internal/core"
@@ -78,7 +77,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Var(&cellWorkers, "cell-workers", "per-campaign worker axis value (repeatable; both modes — capped so cells × workers stays at the -workers pool bound)")
 	specPath := fs.String("spec", "", "read the grid from this spec file (axis flags override its axes)")
 	mode := fs.String("mode", "", "campaign engine: sim (default) or synth")
-	shift := fs.Uint("shift", 0, "sample shift: scale every cell to 1/2^shift (default 14)")
+	var shift uint8
+	core.ShiftVar(fs, &shift, "sample shift: scale every cell to 1/2^`N` (default 14)")
 	seed := fs.Int64("seed", 0, "deterministic seed shared by every cell (default 1)")
 	pps := fs.Uint64("pps", 0, "probe rate override (0 = paper value)")
 	maxEvents := fs.Int("max-events", 0, "per-cell event queue bound (sim; default 2^21)")
@@ -88,8 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	resume := fs.Bool("resume", false, "skip cells whose completed artifact already exists in -out")
 	jsonPath := fs.String("json", "", `write the matrix as JSON to this file ("-" = stdout)`)
 	diff := fs.Bool("diff", false, "print the full per-cell delta tables after the matrix")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (JSON or OpenMetrics via Accept), /debug/vars, /debug/pprof on this address")
-	progress := fs.Duration("progress", 0, "print a live progress line to stderr at this interval (0 = off)")
+	obsFlags := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -116,55 +115,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		spec = parsed
 	}
-	if len(years) > 0 {
-		spec.Years = nil
-		for _, v := range years {
-			y, err := sweep.ParseYear(v)
-			if err != nil {
-				return err
-			}
-			spec.Years = append(spec.Years, y)
-		}
+	if err := spec.OverrideAxes(years, losses, retries, cellWorkers); err != nil {
+		return err
 	}
-	if len(losses) > 0 {
-		spec.Loss = nil
-		for _, v := range losses {
-			l, err := sweep.ParseLoss(v)
-			if err != nil {
-				return err
-			}
-			spec.Loss = append(spec.Loss, l)
-		}
-	}
-	if len(retries) > 0 {
-		spec.Retry = nil
-		for _, v := range retries {
-			p, err := sweep.ParseRetryPolicy(v)
-			if err != nil {
-				return err
-			}
-			spec.Retry = append(spec.Retry, p)
-		}
-	}
-	if len(cellWorkers) > 0 {
-		spec.Workers = nil
-		for _, v := range cellWorkers {
-			w, err := strconv.Atoi(v)
-			if err != nil || w < 0 {
-				return fmt.Errorf("-cell-workers %q: want a non-negative integer", v)
-			}
-			spec.Workers = append(spec.Workers, w)
-		}
-	}
-	// Scalar flags override the spec file only when set on the command line,
-	// so "orsweep -spec grid.sweep" honors the file's shift/seed while
-	// "orsweep -spec grid.sweep -shift 16" pins a quick rescale.
+	// Scalar flags override the spec file whenever set on the command line,
+	// even as 0: "orsweep -spec grid.sweep" honors the file's shift/seed,
+	// "orsweep -spec grid.sweep -shift 16" pins a quick rescale, and
+	// "-pps 0" restores the paper rate over the file's pps.
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "mode":
 			spec.Mode = *mode
 		case "shift":
-			spec.Shift = uint8(*shift)
+			spec.Shift = shift
 		case "seed":
 			spec.Seed = *seed
 		case "pps":
@@ -179,22 +142,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metricsAddr != "" || *progress > 0 {
-		reg = obs.NewRegistry()
+	reg, metricsAddr, stopObs, err := obsFlags.Start("orsweep", stderr)
+	if err != nil {
+		return err
 	}
-	var srv *obs.Server
-	if *metricsAddr != "" {
-		if srv, err = obs.Serve(*metricsAddr, reg); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "orsweep: metrics on http://%s/metrics (JSON; OpenMetrics via Accept)\n", srv.Addr)
-	}
-	if *progress > 0 {
-		stop := reg.StartProgress(stderr, *progress)
-		defer stop()
-	}
+	defer stopObs()
 
 	ctx, cancel := sigctx.New("orsweep", stderr)
 	defer cancel()
@@ -268,8 +220,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "orsweep: matrix JSON written to %s\n", *jsonPath)
 		}
 	}
-	if srv != nil {
-		metricsUp(srv.Addr)
+	if metricsAddr != "" {
+		metricsUp(metricsAddr)
 	}
 	return nil
 }

@@ -150,6 +150,50 @@ workers 1
 	}
 }
 
+// A scalar flag given on the command line overrides the spec file even
+// when it is 0, which restores the default: -pps 0 runs at the paper rate
+// and -max-events 0 at the default queue bound, not at the file's values
+// (a 7-event queue would fail the cell).
+func TestSweepCLIExplicitZeroOverridesSpec(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "grid.sweep")
+	if err := os.WriteFile(specPath, []byte("shift 16\nseed 1\npps 5000\nmax-events 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	artifact := func(args ...string) (pps uint64, maxEvents int, digest string) {
+		t.Helper()
+		out := filepath.Join(t.TempDir(), "runs")
+		var stdout, stderr bytes.Buffer
+		if err := run(append(args, "-out", out, "-workers", "1"), &stdout, &stderr); err != nil {
+			t.Fatalf("run(%v): %v\nstderr:\n%s", args, err, stderr.String())
+		}
+		ents, err := os.ReadDir(out)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("want one artifact, got %d (%v)", len(ents), err)
+		}
+		data, err := os.ReadFile(filepath.Join(out, ents[0].Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a struct {
+			PPS       uint64 `json:"pps"`
+			MaxEvents int    `json:"max_events"`
+			Digest    string `json:"digest"`
+		}
+		if err := json.Unmarshal(data, &a); err != nil {
+			t.Fatal(err)
+		}
+		return a.PPS, a.MaxEvents, a.Digest
+	}
+	pps, maxEvents, digest := artifact("-spec", specPath, "-pps", "0", "-max-events", "0")
+	if pps != 0 || maxEvents != 1<<21 {
+		t.Errorf("explicit zeros kept the spec file's scalars: pps=%d max-events=%d", pps, maxEvents)
+	}
+	if _, _, want := artifact("-shift", "16", "-seed", "1"); digest != want {
+		t.Errorf("explicit zeros gave digest %s, want the paper-rate digest %s", digest, want)
+	}
+}
+
 func TestSweepCLIErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -161,6 +205,7 @@ func TestSweepCLIErrors(t *testing.T) {
 		{"bad loss", []string{"-loss", "bogus:1"}, "bogus"},
 		{"bad retry", []string{"-retry", "1+turbo"}, "turbo"},
 		{"bad cell-workers", []string{"-cell-workers", "x"}, "non-negative"},
+		{"shift overflow", []string{"-shift", "276"}, "0 to 255"},
 		{"duplicate cells", []string{"-loss", "none", "-loss", "none"}, "duplicate cell"},
 		{"positional junk", []string{"extra"}, "unexpected argument"},
 		{"missing spec file", []string{"-spec", "/nonexistent/grid.sweep"}, "no such file"},

@@ -30,7 +30,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ortables", flag.ContinueOnError)
-	shift := fs.Uint("shift", 0, "sample shift: scale campaigns to 1/2^shift")
+	var shift uint8
+	core.ShiftVar(fs, &shift, "sample shift: scale campaigns to 1/2^`N`")
 	seed := fs.Int64("seed", 1, "population seed")
 	markdown := fs.Bool("markdown", false, "emit Markdown tables")
 	if err := fs.Parse(args); err != nil {
@@ -39,7 +40,7 @@ func run(args []string) error {
 
 	for _, y := range []paperdata.Year{paperdata.Y2013, paperdata.Y2018} {
 		ds, err := core.RunSynthetic(core.Config{
-			Year: y, SampleShift: uint8(*shift), Seed: *seed,
+			Year: y, SampleShift: shift, Seed: *seed,
 		})
 		if err != nil {
 			return fmt.Errorf("campaign %d: %w", y, err)

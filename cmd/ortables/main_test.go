@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunScaled(t *testing.T) {
 	if testing.Short() {
@@ -17,5 +20,8 @@ func TestRunScaled(t *testing.T) {
 func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+	if err := run([]string{"-shift", "276"}); err == nil || !strings.Contains(err.Error(), "0 to 255") {
+		t.Errorf("-shift 276: got %v, want an out-of-range error", err)
 	}
 }

@@ -25,7 +25,6 @@ import (
 
 	"openresolver/internal/core"
 	"openresolver/internal/drift"
-	"openresolver/internal/netsim"
 	"openresolver/internal/obs"
 	"openresolver/internal/sigctx"
 )
@@ -44,63 +43,38 @@ var metricsUp = func(addr string) {}
 func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ortrend", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	spec := core.Spec{Shift: 10, Seed: 1}
+	spec.RegisterFlags(fs)
 	epochs := fs.Int("epochs", 6, "monitoring epochs between the 2013 and 2018 snapshots")
-	shift := fs.Uint("shift", 10, "sample shift: scale each campaign to 1/2^shift")
-	seed := fs.Int64("seed", 1, "deterministic seed")
 	workers := fs.Int("workers", 0, "worker goroutines per campaign, both modes (0 = all cores, 1 = serial; output is identical for every value)")
 	mode := fs.String("mode", "synth", "campaign engine per epoch: synth or sim")
-	lossModel := fs.String("loss-model", "", `network impairment spec (sim mode), e.g. "ge:0.05,0.2,0.125,1;dup:0.1"`)
-	retries := fs.Int("retries", 0, "per-probe retransmission budget (sim mode; 0 = single-shot)")
-	adaptive := fs.Bool("adaptive-timeout", false, "adaptive Jacobson/Karn probe timeout (sim mode)")
-	backoff := fs.Bool("upstream-backoff", false, "resolver upstream retries back off with jitter (sim mode)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (JSON snapshot), /debug/vars (expvar), and /debug/pprof on this address")
-	progress := fs.Duration("progress", 0, "print a live progress line to stderr at this interval (e.g. 2s; 0 = off)")
+	obsFlags := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
 	}
-	var reg *obs.Registry
-	if *metricsAddr != "" || *progress > 0 {
-		reg = obs.NewRegistry()
+	cfg, err := spec.Config()
+	if err != nil {
+		return err
 	}
-	var srv *obs.Server
-	if *metricsAddr != "" {
-		var err error
-		if srv, err = obs.Serve(*metricsAddr, reg); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "ortrend: metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", srv.Addr)
+	reg, metricsAddr, stopObs, err := obsFlags.Start("ortrend", stderr)
+	if err != nil {
+		return err
 	}
-	if *progress > 0 {
-		stop := reg.StartProgress(stderr, *progress)
-		defer stop()
-	}
-	var imps []netsim.Impairment
-	if *lossModel != "" {
-		var err error
-		if imps, err = netsim.ParseImpairments(*lossModel); err != nil {
-			return err
-		}
-	}
+	defer stopObs()
 	ctx, cancel := sigctx.New("ortrend", stderr)
 	defer cancel()
 	points, err := drift.Trend(drift.Config{
 		Epochs:      *epochs,
-		SampleShift: uint8(*shift),
-		Seed:        *seed,
+		SampleShift: cfg.SampleShift,
+		Seed:        cfg.Seed,
 		Workers:     *workers,
 		Mode:        *mode,
-		Faults: core.FaultPlan{
-			Impairments:     imps,
-			Retries:         *retries,
-			AdaptiveTimeout: *adaptive,
-			UpstreamBackoff: *backoff,
-		},
-		Obs: reg,
-		Ctx: ctx,
+		Faults:      cfg.Faults,
+		Obs:         reg,
+		Ctx:         ctx,
 	})
 	if err != nil && !(errors.Is(err, core.ErrInterrupted) && len(points) > 0) {
 		return err
@@ -108,7 +82,7 @@ func run(args []string, stderr io.Writer) error {
 	if errors.Is(err, core.ErrInterrupted) {
 		fmt.Fprintf(stderr, "ortrend: interrupted; rendering the %d completed epoch(s) of %d\n", len(points), *epochs)
 	}
-	fmt.Printf("Open-resolver ecosystem trend (1/%d sample per epoch)\n\n", uint64(1)<<*shift)
+	fmt.Printf("Open-resolver ecosystem trend (1/%d sample per epoch)\n\n", uint64(1)<<spec.Shift)
 	fmt.Print(drift.RenderTrend(points))
 	if err != nil {
 		return err
@@ -117,8 +91,8 @@ func run(args []string, stderr io.Writer) error {
 	fmt.Println("responder population declines steadily while manipulated and malicious")
 	fmt.Println("answers hold or grow — the threat does not decay with the population,")
 	fmt.Println("which is why continuous behavioral monitoring is needed.")
-	if srv != nil {
-		metricsUp(srv.Addr)
+	if metricsAddr != "" {
+		metricsUp(metricsAddr)
 	}
 	return nil
 }

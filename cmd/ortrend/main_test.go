@@ -26,6 +26,9 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-epochs", "1"}, io.Discard); err == nil {
 		t.Error("single epoch accepted")
 	}
+	if err := run([]string{"-shift", "276"}, io.Discard); err == nil || !strings.Contains(err.Error(), "0 to 255") {
+		t.Errorf("-shift 276: got %v, want an out-of-range error", err)
+	}
 }
 
 func TestUsageListsWorkers(t *testing.T) {

@@ -36,23 +36,24 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("orversion", flag.ContinueOnError)
 	year := fs.Int("year", 2018, "campaign year (2013 or 2018)")
-	shift := fs.Uint("shift", 12, "sample shift: scale to 1/2^shift")
+	shift := uint8(12)
+	core.ShiftVar(fs, &shift, "sample shift: scale to 1/2^`N`")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	top := fs.Int("top", 12, "banners to list")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shift < 6 {
-		return fmt.Errorf("shift %d too small for host-level simulation", *shift)
+	if shift < 6 {
+		return fmt.Errorf("shift %d too small for host-level simulation", shift)
 	}
 
 	pop, err := population.Build(population.Config{
-		Year: paperdata.Year(*year), SampleShift: uint8(*shift), Seed: *seed,
+		Year: paperdata.Year(*year), SampleShift: shift, Seed: *seed,
 	})
 	if err != nil {
 		return err
 	}
-	u, err := scan.NewUniverse(uint64(*seed), uint8(*shift), ipv4.NewReservedBlocklist())
+	u, err := scan.NewUniverse(uint64(*seed), shift, ipv4.NewReservedBlocklist())
 	if err != nil {
 		return err
 	}
@@ -88,7 +89,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("version.bind survey over %d responders (%d campaign, 1/%d sample)\n\n",
-		res.Probed, *year, uint64(1)<<*shift)
+		res.Probed, *year, uint64(1)<<shift)
 	fmt.Printf("%-44s %8s %8s\n", "banner", "count", "share")
 	for _, v := range res.Top(*top) {
 		fmt.Printf("%-44s %8d %7.1f%%\n", v.Banner, v.Weight,

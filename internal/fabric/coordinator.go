@@ -64,7 +64,7 @@ type Coordinator struct {
 // fields below the key are guarded by the Coordinator's mu.
 type campaignState struct {
 	key  string
-	spec CampaignSpec
+	spec core.Spec
 	sc   *core.ShardCampaign
 
 	pending   []int // shards awaiting a lease, ascending on entry
@@ -154,7 +154,7 @@ func (c *Coordinator) RunCampaign(cfg core.Config, lossSpec string) (*core.Datas
 	}
 	cam := &campaignState{
 		key:    sc.CampaignKey(),
-		spec:   SpecFor(cfg, lossSpec),
+		spec:   core.SpecFor(cfg, lossSpec),
 		sc:     sc,
 		leased: make(map[int]bool),
 		nacks:  make(map[int]int),

@@ -11,7 +11,8 @@
 //
 //   - the shard plan is a pure function of the campaign Config, so both
 //     sides derive it independently and only shard *indexes* cross the
-//     wire;
+//     wire, next to the campaign itself: each LEASE carries a core.Spec,
+//     which the worker compiles with Spec.Config;
 //   - results travel as the self-validating checkpoint envelope of
 //     DESIGN.md §13, verbatim — the coordinator re-verifies version,
 //     campaign key, shard index and payload digest before merging, so a
@@ -47,8 +48,6 @@ import (
 	"slices"
 
 	"openresolver/internal/core"
-	"openresolver/internal/netsim"
-	"openresolver/internal/paperdata"
 )
 
 // ProtoVersion is the fabric protocol version. HELLO carries it; the
@@ -98,7 +97,7 @@ type message struct {
 	// shard runs (WELCOME).
 	HeartbeatMillis int64 `json:"heartbeat_millis,omitempty"`
 	// Spec describes the campaign so the worker can compile it (LEASE).
-	Spec *CampaignSpec `json:"spec,omitempty"`
+	Spec *core.Spec `json:"spec,omitempty"`
 	// Shard is the shard index (LEASE, PROGRESS, RESULT, NACK). Never
 	// omitempty: shard 0 is a real shard.
 	Shard int `json:"shard"`
@@ -194,74 +193,4 @@ func readBody(r io.Reader, limit int, what string) ([]byte, error) {
 		}
 	}
 	return body, nil
-}
-
-// CampaignSpec is the wire description of a campaign — every core.Config
-// field that shapes the campaign's bytes, and nothing that doesn't
-// (Workers, Obs, Ctx and Checkpoints are deliberately absent, exactly as
-// they are absent from the campaign key). Loss carries the impairment
-// plan as the original CLI spec string because that grammar is the
-// parseable canonical form; the worker re-parses it and the campaign key
-// proves both sides compiled the same plan.
-type CampaignSpec struct {
-	Year      int    `json:"year"`
-	Shift     uint8  `json:"shift"`
-	Seed      int64  `json:"seed"`
-	PPS       uint64 `json:"pps,omitempty"`
-	Keep      bool   `json:"keep_packets,omitempty"`
-	Loss      string `json:"loss,omitempty"`
-	Retries   int    `json:"retries,omitempty"`
-	Adaptive  bool   `json:"adaptive_timeout,omitempty"`
-	Backoff   bool   `json:"upstream_backoff,omitempty"`
-	MaxEvents int    `json:"max_events,omitempty"`
-}
-
-// SpecFor builds the wire spec for cfg. lossSpec must be the CLI
-// impairment string cfg.Faults.Impairments was parsed from ("" or "none"
-// for a pristine network) — the spec cannot be recovered from the parsed
-// plan, so the caller that parsed it must pass it through.
-func SpecFor(cfg core.Config, lossSpec string) CampaignSpec {
-	if lossSpec == "none" {
-		lossSpec = ""
-	}
-	return CampaignSpec{
-		Year:      int(cfg.Year),
-		Shift:     cfg.SampleShift,
-		Seed:      cfg.Seed,
-		PPS:       cfg.PacketsPerSec,
-		Keep:      cfg.KeepPackets,
-		Loss:      lossSpec,
-		Retries:   cfg.Faults.Retries,
-		Adaptive:  cfg.Faults.AdaptiveTimeout,
-		Backoff:   cfg.Faults.UpstreamBackoff,
-		MaxEvents: cfg.Faults.MaxQueuedEvents,
-	}
-}
-
-// Config compiles the spec back into a runnable core.Config. The result
-// has no Workers/Obs/Ctx/Checkpoints — the worker supplies its own
-// runtime plumbing; the campaign key confirms the bytes-shaping fields
-// round-tripped.
-func (s CampaignSpec) Config() (core.Config, error) {
-	var imps []netsim.Impairment
-	if s.Loss != "" && s.Loss != "none" {
-		var err error
-		if imps, err = netsim.ParseImpairments(s.Loss); err != nil {
-			return core.Config{}, fmt.Errorf("fabric: campaign spec: %w", err)
-		}
-	}
-	return core.Config{
-		Year:          paperdata.Year(s.Year),
-		SampleShift:   s.Shift,
-		Seed:          s.Seed,
-		PacketsPerSec: s.PPS,
-		KeepPackets:   s.Keep,
-		Faults: core.FaultPlan{
-			Impairments:     imps,
-			Retries:         s.Retries,
-			AdaptiveTimeout: s.Adaptive,
-			UpstreamBackoff: s.Backoff,
-			MaxQueuedEvents: s.MaxEvents,
-		},
-	}, nil
 }

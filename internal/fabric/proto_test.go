@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"openresolver/internal/core"
 	"openresolver/internal/netsim"
 )
 
@@ -199,8 +200,8 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // The wire spec must round-trip every bytes-shaping Config field through
-// JSON and back into an identical fault plan — this is what lets the
-// campaign key certify coordinator/worker agreement.
+// a LEASE frame and back into an identical fault plan — this is what lets
+// the campaign key certify coordinator/worker agreement.
 func TestCampaignSpecRoundTrip(t *testing.T) {
 	const loss = "ge:0.02,0.3,0.05,0.9;dup:0.05;reorder:0.1,30ms;corrupt:0.02"
 	imps, err := netsim.ParseImpairments(loss)
@@ -208,8 +209,16 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := chaosConfig(t)
-	spec := SpecFor(cfg, loss)
-	got, err := spec.Config()
+	spec := core.SpecFor(cfg, loss)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, &message{Type: msgLease, Key: "k", Spec: &spec, Shard: 3}); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lease.Spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +234,24 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 		t.Fatalf("impairments diverged: %s vs %s",
 			netsim.DescribeImpairments(got.Faults.Impairments), netsim.DescribeImpairments(imps))
 	}
-	if s := SpecFor(cfg, "none"); s.Loss != "" {
+	if s := core.SpecFor(cfg, "none"); s.Loss != "" {
 		t.Fatalf(`"none" should normalize to an empty loss spec, got %q`, s.Loss)
+	}
+}
+
+// A LEASE's bytes are protocol: a worker of the same ProtoVersion must
+// decode every spec field under the same JSON name, so the frame is pinned.
+func TestLeaseFrameBytes(t *testing.T) {
+	spec := core.Spec{Year: 2018, Shift: 14, Seed: 1, PPS: 5000, Keep: true, Loss: "loss:0.1",
+		Retries: 2, Adaptive: true, Backoff: true, MaxEvents: 1 << 21}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, &message{Type: msgLease, Key: "k", Spec: &spec, Shard: 3}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"type":"lease","key":"k","spec":{"year":2018,"shift":14,"seed":1,"pps":5000,` +
+		`"keep_packets":true,"loss":"loss:0.1","retries":2,"adaptive_timeout":true,` +
+		`"upstream_backoff":true,"max_events":2097152},"shard":3}`
+	if got := string(buf.Bytes()[4:]); got != want {
+		t.Fatalf("LEASE frame changed:\n got %s\nwant %s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"expvar"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -86,6 +87,44 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.srv.Close()
+}
+
+// Flags holds the observability flags the campaign CLIs share:
+// -metrics-addr and -progress.
+type Flags struct {
+	addr     string
+	progress time.Duration
+}
+
+// RegisterFlags registers -metrics-addr and -progress on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.addr, "metrics-addr", "", "serve /metrics (JSON snapshot, or OpenMetrics via Accept), /debug/vars (expvar) and /debug/pprof on this address")
+	fs.DurationVar(&f.progress, "progress", 0, "print a live progress line to stderr at this interval (e.g. 2s; 0 = off)")
+	return f
+}
+
+// Start sets up what the flags ask for. The registry exists only when a
+// flag is set: a nil registry turns every instrumentation call in the
+// pipeline into a no-op. addr is the metrics server's bound address, ""
+// without -metrics-addr; the server is announced on log under the
+// command's name. stop halts the progress ticker, which prints its final
+// line, and then closes the server.
+func (f *Flags) Start(name string, log io.Writer) (reg *Registry, addr string, stop func(), err error) {
+	if f.addr == "" && f.progress <= 0 {
+		return nil, "", func() {}, nil
+	}
+	reg = NewRegistry()
+	var srv *Server
+	if f.addr != "" {
+		if srv, err = Serve(f.addr, reg); err != nil {
+			return nil, "", nil, err
+		}
+		addr = srv.Addr
+		fmt.Fprintf(log, "%s: metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", name, addr)
+	}
+	stopProgress := reg.StartProgress(log, f.progress)
+	return reg, addr, func() { stopProgress(); srv.Close() }, nil
 }
 
 // StartProgress launches a goroutine that writes a one-line campaign

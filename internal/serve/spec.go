@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"openresolver/internal/sweep"
@@ -63,44 +64,12 @@ func (js *JobSpec) Compile() (*sweep.Spec, error) {
 		}
 		s = parsed
 	}
-	if len(js.Years) > 0 {
-		s.Years = nil
-		for _, v := range js.Years {
-			y, err := sweep.ParseYear(v)
-			if err != nil {
-				return nil, err
-			}
-			s.Years = append(s.Years, y)
-		}
+	workers := make([]string, len(js.CellWorkers))
+	for i, w := range js.CellWorkers {
+		workers[i] = strconv.Itoa(w)
 	}
-	if len(js.Loss) > 0 {
-		s.Loss = nil
-		for _, v := range js.Loss {
-			l, err := sweep.ParseLoss(v)
-			if err != nil {
-				return nil, err
-			}
-			s.Loss = append(s.Loss, l)
-		}
-	}
-	if len(js.Retry) > 0 {
-		s.Retry = nil
-		for _, v := range js.Retry {
-			p, err := sweep.ParseRetryPolicy(v)
-			if err != nil {
-				return nil, err
-			}
-			s.Retry = append(s.Retry, p)
-		}
-	}
-	if len(js.CellWorkers) > 0 {
-		s.Workers = nil
-		for _, w := range js.CellWorkers {
-			if w < 0 {
-				return nil, fmt.Errorf("serve: cell_workers %d is negative", w)
-			}
-			s.Workers = append(s.Workers, w)
-		}
+	if err := s.OverrideAxes(js.Years, js.Loss, js.Retry, workers); err != nil {
+		return nil, err
 	}
 	if js.Mode != "" {
 		s.Mode = js.Mode

@@ -7,18 +7,17 @@ import (
 	"time"
 )
 
-// TestCompileEquivalence pins the submission grammar: the same grid spelled
-// as structured fields, as spec-file text, or as text with field overrides
-// compiles to the same spec key, so the digest cache collapses all three.
-func TestCompileEquivalence(t *testing.T) {
-	fields := &JobSpec{
+// equivalentJobSpecs spell one grid three ways: as structured fields, as
+// spec-file text, and as text with a field override.
+var equivalentJobSpecs = []*JobSpec{
+	{
 		Years: []string{"2018"},
 		Loss:  []string{"none", "loss:0.3"},
 		Retry: []string{"0", "2+adaptive"},
 		Shift: 16,
 		Seed:  1,
-	}
-	text := &JobSpec{
+	},
+	{
 		SpecText: strings.Join([]string{
 			"# equivalence fixture",
 			"years 2018",
@@ -27,13 +26,19 @@ func TestCompileEquivalence(t *testing.T) {
 			"shift 16",
 			"seed 1",
 		}, "\n"),
-	}
-	override := &JobSpec{
+	},
+	{
 		SpecText: "years 2013\nloss none loss:0.3\nretry 0 2+adaptive\nshift 16\nseed 1",
 		Years:    []string{"2018"}, // field overrides the text's year axis
-	}
+	},
+}
+
+// TestCompileEquivalence pins the submission grammar: the same grid spelled
+// as structured fields, as spec-file text, or as text with field overrides
+// compiles to the same spec key, so the digest cache collapses all three.
+func TestCompileEquivalence(t *testing.T) {
 	keys := make([]string, 0, 3)
-	for i, js := range []*JobSpec{fields, text, override} {
+	for i, js := range equivalentJobSpecs {
 		spec, err := js.Compile()
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
@@ -82,19 +87,22 @@ func TestCompileDistinguishesSeeds(t *testing.T) {
 	}
 }
 
+// badJobSpecs each fail validation at submission; FuzzJobSpec seeds from
+// them.
+var badJobSpecs = []*JobSpec{
+	{Years: []string{"1999"}},                            // out-of-range year
+	{Loss: []string{"bogus:1"}},                          // unknown impairment
+	{Retry: []string{"-1"}},                              // negative budget
+	{CellWorkers: []int{-2}},                             // negative workers
+	{Mode: "quantum"},                                    // unknown mode
+	{SpecText: "years 2018 2018"},                        // duplicate axis value
+	{Mode: "synth", Loss: []string{"loss:0.5"}},          // synth has no network
+	{SpecText: "retry 2+adaptive\nretry 2+adaptive\n#x"}, // duplicate retry
+}
+
 // TestCompileRejectsBadSpecs: validation errors surface at submission.
 func TestCompileRejectsBadSpecs(t *testing.T) {
-	bad := []*JobSpec{
-		{Years: []string{"1999"}},                            // out-of-range year
-		{Loss: []string{"bogus:1"}},                          // unknown impairment
-		{Retry: []string{"-1"}},                              // negative budget
-		{CellWorkers: []int{-2}},                             // negative workers
-		{Mode: "quantum"},                                    // unknown mode
-		{SpecText: "years 2018 2018"},                        // duplicate axis value
-		{Mode: "synth", Loss: []string{"loss:0.5"}},          // synth has no network
-		{SpecText: "retry 2+adaptive\nretry 2+adaptive\n#x"}, // duplicate retry
-	}
-	for i, js := range bad {
+	for i, js := range badJobSpecs {
 		if _, err := js.Compile(); err == nil {
 			t.Errorf("bad spec %d compiled without error", i)
 		}

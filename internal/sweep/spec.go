@@ -11,6 +11,7 @@ package sweep
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -223,9 +224,15 @@ func (s *Spec) normalize() {
 	}
 }
 
+// maxCells bounds a grid's expansion. Specs arrive from files and HTTP
+// bodies, and a few kilobytes of axis values can multiply out to billions
+// of cells; real grids are a few dozen.
+const maxCells = 1 << 16
+
 // Cells validates the spec and expands the grid in deterministic order:
 // years outermost, then loss, then retry, then workers. Duplicate grid
-// points and empty axes are errors, as are network axes in synth mode.
+// points, empty axes and grids over maxCells cells are errors, as are
+// network axes in synth mode.
 func (s *Spec) Cells() ([]Cell, error) {
 	s.normalize()
 	switch s.Mode {
@@ -260,6 +267,12 @@ func (s *Spec) Cells() ([]Cell, error) {
 			return nil, fmt.Errorf("sweep: workers %d is negative", w)
 		}
 	}
+	n := 1
+	for _, axis := range []int{len(s.Years), len(s.Loss), len(s.Retry), len(s.Workers)} {
+		if n *= axis; n > maxCells {
+			return nil, fmt.Errorf("sweep: grid exceeds %d cells", maxCells)
+		}
+	}
 
 	var cells []Cell
 	seen := make(map[string]bool)
@@ -279,6 +292,67 @@ func (s *Spec) Cells() ([]Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// addAxis parses vals in the grammar of the named axis — years, loss,
+// retry or workers, spelled as in a spec file — and appends them to that
+// axis. It is the one axis parser behind spec files, orsweep's axis flags
+// and the service's JobSpec.
+func (s *Spec) addAxis(axis string, vals ...string) error {
+	switch axis {
+	case "years":
+		return parseInto(&s.Years, ParseYear, vals)
+	case "loss":
+		return parseInto(&s.Loss, ParseLoss, vals)
+	case "retry":
+		return parseInto(&s.Retry, ParseRetryPolicy, vals)
+	case "workers":
+		return parseInto(&s.Workers, parseWorkers, vals)
+	}
+	return fmt.Errorf("sweep: unknown axis %q", axis)
+}
+
+func parseInto[T any](axis *[]T, parse func(string) (T, error), vals []string) error {
+	for _, v := range vals {
+		x, err := parse(v)
+		if err != nil {
+			return err
+		}
+		*axis = append(*axis, x)
+	}
+	return nil
+}
+
+func parseWorkers(v string) (int, error) {
+	w, err := strconv.Atoi(v)
+	if err != nil || w < 0 {
+		return 0, fmt.Errorf("sweep: workers %q: want a non-negative integer", v)
+	}
+	return w, nil
+}
+
+// OverrideAxes replaces each axis whose value list is non-empty and keeps
+// the others: the rule by which orsweep's axis flags and JobSpec's axis
+// fields override a spec file.
+func (s *Spec) OverrideAxes(years, loss, retry, workers []string) error {
+	var o Spec
+	if err := cmp.Or(o.addAxis("years", years...), o.addAxis("loss", loss...),
+		o.addAxis("retry", retry...), o.addAxis("workers", workers...)); err != nil {
+		return err
+	}
+	if o.Years != nil {
+		s.Years = o.Years
+	}
+	if o.Loss != nil {
+		s.Loss = o.Loss
+	}
+	if o.Retry != nil {
+		s.Retry = o.Retry
+	}
+	if o.Workers != nil {
+		s.Workers = o.Workers
+	}
+	return nil
 }
 
 // ParseSpecFile reads the small text grid format: one directive per line,
@@ -311,46 +385,20 @@ func ParseSpecFile(r io.Reader) (*Spec, error) {
 		fail := func(err error) (*Spec, error) {
 			return nil, fmt.Errorf("sweep: spec line %d: %w", line, err)
 		}
-		isAxis := dir == "years" || dir == "loss" || dir == "retry" || dir == "workers"
-		if isAxis && len(vals) == 0 {
-			return fail(fmt.Errorf("axis %q has no values", dir))
+		switch dir {
+		case "years", "loss", "retry", "workers":
+			if len(vals) == 0 {
+				return fail(fmt.Errorf("axis %q has no values", dir))
+			}
+			if err := s.addAxis(dir, vals...); err != nil {
+				return fail(err)
+			}
+			continue
 		}
-		if !isAxis && len(vals) != 1 {
+		if len(vals) != 1 {
 			return fail(fmt.Errorf("directive %q wants exactly one value", dir))
 		}
 		switch dir {
-		case "years":
-			for _, v := range vals {
-				y, err := ParseYear(v)
-				if err != nil {
-					return fail(err)
-				}
-				s.Years = append(s.Years, y)
-			}
-		case "loss":
-			for _, v := range vals {
-				l, err := ParseLoss(v)
-				if err != nil {
-					return fail(err)
-				}
-				s.Loss = append(s.Loss, l)
-			}
-		case "retry":
-			for _, v := range vals {
-				p, err := ParseRetryPolicy(v)
-				if err != nil {
-					return fail(err)
-				}
-				s.Retry = append(s.Retry, p)
-			}
-		case "workers":
-			for _, v := range vals {
-				w, err := strconv.Atoi(v)
-				if err != nil || w < 0 {
-					return fail(fmt.Errorf("workers %q: want a non-negative integer", v))
-				}
-				s.Workers = append(s.Workers, w)
-			}
 		case "mode":
 			s.Mode = vals[0]
 		case "shift":

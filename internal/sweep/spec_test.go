@@ -89,6 +89,11 @@ func TestCellsValidation(t *testing.T) {
 		}
 		return l
 	}
+	var huge Spec
+	for i := 0; i < 300; i++ {
+		huge.Workers = append(huge.Workers, i)
+		huge.Retry = append(huge.Retry, RetryPolicy{Retries: i})
+	}
 	for _, tc := range []struct {
 		name    string
 		spec    Spec
@@ -129,6 +134,11 @@ func TestCellsValidation(t *testing.T) {
 			name:    "synth rejects impairments",
 			spec:    Spec{Mode: "synth", Loss: []LossVal{mustLoss("loss:0.2")}},
 			wantErr: "needs sim mode",
+		},
+		{
+			name:    "grid too large",
+			spec:    huge, // 90,000 cells
+			wantErr: "exceeds",
 		},
 		{
 			name:    "synth rejects retries",
@@ -211,8 +221,9 @@ func TestSpecDefaults(t *testing.T) {
 	}
 }
 
-func TestParseSpecFile(t *testing.T) {
-	const good = `
+// goodSpecFile exercises every directive kind; badSpecFiles each fail on
+// line 1. FuzzParseSpecFile seeds from both.
+const goodSpecFile = `
 # robustness grid
 mode sim
 shift 15
@@ -223,7 +234,24 @@ retry 0 2+adaptive
 workers 1
 workers 4   # axis lines append
 `
-	spec, err := ParseSpecFile(strings.NewReader(good))
+
+var badSpecFiles = []struct {
+	name, in, wantErr string
+}{
+	{"unknown directive", "speed 9", "unknown directive"},
+	{"axis without values", "years", "no values"},
+	{"scalar with two values", "shift 14 15", "exactly one value"},
+	{"bad year", "years 1999", "1999"},
+	{"bad loss", "loss bogus:1", "bogus"},
+	{"bad retry", "retry 1+turbo", "turbo"},
+	{"bad workers", "workers -3", "non-negative"},
+	{"bad shift", "shift many", "shift"},
+	{"bad seed", "seed 1.5", "seed"},
+	{"bad max-events", "max-events -1", "max-events"},
+}
+
+func TestParseSpecFile(t *testing.T) {
+	spec, err := ParseSpecFile(strings.NewReader(goodSpecFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,20 +266,7 @@ workers 4   # axis lines append
 		t.Errorf("grid has %d cells, want 16", len(cells))
 	}
 
-	for _, tc := range []struct {
-		name, in, wantErr string
-	}{
-		{"unknown directive", "speed 9", "unknown directive"},
-		{"axis without values", "years", "no values"},
-		{"scalar with two values", "shift 14 15", "exactly one value"},
-		{"bad year", "years 1999", "1999"},
-		{"bad loss", "loss bogus:1", "bogus"},
-		{"bad retry", "retry 1+turbo", "turbo"},
-		{"bad workers", "workers -3", "non-negative"},
-		{"bad shift", "shift many", "shift"},
-		{"bad seed", "seed 1.5", "seed"},
-		{"bad max-events", "max-events -1", "max-events"},
-	} {
+	for _, tc := range badSpecFiles {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseSpecFile(strings.NewReader(tc.in))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -1,6 +1,6 @@
 // Command doccheck is the documentation gate behind `make doccheck`. It
-// performs three checks, all comment/AST-level (no type checking), so it
-// runs in milliseconds:
+// performs three checks; the first two are comment/AST-level, and the
+// third runs each gated command with -h:
 //
 //  1. Every Go package under the given root directories carries a package
 //     doc comment — a package documents itself if any of its non-test
@@ -12,11 +12,11 @@
 //     must be registered in the router. Routes can only drift from their
 //     documentation by failing CI.
 //  3. With -flagdoc and one or more -flagcli directories, each CLI's flag
-//     table stays in sync with its flag definitions: the flags a command
-//     registers (flag.String/Bool/…/Var calls in its non-test sources)
-//     must each appear as a backtick `-flag` span in the first column of
-//     a markdown table inside the document section whose heading names
-//     the command, and every `-flag` documented there must be registered.
+//     table stays in sync with its flags: every flag the command's -h
+//     usage lists must appear as a backtick `-flag` span in the first
+//     column of a markdown table inside the document section whose heading
+//     names the command, and every `-flag` documented there must be
+//     listed. A table shared by several commands gives each a ✓ column.
 //     Flag tables, like routes, can only drift by failing CI.
 //
 // Usage:
@@ -33,8 +33,10 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -229,73 +231,37 @@ func checkFlagTable(doc, cliDir string) error {
 	return nil
 }
 
-// flagDefCalls maps flag-registration method names to the argument index
-// holding the flag name: String(name, …) registers at 0, StringVar(ptr,
-// name, …) and Var(value, name, …) at 1.
-var flagDefCalls = map[string]int{
-	"String": 0, "Bool": 0, "Int": 0, "Int64": 0, "Uint": 0,
-	"Uint64": 0, "Float64": 0, "Duration": 0,
-	"StringVar": 1, "BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1,
-	"Uint64Var": 1, "Float64Var": 1, "DurationVar": 1,
-	"Var": 1, "TextVar": 1, "Func": 1, "BoolFunc": 1,
-}
-
-// cliFlags parses the command's non-test sources and collects every flag
-// name registered through a flag/FlagSet method with a literal name.
+// cliFlags runs the command with -h and collects the flag names its usage
+// lists (the "  -name" lines flag.PrintDefaults writes), so flags that
+// shared binders register count exactly like the command's own.
 func cliFlags(dir string) (map[string]bool, error) {
-	entries, err := os.ReadDir(dir)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
+	out, err := exec.Command("go", "run", abs, "-h").CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("go run %s -h: %v\n%s", dir, err, out)
+	}
 	flags := map[string]bool{}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		ast.Inspect(f, func(node ast.Node) bool {
-			call, ok := node.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			argIdx, ok := flagDefCalls[sel.Sel.Name]
-			if !ok || len(call.Args) < argIdx+2 {
-				return true
-			}
-			lit, ok := call.Args[argIdx].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			if s, err := strconv.Unquote(lit.Value); err == nil && flagName.MatchString(s) {
-				flags[s] = true
-			}
-			return true
-		})
+	for _, m := range usageFlag.FindAllSubmatch(out, -1) {
+		flags[string(m[1])] = true
 	}
 	return flags, nil
 }
 
-// flagName is the repo's flag-naming convention; it also keeps the AST
-// scan from mistaking unrelated String(...) calls for registrations.
-var flagName = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
+// usageFlag matches one flag line of a -h usage listing.
+var usageFlag = regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
 
 // flagSpan matches a documented flag inside a backtick code span.
 var flagSpan = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
 
 // docFlags collects the flags documented for the named command: every
 // backtick `-flag` span in the first column of a markdown table between
-// the heading that mentions the command name and the next heading.
-// Fenced code blocks are stripped so example transcripts cannot leak
-// table-looking lines into the scan.
+// the heading that mentions the command name and the next heading. A table
+// several commands share names each in a header column; there a row counts
+// only when the command's column holds ✓. Fenced code blocks are stripped
+// so example transcripts cannot leak table-looking lines into the scan.
 func docFlags(path, name string) (map[string]bool, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -306,17 +272,29 @@ func docFlags(path, name string) (map[string]bool, bool, error) {
 	flags := map[string]bool{}
 	found := false
 	inSection := false
+	col := -1 // the command's ✓ column in the current table: 0 = none, -1 = no table yet
 	for _, line := range strings.Split(text, "\n") {
+		row := strings.HasPrefix(strings.TrimSpace(line), "|")
+		if !row {
+			col = -1
+		}
 		if strings.HasPrefix(line, "#") {
 			inSection = word.MatchString(line)
 			found = found || inSection
 			continue
 		}
-		if !inSection || !strings.HasPrefix(strings.TrimSpace(line), "|") {
+		if !inSection || !row {
 			continue
 		}
 		cells := strings.Split(strings.TrimSpace(line), "|")
 		if len(cells) < 2 {
+			continue
+		}
+		if col < 0 { // the header row
+			col = max(slices.IndexFunc(cells, func(c string) bool { return strings.TrimSpace(c) == name }), 0)
+			continue
+		}
+		if col > 0 && (col >= len(cells) || !strings.Contains(cells[col], "✓")) {
 			continue
 		}
 		for _, m := range flagSpan.FindAllStringSubmatch(cells[1], -1) {
