@@ -101,7 +101,10 @@ func (l *ProbeLog) R2() []Packet { return l.r2 }
 // AuthLog is the authoritative-side capture; it implements dnssrv.Tap.
 type AuthLog struct {
 	counters Counters
-	// Keep controls packet retention.
+	// Keep controls packet retention. When false the log only counts Q2
+	// and R1: a simulation shard runs it that way and indexes each Q2's
+	// qname for the role join instead (classify.Index), since the join
+	// reads nothing else of the capture.
 	Keep    bool
 	packets []Packet
 }

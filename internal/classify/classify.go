@@ -18,8 +18,9 @@
 package classify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"openresolver/internal/capture"
@@ -80,40 +81,75 @@ type Summary struct {
 	ByRole   map[Role]int
 }
 
-// Classify joins the prober-side R2 packets with the authoritative-side Q2
-// packets by qname and classifies every responder.
-func Classify(r2 []capture.Packet, auth []capture.Packet) *Summary {
-	// qname → set of Q2 source addresses.
-	q2Sources := make(map[string][]ipv4.Addr)
-	for _, p := range auth {
-		if p.Kind != capture.KindQ2 {
-			continue
-		}
-		msg, err := dnswire.Unpack(p.Payload)
-		if err != nil {
-			continue
-		}
-		q, ok := msg.Question1()
-		if !ok {
-			continue
-		}
-		q2Sources[q.Name] = appendUnique(q2Sources[q.Name], p.Src)
-	}
+// Index is the authoritative side of the join, built incrementally: every
+// probe qname seen in a Q2, mapped to the distinct sources that sent it, in
+// arrival order. It holds one small record per qname instead of the Q2
+// packets themselves, so a capture point can feed it live and drop the
+// packets.
+type Index struct {
+	// slot maps a qname to its entry in first. Keys are owned copies:
+	// callers pass names that alias a reused decode arena.
+	slot map[string]int32
+	// first holds each qname's first Q2 source, the only one almost every
+	// qname ever has.
+	first []ipv4.Addr
+	// more holds the further distinct sources of the rare qname that has
+	// several (a forwarder fanning out to more than one egress resolver).
+	more map[int32][]ipv4.Addr
+}
 
-	s := &Summary{ByRole: make(map[Role]int)}
+// NewIndex returns an empty index.
+func NewIndex() *Index {
+	return &Index{slot: make(map[string]int32)}
+}
+
+// AddQ2 records that a Q2 for qname arrived from src. qname may alias a
+// reused decode buffer: the index copies it on first sight and never
+// re-assigns through it.
+func (ix *Index) AddQ2(qname string, src ipv4.Addr) {
+	i, ok := ix.slot[qname]
+	if !ok {
+		ix.slot[strings.Clone(qname)] = int32(len(ix.first))
+		ix.first = append(ix.first, src)
+		return
+	}
+	if ix.first[i] == src || containsAddr(ix.more[i], src) {
+		return
+	}
+	if ix.more == nil {
+		ix.more = make(map[int32][]ipv4.Addr)
+	}
+	ix.more[i] = append(ix.more[i], src)
+}
+
+// sources returns qname's distinct Q2 sources in arrival order, or nil.
+func (ix *Index) sources(qname string) []ipv4.Addr {
+	i, ok := ix.slot[qname]
+	if !ok {
+		return nil
+	}
+	return append([]ipv4.Addr{ix.first[i]}, ix.more[i]...)
+}
+
+// Classify joins the prober-side R2 packets with the indexed Q2 sources by
+// qname and classifies every responder, by its first decodable R2.
+// Verdicts are sorted by responder.
+func (ix *Index) Classify(r2 []capture.Packet) *Summary {
+	var (
+		msg      dnswire.Message
+		verdicts []Verdict
+	)
 	seen := make(map[ipv4.Addr]bool)
 	for _, p := range r2 {
 		if p.Kind != capture.KindR2 || seen[p.Src] {
 			continue
 		}
-		msg, err := dnswire.Unpack(p.Payload)
-		if err != nil {
+		if dnswire.UnpackInto(&msg, p.Payload) != nil {
 			continue
 		}
-		q, hasQ := msg.Question1()
 		var sources []ipv4.Addr
-		if hasQ {
-			sources = q2Sources[q.Name]
+		if q, ok := msg.Question1(); ok {
+			sources = ix.sources(q.Name)
 		}
 		hadAnswer := len(msg.Answers) > 0
 
@@ -123,23 +159,66 @@ func Classify(r2 []capture.Packet, auth []capture.Packet) *Summary {
 			role = RoleFabricator
 		case len(sources) == 0:
 			role = RoleNonResolving
-		case containsAddr(sources, p.Src) && len(sources) == 1:
+		case len(sources) == 1 && sources[0] == p.Src:
 			role = RoleRecursive
 		default:
 			role = RoleForwarder
 		}
 		seen[p.Src] = true
-		s.Verdicts = append(s.Verdicts, Verdict{
+		verdicts = append(verdicts, Verdict{
 			Responder: p.Src,
 			Role:      role,
 			Egress:    sources,
 			HadAnswer: hadAnswer,
 		})
-		s.ByRole[role]++
 	}
-	sort.Slice(s.Verdicts, func(i, j int) bool {
-		return s.Verdicts[i].Responder < s.Verdicts[j].Responder
-	})
+	slices.SortFunc(verdicts, func(a, b Verdict) int { return cmp.Compare(a.Responder, b.Responder) })
+	return Summarize(verdicts)
+}
+
+// Classify joins the prober-side R2 packets with the authoritative-side Q2
+// packets by qname and classifies every responder.
+func Classify(r2 []capture.Packet, auth []capture.Packet) *Summary {
+	ix := NewIndex()
+	var msg dnswire.Message
+	for _, p := range auth {
+		if p.Kind != capture.KindQ2 || dnswire.UnpackInto(&msg, p.Payload) != nil {
+			continue
+		}
+		if q, ok := msg.Question1(); ok {
+			ix.AddQ2(q.Name, p.Src)
+		}
+	}
+	return ix.Classify(r2)
+}
+
+// Merge folds per-part summaries, in part order, into one: a responder
+// keeps the verdict of the first part that classified it, and the result
+// is sorted by responder. Summaries of captures split by qname — where
+// every qname's Q2s and R2s fall in the same part — merge to exactly the
+// Summary of the whole capture.
+func Merge(parts []*Summary) *Summary {
+	var verdicts []Verdict
+	seen := make(map[ipv4.Addr]bool)
+	for _, s := range parts {
+		for _, v := range s.Verdicts {
+			if !seen[v.Responder] {
+				seen[v.Responder] = true
+				verdicts = append(verdicts, v)
+			}
+		}
+	}
+	slices.SortFunc(verdicts, func(a, b Verdict) int { return cmp.Compare(a.Responder, b.Responder) })
+	return Summarize(verdicts)
+}
+
+// Summarize wraps verdicts, already sorted by responder, in a Summary with
+// their per-role counts.
+func Summarize(verdicts []Verdict) *Summary {
+	s := &Summary{Verdicts: verdicts, ByRole: make(map[Role]int)}
+	for _, v := range verdicts {
+		s.ByRole[v.Role]++
+	}
 	return s
 }
 
@@ -163,13 +242,6 @@ func (s *Summary) Render() string {
 		fmt.Fprintf(&b, "  %-14s %d\n", role, s.ByRole[role])
 	}
 	return b.String()
-}
-
-func appendUnique(list []ipv4.Addr, a ipv4.Addr) []ipv4.Addr {
-	if containsAddr(list, a) {
-		return list
-	}
-	return append(list, a)
 }
 
 func containsAddr(list []ipv4.Addr, a ipv4.Addr) bool {

@@ -1,6 +1,9 @@
 package classify
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +99,158 @@ func TestClassifyRoles(t *testing.T) {
 		if !strings.Contains(out, wantStr) {
 			t.Errorf("render missing %q:\n%s", wantStr, out)
 		}
+	}
+}
+
+// TestMergeEqualsWholeJoin splits one capture — recursives, a forwarder
+// with its hidden egress resolver, a fabricator, a refuser — into two parts
+// by qname, the way the simulation's shards split a campaign. Joining each
+// part on its own Index and folding the summaries with Merge must give
+// exactly the Summary of Classify over the concatenated streams, including
+// for the responders probed in both parts (the first part's verdict wins).
+func TestMergeEqualsWholeJoin(t *testing.T) {
+	sim := netsim.New(netsim.Config{Seed: 3, Latency: netsim.ConstantLatency(5 * time.Millisecond)})
+	dnssrv.NewReferralServer(sim, rootAddr, []dnssrv.Referral{
+		{Zone: "net", NSName: "a.gtld-servers.net", Addr: tldAddr},
+	})
+	dnssrv.NewReferralServer(sim, tldAddr, []dnssrv.Referral{
+		{Zone: sld, NSName: "ns1." + sld, Addr: authAddr},
+	})
+	authLog := capture.NewAuthLog()
+	dnssrv.NewAuthServer(sim, dnssrv.AuthConfig{
+		Addr: authAddr, SLD: sld, ClusterSize: 1000, Tap: authLog,
+	})
+	hidden := ipv4.MustParseAddr("60.0.1.100")
+	behavior.NewResolver(sim, hidden, rootAddr, behavior.Honest(1))
+	var targets []ipv4.Addr
+	for i := 1; i <= 6; i++ {
+		a := ipv4.Addr(uint32(ipv4.MustParseAddr("60.0.1.0")) + uint32(i))
+		targets = append(targets, a)
+		var p behavior.Profile
+		switch i {
+		case 1, 2:
+			p = behavior.Honest(1)
+		case 3, 4:
+			p = behavior.Forwarder(hidden)
+		case 5:
+			p = behavior.Manipulator(ipv4.MustParseAddr("208.91.197.91"))
+		default:
+			p = behavior.Refuser()
+		}
+		behavior.NewResolver(sim, a, rootAddr, p)
+	}
+	probeLog := capture.NewProbeLog()
+	prober := sim.Register(proberAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		probeLog.AddR2(n.Now(), dg)
+	}))
+	// Every target is probed twice; the two qnames land in different parts.
+	id := 0
+	for round := 0; round < 2; round++ {
+		for _, target := range targets {
+			id++
+			q := dnswire.NewQuery(uint16(id), dnssrv.FormatProbeName(0, id, sld), dnswire.TypeA)
+			prober.Send(target, 40000, dnssrv.DNSPort, q.MustPack())
+		}
+	}
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Part 0 holds the first round's qnames, part 1 the second's.
+	partOf := func(p capture.Packet) int {
+		msg, err := dnswire.Unpack(p.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, ok := msg.Question1()
+		if !ok {
+			t.Fatalf("packet without a question: %+v", p)
+		}
+		pn, err := dnssrv.ParseProbeName(q.Name, sld)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return (pn.Index - 1) / len(targets)
+	}
+	var r2s, auths [2][]capture.Packet
+	for _, p := range probeLog.R2() {
+		r2s[partOf(p)] = append(r2s[partOf(p)], p)
+	}
+	for _, p := range authLog.Packets() {
+		auths[partOf(p)] = append(auths[partOf(p)], p)
+	}
+	// A refusal from targets[0] that opens part 1: that part alone calls it
+	// non-resolving, but the whole join sees part 0's answer first.
+	refused := dnswire.NewResponse(dnswire.NewQuery(99, dnssrv.FormatProbeName(0, 99, sld), dnswire.TypeA))
+	refused.Header.Rcode = dnswire.RcodeRefused
+	r2s[1] = append([]capture.Packet{{Kind: capture.KindR2, Src: targets[0], Dst: proberAddr, Payload: refused.MustPack()}}, r2s[1]...)
+
+	var parts []*Summary
+	for i := range r2s {
+		ix := NewIndex()
+		for _, p := range auths[i] {
+			if p.Kind == capture.KindQ2 {
+				msg, _ := dnswire.Unpack(p.Payload)
+				q, _ := msg.Question1()
+				ix.AddQ2(q.Name, p.Src)
+			}
+		}
+		parts = append(parts, ix.Classify(r2s[i]))
+	}
+	for _, target := range targets {
+		for i, part := range parts {
+			if !slices.ContainsFunc(part.Verdicts, func(v Verdict) bool { return v.Responder == target }) {
+				t.Fatalf("part %d has no verdict for %v; the split proves nothing", i, target)
+			}
+		}
+	}
+
+	got := Merge(parts)
+	want := Classify(slices.Concat(r2s[0], r2s[1]), slices.Concat(auths[0], auths[1]))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged parts differ from the whole join\n got %+v\nwant %+v", got, want)
+	}
+	if got.ByRole[RoleForwarder] != 2 || got.ByRole[RoleRecursive] != 2 {
+		t.Errorf("role counts = %v, want 2 forwarders and 2 recursives", got.ByRole)
+	}
+}
+
+// TestIndexKeysSurviveArenaReuse is the regression test for the key
+// aliasing trap: AddQ2 receives names that alias a reused decode arena, and
+// a map key stored without a copy — or re-assigned through such a name —
+// is silently rewritten by the next decode. Every earlier lookup must
+// still hit after other names have been decoded into the same message.
+func TestIndexKeysSurviveArenaReuse(t *testing.T) {
+	var msg dnswire.Message
+	decode := func(name string) string {
+		if err := dnswire.UnpackInto(&msg, dnswire.NewQuery(1, name, dnswire.TypeA).MustPack()); err != nil {
+			t.Fatal(err)
+		}
+		q, _ := msg.Question1()
+		return q.Name
+	}
+	ix := NewIndex()
+	const n = 64
+	name := func(i int) string { return dnssrv.FormatProbeName(1, i, sld) }
+	for i := 0; i < n; i++ {
+		src := ipv4.Addr(1000 + i)
+		ix.AddQ2(decode(name(i)), src)
+		// A second source and a repeat, both through an aliased name:
+		// the existing-key paths.
+		ix.AddQ2(decode(name(i)), src+1)
+		ix.AddQ2(decode(name(i)), src)
+	}
+	for i := 0; i < n; i++ {
+		decode(fmt.Sprintf("x%d.example.net", i))
+	}
+	for i := 0; i < n; i++ {
+		want := []ipv4.Addr{ipv4.Addr(1000 + i), ipv4.Addr(1001 + i)}
+		if got := ix.sources(name(i)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sources %v, want %v", name(i), got, want)
+		}
+	}
+	if len(ix.slot) != n {
+		t.Errorf("index holds %d qnames, want %d", len(ix.slot), n)
 	}
 }
 

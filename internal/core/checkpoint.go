@@ -5,10 +5,10 @@ package core
 // survive a process crash and resume mid-campaign, not restart from zero:
 // SimulatePopulation's fixed shard decomposition (simshard.go) gives
 // natural checkpoint units, so every completed sub-simulation's merged
-// state — accumulator, packet/fault/prober counters, captured packets, obs
-// shard — is written as one self-validating file at the shard boundary,
-// and a restarted campaign with the same configuration loads the completed
-// shards and runs only the missing ones. The merge is identical either
+// state — accumulator, packet/fault/prober counters, captured R2 packets,
+// responder verdicts, obs shard — is written as one self-validating file
+// at the shard boundary, and a restarted campaign with the same
+// configuration loads the completed shards and runs only the missing ones. The merge is identical either
 // way, so a resumed campaign is byte-identical to an uninterrupted one.
 //
 // Every file is stamped with a campaign key (a digest of the configuration
@@ -35,6 +35,7 @@ import (
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/capture"
+	"openresolver/internal/classify"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
 	"openresolver/internal/obs"
@@ -121,17 +122,19 @@ func (osCheckpointFS) Remove(name string) error             { return os.Remove(n
 // checkpointVersion is the on-disk format version; any change to the
 // envelope layout, the payload shape or the campaign-key recipe must bump
 // it, invalidating every older checkpoint rather than misreading it.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
-// The version-2 envelope is a fixed header followed by the payload:
+// The version-3 envelope is a fixed header followed by the payload:
 //
 //	magic "ORCK" | version u32 | campaign key [32] | shard u32 |
 //	payload SHA-256 [32] | payload
 //
 // Integers are big-endian; the campaign key is the raw digest that
 // checkpointCampaignKey renders in hex. The payload is the shard's small
-// structured state as JSON, behind a uvarint length, followed by the two
-// packet streams (R2, then auth) as packet records (appendPackets).
+// structured state as JSON, behind a uvarint length, followed by the R2
+// packet stream (appendPackets) and the shard's responder verdicts
+// (appendVerdicts). Version 2 carried the authoritative Q2/R1 packet
+// stream where the verdicts now are; its checkpoints rerun.
 const (
 	envMagic     = "ORCK"
 	envKeyOff    = len(envMagic) + 4
@@ -143,7 +146,9 @@ const (
 // shardCheckpoint is the decoded form of one completed sub-simulation —
 // exactly the fields mergeSimShards folds, so a restored shard merges
 // indistinguishably from a freshly run one. The JSON tags cover the
-// structured state; the packet streams travel as binary records.
+// structured state; the R2 stream and the verdicts travel as binary
+// records. The authoritative capture is not here: each shard joins it
+// against its own R2s before it finishes, and only the verdicts leave.
 type shardCheckpoint struct {
 	Acc           *analysis.AccumulatorState `json:"acc"`
 	NetStats      netsim.Stats               `json:"net_stats"`
@@ -157,7 +162,7 @@ type shardCheckpoint struct {
 	AuthCounters  capture.Counters           `json:"auth_counters"`
 	Obs           *obs.ShardState            `json:"obs,omitempty"`
 	R2Packets     []capture.Packet           `json:"-"`
-	AuthPackets   []capture.Packet           `json:"-"`
+	Verdicts      []classify.Verdict         `json:"-"`
 }
 
 // checkpointStore writes and validates the per-shard checkpoint files of
@@ -234,6 +239,10 @@ func (s *checkpointStore) logf(format string, args ...any) {
 // shard-NNN.ckpt, and the distributed fabric carries them verbatim as the
 // raw frame after a RESULT — so one validator guards both.
 func marshalShardEnvelope(key string, shard int, run *simShardRun) ([]byte, error) {
+	var verdicts []classify.Verdict
+	if run.roles != nil {
+		verdicts = run.roles.Verdicts
+	}
 	return encodeShardEnvelope(key, shard, &shardCheckpoint{
 		Acc:           run.acc.State(),
 		NetStats:      run.netStats,
@@ -246,14 +255,14 @@ func marshalShardEnvelope(key string, shard int, run *simShardRun) ([]byte, erro
 		ProbeCounters: run.probeCounters,
 		AuthCounters:  run.authCounters,
 		R2Packets:     run.r2,
-		AuthPackets:   run.authPackets,
+		Verdicts:      verdicts,
 		Obs:           run.obs.State(),
 	})
 }
 
-// encodeShardEnvelope lays ck out as a version-2 envelope in a single
-// allocation: the header, the structured state, both packet streams, and
-// finally the digest over everything after the header.
+// encodeShardEnvelope lays ck out as a version-3 envelope in a single
+// allocation: the header, the structured state, the R2 stream, the
+// verdicts, and finally the digest over everything after the header.
 func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
 	state, err := json.Marshal(ck)
 	if err != nil {
@@ -264,7 +273,7 @@ func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 		return nil, fmt.Errorf("campaign key %q is not a hex SHA-256 digest", key)
 	}
 	size := envHeaderLen + binary.MaxVarintLen64 + len(state) +
-		packetsSize(ck.R2Packets) + packetsSize(ck.AuthPackets)
+		packetsSize(ck.R2Packets) + verdictsSize(ck.Verdicts)
 	buf := make([]byte, envHeaderLen, size)
 	copy(buf, envMagic)
 	binary.BigEndian.PutUint32(buf[len(envMagic):], checkpointVersion)
@@ -273,7 +282,7 @@ func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 	buf = binary.AppendUvarint(buf, uint64(len(state)))
 	buf = append(buf, state...)
 	buf = appendPackets(buf, ck.R2Packets)
-	buf = appendPackets(buf, ck.AuthPackets)
+	buf = appendVerdicts(buf, ck.Verdicts)
 	sum := sha256.Sum256(buf[envHeaderLen:])
 	copy(buf[envSumOff:], sum[:])
 	return buf, nil
@@ -355,6 +364,113 @@ func decodePackets(b []byte) ([]capture.Packet, []byte, error) {
 	return pkts, b, nil
 }
 
+// A verdict stream is a uvarint record count followed by the records, in
+// strictly ascending responder order. A record is the responder (4 bytes,
+// big-endian), the role byte, the had-answer byte (0 or 1), and a uvarint
+// egress count followed by that many 4-byte addresses; minVerdictRecord is
+// the smallest.
+const minVerdictRecord = 4 + 1 + 1 + 1
+
+// verdictsSize bounds the encoded size of one verdict stream.
+func verdictsSize(vs []classify.Verdict) int {
+	n := binary.MaxVarintLen64
+	for i := range vs {
+		n += 4 + 1 + 1 + binary.MaxVarintLen64 + 4*len(vs[i].Egress)
+	}
+	return n
+}
+
+// appendVerdicts appends vs to buf as one verdict stream.
+func appendVerdicts(buf []byte, vs []classify.Verdict) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vs)))
+	for i := range vs {
+		v := &vs[i]
+		buf = binary.BigEndian.AppendUint32(buf, uint32(v.Responder))
+		hadAnswer := byte(0)
+		if v.HadAnswer {
+			hadAnswer = 1
+		}
+		buf = append(buf, byte(v.Role), hadAnswer)
+		buf = binary.AppendUvarint(buf, uint64(len(v.Egress)))
+		for _, e := range v.Egress {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(e))
+		}
+	}
+	return buf
+}
+
+// decodeVerdicts reads one verdict stream off the front of b and returns
+// the bytes after it. A first pass checks every record — the count and each
+// egress count against the bytes that remain, the role range, the
+// had-answer byte and the responder order — so nothing is allocated for a
+// malformed stream; the second fills one verdict slice and one egress
+// arena that every Egress list is cut from.
+func decodeVerdicts(b []byte) ([]classify.Verdict, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return nil, nil, errors.New("bad verdict count")
+	}
+	b = b[k:]
+	if n > uint64(len(b)/minVerdictRecord) {
+		return nil, nil, fmt.Errorf("%d verdicts cannot fit in %d bytes", n, len(b))
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	rest, egress := b, 0
+	var prev uint32
+	for i := uint64(0); i < n; i++ {
+		if len(rest) < minVerdictRecord {
+			return nil, nil, fmt.Errorf("verdict %d: truncated stream", i)
+		}
+		resp := binary.BigEndian.Uint32(rest)
+		if i > 0 && resp <= prev {
+			return nil, nil, fmt.Errorf("verdict %d: responder %v out of order", i, ipv4.Addr(resp))
+		}
+		prev = resp
+		if role := classify.Role(rest[4]); role < classify.RoleRecursive || role > classify.RoleNonResolving {
+			return nil, nil, fmt.Errorf("verdict %d: unknown role %d", i, rest[4])
+		}
+		if rest[5] > 1 {
+			return nil, nil, fmt.Errorf("verdict %d: bad had-answer byte %d", i, rest[5])
+		}
+		m, k := binary.Uvarint(rest[6:])
+		if k <= 0 {
+			return nil, nil, fmt.Errorf("verdict %d: bad egress count", i)
+		}
+		rest = rest[6+k:]
+		if m > uint64(len(rest)/4) {
+			return nil, nil, fmt.Errorf("verdict %d: %d egress addresses overrun the %d bytes left", i, m, len(rest))
+		}
+		egress += int(m)
+		rest = rest[4*m:]
+	}
+	vs := make([]classify.Verdict, n)
+	var arena []ipv4.Addr
+	if egress > 0 {
+		arena = make([]ipv4.Addr, egress)
+	}
+	for i := range vs {
+		vs[i] = classify.Verdict{
+			Responder: ipv4.Addr(binary.BigEndian.Uint32(b)),
+			Role:      classify.Role(b[4]),
+			HadAnswer: b[5] == 1,
+		}
+		m, k := binary.Uvarint(b[6:])
+		b = b[6+k:]
+		if m > 0 {
+			e := arena[:m:m]
+			arena = arena[m:]
+			for j := range e {
+				e[j] = ipv4.Addr(binary.BigEndian.Uint32(b[4*j:]))
+			}
+			vs[i].Egress = e
+			b = b[4*m:]
+		}
+	}
+	return vs, rest, nil
+}
+
 // restoreShardRun rebuilds a mergeable shard run from a validated
 // checkpoint payload, feeding the checkpointed observability state into
 // msh. The restored run carries exactly the fields mergeSimShards folds,
@@ -365,7 +481,7 @@ func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint, msh *obs.Shard
 		probeCounters: ck.ProbeCounters,
 		authCounters:  ck.AuthCounters,
 		r2:            ck.R2Packets,
-		authPackets:   ck.AuthPackets,
+		roles:         classify.Summarize(ck.Verdicts),
 		netStats:      ck.NetStats,
 		faultStats:    ck.FaultStats,
 		probeStats:    ck.ProbeStats,
@@ -494,7 +610,7 @@ func validateShardEnvelope(key string, shard int, data []byte) (*shardCheckpoint
 }
 
 // decodeShardPayload splits a digest-checked payload into its structured
-// state and its two packet streams, and requires nothing after them.
+// state, its R2 stream and its verdicts, and requires nothing after them.
 func decodeShardPayload(payload []byte) (*shardCheckpoint, error) {
 	n, k := binary.Uvarint(payload)
 	if k <= 0 || n > uint64(len(payload)-k) {
@@ -509,8 +625,8 @@ func decodeShardPayload(payload []byte) (*shardCheckpoint, error) {
 	if ck.R2Packets, rest, err = decodePackets(rest); err != nil {
 		return nil, fmt.Errorf("R2 packets: %v", err)
 	}
-	if ck.AuthPackets, rest, err = decodePackets(rest); err != nil {
-		return nil, fmt.Errorf("auth packets: %v", err)
+	if ck.Verdicts, rest, err = decodeVerdicts(rest); err != nil {
+		return nil, fmt.Errorf("verdicts: %v", err)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", len(rest))

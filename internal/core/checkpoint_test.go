@@ -128,6 +128,9 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 	if cold.Report.RenderAll() != ds.Report.RenderAll() {
 		t.Error("resumed campaign rendered tables differ from cold run")
 	}
+	if rolesDigest(ds.Roles) != rolesDigest(cold.Roles) {
+		t.Error("resumed campaign's responder roles differ from cold run")
+	}
 	if !strings.Contains(log.String(), "restored from checkpoint") {
 		t.Errorf("resume log does not mention restored shards:\n%s", log.String())
 	}

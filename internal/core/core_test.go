@@ -415,4 +415,5 @@ func TestSimulationRoleClassification(t *testing.T) {
 	if got[classify.RoleForwarder] != 0 {
 		t.Errorf("forwarders = %d, want 0", got[classify.RoleForwarder])
 	}
+	checkRolesGolden(t, "2018/shift13/seed6", ds)
 }

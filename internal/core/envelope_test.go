@@ -16,7 +16,10 @@ import (
 	"strings"
 	"testing"
 
+	"openresolver/internal/analysis"
 	"openresolver/internal/capture"
+	"openresolver/internal/classify"
+	"openresolver/internal/dnswire"
 	"openresolver/internal/obs"
 	"openresolver/internal/paperdata"
 )
@@ -45,7 +48,7 @@ func legacyShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 		*shardCheckpoint
 		R2Packets   []capture.Packet `json:"r2_packets,omitempty"`
 		AuthPackets []capture.Packet `json:"auth_packets,omitempty"`
-	}{ck, ck.R2Packets, ck.AuthPackets})
+	}{ck, ck.R2Packets, legacyAuthStream(ck.R2Packets)})
 	if err != nil {
 		return nil, err
 	}
@@ -59,14 +62,76 @@ func legacyShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 	}{1, key, shard, hex.EncodeToString(sum[:]), payload})
 }
 
+// legacyV2ShardEnvelope is the version-2 encoder, kept only to prove that
+// checkpoints which carry the authoritative packet stream instead of
+// verdicts fall back to a rerun: the binary header, the JSON state, the R2
+// stream, then the Q2/R1 stream where version 3 has its verdicts.
+func legacyV2ShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
+	state, err := json.Marshal(ck)
+	if err != nil {
+		return nil, err
+	}
+	rawKey, err := hex.DecodeString(key)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, envHeaderLen)
+	copy(buf, envMagic)
+	binary.BigEndian.PutUint32(buf[len(envMagic):], 2)
+	copy(buf[envKeyOff:], rawKey)
+	binary.BigEndian.PutUint32(buf[envShardOff:], uint32(shard))
+	buf = binary.AppendUvarint(buf, uint64(len(state)))
+	buf = append(buf, state...)
+	buf = appendPackets(buf, ck.R2Packets)
+	buf = appendPackets(buf, legacyAuthStream(ck.R2Packets))
+	sum := sha256.Sum256(buf[envHeaderLen:])
+	copy(buf[envSumOff:], sum[:])
+	return buf, nil
+}
+
+// legacyAuthStream stands in for the Q2 half of the authoritative capture
+// the old layouts carried: one Q2 per responding flow, from the responder
+// to the authoritative server, asking the R2's question.
+func legacyAuthStream(r2 []capture.Packet) []capture.Packet {
+	var auth []capture.Packet
+	for _, p := range r2 {
+		msg, err := dnswire.Unpack(p.Payload)
+		if err != nil {
+			continue
+		}
+		if q, ok := msg.Question1(); ok {
+			auth = append(auth, capture.Packet{
+				Kind: capture.KindQ2, At: p.At, Src: p.Src, Dst: AuthAddr,
+				Payload: dnswire.NewQuery(msg.Header.ID, q.Name, q.Type).MustPack(),
+			})
+		}
+	}
+	return auth
+}
+
 // TestCheckpointV1EnvelopesRerun pins the version-bump fallback: a
 // checkpoint directory left by the JSON (version 1) format is never
 // merged. Every shard logs "rerunning shard" and re-executes, and the
 // resumed campaign reproduces the cold run's bytes.
 func TestCheckpointV1EnvelopesRerun(t *testing.T) {
+	checkLegacyEnvelopesRerun(t, legacyShardEnvelope)
+}
+
+// TestCheckpointV2EnvelopesRerun is the same fallback for the version-2
+// binary layout, whose shards carry the authoritative packet stream and no
+// verdicts: restoring one would merge a campaign with its roles missing.
+func TestCheckpointV2EnvelopesRerun(t *testing.T) {
+	checkLegacyEnvelopesRerun(t, legacyV2ShardEnvelope)
+}
+
+// checkLegacyEnvelopesRerun rewrites every checkpoint of a kept campaign
+// with encode, under the current campaign key, and requires a resume over
+// them to rerun every shard and reproduce the cold run, roles included.
+func checkLegacyEnvelopesRerun(t *testing.T, encode func(string, int, *shardCheckpoint) ([]byte, error)) {
 	cfg := ckptTestConfig()
 	cfg.SampleShift = 16
-	want := FaultDigest(mustSimulate(t, cfg))
+	cold := mustSimulate(t, cfg)
+	want := FaultDigest(cold)
 
 	dir := t.TempDir()
 	kept := cfg
@@ -89,7 +154,7 @@ func TestCheckpointV1EnvelopesRerun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		old, err := legacyShardEnvelope(sc.key, i, ck)
+		old, err := encode(sc.key, i, ck)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,23 +171,55 @@ func TestCheckpointV1EnvelopesRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := FaultDigest(ds); got != want {
-		t.Errorf("campaign resumed over v1 checkpoints diverged\n got %s\nwant %s", got, want)
+		t.Errorf("campaign resumed over old checkpoints diverged\n got %s\nwant %s", got, want)
+	}
+	if rolesDigest(ds.Roles) != rolesDigest(cold.Roles) {
+		t.Error("campaign resumed over old checkpoints lost or changed its responder roles")
 	}
 	if got := strings.Count(log.String(), "rerunning shard"); got != len(files) {
-		t.Errorf("%d of %d v1 checkpoints reported for rerun:\n%s", got, len(files), log.String())
+		t.Errorf("%d of %d old checkpoints reported for rerun:\n%s", got, len(files), log.String())
 	}
 	if strings.Contains(log.String(), "restored from checkpoint") {
-		t.Errorf("a v1 checkpoint was restored:\n%s", log.String())
+		t.Errorf("an old checkpoint was restored:\n%s", log.String())
+	}
+}
+
+// TestV2PayloadUnderV3HeaderRejected: even with its version field forged to
+// the current one and its digest recomputed, a version-2 payload does not
+// decode — its Q2/R1 stream is no verdict stream — so a mislabeled old
+// checkpoint cannot merge with its roles missing.
+func TestV2PayloadUnderV3HeaderRejected(t *testing.T) {
+	key, run := envelopeFixture(t, Config{Year: paperdata.Y2013, SampleShift: 16, Seed: 3, KeepPackets: true})
+	env, err := marshalShardEnvelope(key, 0, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := validateShardEnvelope(key, 0, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := legacyV2ShardEnvelope(key, 0, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := validateShardEnvelope(key, 0, old); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("v2 envelope: got %v, want a version refusal", err)
+	}
+	binary.BigEndian.PutUint32(old[len(envMagic):], checkpointVersion)
+	sum := sha256.Sum256(old[envHeaderLen:])
+	copy(old[envSumOff:], sum[:])
+	if _, err := validateShardEnvelope(key, 0, old); err == nil {
+		t.Fatal("a v2 payload relabeled as v3 was accepted")
 	}
 }
 
 // TestShardEnvelopeRoundTrip pins the codec: a marshaled envelope
-// validates back to the run's exact packet streams and state, and the
+// validates back to the run's exact R2 stream, verdicts and state, and the
 // packet payloads alias the envelope buffer rather than copying it.
 func TestShardEnvelopeRoundTrip(t *testing.T) {
 	key, run := envelopeFixture(t, Config{Year: paperdata.Y2013, SampleShift: 16, Seed: 3, KeepPackets: true})
-	if len(run.r2) == 0 || len(run.authPackets) == 0 {
-		t.Fatal("fixture shard captured no packets; the round trip would prove nothing")
+	if len(run.r2) == 0 || run.roles == nil || !hasEgress(run.roles.Verdicts) {
+		t.Fatal("fixture shard captured no packets or no resolving verdicts; the round trip would prove nothing")
 	}
 	data, err := marshalShardEnvelope(key, 0, run)
 	if err != nil {
@@ -132,8 +229,15 @@ func TestShardEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ck.R2Packets, run.r2) || !reflect.DeepEqual(ck.AuthPackets, run.authPackets) {
-		t.Error("packet streams changed across the envelope")
+	if !reflect.DeepEqual(ck.R2Packets, run.r2) {
+		t.Error("R2 stream changed across the envelope")
+	}
+	if !reflect.DeepEqual(ck.Verdicts, run.roles.Verdicts) {
+		t.Error("verdicts changed across the envelope")
+	}
+	restored := restoreShardRun(analysis.Config{}, ck, nil)
+	if !reflect.DeepEqual(restored.roles, run.roles) {
+		t.Error("restored role summary differs from the shard's own")
 	}
 	if ck.Sent != run.sent || ck.ProbeStats != run.probeStats || ck.NetStats != run.netStats {
 		t.Error("counters changed across the envelope")
@@ -148,8 +252,47 @@ func TestShardEnvelopeRoundTrip(t *testing.T) {
 	if cap(p) != len(p) {
 		t.Errorf("decoded payload capacity %d exceeds its length %d: an append could overwrite the next record", cap(p), len(p))
 	}
+	for i, v := range ck.Verdicts {
+		if cap(v.Egress) != len(v.Egress) {
+			t.Fatalf("verdict %d: egress capacity %d exceeds its length %d: an append could overwrite the next list", i, cap(v.Egress), len(v.Egress))
+		}
+	}
 	if _, err := validateShardEnvelope(key, 1, data); err == nil || !strings.Contains(err.Error(), "names shard 0") {
 		t.Errorf("wrong shard: got %v", err)
+	}
+}
+
+// hasEgress reports whether any verdict names an egress resolver.
+func hasEgress(vs []classify.Verdict) bool {
+	for _, v := range vs {
+		if len(v.Egress) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestShardEnvelopeSizeBound keeps per-Q2/R1 records out of the envelope
+// for good: a shard's envelope must stay smaller than its R2 stream plus 16
+// bytes per verdict plus its JSON state (and the fixed header and
+// lengths). Anything the authoritative capture added per packet would
+// break the bound at any scale.
+func TestShardEnvelopeSizeBound(t *testing.T) {
+	for _, cfg := range []Config{
+		{Year: paperdata.Y2013, SampleShift: 14, Seed: 1, KeepPackets: true},
+		{Year: paperdata.Y2018, SampleShift: 14, Seed: 1, KeepPackets: true},
+	} {
+		key, run := envelopeFixture(t, cfg)
+		data, err := marshalShardEnvelope(key, 0, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateLen, k := binary.Uvarint(data[envHeaderLen:])
+		bound := envHeaderLen + k + int(stateLen) + len(appendPackets(nil, run.r2)) +
+			binary.MaxVarintLen64 + 16*len(run.roles.Verdicts)
+		if len(data) >= bound {
+			t.Errorf("%v: envelope is %d bytes, over its %d-byte bound (R2 stream + 16 B/verdict + state)", cfg.Year, len(data), bound)
+		}
 	}
 }
 
@@ -179,7 +322,7 @@ func BenchmarkShardEnvelope(b *testing.B) {
 // FuzzShardEnvelope feeds untrusted bytes to the envelope decoder twice:
 // as a whole envelope (so the header checks see every corruption), and as
 // a payload stamped with a valid header and digest (so the structured
-// state and packet-stream decoders see corruption the digest would
+// state, R2-stream and verdict decoders see corruption the digest would
 // otherwise hide). Properties: no panic, every rejection is an error, and
 // an accepted envelope re-marshals and validates to an equal checkpoint.
 func FuzzShardEnvelope(f *testing.F) {
@@ -192,27 +335,41 @@ func FuzzShardEnvelope(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if !hasEgress(ck.Verdicts) {
+		f.Fatal("fixture shard has no resolving verdicts; the verdict decoder would go unseeded")
+	}
 	v1, err := legacyShardEnvelope(key, 0, ck)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := legacyV2ShardEnvelope(key, 0, ck)
 	if err != nil {
 		f.Fatal(err)
 	}
 	payload := env[envHeaderLen:]
 	stateLen, k := binary.Uvarint(payload)
 	state := k + int(stateLen)
+	verdicts := state + len(appendPackets(nil, ck.R2Packets))
 	f.Add(env)
 	f.Add(v1)
+	f.Add(v2)
 	f.Add(payload)
-	// A packet count far beyond the bytes left must be refused before the
-	// slice is allocated.
+	f.Add(v2[envHeaderLen:])
+	// A packet or verdict count far beyond the bytes left must be refused
+	// before the slice is allocated.
 	f.Add(binary.AppendUvarint(bytes.Clone(payload[:state]), 1<<34))
-	for _, n := range []int{0, len(envMagic), envHeaderLen - 1, envHeaderLen, envHeaderLen + state, len(env) / 2, len(env) - 1} {
+	f.Add(binary.AppendUvarint(bytes.Clone(payload[:verdicts]), 1<<34))
+	for _, n := range []int{0, len(envMagic), envHeaderLen - 1, envHeaderLen, envHeaderLen + state,
+		envHeaderLen + verdicts, len(env) / 2, len(env) - 1} {
 		f.Add(env[:n])
 	}
 	// One flipped byte in each section: magic, version, key, shard, digest,
-	// the state length and the state, and the packet streams (a count, a
-	// record).
+	// the state length and the state, the R2 stream (a count, a record),
+	// and the verdicts (the count, the first responder, role, had-answer
+	// byte and egress count, and the last egress address).
+	v := envHeaderLen + verdicts
 	for _, off := range []int{0, len(envMagic), envKeyOff, envShardOff + 3, envSumOff, envHeaderLen, envHeaderLen + k + 1,
-		envHeaderLen + state, envHeaderLen + state + 1, len(env) - 1} {
+		envHeaderLen + state, envHeaderLen + state + 1, v, v + 1, v + 5, v + 6, v + 7, len(env) - 1} {
 		flipped := bytes.Clone(env)
 		flipped[off] ^= 0xFF
 		f.Add(flipped)
@@ -243,8 +400,8 @@ func checkEnvelope(t *testing.T, key string, data []byte) {
 	if err != nil {
 		t.Fatalf("re-marshaled envelope rejected: %v", err)
 	}
-	if !reflect.DeepEqual(ck.R2Packets, ck2.R2Packets) || !reflect.DeepEqual(ck.AuthPackets, ck2.AuthPackets) {
-		t.Fatal("packet streams changed across a re-marshal")
+	if !reflect.DeepEqual(ck.R2Packets, ck2.R2Packets) || !reflect.DeepEqual(ck.Verdicts, ck2.Verdicts) {
+		t.Fatal("R2 stream or verdicts changed across a re-marshal")
 	}
 	third, err := encodeShardEnvelope(key, 0, ck2)
 	if err != nil || !bytes.Equal(again, third) {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"testing"
 
+	"openresolver/internal/classify"
 	"openresolver/internal/netsim"
 	"openresolver/internal/paperdata"
 )
@@ -60,6 +64,7 @@ func TestFaultGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRolesGolden(t, "fault/2018/seed1", ds)
 	got := FaultDigest(ds)
 	if os.Getenv("GOLDEN_PRINT") != "" {
 		t.Logf("fault golden: %s", got)
@@ -81,6 +86,7 @@ func TestSimulationGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkRolesGolden(t, key, ds)
 				got := SimulationDigest(ds)
 				if os.Getenv("GOLDEN_PRINT") != "" {
 					t.Logf("golden %q: %s", key, got)
@@ -95,5 +101,63 @@ func TestSimulationGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// roleGoldens pins ds.Roles — every verdict with its egress list, plus the
+// per-role counts — for the TestSimulationGolden campaigns,
+// TestSimulationRoleClassification's run and the TestFaultGolden campaign,
+// whose corrupted packets exercise the decoders on both sides of the join.
+// SimulationDigest does not cover
+// the role join, so without these a broken qname join would pass every
+// other golden. Re-derive with GOLDEN_PRINT=1, like the digests above.
+var roleGoldens = map[string]string{
+	"2013/seed1":         "a5673406caa5cb336d2b57d3e16a91d6bf5af621a029ea4f2d1e9eb0ac04ed56",
+	"2013/seed7":         "2755e378a00e0e624a9fbc8d8ee4fd3d466bcc186540221b5ed798fbaab21a3a",
+	"2018/seed1":         "727c991a7304699ac8df4920cce7202d28c5e879f3b009d05cd29af68797bc62",
+	"2018/seed7":         "246e240494b80e7455cebaae914323bc3a66878f2cea20ada0823bc5e0590b1d",
+	"2018/shift13/seed6": "b1425dfa5ee6b9b6e4c75930e3811b31dd5a0d3fa80d57fe0aeaa0367fc6a169",
+	"fault/2018/seed1":   "73fe644f0bc58f9cead159dd2d31ad8e245fba2e255ebd84b9079140a4af0f36",
+}
+
+// rolesDigest hashes a role summary: the verdicts in order (responder,
+// role, had-answer, egress list), then the count for each role.
+func rolesDigest(s *classify.Summary) string {
+	h := sha256.New()
+	var buf []byte
+	for _, v := range s.Verdicts {
+		buf = binary.BigEndian.AppendUint32(buf[:0], uint32(v.Responder))
+		buf = append(buf, byte(v.Role))
+		if v.HadAnswer {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Egress)))
+		for _, e := range v.Egress {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(e))
+		}
+		h.Write(buf)
+	}
+	for _, r := range []classify.Role{classify.RoleRecursive, classify.RoleForwarder,
+		classify.RoleFabricator, classify.RoleNonResolving} {
+		fmt.Fprintf(h, "%s=%d\n", r, s.ByRole[r])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// checkRolesGolden compares ds.Roles against roleGoldens[key].
+func checkRolesGolden(t *testing.T, key string, ds *Dataset) {
+	t.Helper()
+	if ds.Roles == nil {
+		t.Fatalf("%s: no role classification", key)
+	}
+	got := rolesDigest(ds.Roles)
+	if os.Getenv("GOLDEN_PRINT") != "" {
+		t.Logf("roles golden %q: %s", key, got)
+		return
+	}
+	if want := roleGoldens[key]; got != want {
+		t.Errorf("%s: role classification diverged\n got %s\nwant %s", key, got, want)
 	}
 }

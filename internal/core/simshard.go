@@ -21,6 +21,7 @@ import (
 	"openresolver/internal/capture"
 	"openresolver/internal/classify"
 	"openresolver/internal/dnssrv"
+	"openresolver/internal/dnswire"
 	"openresolver/internal/geo"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
@@ -132,17 +133,20 @@ type simEnv struct {
 }
 
 // simShardRun is one completed sub-simulation: the shard's private
-// accumulator, capture counters and packet streams, and counter snapshots,
-// ready for the ordered merge. Every field is plain value data (no live
-// logs or simulator handles): a run restored from a checkpoint is
-// indistinguishable from a freshly executed one, which is what makes the
-// resumed merge byte-identical.
+// accumulator, capture counters, R2 stream and responder verdicts, and
+// counter snapshots, ready for the ordered merge. The authoritative-side
+// capture is not kept: the shard joins it against its own R2s as it runs
+// (roles), which is exact because every qname's Q2s reach the shard that
+// probed it. Every field is plain value data (no live logs or simulator
+// handles): a run restored from a checkpoint is indistinguishable from a
+// freshly executed one, which is what makes the resumed merge
+// byte-identical.
 type simShardRun struct {
 	acc           *analysis.Accumulator
 	probeCounters capture.Counters
 	authCounters  capture.Counters
 	r2            []capture.Packet
-	authPackets   []capture.Packet
+	roles         *classify.Summary // responder verdicts; KeepPackets campaigns only
 	netStats      netsim.Stats
 	faultStats    netsim.FaultStats
 	probeStats    prober.Stats
@@ -168,8 +172,12 @@ func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error)
 		MaxQueuedEvents: cfg.Faults.MaxQueuedEvents,
 	})
 
-	authLog := capture.NewAuthLog()
-	authLog.Keep = cfg.KeepPackets
+	// The auth tap counts Q2/R1 and, when the campaign keeps packets,
+	// indexes each Q2's qname for the role join; no packet is copied.
+	tap := &authTap{}
+	if cfg.KeepPackets {
+		tap.roles = classify.NewIndex()
+	}
 	dnssrv.NewReferralServer(sim, RootAddr, []dnssrv.Referral{
 		{Zone: "net", NSName: "a.gtld-servers.net", Addr: TLDAddr},
 	})
@@ -180,7 +188,7 @@ func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error)
 		Addr: AuthAddr, SLD: paperdata.SLD,
 		ClusterSize:  cfg.scaledClusterSize(),
 		ReloadTime:   paperdata.ClusterReloadTime,
-		Tap:          authLog,
+		Tap:          tap,
 		FirstCluster: sh.firstCluster,
 	})
 
@@ -256,12 +264,16 @@ func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error)
 		return nil, fmt.Errorf("core: shard %d consumed %d clusters, over its %d-cluster namespace",
 			sh.index, used, sh.clusterSpan)
 	}
+	var roles *classify.Summary
+	if tap.roles != nil {
+		roles = tap.roles.Classify(probeLog.R2())
+	}
 	return &simShardRun{
 		acc:           acc,
 		probeCounters: probeLog.Counters(),
-		authCounters:  authLog.Counters(),
+		authCounters:  tap.log.Counters(),
 		r2:            probeLog.R2(),
-		authPackets:   authLog.Packets(),
+		roles:         roles,
 		netStats:      sim.Stats(),
 		faultStats:    sim.FaultStats(),
 		probeStats:    pr.Stats(),
@@ -273,12 +285,32 @@ func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error)
 	}, nil
 }
 
+// authTap is a shard's tcpdump tap at the authoritative server (Fig. 2):
+// it counts Q2/R1 in log, which keeps no packets (its zero Keep), and,
+// when roles is set, feeds each inbound Q2's already-decoded qname and
+// source into the shard's role index.
+type authTap struct {
+	log   capture.AuthLog
+	roles *classify.Index
+}
+
+// Packet implements dnssrv.Tap.
+func (t *authTap) Packet(inbound bool, at time.Duration, dg netsim.Datagram, msg *dnswire.Message) {
+	t.log.Packet(inbound, at, dg, msg)
+	if inbound && t.roles != nil {
+		if q, ok := msg.Question1(); ok {
+			t.roles.AddQ2(q.Name, dg.Src)
+		}
+	}
+}
+
 // mergeSimShards folds the completed shards, in shard order, into one
 // Dataset — exactly the synth path's discipline: accumulators merge with
 // analysis.Accumulator.Merge (exact for arbitrary stream splits), counters
 // sum field-wise, the campaign duration is the slowest shard's (the shards
-// probe concurrently at split rates), and the captured packet streams
-// concatenate in shard order, so every derived byte is deterministic.
+// probe concurrently at split rates), the R2 streams concatenate and the
+// per-shard role verdicts fold (classify.Merge) in shard order, so every
+// derived byte is deterministic.
 func mergeSimShards(cfg Config, pop *population.Population, runs []*simShardRun) *Dataset {
 	ds := &Dataset{Config: cfg, Population: pop}
 	acc := runs[0].acc
@@ -309,15 +341,14 @@ func mergeSimShards(cfg Config, pop *population.Population, runs []*simShardRun)
 		// Size each concatenation once: growing it shard by shard left
 		// about 100 MiB of garbage per paper-scale campaign.
 		r2s := make([][]capture.Packet, len(runs))
-		auths := make([][]capture.Packet, len(runs))
+		roles := make([]*classify.Summary, len(runs))
 		for i, r := range runs {
-			r2s[i], auths[i] = r.r2, r.authPackets
+			r2s[i], roles[i] = r.r2, r.roles
 		}
-		r2, authPkts := slices.Concat(r2s...), slices.Concat(auths...)
-		ds.R2Packets = r2
-		// Qname correlation across the merged streams is collision-free by
-		// construction: the cluster namespaces are disjoint.
-		ds.Roles = classify.Classify(r2, authPkts)
+		ds.R2Packets = slices.Concat(r2s...)
+		// Each shard joined its own captures; the cluster namespaces are
+		// disjoint, so folding the verdicts equals joining the merged streams.
+		ds.Roles = classify.Merge(roles)
 	}
 	return ds
 }

@@ -44,8 +44,9 @@ func TestZoneFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseZoneFileVariations(t *testing.T) {
-	const text = `
+// The hand-written zones below also seed FuzzParseZoneFile.
+const (
+	variationsZone = `
 ; a hand-written zone
 $ORIGIN example.net.
 $TTL 300
@@ -56,7 +57,27 @@ $TTL 300
 www 60 IN A 192.0.2.10
 api.example.net. IN A 192.0.2.11 ; trailing comment
 `
-	z, err := ParseZoneFile(strings.NewReader(text))
+	singleLineSOAZone = `$ORIGIN z.net.
+@ IN SOA ns.z.net. h.z.net. 42 3600 600 86400 60
+a IN A 198.51.100.1
+`
+)
+
+// badZones are zone files ParseZoneFile must reject.
+var badZones = map[string]string{
+	"no soa":         "$ORIGIN x.net.\na IN A 1.2.3.4\n",
+	"bad origin":     "$ORIGIN\n",
+	"bad ttl":        "$TTL abc\n",
+	"bad addr":       "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\na IN A 999.1.1.1\n",
+	"unknown type":   "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\na IN MX 10 m.x.net.\n",
+	"short record":   "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\nshort IN\n",
+	"unbalanced":     "$ORIGIN x.net.\n@ IN SOA a. b. ( 1 2 3\n",
+	"bad soa serial": "$ORIGIN x.net.\n@ IN SOA a. b. xyz 2 3 4 5\n",
+	"malformed ns":   "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\n@ IN NS\n",
+}
+
+func TestParseZoneFileVariations(t *testing.T) {
+	z, err := ParseZoneFile(strings.NewReader(variationsZone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +93,7 @@ api.example.net. IN A 192.0.2.11 ; trailing comment
 }
 
 func TestParseZoneFileSingleLineSOA(t *testing.T) {
-	const text = `$ORIGIN z.net.
-@ IN SOA ns.z.net. h.z.net. 42 3600 600 86400 60
-a IN A 198.51.100.1
-`
-	z, err := ParseZoneFile(strings.NewReader(text))
+	z, err := ParseZoneFile(strings.NewReader(singleLineSOAZone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,18 +103,7 @@ a IN A 198.51.100.1
 }
 
 func TestParseZoneFileErrors(t *testing.T) {
-	cases := map[string]string{
-		"no soa":         "$ORIGIN x.net.\na IN A 1.2.3.4\n",
-		"bad origin":     "$ORIGIN\n",
-		"bad ttl":        "$TTL abc\n",
-		"bad addr":       "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\na IN A 999.1.1.1\n",
-		"unknown type":   "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\na IN MX 10 m.x.net.\n",
-		"short record":   "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\nshort IN\n",
-		"unbalanced":     "$ORIGIN x.net.\n@ IN SOA a. b. ( 1 2 3\n",
-		"bad soa serial": "$ORIGIN x.net.\n@ IN SOA a. b. xyz 2 3 4 5\n",
-		"malformed ns":   "$ORIGIN x.net.\n@ IN SOA a. b. 1 2 3 4 5\n@ IN NS\n",
-	}
-	for name, text := range cases {
+	for name, text := range badZones {
 		if _, err := ParseZoneFile(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

@@ -182,23 +182,27 @@ func (w *rawWorker) lease() *message {
 // the connection closes.
 func TestVersionMismatchHello(t *testing.T) {
 	co := startCoordinator(t, CoordinatorConfig{})
-	conn, err := net.Dial("tcp", co.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, &message{Type: msgHello, Proto: ProtoVersion + 41}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != msgError || !strings.Contains(m.Error, "version mismatch") {
-		t.Fatalf("expected a version-mismatch ERROR, got %+v", m)
-	}
-	if _, err := readFrame(conn); err == nil {
-		t.Fatal("connection should close after a version refusal")
+	// A version-2 worker would ship envelopes that carry the authoritative
+	// packet stream instead of verdicts; a far-future one, who knows what.
+	for _, proto := range []int{2, ProtoVersion + 41} {
+		conn, err := net.Dial("tcp", co.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, &message{Type: msgHello, Proto: proto}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != msgError || !strings.Contains(m.Error, "version mismatch") {
+			t.Fatalf("v%d: expected a version-mismatch ERROR, got %+v", proto, m)
+		}
+		if _, err := readFrame(conn); err == nil {
+			t.Fatalf("v%d: connection should close after a version refusal", proto)
+		}
 	}
 }
 

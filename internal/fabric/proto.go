@@ -53,8 +53,10 @@ import (
 // ProtoVersion is the fabric protocol version. HELLO carries it; the
 // coordinator refuses workers whose version differs, because a version
 // skew could mean a different shard plan or envelope layout — and the
-// whole design rests on both sides deriving identical bytes.
-const ProtoVersion = 2
+// whole design rests on both sides deriving identical bytes. Version 3
+// ships version-3 envelopes, whose shards carry responder verdicts where
+// version 2 carried the authoritative packet stream.
+const ProtoVersion = 3
 
 // maxFrame bounds one message: a frame, or a RESULT's JSON frame and
 // envelope frame together. The largest legitimate message is a RESULT
