@@ -123,8 +123,8 @@ doccheck: vet
 
 # Fuzz smoke: every Fuzz* target in the module (the wire codec, the
 # capture-log reader, the impairment-spec parser, the sweep spec-file and
-# JobSpec decoders, the shard envelope, the zone-file parser, and any added
-# later),
+# JobSpec decoders, the shard envelope, the zone-file parser, the scan
+# universe's position inverse, and any added later),
 # each for 10s on top of its seed corpus. `go test -fuzz`
 # takes one target per run, so the targets are found by name.
 fuzz-smoke:

@@ -90,13 +90,7 @@ type Resolver struct {
 	fwdPending map[uint16]fwdClient
 	fwdNextID  uint16
 
-	// Steady-state scratch. rmsg is the inbound decode target; qmsg and
-	// respMsg rebuild the query and response on the answer path. A deferred
-	// recursion callback must not read rmsg (later packets decode over it),
-	// which is why the query is captured by value as a qinfo instead.
-	rmsg    dnswire.Message
-	qmsg    dnswire.Message
-	respMsg dnswire.Message
+	scratch *Scratch // decode/encode messages, possibly shared
 
 	// Queries and Responses count probe-side traffic (Q1 in, R2 out).
 	Queries   uint64
@@ -104,6 +98,20 @@ type Resolver struct {
 	// ForwardDrops counts queries dropped because the forwarding table was
 	// full (the safety valve against forwarding loops).
 	ForwardDrops uint64
+}
+
+// Scratch is a Resolver's message scratch: rmsg is the inbound decode
+// target, qmsg and respMsg rebuild the query and response on the answer
+// path. Every Resolver of one netsim.Sim may share one Scratch, because the
+// simulator never delivers a datagram or fires a timer inside a handler, so
+// each use ends before the next handler starts. A deferred recursion
+// callback must not read rmsg (later packets, to any resolver sharing it,
+// decode over it); it reads its by-value qinfo capture instead. Resolvers
+// of different Sims must not share one: Sims may run concurrently.
+type Scratch struct {
+	rmsg    dnswire.Message
+	qmsg    dnswire.Message
+	respMsg dnswire.Message
 }
 
 type fwdClient struct {
@@ -144,17 +152,18 @@ const maxForwardPending = 64
 
 // NewResolver registers a resolver with profile at addr. rootAddr points the
 // recursion engine at the hierarchy (only used when profile.Upstream > 0).
+// The resolver gets a private Scratch.
 func NewResolver(sim *netsim.Sim, addr ipv4.Addr, rootAddr ipv4.Addr, profile Profile) *Resolver {
-	return NewResolverTuned(sim, addr, rootAddr, profile, nil)
+	return NewResolverTuned(sim, addr, rootAddr, profile, nil, new(Scratch))
 }
 
 // NewResolverTuned is NewResolver with a hook to adjust the recursion
 // engine's knobs (retry backoff, jitter, timeouts) before the resolver goes
-// live — how a fault-injected campaign hardens its whole population. tune
-// is only called for profiles that actually embed an engine; nil leaves
-// the defaults.
-func NewResolverTuned(sim *netsim.Sim, addr ipv4.Addr, rootAddr ipv4.Addr, profile Profile, tune func(*dnssrv.Recursive)) *Resolver {
-	r := &Resolver{profile: profile, rootAddr: rootAddr}
+// live — how a fault-injected campaign hardens its whole population — and
+// a Scratch shared with the other resolvers of sim. tune is only called
+// for profiles that actually embed an engine; nil leaves the defaults.
+func NewResolverTuned(sim *netsim.Sim, addr ipv4.Addr, rootAddr ipv4.Addr, profile Profile, tune func(*dnssrv.Recursive), scratch *Scratch) *Resolver {
+	r := &Resolver{profile: profile, rootAddr: rootAddr, scratch: scratch}
 	node := sim.Register(addr, r)
 	if profile.Upstream > 0 {
 		r.rec = dnssrv.NewRecursive(node, rootAddr)
@@ -179,11 +188,11 @@ func (r *Resolver) CacheStats() (hits, upstream uint64) {
 	return r.rec.CacheHits, r.rec.Resolutions - r.rec.CacheHits
 }
 
-// HandleDatagram implements netsim.Host. Decoding reuses the resolver's
+// HandleDatagram implements netsim.Host. Decoding reuses the shared
 // scratch message; every consumer below either finishes with it
 // synchronously or captures what it needs by value.
 func (r *Resolver) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
-	msg := &r.rmsg
+	msg := &r.scratch.rmsg
 	if err := dnswire.UnpackInto(msg, dg.Payload); err != nil {
 		return
 	}
@@ -299,14 +308,15 @@ func (r *Resolver) respondVersion(n *netsim.Node, dg netsim.Datagram, msg *dnswi
 // allocating BuildResponse(q, …).Pack() path for single-question queries
 // (which all probe traffic is).
 func (r *Resolver) respond(n *netsim.Node, qi qinfo, res dnssrv.Result) {
-	r.qmsg.Header = dnswire.Header{ID: qi.id, RD: qi.rd}
-	r.qmsg.Questions = r.qmsg.Questions[:0]
+	qmsg, resp := &r.scratch.qmsg, &r.scratch.respMsg
+	qmsg.Header = dnswire.Header{ID: qi.id, RD: qi.rd}
+	qmsg.Questions = qmsg.Questions[:0]
 	if qi.hasQ {
-		r.qmsg.Questions = append(r.qmsg.Questions,
+		qmsg.Questions = append(qmsg.Questions,
 			dnswire.Question{Name: qi.name, Type: qi.qtype, Class: qi.qclass})
 	}
-	BuildResponseInto(&r.respMsg, &r.qmsg, r.profile, res)
-	wire, err := r.respMsg.Append(n.PayloadBuf())
+	BuildResponseInto(resp, qmsg, r.profile, res)
+	wire, err := resp.Append(n.PayloadBuf())
 	if err != nil {
 		return
 	}

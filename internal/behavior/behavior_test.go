@@ -1,6 +1,10 @@
 package behavior
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -382,5 +386,84 @@ func TestPropertyBuildResponseInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sharedScratchWorld runs the interleaved resolver scenario of
+// TestSharedScratchSameBytes and returns every R2 the client captured, in
+// arrival order, as (arrival, source, length, payload) records. mk builds
+// each resolver.
+func sharedScratchWorld(t *testing.T, mk func(sim *netsim.Sim, addr ipv4.Addr, p Profile)) []byte {
+	t.Helper()
+	sim := netsim.New(netsim.Config{Seed: 3, Latency: netsim.UniformLatency(2*time.Millisecond, 40*time.Millisecond)})
+	dnssrv.NewReferralServer(sim, rootAddr, []dnssrv.Referral{
+		{Zone: "net", NSName: "a.gtld-servers.net", Addr: tldAddr},
+	})
+	dnssrv.NewReferralServer(sim, tldAddr, []dnssrv.Referral{
+		{Zone: testSLD, NSName: "ns1." + testSLD, Addr: authAddr},
+	})
+	dnssrv.NewAuthServer(sim, dnssrv.AuthConfig{Addr: authAddr, SLD: testSLD, ClusterSize: 1000})
+	profiles := []Profile{
+		Honest(1),
+		Manipulator(ipv4.MustParseAddr("208.91.197.91")),
+		{RA: true, Answer: AnswerTruth, Upstream: 1, OmitQuestion: true},
+		{Answer: AnswerCNAME, Name: "www.example.com", Upstream: 1},
+		Honest(2),
+	}
+	resolvers := make([]ipv4.Addr, len(profiles))
+	for i, p := range profiles {
+		resolvers[i] = ipv4.MustParseAddr("66.10.20.30") + ipv4.Addr(i)
+		mk(sim, resolvers[i], p)
+	}
+	var out []byte
+	client := sim.Register(proberAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		out = binary.BigEndian.AppendUint64(out, uint64(n.Now()))
+		out = binary.BigEndian.AppendUint32(out, uint32(dg.Src))
+		out = binary.BigEndian.AppendUint16(out, uint16(len(dg.Payload)))
+		out = append(out, dg.Payload...)
+	}))
+	// A query every 3 ms, round-robin over the resolvers: with 2–40 ms
+	// one-way latency each recursion is still pending while other
+	// resolvers decode. Every fourth name repeats an earlier one, so
+	// answer-cache hits interleave with upstream resolutions.
+	for i := 0; i < 200; i++ {
+		idx := i
+		if i%4 == 3 {
+			idx = i - 3*len(profiles)
+			if idx < 0 {
+				idx = i
+			}
+		}
+		wire := dnswire.NewQuery(uint16(i+1), dnssrv.FormatProbeName(0, idx, testSLD), dnswire.TypeA).MustPack()
+		dst := resolvers[i%len(resolvers)]
+		client.After(time.Duration(i)*3*time.Millisecond, func() {
+			client.Send(dst, 40000, dnssrv.DNSPort, wire)
+		})
+	}
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSharedScratchSameBytes runs honest, manipulator, empty-question and
+// CNAME resolvers over root, TLD and auth in one network — once with one
+// shared Scratch, once with a private Scratch each — and requires the
+// client's R2 captures to be byte-identical and to match the digest
+// recorded when every Resolver still embedded its own messages.
+func TestSharedScratchSameBytes(t *testing.T) {
+	shared := new(Scratch)
+	withShared := sharedScratchWorld(t, func(sim *netsim.Sim, addr ipv4.Addr, p Profile) {
+		NewResolverTuned(sim, addr, rootAddr, p, nil, shared)
+	})
+	private := sharedScratchWorld(t, func(sim *netsim.Sim, addr ipv4.Addr, p Profile) {
+		NewResolver(sim, addr, rootAddr, p)
+	})
+	if !bytes.Equal(withShared, private) {
+		t.Fatalf("shared scratch changed the R2 bytes (%d vs %d capture bytes)", len(withShared), len(private))
+	}
+	const want = "d349958bf63d72d30782317f7f0a856058a766f2366cb6efac912e7eda688b65"
+	if got := fmt.Sprintf("%x", sha256.Sum256(private)); got != want {
+		t.Errorf("R2 capture digest = %s, want %s", got, want)
 	}
 }

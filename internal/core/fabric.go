@@ -76,9 +76,9 @@ func OpenShardCampaign(cfg Config) (*ShardCampaign, error) {
 }
 
 // openSimCampaign is the shared opening path of SimulatePopulation and
-// OpenShardCampaign: the read-only simEnv (universe, assigner walk, cohort
-// index), the shard plan, the obs shards registered in shard order, and
-// the checkpoint restore pass.
+// OpenShardCampaign: the shard plan, the read-only simEnv (universe,
+// assigner walk, per-shard resolver lists), the obs shards registered in
+// shard order, and the checkpoint restore pass.
 func openSimCampaign(cfg Config, pop *population.Population, threat *threatintel.DB) (*ShardCampaign, error) {
 	if cfg.SampleShift < 6 {
 		return nil, fmt.Errorf("core: simulation mode needs SampleShift ≥ 6 (got %d); use RunSynthetic for full scale", cfg.SampleShift)
@@ -96,28 +96,16 @@ func openSimCampaign(cfg Config, pop *population.Population, threat *threatintel
 	}
 	tr.End(sp)
 
-	// The resolver population's address plan. The assigner walk — and with
-	// it every address draw — is identical to the old eager construction,
-	// but only a cohort index is recorded per address; the Resolver host
-	// itself (and its recursion engine) materializes inside the shard that
-	// first reaches the address, via each sub-simulation's spawner hook.
-	// Addresses the campaign never reaches (skipped sends, lost probes) are
-	// never built. The index is written once here and only read during the
-	// fan-out, so every shard shares it without synchronization.
+	// Every resolver address is drawn once here and placed in the shard
+	// whose probe range reaches it.
+	shards := planSimShards(cfg, u)
 	sp = tr.Begin("population-place")
-	cohortOf := newAddrIndex(int(pop.ExpectedR2))
-	for ci, cohort := range pop.Cohorts {
-		for i := uint64(0); i < cohort.Count; i++ {
-			src, err := assigner.Next(cohort.Country)
-			if err != nil {
-				return nil, err
-			}
-			cohortOf.put(src, int32(ci))
-		}
+	hosts, err := placeSimHosts(pop, assigner, u, shards)
+	if err != nil {
+		return nil, err
 	}
 	tr.End(sp)
 
-	shards := planSimShards(cfg, u)
 	// Metrics shards are registered here, in shard order, so the snapshot's
 	// shard list is deterministic regardless of goroutine scheduling.
 	obsShards := make([]*obs.Shard, len(shards))
@@ -126,7 +114,7 @@ func openSimCampaign(cfg Config, pop *population.Population, threat *threatintel
 	}
 	sc := &ShardCampaign{
 		cfg:       cfg,
-		env:       &simEnv{cfg: cfg, pop: pop, threat: threat, reg: reg, u: u, cohortOf: cohortOf},
+		env:       &simEnv{cfg: cfg, pop: pop, threat: threat, reg: reg, u: u, hosts: hosts},
 		shards:    shards,
 		obsShards: obsShards,
 		accCfg:    analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg},

@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"openresolver/internal/analysis"
@@ -119,17 +120,81 @@ func shardSeed(seed int64, w int) int64 {
 }
 
 // simEnv is the read-only state every shard shares: the compiled population
-// and its address→cohort index (built once by the global assigner walk),
-// the threat and geo databases, and the scan universe. Nothing in it is
-// written during the fan-out, so shards need no synchronization beyond the
-// final merge.
+// and each shard's resolver list, the threat and geo databases, and the
+// scan universe. Nothing in it is written during the fan-out.
 type simEnv struct {
-	cfg      Config
-	pop      *population.Population
-	threat   *threatintel.DB
-	reg      *geo.Registry
-	u        *scan.Universe
-	cohortOf *addrIndex
+	cfg    Config
+	pop    *population.Population
+	threat *threatintel.DB
+	reg    *geo.Registry
+	u      *scan.Universe
+	hosts  [][]simHost // per shard, in assigner-walk order
+}
+
+// simHost is one resolver: its address and its cohort's index.
+type simHost struct {
+	addr   ipv4.Addr
+	cohort int32
+}
+
+// placeSimHosts draws every resolver address through the assigner walk —
+// the same walk, and so the same addresses, as the synthetic engine's — and
+// places each in the shard whose probe range [start, end) holds the
+// address's probe-order position. That is exact: in a campaign only a
+// shard's prober sends to non-infrastructure addresses, and it sends only
+// to its own range, so a resolver is reached by exactly one shard. A
+// forwarder would break this (its upstream may sit in another shard), so a
+// population with one is refused; population.Build never makes one.
+func placeSimHosts(pop *population.Population, assigner *population.Assigner, u *scan.Universe, shards []simShard) ([][]simHost, error) {
+	// Positions are uniform over the equal shard ranges, so each list is
+	// sized once for its share plus slack.
+	hosts := make([][]simHost, len(shards))
+	for w := range hosts {
+		hosts[w] = make([]simHost, 0, pop.ExpectedR2/uint64(len(shards))*9/8+16)
+	}
+	for ci, cohort := range pop.Cohorts {
+		if cohort.Profile.ForwardTo != 0 {
+			return nil, fmt.Errorf("core: simulation mode cannot place cohort %d, a forwarder: its upstream may sit in another shard", ci)
+		}
+		for i := uint64(0); i < cohort.Count; i++ {
+			addr, err := assigner.Next(cohort.Country)
+			if err != nil {
+				return nil, err
+			}
+			pos, ok := u.Position(addr)
+			if !ok {
+				return nil, fmt.Errorf("core: resolver address %v is outside the scan universe", addr)
+			}
+			w := sort.Search(len(shards), func(w int) bool { return shards[w].end > pos })
+			hosts[w] = append(hosts[w], simHost{addr: addr, cohort: int32(ci)})
+		}
+	}
+	return hosts, nil
+}
+
+// shardResolvers is what a shard's resolver stubs share, including the one
+// behavior.Scratch all the shard's resolvers use — one per shard, never per
+// campaign, because shards run concurrently.
+type shardResolvers struct {
+	sim     *netsim.Sim
+	pop     *population.Population
+	tune    func(*dnssrv.Recursive)
+	scratch behavior.Scratch
+}
+
+// resolverStub is a dormant resolver in the shard's host table. Its first
+// datagram builds the behavior.Resolver, whose registration replaces the
+// stub on the same Node, and hands it that datagram.
+type resolverStub struct {
+	rs     *shardResolvers
+	cohort int32
+}
+
+// HandleDatagram implements netsim.Host.
+func (st *resolverStub) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
+	rs := st.rs
+	r := behavior.NewResolverTuned(rs.sim, n.Addr(), RootAddr, rs.pop.Cohorts[st.cohort].Profile, rs.tune, &rs.scratch)
+	r.HandleDatagram(n, dg)
 }
 
 // simShardRun is one completed sub-simulation: the shard's private
@@ -159,8 +224,8 @@ type simShardRun struct {
 
 // runSimShard executes one shard: a complete private replica of the
 // campaign's network — the DNS hierarchy of Fig. 1 with the tcpdump tap of
-// Fig. 2, the lazily-spawned resolver population, and the prober — bounded
-// to the shard's probe range, cluster namespace, and rate slice.
+// Fig. 2, the shard's share of the resolver population, and the prober —
+// bounded to the shard's probe range, cluster namespace, and rate slice.
 func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error) {
 	cfg := env.cfg
 	sim := netsim.New(netsim.Config{
@@ -192,23 +257,19 @@ func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error)
 		FirstCluster: sh.firstCluster,
 	})
 
-	// The resolver population, instantiated lazily: only a cohort index is
-	// recorded per address (in the shared read-only cohortOf), and the
-	// Resolver host materializes in this shard's sim when its first packet
-	// arrives. An address probed by another shard spawns over there, in that
-	// shard's private network.
-	var tune func(*dnssrv.Recursive)
+	// The shard's resolvers, registered up front as dormant stubs from one
+	// slice: a probe to an empty address is one miss in this shard's own
+	// host table, and a resolver never reached costs only its stub.
+	rs := &shardResolvers{sim: sim, pop: env.pop}
 	if cfg.Faults.UpstreamBackoff {
-		tune = func(rec *dnssrv.Recursive) { rec.Backoff, rec.Jitter = true, true }
+		rs.tune = func(rec *dnssrv.Recursive) { rec.Backoff, rec.Jitter = true, true }
 	}
-	sim.SetSpawner(func(addr ipv4.Addr) bool {
-		ci, ok := env.cohortOf.get(addr)
-		if !ok {
-			return false
-		}
-		behavior.NewResolverTuned(sim, addr, RootAddr, env.pop.Cohorts[ci].Profile, tune)
-		return true
-	})
+	hosts := env.hosts[sh.index]
+	stubs := make([]resolverStub, len(hosts))
+	for i, h := range hosts {
+		stubs[i] = resolverStub{rs: rs, cohort: h.cohort}
+		sim.Register(h.addr, &stubs[i])
+	}
 
 	// The analysis pipeline, fed live from this shard's capture log.
 	acc := analysis.NewAccumulator(analysis.Config{Year: cfg.Year, Threat: env.threat, Geo: env.reg})

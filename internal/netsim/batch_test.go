@@ -272,7 +272,7 @@ func TestTerminalStepSkipsDepthSample(t *testing.T) {
 }
 
 // TestSendTimeRouteResolution pins the dead-letter fast path: a datagram to
-// an address with no host (and no spawner claim) is accounted NoRoute at
+// an address with no registered host is accounted NoRoute at
 // submission and never enters the event queue.
 func TestSendTimeRouteResolution(t *testing.T) {
 	s := New(Config{Seed: 12})

@@ -91,41 +91,55 @@ func TestUnregisterKeepsStaleNodeUsable(t *testing.T) {
 	}
 }
 
-// TestSpawnerLazyRegistration covers the lazy host instantiation hook: the
-// spawner runs once per unknown destination, a successful spawn receives
-// the triggering datagram, a declined one counts as NoRoute, and already-
-// registered hosts never consult the spawner.
-func TestSpawnerLazyRegistration(t *testing.T) {
-	s := New(Config{Seed: 5, Latency: ConstantLatency(time.Millisecond)})
-	src := s.Register(addrA, HostFunc(func(*Node, Datagram) {}))
-	var spawnCalls []ipv4.Addr
-	delivered := 0
-	s.SetSpawner(func(addr ipv4.Addr) bool {
-		spawnCalls = append(spawnCalls, addr)
-		if addr != addrB {
-			return false
+// TestHostReplacesItselfMidGroup pins the contract a dormant placeholder
+// host relies on: a host that re-registers its own address inside
+// HandleDatagram keeps its Node, and the later same-instant datagrams the
+// batched drain has already grouped for that address reach the
+// replacement — on the grouped path (Run) and the single-event one (Step).
+func TestHostReplacesItselfMidGroup(t *testing.T) {
+	for _, drain := range []string{"batch", "step"} {
+		s := New(Config{Seed: 5, Latency: ConstantLatency(time.Millisecond)})
+		src := s.Register(addrA, HostFunc(func(*Node, Datagram) {}))
+		var stub, real []string
+		var stubNode, realNode *Node
+		s.Register(addrB, HostFunc(func(n *Node, dg Datagram) {
+			stub = append(stub, string(dg.Payload))
+			stubNode = n
+			replaced := s.Register(n.Addr(), HostFunc(func(n *Node, dg Datagram) {
+				real = append(real, string(dg.Payload))
+				realNode = n
+			}))
+			if replaced != n {
+				t.Errorf("%s: re-registration returned a new Node", drain)
+			}
+		}))
+		for _, p := range []string{"x", "y", "z"} {
+			src.Send(addrB, 1, 2, []byte(p))
 		}
-		s.Register(addrB, HostFunc(func(*Node, Datagram) { delivered++ }))
-		return true
-	})
-	src.Send(addrB, 1, 2, []byte("x")) // spawns B, delivered
-	src.Send(addrC, 1, 2, []byte("y")) // spawner declines: NoRoute
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	src.Send(addrB, 1, 2, []byte("z")) // B registered: no spawner call
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(spawnCalls) != 2 || spawnCalls[0] != addrB || spawnCalls[1] != addrC {
-		t.Errorf("spawner calls = %v, want [%v %v]", spawnCalls, addrB, addrC)
-	}
-	if delivered != 2 {
-		t.Errorf("delivered = %d, want 2", delivered)
-	}
-	st := s.Stats()
-	if st.Delivered != 2 || st.NoRoute != 1 {
-		t.Errorf("stats = %+v, want Delivered 2, NoRoute 1", st)
+		if drain == "batch" {
+			if err := s.Run(0); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for {
+				ok, err := s.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+			}
+		}
+		if len(stub) != 1 || stub[0] != "x" || len(real) != 2 || real[0] != "y" || real[1] != "z" {
+			t.Errorf("%s: placeholder got %q, replacement got %q; want [x] and [y z]", drain, stub, real)
+		}
+		if stubNode == nil || realNode != stubNode {
+			t.Errorf("%s: replacement ran on Node %p, placeholder on %p", drain, realNode, stubNode)
+		}
+		if st := s.Stats(); st.Delivered != 3 || st.NoRoute != 0 || s.NumHosts() != 2 {
+			t.Errorf("%s: stats = %+v with %d hosts, want Delivered 3, 2 hosts", drain, st, s.NumHosts())
+		}
 	}
 }
 

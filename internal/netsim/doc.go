@@ -33,10 +33,12 @@
 //     reference (TestStepBatchEquivalence pins the two observationally
 //     identical).
 //
-//   - Sends to addresses with no registered host (and no spawner claim)
-//     are dead-lettered at submission — the NoRoute accounting happens
+//   - Sends to addresses with no registered host are dead-lettered at
+//     submission — one host-table miss, and the NoRoute accounting happens
 //     without a queue round trip. At campaign scale ~95% of probes hit
 //     unoccupied addresses, so this is the event core's hottest shortcut.
+//     A host may stand in as a cheap placeholder and re-register its own
+//     address with the real host on first contact (see Sim.Register).
 //
 //   - Hosts sit in a flat open-addressed table backed by a chunked Node
 //     arena, and datagram payload buffers recycle through a pool via

@@ -102,13 +102,6 @@ func (s *Stats) Add(o Stats) {
 	s.StreamBytes += o.StreamBytes
 }
 
-// Spawner is invoked when a datagram arrives for an unregistered address.
-// It may Register a host for addr (returning true to request a re-lookup),
-// letting a simulation with millions of notional hosts instantiate each one
-// lazily on first contact instead of eagerly up front. Returning false (or
-// not registering addr) lets the datagram count as NoRoute as usual.
-type Spawner func(addr ipv4.Addr) bool
-
 // Sim is a discrete-event network simulation.
 type Sim struct {
 	cfg Config
@@ -165,7 +158,6 @@ type Sim struct {
 	nodes     [][]Node
 	nodeCount int
 
-	spawner   Spawner
 	listeners map[listenerKey]StreamAccept
 	payloads  [][]byte // recycled datagram payload buffers
 	stats     Stats
@@ -221,9 +213,6 @@ func (s *Sim) QueueStats() QueueStats { return s.qstats }
 // Rand returns the simulation's deterministic random source. It must only
 // be used from within event handlers (the simulator is single-threaded).
 func (s *Sim) Rand() *rand.Rand { return s.rng }
-
-// SetSpawner installs the lazy host instantiation hook. Pass nil to remove.
-func (s *Sim) SetSpawner(fn Spawner) { s.spawner = fn }
 
 // SetObserver attaches a metrics shard; every packet and timer event is
 // mirrored into it from then on. Pass nil to detach (the default state).
@@ -328,7 +317,10 @@ func (s *Sim) insertSlot(addr ipv4.Addr, idx int32) {
 
 // Register attaches host at addr and returns its Node handle. Registering
 // an address twice replaces the previous host but preserves the Node
-// identity seen by pending timers.
+// identity seen by pending timers. A host may replace itself from inside
+// its own HandleDatagram: datagrams the batched drain has already grouped
+// for the address reach the replacement (TestHostReplacesItselfMidGroup),
+// which is how a dormant placeholder becomes a full host on first contact.
 func (s *Sim) Register(addr ipv4.Addr, h Host) *Node {
 	if si := s.findSlot(addr); si >= 0 {
 		n := s.nodeAt(s.slots[si].idx)
@@ -415,23 +407,16 @@ func (s *Sim) send(dg Datagram, pooled bool) {
 	s.schedule(s.now+delay, evPayload{kind: evDeliver, dg: dg, pooled: pooled})
 }
 
-// routeExists reports whether dst resolves right now: registered, or
-// registered on the spot by the spawner. Routing is resolved at submission
-// so a dead-letter datagram — the overwhelming majority in a full-universe
-// scan, where ~96% of probes hit silent addresses — never costs a queue
-// round trip. Deliverable packets still re-resolve on arrival (deliverOne),
-// so a host unregistered mid-flight dead-letters exactly as before; the only
-// contract shift is that a host registered *after* Send no longer catches an
-// in-flight packet, a situation nothing in the simulation produces (hosts
-// appear at setup or through the spawner, and the spawner is consulted
-// here). The latency draw above stays unconditional: the rng stream, and
-// with it every downstream event, must not depend on routability.
-func (s *Sim) routeExists(dst ipv4.Addr) bool {
-	if s.findSlot(dst) >= 0 {
-		return true
-	}
-	return s.spawner != nil && s.spawner(dst) && s.findSlot(dst) >= 0
-}
+// routeExists reports whether dst is registered right now. Routing is
+// resolved at submission so a dead-letter datagram — ~96% of probes in a
+// full-universe scan — costs one host-table miss and no queue round trip.
+// Deliverable packets re-resolve on arrival (deliverOne), so a host
+// unregistered mid-flight dead-letters as before; a host registered *after*
+// Send misses in-flight packets, which nothing in the simulation does
+// (hosts, or placeholders standing in for them, register at setup). The
+// latency draw above stays unconditional: the rng stream must not depend
+// on routability.
+func (s *Sim) routeExists(dst ipv4.Addr) bool { return s.findSlot(dst) >= 0 }
 
 // noRoute counts and discards an unroutable datagram at submission time.
 func (s *Sim) noRoute(dg Datagram, pooled bool) {
@@ -576,9 +561,6 @@ func (s *Sim) StepBatch() (int, error) {
 // path, shared by Step and by deliverGroup's host-table-change fallback.
 func (s *Sim) deliverOne(p evPayload) {
 	n, ok := s.Lookup(p.dg.Dst)
-	if !ok && s.spawner != nil && s.spawner(p.dg.Dst) {
-		n, ok = s.Lookup(p.dg.Dst)
-	}
 	if !ok {
 		s.stats.NoRoute++
 		s.obs.Inc(obs.CSimNoRoute)
@@ -604,12 +586,7 @@ func (s *Sim) deliverOne(p evPayload) {
 func (s *Sim) deliverGroup(at time.Duration, p evPayload) int {
 	dst := p.dg.Dst
 	n, ok := s.Lookup(dst)
-	if !ok && s.spawner != nil && s.spawner(dst) {
-		n, ok = s.Lookup(dst)
-	}
 	if !ok {
-		// No grouping on the dead-letter path: the sequential reference
-		// consults the spawner once per datagram.
 		s.stats.NoRoute++
 		s.obs.Inc(obs.CSimNoRoute)
 		if p.pooled {

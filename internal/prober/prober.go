@@ -1,6 +1,7 @@
 package prober
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -139,23 +140,19 @@ type Prober struct {
 	// it is valid while its length matches latencies.
 	latSorted []time.Duration
 
-	// Steady-state scratch: probe qname bytes, outbound wire buffer source
-	// (the sim payload pool), inbound decode message, and the tick closure
+	// Steady-state scratch: inbound decode message and the tick closure
 	// (pre-bound so re-arming the tick timer does not allocate).
-	nameBuf []byte
-	rmsg    dnswire.Message
-	tickFn  func()
+	rmsg   dnswire.Message
+	tickFn func()
 
-	// Wire-template cache for the active cluster (ZDNS-style encoder
-	// reuse): tmplBuf concatenates one pre-encoded query per subdomain
-	// index — ID zeroed — and tmplOff[i]:tmplOff[i+1] bounds index i's
-	// template. sendOne copies the template into a pooled buffer and
-	// patches the 2-byte ID, replacing the per-probe name build + encode.
-	// An index whose name failed to encode (unencodable SLD) has an empty
-	// template; senders then replay the legacy error path. Rebuilt by
-	// refillCluster on every rotation.
-	tmplBuf []byte
-	tmplOff []int32
+	// Wire template for the active cluster (ZDNS-style encoder reuse): a
+	// cluster's probe names differ only in their 7-digit index label, so
+	// tmpl is the query for index 0 with the ID zeroed, and tmplDigits the
+	// offset of the index digits. appendProbe patches the ID and digits
+	// into a copy. An empty tmpl means the names do not encode (an
+	// unencodable SLD). Rebuilt on every rotation (buildTemplate).
+	tmpl       []byte
+	tmplDigits int
 
 	// Batched receive scratch (netsim.BatchHost): decoded messages and
 	// per-datagram decode verdicts for one delivery batch.
@@ -174,6 +171,11 @@ func Start(sim *netsim.Sim, cfg Config) (*Prober, error) {
 	}
 	if cfg.ClusterSize <= 0 {
 		return nil, fmt.Errorf("prober: cluster size must be positive")
+	}
+	if cfg.ClusterSize > maxClusterSize {
+		// A larger index needs an 8-digit label, which ParseProbeName
+		// rejects: the prober could never match those probes' answers.
+		return nil, fmt.Errorf("prober: cluster size %d over the %d names a 7-digit index label holds", cfg.ClusterSize, maxClusterSize)
 	}
 	if cfg.PacketsPerSec == 0 {
 		return nil, fmt.Errorf("prober: packet rate must be positive")
@@ -252,7 +254,7 @@ func (p *Prober) refillCluster(c int) {
 		}
 		p.retryq = p.retryq[:0]
 	}
-	p.buildTemplates(c)
+	p.buildTemplate(c)
 	if p.cfg.Auth != nil && c > p.cfg.FirstCluster {
 		p.cfg.Auth.SetCluster(c)
 		// §III-B: loading 5M subdomains takes about a minute; the prober
@@ -265,22 +267,34 @@ func (p *Prober) refillCluster(c int) {
 // so the prober does not reach into the server's internals.
 const paperReloadPause = time.Minute
 
-// buildTemplates pre-encodes every subdomain's query wire for cluster c
-// (ID left zero for patching at send time). Encoding happens eagerly, at
-// rotation time, so the steady-state send loop stays allocation-free. A
-// name that fails to encode gets an empty template (tmplOff[i] ==
-// tmplOff[i+1]); nothing is appended on failure because AppendQuery leaves
-// the destination length untouched when it errors.
-func (p *Prober) buildTemplates(c int) {
-	p.tmplBuf = p.tmplBuf[:0]
-	p.tmplOff = append(p.tmplOff[:0], 0)
-	for i := 0; i < p.cfg.ClusterSize; i++ {
-		p.nameBuf = dnssrv.AppendProbeName(p.nameBuf[:0], c, i, p.cfg.SLD)
-		if buf, err := dnswire.AppendQuery(p.tmplBuf, 0, p.nameBuf, dnswire.TypeA); err == nil {
-			p.tmplBuf = buf
-		}
-		p.tmplOff = append(p.tmplOff, int32(len(p.tmplBuf)))
+// maxClusterSize is the most subdomains a cluster can hold: indexes run
+// to ClusterSize-1, and the index label is exactly 7 digits.
+const maxClusterSize = 10_000_000
+
+// buildTemplate encodes cluster c's query (ID zero, index 0000000) at
+// rotation time. The index digits follow the 12 header octets, the cluster
+// label with its length octet, and the index label's length octet. A
+// name's length does not depend on its index, so if one name fails to
+// encode they all do; AppendQuery then returns nil, leaving tmpl empty.
+func (p *Prober) buildTemplate(c int) {
+	name := dnssrv.AppendProbeName(nil, c, 0, p.cfg.SLD)
+	p.tmpl, _ = dnswire.AppendQuery(p.tmpl[:0], 0, name, dnswire.TypeA)
+	p.tmplDigits = 12 + 1 + bytes.IndexByte(name, '.') + 1
+}
+
+// appendProbe appends the query for subdomain idx of the active cluster,
+// under transaction ID id, to dst: the template with the ID and the 7
+// index digits patched in. The template must be non-empty.
+func (p *Prober) appendProbe(dst []byte, idx int, id uint16) []byte {
+	start := len(dst)
+	dst = append(dst, p.tmpl...)
+	dst[start], dst[start+1] = byte(id>>8), byte(id)
+	digits := dst[start+p.tmplDigits : start+p.tmplDigits+7]
+	for i := 6; i >= 0; i-- {
+		digits[i] = byte('0' + idx%10)
+		idx /= 10
 	}
+	return dst
 }
 
 // ClustersUsed returns how many clusters the campaign has consumed so far
@@ -442,9 +456,8 @@ func (p *Prober) sendOne(now time.Duration) bool {
 	if p.nextID == 0 {
 		p.nextID = 1
 	}
-	off, end := p.tmplOff[idx], p.tmplOff[idx+1]
-	if off == end {
-		// The name never encoded (buildTemplates recorded the failure), so
+	if len(p.tmpl) == 0 {
+		// The name never encoded (buildTemplate recorded the failure), so
 		// it never hits the wire: return idx to the pool instead of leaking
 		// it (an unencodable SLD used to silently shrink every cluster by
 		// one subdomain per attempt). The transaction ID is still consumed,
@@ -452,9 +465,7 @@ func (p *Prober) sendOne(now time.Duration) bool {
 		p.avail = append(p.avail, idx)
 		return true
 	}
-	wire := append(p.node.PayloadBuf(), p.tmplBuf[off:end]...)
-	wire[0], wire[1] = byte(id>>8), byte(id)
-	p.node.SendPooled(target, p.srcPort, dnssrv.DNSPort, wire)
+	p.node.SendPooled(target, p.srcPort, dnssrv.DNSPort, p.appendProbe(p.node.PayloadBuf(), idx, id))
 	p.sent++
 	p.cfg.Obs.Inc(obs.CProbeSent)
 	p.cfg.Log.CountQ1(1)

@@ -236,6 +236,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Start(w.sim, Config{Addr: proberAddr, Universe: w.u, SLD: sld, ClusterSize: 10}); err == nil {
 		t.Error("zero rate accepted")
 	}
+	// Index 10,000,000 renders an 8-digit label that ParseProbeName refuses,
+	// so the prober could never match its answers.
+	if _, err := dnssrv.ParseProbeName(dnssrv.FormatProbeName(0, maxClusterSize, sld), sld); err == nil {
+		t.Error("ParseProbeName accepts 8-digit indexes; maxClusterSize can grow")
+	}
+	if _, err := Start(w.sim, Config{Addr: proberAddr, Universe: w.u, SLD: sld, ClusterSize: maxClusterSize + 1, PacketsPerSec: 1}); err == nil {
+		t.Error("cluster size with 8-digit indexes accepted")
+	}
 }
 
 func TestMixedPopulationFlows(t *testing.T) {

@@ -164,16 +164,12 @@ func (p *Prober) serveRetries(now time.Duration, budget float64) float64 {
 // reusing the original query ID, and re-arms its (backed-off) deadline.
 func (p *Prober) retransmit(idx int, now time.Duration) {
 	p.attempts[idx]++
-	off, end := p.tmplOff[idx], p.tmplOff[idx+1]
-	if off == end {
+	if len(p.tmpl) == 0 {
 		// The first transmission encoded, so this cannot happen; bail safely.
 		p.giveUp(idx)
 		return
 	}
-	id := p.qid[idx]
-	wire := append(p.node.PayloadBuf(), p.tmplBuf[off:end]...)
-	wire[0], wire[1] = byte(id>>8), byte(id)
-	p.node.SendPooled(p.target[idx], p.srcPort, dnssrv.DNSPort, wire)
+	p.node.SendPooled(p.target[idx], p.srcPort, dnssrv.DNSPort, p.appendProbe(p.node.PayloadBuf(), idx, p.qid[idx]))
 	p.retransmits++
 	p.cfg.Obs.Inc(obs.CProbeRetransmits)
 	p.sendAt[idx] = now

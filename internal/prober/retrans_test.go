@@ -262,7 +262,7 @@ func TestRetransmitAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 400; i++ { // warm nameBuf, payload pool, wheel arena, retry queue
+	for i := 0; i < 400; i++ { // warm the payload pool, wheel arena, retry queue
 		iter()
 	}
 	if avg := testing.AllocsPerRun(300, iter); avg != 0 {

@@ -49,7 +49,7 @@ func TestShardSendOneAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 300; i++ { // warm nameBuf, payload pool, wheel arena
+	for i := 0; i < 300; i++ { // warm the payload pool, wheel arena
 		iter()
 	}
 	if avg := testing.AllocsPerRun(300, iter); avg != 0 {

@@ -104,6 +104,22 @@ func (p *Permutation) Apply(x uint64) uint64 {
 	}
 }
 
+// invert is the inverse of Apply for y < Size(): the Feistel rounds are
+// undone in reverse key order, and the cycle walk runs backwards — the
+// first in-domain value on the inverse orbit is the preimage.
+func (p *Permutation) invert(y uint64) uint64 {
+	half, hm := p.half, p.hmask
+	for {
+		l, r := y>>half&hm, y&hm
+		for i := feistelRounds - 1; i >= 0; i-- {
+			l, r = r^(splitmix64(l^p.keys[i])&hm), l
+		}
+		if y = l<<half | r; y <= p.mask {
+			return y
+		}
+	}
+}
+
 // Universe is the set of addresses one campaign scans: the sampling coset of
 // the IPv4 space minus the exclusion blocklist, visited in the pseudorandom
 // order of a keyed permutation.
@@ -151,6 +167,18 @@ func (u *Universe) At(idx uint64) (ipv4.Addr, bool) {
 		return a, false
 	}
 	return a, true
+}
+
+// Position is the inverse of At: the probe-order position of addr, and
+// false when addr is off the sampling coset or excluded — an address the
+// scan never visits. For every eligible position idx, Position(At(idx)) is
+// (idx, true). The sharded simulation uses it to place each resolver in
+// the shard whose probe range will reach it.
+func (u *Universe) Position(addr ipv4.Addr) (uint64, bool) {
+	if !u.Contains(addr) {
+		return 0, false
+	}
+	return u.perm.invert(uint64(uint32(addr) >> u.shift)), true
 }
 
 // Contains reports whether addr belongs to this universe (right coset

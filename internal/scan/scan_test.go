@@ -305,3 +305,72 @@ func TestPermutationAvalanche(t *testing.T) {
 		t.Errorf("avalanche = %.1f bits flipped on average, want ≈16", avg)
 	}
 }
+
+// TestUniversePositionInvertsAt walks whole small universes — odd and even
+// permutation widths (the odd ones cycle-walk), with and without the
+// Table I blocklist — and requires Position to invert At on every eligible
+// position and to refuse excluded and off-coset addresses.
+func TestUniversePositionInvertsAt(t *testing.T) {
+	for _, shift := range []uint8{19, 20, 21, 22} { // widths 13, 12, 11, 10
+		for _, excl := range []*ipv4.Blocklist{nil, ipv4.NewReservedBlocklist()} {
+			u, err := NewUniverse(uint64(shift)*7919, shift, excl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eligible, excluded uint64
+			for i := uint64(0); i < u.Indexes(); i++ {
+				a, ok := u.At(i)
+				pos, found := u.Position(a)
+				if !ok {
+					excluded++
+					if found {
+						t.Fatalf("shift %d: excluded %v at %d has position %d", shift, a, i, pos)
+					}
+					continue
+				}
+				eligible++
+				if !found || pos != i {
+					t.Fatalf("shift %d excl %v: Position(At(%d)=%v) = %d, %v", shift, excl != nil, i, a, pos, found)
+				}
+				if _, found := u.Position(a ^ 1); found {
+					t.Fatalf("shift %d: off-coset %v has a position", shift, a^1)
+				}
+			}
+			if eligible != u.AllowedCount() {
+				t.Errorf("shift %d excl %v: %d eligible, AllowedCount %d", shift, excl != nil, eligible, u.AllowedCount())
+			}
+			if excl != nil && excluded == 0 {
+				t.Errorf("shift %d: the blocklist excluded nothing", shift)
+			}
+		}
+	}
+}
+
+// FuzzUniversePosition checks the At/Position round trip at arbitrary
+// (seed, shift, position), including full-width universes no test can
+// enumerate.
+func FuzzUniversePosition(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint64(0))
+	f.Add(uint64(42), uint8(13), uint64(123456))
+	f.Add(uint64(7), uint8(6), uint64(1<<26-1))
+	f.Add(uint64(99), uint8(30), uint64(3))
+	excl := ipv4.NewReservedBlocklist()
+	f.Fuzz(func(t *testing.T, seed uint64, shift uint8, idx uint64) {
+		shift %= 31
+		u, err := NewUniverse(seed, shift, excl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx %= u.Indexes()
+		a, ok := u.At(idx)
+		pos, found := u.Position(a)
+		if ok != found || (ok && pos != idx) {
+			t.Fatalf("At(%d) = %v, %v; Position = %d, %v", idx, a, ok, pos, found)
+		}
+		if shift > 0 {
+			if _, found := u.Position(a ^ 1); found {
+				t.Fatalf("off-coset %v has a position", a^1)
+			}
+		}
+	})
+}

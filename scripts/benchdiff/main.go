@@ -26,6 +26,12 @@
 // noisy sample) before comparison. Benchmarks present on only one side are
 // reported but never fail the gate, so baselines from different PRs can
 // cover different suites.
+//
+// The report opens with the host each side was recorded on — cpu,
+// GOMAXPROCS, NumCPU and Go version, as bench2json records them — and
+// marks every row whose baseline comes from a different host than the
+// fresh run: such a ratio compares machines as much as code. The marking
+// is informational; it changes neither the thresholds nor the exit status.
 package main
 
 import (
@@ -54,7 +60,39 @@ type benchmark struct {
 }
 
 type document struct {
-	Benchmarks []benchmark `json:"benchmarks"`
+	GoVersion  string            `json:"go_version"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	NumCPU     int               `json:"num_cpu"`
+	Env        map[string]string `json:"env"`
+	Benchmarks []benchmark       `json:"benchmarks"`
+}
+
+// host is the machine fingerprint bench2json records with a run.
+type host struct {
+	cpu        string
+	gomaxprocs int
+	numCPU     int
+	goVersion  string
+}
+
+func (d *document) host() host {
+	return host{cpu: d.Env["cpu"], gomaxprocs: d.GOMAXPROCS, numCPU: d.NumCPU, goVersion: d.GoVersion}
+}
+
+func (h host) String() string {
+	field := func(v string) string {
+		if v == "" {
+			return "?"
+		}
+		return v
+	}
+	num := func(n int) string {
+		if n == 0 {
+			return "?"
+		}
+		return strconv.Itoa(n)
+	}
+	return fmt.Sprintf("cpu=%q gomaxprocs=%s num_cpu=%s go=%s", field(h.cpu), num(h.gomaxprocs), num(h.numCPU), field(h.goVersion))
 }
 
 // pairDoc is the BENCH_PR2.json shape: one optimization's before/after.
@@ -175,21 +213,31 @@ func orderBaselines(paths []string) ([]string, error) {
 	return rest, nil
 }
 
+// baseline is one benchmark's merged baseline: its per-metric minima and
+// the file (and so the host) they come from.
+type baseline struct {
+	metrics map[string]float64
+	file    string
+}
+
 // mergeBaselines loads every baseline and collapses it to per-metric
 // minima; on a name collision the file listed last wins, so the newest
-// baseline of each benchmark survives.
-func mergeBaselines(paths []string) (map[string]map[string]float64, error) {
-	base := make(map[string]map[string]float64)
+// baseline of each benchmark survives. hosts maps each file to the host
+// it was recorded on.
+func mergeBaselines(paths []string) (base map[string]baseline, hosts map[string]host, err error) {
+	base = make(map[string]baseline)
+	hosts = make(map[string]host)
 	for _, path := range paths {
 		doc, err := loadDoc(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		hosts[path] = doc.host()
 		for name, m := range mins(doc) {
-			base[name] = m
+			base[name] = baseline{metrics: m, file: path}
 		}
 	}
-	return base, nil
+	return base, hosts, nil
 }
 
 // gate runs the comparison of fresh against the merged baselines.
@@ -203,11 +251,21 @@ func gate(freshPath string, maxRatio, allocRatio float64, baselinePaths []string
 		return err
 	}
 	fresh := mins(freshDoc)
+	freshHost := freshDoc.host()
 
-	base, err := mergeBaselines(baselinePaths)
+	base, hosts, err := mergeBaselines(baselinePaths)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(stdout, "fresh run host: %v\n", freshHost)
+	for _, path := range baselinePaths {
+		note := ""
+		if hosts[path] != freshHost {
+			note = "  (different host)"
+		}
+		fmt.Fprintf(stdout, "baseline %s host: %v%s\n", path, hosts[path], note)
+	}
+	fmt.Fprintln(stdout)
 
 	names := make([]string, 0, len(base))
 	for name := range base {
@@ -219,13 +277,14 @@ func gate(freshPath string, maxRatio, allocRatio float64, baselinePaths []string
 	compared := 0
 	fmt.Fprintf(stdout, "%-40s %14s %14s %7s %s\n", "benchmark", "base ns/op", "fresh ns/op", "ratio", "verdict")
 	for _, name := range names {
+		b := base[name].metrics
 		f, ok := fresh[name]
 		if !ok {
-			fmt.Fprintf(stdout, "%-40s %14.0f %14s %7s %s\n", name, base[name]["ns/op"], "-", "-", "not in fresh run (skipped)")
+			fmt.Fprintf(stdout, "%-40s %14.0f %14s %7s %s\n", name, b["ns/op"], "-", "-", "not in fresh run (skipped)")
 			continue
 		}
 		compared++
-		bNs, fNs := base[name]["ns/op"], f["ns/op"]
+		bNs, fNs := b["ns/op"], f["ns/op"]
 		ratio := 0.0
 		if bNs > 0 {
 			ratio = fNs / bNs
@@ -235,7 +294,7 @@ func gate(freshPath string, maxRatio, allocRatio float64, baselinePaths []string
 			verdict = fmt.Sprintf("FAIL ns/op +%.0f%% (limit +%.0f%%)", 100*(ratio-1), 100*(maxRatio-1))
 			failures = append(failures, name+": "+verdict)
 		}
-		if bA, ok := base[name]["allocs/op"]; ok {
+		if bA, ok := b["allocs/op"]; ok {
 			// The tolerance is relative, so a zero-alloc baseline stays
 			// strict: the hot paths pinned at 0 allocs fail on any growth,
 			// while campaign-scale counts absorb ±1–2 of per-iteration
@@ -249,6 +308,9 @@ func gate(freshPath string, maxRatio, allocRatio float64, baselinePaths []string
 				}
 				failures = append(failures, name+": "+av)
 			}
+		}
+		if file := base[name].file; hosts[file] != freshHost {
+			verdict += " [other host: " + filepath.Base(file) + "]"
 		}
 		fmt.Fprintf(stdout, "%-40s %14.0f %14.0f %6.2fx %s\n", name, bNs, fNs, ratio, verdict)
 	}

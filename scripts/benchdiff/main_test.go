@@ -194,7 +194,7 @@ func TestLedgerCoversBenchdiffSet(t *testing.T) {
 	if paths, err = orderBaselines(paths); err != nil || paths == nil {
 		t.Fatalf("no checked-in ledger: %v", err)
 	}
-	base, err := mergeBaselines(paths)
+	base, _, err := mergeBaselines(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestLedgerCoversBenchdiffSet(t *testing.T) {
 		"BenchmarkTimerEnqueueDequeue", "BenchmarkHostLookup", "BenchmarkStepBatchDrain",
 		"BenchmarkShardEnvelope",
 	} {
-		if base[name]["ns/op"] <= 0 {
+		if base[name].metrics["ns/op"] <= 0 {
 			t.Errorf("%s has no ns/op baseline in the ledger", name)
 		}
 	}
@@ -283,5 +283,50 @@ func TestBenchdiffErrors(t *testing.T) {
 				t.Errorf("run(%v) err = %v, want containing %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBenchdiffMarksOtherHost: the report names the host of the fresh run
+// and of every baseline file, and marks the rows gated by a baseline from
+// another host — without changing which rows fail or the exit status.
+func TestBenchdiffMarksOtherHost(t *testing.T) {
+	dir := t.TempDir()
+	hostDoc := func(cpu string, procs int, body string) string {
+		return fmt.Sprintf(`{"go_version": "go1.24.0", "gomaxprocs": %d, "num_cpu": %d,
+  "env": {"cpu": %q}, "benchmarks": [%s]}`, procs, procs, cpu, body)
+	}
+	same := writeJSON(t, dir, "BENCH_PR1.json", hostDoc("Xeon", 2,
+		`{"name": "BenchmarkSame", "metrics": {"ns/op": 100, "allocs/op": 1}}`))
+	other := writeJSON(t, dir, "BENCH_PR2.json", hostDoc("Xeon", 1,
+		`{"name": "BenchmarkOther", "metrics": {"ns/op": 100, "allocs/op": 1}}`))
+	diff := func(otherNs float64) (string, error) {
+		freshPath := writeJSON(t, dir, "fresh.json", hostDoc("Xeon", 2, fmt.Sprintf(`
+  {"name": "BenchmarkSame", "metrics": {"ns/op": 100, "allocs/op": 1}},
+  {"name": "BenchmarkOther", "metrics": {"ns/op": %g, "allocs/op": 1}}`, otherNs)))
+		var out, errb bytes.Buffer
+		err := run([]string{"-fresh", freshPath, "-newest", same, other}, &out, &errb)
+		return out.String(), err
+	}
+	out, err := diff(110)
+	if err != nil {
+		t.Fatalf("both rows within limits, got %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		`fresh run host: cpu="Xeon" gomaxprocs=2 num_cpu=2 go=go1.24.0`,
+		`BENCH_PR1.json host: cpu="Xeon" gomaxprocs=2 num_cpu=2 go=go1.24.0` + "\n",
+		`BENCH_PR2.json host: cpu="Xeon" gomaxprocs=1 num_cpu=1 go=go1.24.0  (different host)`,
+		"ok [other host: BENCH_PR2.json]",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "BenchmarkSame") && strings.Contains(line, "other host") {
+			t.Errorf("same-host row marked: %q", line)
+		}
+	}
+	if out, err := diff(1000); err == nil || !strings.Contains(err.Error(), "BenchmarkOther") {
+		t.Fatalf("a 10x regression against another host's baseline must still fail, got %v\n%s", err, out)
 	}
 }
