@@ -92,8 +92,9 @@ race:
 # Process-crash fault injection (DESIGN.md §13): the crash matrix re-execs
 # the test binary as a campaign child, kills it with SIGKILL at seeded-random
 # shard boundaries (≥3 distinct kill points per scenario, both calibration
-# years plus the stacked chaos impairments), resumes from the on-disk
-# checkpoints, and requires the final digest to equal the never-crashed run.
+# years, the stacked chaos impairments and a synthetic campaign), resumes
+# from the on-disk checkpoints, and requires the final digest to equal the
+# never-crashed run.
 crash-matrix:
 	$(GO) test -count=1 -run 'TestCrash' ./internal/core/ -v -timeout 10m
 

@@ -21,6 +21,7 @@
 //	orsurvey -mode sim -shift 8 -checkpoint-dir ckpt/
 //	    # crash-safe campaign: every completed shard persists; rerunning the
 //	    # identical command after a crash or ^C resumes instead of restarting
+//	orsurvey -year 2013 -checkpoint-dir ckpt/  # the same, full-scale synthetic
 //
 // SIGINT/SIGTERM stop the campaign gracefully: in-flight shards drain and
 // (with -checkpoint-dir) persist before exit; a second signal force-quits.
@@ -65,7 +66,7 @@ func run(args []string, stderr io.Writer) error {
 	mode := fs.String("mode", "synth", "execution mode: synth or sim")
 	workers := fs.Int("workers", 0, "campaign worker goroutines, both modes (0 = all cores, 1 = serial; output is identical for every value)")
 	capturePath := fs.String("capture", "", "write the R2 capture log to this file (sim mode)")
-	ckptDir := fs.String("checkpoint-dir", "", "persist completed shards here and resume from them on rerun (sim mode)")
+	ckptDir := fs.String("checkpoint-dir", "", "persist completed shards here and resume from them on rerun")
 	jsonPath := fs.String("json", "", "write the full report as JSON to this file")
 	csvDir := fs.String("csvdir", "", "write every table as CSV into this directory")
 	obsFlags := obs.RegisterFlags(fs)
@@ -81,8 +82,8 @@ func run(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *ckptDir != "" && *mode != "sim" {
-		return errors.New("-checkpoint-dir needs -mode sim (the synthetic engine streams too fast to checkpoint)")
+	if *capturePath != "" && *mode != "sim" {
+		return errors.New("-capture needs -mode sim (the synthetic engine captures no packets)")
 	}
 	reg, metricsAddr, stopObs, err := obsFlags.Start("orsurvey", stderr)
 	if err != nil {

@@ -55,6 +55,31 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// The synthetic engine captures no packets, so -capture outside sim mode
+// is refused before any campaign runs and no capture file is written.
+func TestRunCaptureNeedsSim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r2.orlog")
+	err := run([]string{"-shift", "12", "-capture", path}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-mode sim") {
+		t.Fatalf("-capture in synth mode: got %v, want a -mode sim refusal", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("refused run left a capture file (stat: %v)", err)
+	}
+}
+
+// -checkpoint-dir works in synth mode too: the campaign checkpoints every
+// shard and removes the directory once it completes.
+func TestRunSynthCheckpointDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := run([]string{"-shift", "12", "-checkpoint-dir", dir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("completed campaign left its checkpoint directory (stat: %v)", err)
+	}
+}
+
 // "none" names the pristine network in every CLI. The synthetic engine
 // rejects any impairment, so the run succeeding shows "none" compiled to
 // an empty fault plan.

@@ -99,8 +99,8 @@ func TestMetricsEndpointSim(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointSynth covers the synthetic engine's metrics: worker
-// shards and the response-size histogram.
+// TestMetricsEndpointSynth covers the synthetic engine's metrics: one shard
+// per plan shard, whatever -workers is, and the response-size histogram.
 func TestMetricsEndpointSynth(t *testing.T) {
 	defer func(old func(string)) { metricsUp = old }(metricsUp)
 
@@ -127,8 +127,10 @@ func TestMetricsEndpointSynth(t *testing.T) {
 	if snap.Histograms[obs.HistName(obs.HRespBytes)].Count == 0 {
 		t.Error("response-size histogram empty")
 	}
-	if len(snap.Shards) != 3 {
-		t.Errorf("want 3 worker shards, got %d: %+v", len(snap.Shards), snap.Shards)
+	// The synthetic plan is 64 shards for any population of 64 probes or
+	// more; -workers 3 only sets how many run at once.
+	if len(snap.Shards) != 64 {
+		t.Errorf("want 64 plan shards, got %d", len(snap.Shards))
 	}
 	for i, sh := range snap.Shards {
 		if want := fmt.Sprintf("synth-%d", i); sh.Label != want {

@@ -1,15 +1,14 @@
 package core
 
-// Shard-granular checkpoint/restore for the simulated campaign engine
-// (DESIGN.md §13). A week-scale campaign (the paper's ran 7d5h) must
-// survive a process crash and resume mid-campaign, not restart from zero:
-// SimulatePopulation's fixed shard decomposition (simshard.go) gives
-// natural checkpoint units, so every completed sub-simulation's merged
-// state — accumulator, packet/fault/prober counters, captured R2 packets,
-// responder verdicts, obs shard — is written as one self-validating file
-// at the shard boundary, and a restarted campaign with the same
-// configuration loads the completed shards and runs only the missing ones. The merge is identical either
-// way, so a resumed campaign is byte-identical to an uninterrupted one.
+// Shard-granular checkpoint/restore for both campaign modes (DESIGN.md
+// §13). A week-scale campaign (the paper's ran 7d5h) must survive a process
+// crash and resume mid-campaign, not restart from zero: the shard engine's
+// fixed plan (campaign.go) gives natural checkpoint units, so every
+// completed shard's run is written as one self-validating file at the
+// shard boundary, and a restarted campaign with the same configuration
+// loads the completed shards and runs only the missing ones. The merge is
+// identical either way, so a resumed campaign is byte-identical to an
+// uninterrupted one.
 //
 // Every file is stamped with a campaign key (a digest of the configuration
 // and the full shard plan) and a payload digest, and written atomically
@@ -47,9 +46,9 @@ import (
 // and rerunning the same configuration resumes from what completed.
 var ErrInterrupted = errors.New("campaign interrupted")
 
-// CheckpointPlan configures shard-granular checkpoint/restore for
-// SimulatePopulation (simulation mode only; the synthetic engine streams
-// too fast to be worth checkpointing).
+// CheckpointPlan configures shard-granular checkpoint/restore in either
+// mode: every completed shard persists atomically, and a rerun with the same
+// configuration and Dir runs only the rest, producing byte-identical output.
 type CheckpointPlan struct {
 	// Dir receives one checkpoint file per completed shard
 	// (shard-NNN.ckpt). Empty disables checkpointing.
@@ -143,8 +142,8 @@ const (
 	envHeaderLen = envSumOff + sha256.Size
 )
 
-// shardCheckpoint is the decoded form of one completed sub-simulation —
-// exactly the fields mergeSimShards folds, so a restored shard merges
+// shardCheckpoint is the decoded form of one completed shard (shardRun) —
+// exactly the fields the merges fold, so a restored shard merges
 // indistinguishably from a freshly run one. The JSON tags cover the
 // structured state; the R2 stream and the verdicts travel as binary
 // records. The authoritative capture is not here: each shard joins it
@@ -178,13 +177,13 @@ type checkpointStore struct {
 	logw io.Writer
 }
 
-// checkpointCampaignKey digests everything that shapes the campaign's
-// bytes: the configuration scalars, the fault plan (impairments by their
-// canonical configuration description — never pointer identity), and the
-// complete shard plan. Checkpoints written under a different key are
-// invalid by construction: resuming a 2013 campaign with 2018 checkpoints,
-// or after a shard-plan change, reruns everything instead of merging
-// mismatched state.
+// checkpointCampaignKey digests everything that shapes a simulated
+// campaign's bytes: the configuration scalars, the fault plan (impairments
+// by their canonical configuration description — never pointer identity),
+// and the complete shard plan. Checkpoints written under a different key
+// are invalid by construction: resuming a 2013 campaign with 2018
+// checkpoints, or after a shard-plan change, reruns everything instead of
+// merging mismatched state.
 func checkpointCampaignKey(cfg Config, shards []simShard) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "ckpt v%d year=%d shift=%d seed=%d pps=%d keep=%t\n",
@@ -199,8 +198,21 @@ func checkpointCampaignKey(cfg Config, shards []simShard) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// openCheckpointStore prepares the campaign's checkpoint directory.
-func openCheckpointStore(plan CheckpointPlan, cfg Config, shards []simShard) (*checkpointStore, error) {
+// synthCampaignKey is checkpointCampaignKey's synthetic-mode twin. Its own
+// prefix keeps the two modes' keys, and so their checkpoints, disjoint.
+func synthCampaignKey(cfg Config, plans []shardPlan) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "synth ckpt v%d year=%d shift=%d seed=%d pps=%d\n",
+		checkpointVersion, cfg.Year, cfg.SampleShift, cfg.Seed, cfg.pps())
+	for i, p := range plans {
+		fmt.Fprintf(h, "shard %d [%d,%d) cohort=%d+%d\n", i, p.start, p.end, p.cohort, p.offset)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// openCheckpointStore prepares the checkpoint directory of the campaign
+// identified by key.
+func openCheckpointStore(plan CheckpointPlan, key string) (*checkpointStore, error) {
 	fs := plan.FS
 	if fs == nil {
 		fs = osCheckpointFS{}
@@ -215,7 +227,7 @@ func openCheckpointStore(plan CheckpointPlan, cfg Config, shards []simShard) (*c
 	return &checkpointStore{
 		fs:   fs,
 		dir:  plan.Dir,
-		key:  checkpointCampaignKey(cfg, shards),
+		key:  key,
 		keep: plan.Keep,
 		logw: logw,
 	}, nil
@@ -238,7 +250,7 @@ func (s *checkpointStore) logf(format string, args ...any) {
 // bytes serve two transports — the checkpoint store renames them into
 // shard-NNN.ckpt, and the distributed fabric carries them verbatim as the
 // raw frame after a RESULT — so one validator guards both.
-func marshalShardEnvelope(key string, shard int, run *simShardRun) ([]byte, error) {
+func marshalShardEnvelope(key string, shard int, run *shardRun) ([]byte, error) {
 	var verdicts []classify.Verdict
 	if run.roles != nil {
 		verdicts = run.roles.Verdicts
@@ -473,10 +485,10 @@ func decodeVerdicts(b []byte) ([]classify.Verdict, []byte, error) {
 
 // restoreShardRun rebuilds a mergeable shard run from a validated
 // checkpoint payload, feeding the checkpointed observability state into
-// msh. The restored run carries exactly the fields mergeSimShards folds,
+// msh. The restored run carries exactly the fields the merges fold,
 // so it merges indistinguishably from a freshly executed one.
-func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint, msh *obs.Shard) *simShardRun {
-	run := &simShardRun{
+func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint, msh *obs.Shard) *shardRun {
+	run := &shardRun{
 		acc:           analysis.NewAccumulatorFromState(accCfg, ck.Acc),
 		probeCounters: ck.ProbeCounters,
 		authCounters:  ck.AuthCounters,
@@ -500,7 +512,7 @@ func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint, msh *obs.Shard
 // survivable by design — the campaign continues and only resumability of
 // this one shard is lost — so errors are logged, the temp file is removed
 // best-effort, and nothing propagates into the campaign result.
-func (s *checkpointStore) write(shard int, run *simShardRun) {
+func (s *checkpointStore) write(shard int, run *shardRun) {
 	data, err := marshalShardEnvelope(s.key, shard, run)
 	if err != nil {
 		s.logf("core: checkpoint shard %d: marshal: %v (continuing without)\n", shard, err)
@@ -556,7 +568,7 @@ func (s *checkpointStore) writeTemp(tmp string, data []byte) error {
 // digest mismatch, wrong version/campaign/shard) is logged, removed
 // best-effort, and reported as not restorable — the shard re-runs. msh,
 // when non-nil, receives the checkpointed observability state.
-func (s *checkpointStore) load(shard int, accCfg analysis.Config, msh *obs.Shard) (*simShardRun, bool) {
+func (s *checkpointStore) load(shard int, accCfg analysis.Config, msh *obs.Shard) (*shardRun, bool) {
 	path := s.path(shard)
 	data, err := s.fs.ReadFile(path)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -61,10 +62,11 @@ func (f *notifyFS) Rename(oldpath, newpath string) error {
 	return nil
 }
 
-// interruptCampaign starts the campaign with checkpointing into dir and
-// cancels its context after `after` shards have been persisted, returning
-// the error (which must be ErrInterrupted) and the checkpoint log.
-func interruptCampaign(t *testing.T, cfg Config, dir string, after int) string {
+// interruptCampaign starts the campaign through run (RunSimulation or
+// RunSynthetic) with checkpointing into dir and cancels its context after
+// `after` shards have been persisted, returning the checkpoint log. The
+// campaign must return ErrInterrupted.
+func interruptCampaign(t *testing.T, run func(Config) (*Dataset, error), cfg Config, dir string, after int) string {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -80,7 +82,7 @@ func interruptCampaign(t *testing.T, cfg Config, dir string, after int) string {
 	// Workers 1 so cancellation after `after` persisted shards leaves the
 	// rest genuinely unrun (a wide pool could drain everything in flight).
 	cfg.Workers = 1
-	_, err := RunSimulation(cfg)
+	_, err := run(cfg)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted campaign: got error %v, want ErrInterrupted", err)
 	}
@@ -100,42 +102,57 @@ func countCheckpoints(t *testing.T, dir string) int {
 	return len(matches)
 }
 
-// TestCheckpointResumeIdentical is the core recovery property: interrupt a
-// campaign partway, resume it with the same configuration, and the merged
-// dataset — digest and rendered tables — is byte-identical to an
-// uninterrupted run. Checkpoints are cleaned up after the successful merge.
+// TestCheckpointResumeIdentical is the core recovery property, for both
+// engines: interrupt a campaign partway, resume it with the same
+// configuration, and the merged dataset — report, digest and rendered
+// tables — is identical to an uninterrupted run's. Checkpoints are cleaned
+// up after the successful merge.
 func TestCheckpointResumeIdentical(t *testing.T) {
-	cfg := ckptTestConfig()
-	cold := mustSimulate(t, cfg)
-	want := FaultDigest(cold)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		run  func(Config) (*Dataset, error)
+	}{
+		{"sim", ckptTestConfig(), RunSimulation},
+		{"synth", Config{Year: paperdata.Y2018, SampleShift: 10, Seed: 11}, RunSynthetic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cold, err := tc.run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			interruptCampaign(t, tc.run, tc.cfg, dir, 3)
+			if n := countCheckpoints(t, dir); n < 3 {
+				t.Fatalf("after interrupt: %d checkpoint files, want ≥ 3", n)
+			}
 
-	dir := t.TempDir()
-	interruptCampaign(t, cfg, dir, 3)
-	if n := countCheckpoints(t, dir); n < 3 {
-		t.Fatalf("after interrupt: %d checkpoint files, want ≥ 3", n)
-	}
-
-	var log bytes.Buffer
-	resumed := cfg
-	resumed.Checkpoints = CheckpointPlan{Dir: dir, Log: &log}
-	ds, err := RunSimulation(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := FaultDigest(ds); got != want {
-		t.Errorf("resumed campaign diverged from cold run\n got %s\nwant %s", got, want)
-	}
-	if cold.Report.RenderAll() != ds.Report.RenderAll() {
-		t.Error("resumed campaign rendered tables differ from cold run")
-	}
-	if rolesDigest(ds.Roles) != rolesDigest(cold.Roles) {
-		t.Error("resumed campaign's responder roles differ from cold run")
-	}
-	if !strings.Contains(log.String(), "restored from checkpoint") {
-		t.Errorf("resume log does not mention restored shards:\n%s", log.String())
-	}
-	if n := countCheckpoints(t, dir); n != 0 {
-		t.Errorf("completed campaign left %d checkpoint files behind", n)
+			var log bytes.Buffer
+			resumed := tc.cfg
+			resumed.Checkpoints = CheckpointPlan{Dir: dir, Log: &log}
+			ds, err := tc.run(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ds.Report, cold.Report) {
+				t.Error("resumed campaign's report differs from cold run")
+			}
+			if got, want := FaultDigest(ds), FaultDigest(cold); got != want {
+				t.Errorf("resumed campaign diverged from cold run\n got %s\nwant %s", got, want)
+			}
+			if cold.Report.RenderAll() != ds.Report.RenderAll() {
+				t.Error("resumed campaign rendered tables differ from cold run")
+			}
+			if cold.Roles != nil && rolesDigest(ds.Roles) != rolesDigest(cold.Roles) {
+				t.Error("resumed campaign's responder roles differ from cold run")
+			}
+			if got := strings.Count(log.String(), "restored from checkpoint"); got < 3 {
+				t.Errorf("resume restored %d shards, want ≥ 3:\n%s", got, log.String())
+			}
+			if n := countCheckpoints(t, dir); n != 0 {
+				t.Errorf("completed campaign left %d checkpoint files behind", n)
+			}
+		})
 	}
 }
 
@@ -339,7 +356,7 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 	want := FaultDigest(mustSimulate(t, cfg))
 
 	dir := t.TempDir()
-	interruptCampaign(t, cfg, dir, 2)
+	interruptCampaign(t, RunSimulation, cfg, dir, 2)
 	files, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
 	if err != nil || len(files) < 2 {
 		t.Fatalf("%d checkpoints to corrupt, want ≥ 2 (err=%v)", len(files), err)
@@ -391,7 +408,7 @@ func TestCheckpointFlippedByteRejected(t *testing.T) {
 func TestCheckpointCampaignMismatchReruns(t *testing.T) {
 	cfg := ckptTestConfig()
 	dir := t.TempDir()
-	interruptCampaign(t, cfg, dir, 2)
+	interruptCampaign(t, RunSimulation, cfg, dir, 2)
 
 	other := cfg
 	other.Seed = cfg.Seed + 1
@@ -411,6 +428,65 @@ func TestCheckpointCampaignMismatchReruns(t *testing.T) {
 	}
 	if strings.Contains(log.String(), "restored from checkpoint") {
 		t.Errorf("a foreign checkpoint was restored:\n%s", log.String())
+	}
+}
+
+// TestSimCampaignKeyPinned pins the simulated campaign key recipe byte for
+// byte: a change would orphan every checkpoint and make fabric processes of
+// different builds refuse each other, so changing the recipe on purpose
+// means bumping checkpointVersion and these values.
+func TestSimCampaignKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{ckptTestConfig(), "1ae80662c44b728270ddc1378a8e842af608791b8cff97758f7a38b51eec5e65"},
+		{Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 3, PacketsPerSec: 5000, KeepPackets: true,
+			Faults: FaultPlan{Retries: 2, AdaptiveTimeout: true}},
+			"566e6b01141a7ad4601ccac81c6a83a9c4f68a7bc29db532d683624bdb0a3b8f"},
+	} {
+		u, err := scan.NewUniverse(uint64(tc.cfg.Seed), tc.cfg.SampleShift, ipv4.NewReservedBlocklist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := checkpointCampaignKey(tc.cfg, planSimShards(tc.cfg, u)); got != tc.want {
+			t.Errorf("%+v: sim campaign key %s, want %s", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// TestSynthEnvelopeRejectedBySimCampaign: the two engines' keys are
+// disjoint, so a synthetic shard's envelope never records into a simulated
+// campaign with the same scalars, while its own campaign accepts it.
+func TestSynthEnvelopeRejectedBySimCampaign(t *testing.T) {
+	cfg := Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 3}
+	pop, feed, err := buildDeps(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := openSynthCampaign(cfg, pop, feed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := openSimCampaign(cfg, pop, feed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if syn.CampaignKey() == sim.CampaignKey() {
+		t.Fatal("synthetic and simulated campaigns share a key")
+	}
+	env, err := syn.RunShardEnvelope(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.LoadEnvelope(0, env); err == nil || !strings.Contains(err.Error(), "different campaign") {
+		t.Errorf("sim campaign loaded a synth envelope: err = %v", err)
+	}
+	if sim.Recorded(0) {
+		t.Error("rejected envelope recorded shard 0")
+	}
+	if err := syn.LoadEnvelope(0, env); err != nil {
+		t.Errorf("synth campaign refused its own envelope: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -52,40 +53,35 @@ type Config struct {
 	// KeepPackets retains raw R2 packets in the dataset (simulation mode).
 	KeepPackets bool
 	// Workers sets the campaign's parallelism: the size of the worker pool
-	// that runs the campaign's fixed shard plan. Synthetic mode splits the
-	// population into a fixed number of contiguous probe-index shards, each
-	// drawing from a fork of one running assigner cursor, accumulated per
-	// worker and merged exactly (DESIGN.md §2). Simulation mode's shards
-	// are private sub-simulations — contiguous probe-range shards with
-	// disjoint subdomain-cluster namespaces and proportional rate slices
-	// (DESIGN.md §12). In both modes the plan is a function of the
-	// configuration alone, never of Workers, so the report is
-	// byte-identical for every value. 0 uses runtime.GOMAXPROCS(0); 1 runs
-	// the plan on a single worker.
+	// that runs the campaign's fixed shard plan on the shard engine both
+	// modes share. A synthetic shard is a contiguous probe-index range
+	// drawing from a fork of one running assigner cursor (DESIGN.md §2); a
+	// simulated shard is a private sub-simulation with a disjoint
+	// subdomain-cluster namespace and a proportional rate slice (DESIGN.md
+	// §12). Every shard has its own accumulator, merged exactly in shard
+	// order. The plan is a function of the configuration and population
+	// alone, never of Workers, so the report is byte-identical for every
+	// value. 0 uses runtime.GOMAXPROCS(0); 1 runs the plan on a single
+	// worker.
 	Workers int
 	// Faults configures adverse-network fault injection and the adaptive
 	// retransmission machinery (simulation mode only; the zero value is a
 	// pristine network with the paper's single-shot prober).
 	Faults FaultPlan
 	// Obs, when non-nil, receives the campaign's observability stream:
-	// phase spans for every stage, one metrics shard per worker (in
-	// simulation mode, one per sub-simulation, registered in shard order),
-	// and the virtual-vs-wall clock ratio. Metrics never influence the
+	// phase spans for every stage, one metrics shard per plan shard
+	// (synth-N or sim-N, registered in shard order), and, in simulation
+	// mode, the virtual-vs-wall clock ratio. Metrics never influence the
 	// campaign — reports are bit-identical with Obs attached (pinned by
 	// the metrics golden test).
 	Obs *obs.Registry
 	// Ctx, when non-nil, allows cooperative cancellation. A cancelled
-	// campaign stops dispatching work at the next shard boundary
-	// (simulation mode) or probe batch (synthetic mode), drains what is in
-	// flight — checkpointing it when Checkpoints is configured — and
-	// returns ErrInterrupted. Nil means run to completion.
+	// campaign stops handing out shards, drains the shards in flight —
+	// checkpointing them when Checkpoints is configured — and returns
+	// ErrInterrupted at that shard boundary. Nil means run to completion.
 	Ctx context.Context
-	// Checkpoints configures shard-granular checkpoint/restore for
-	// simulation-mode campaigns (DESIGN.md §13): every completed
-	// sub-simulation is persisted atomically, and a rerun with the same
-	// configuration and checkpoint directory resumes from the completed
-	// shards, producing byte-identical output. The zero value disables
-	// checkpointing.
+	// Checkpoints configures shard-granular checkpoint/restore
+	// (CheckpointPlan, DESIGN.md §13). The zero value disables it.
 	Checkpoints CheckpointPlan
 }
 
@@ -177,28 +173,34 @@ type Dataset struct {
 	Roles *classify.Summary
 }
 
-// buildDeps constructs the shared dependencies of both modes.
-func buildDeps(cfg Config) (*population.Population, *threatintel.Feed, *geo.Registry, *scan.Universe, error) {
+// buildDeps builds cfg's threat feed and the population calibrated to it.
+func buildDeps(cfg Config) (*population.Population, *threatintel.Feed, error) {
 	feed := threatintel.NewFeed(cfg.Year, cfg.Seed)
 	pop, err := population.Build(population.Config{
 		Year: cfg.Year, SampleShift: cfg.SampleShift, Seed: cfg.Seed, Feed: feed,
 	})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
+	return pop, feed, err
+}
+
+// openAssigner builds the campaign's scan universe and the assigner that
+// draws pop's resolver addresses from it, traced as the scan-universe phase.
+func openAssigner(cfg Config, pop *population.Population) (*geo.Registry, *scan.Universe, *population.Assigner, error) {
+	tr := cfg.Obs.Tracer()
+	defer tr.End(tr.Begin("scan-universe"))
 	reg := geo.DefaultRegistry()
 	u, err := scan.NewUniverse(uint64(cfg.Seed), cfg.SampleShift, ipv4.NewReservedBlocklist())
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return pop, feed, reg, u, nil
+	a, err := population.NewAssigner(u, reg, pop, ProberAddr, RootAddr, TLDAddr, AuthAddr)
+	return reg, u, a, err
 }
 
 // RunSynthetic streams the full campaign through the analysis pipeline:
 // every response is encoded to wire format and decoded back by the
 // analyzer, exercising the identical classification path as the simulation.
 func RunSynthetic(cfg Config) (*Dataset, error) {
-	pop, feed, _, _, err := buildDeps(cfg)
+	pop, feed, err := buildDeps(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -209,40 +211,15 @@ func RunSynthetic(cfg Config) (*Dataset, error) {
 // the analysis pipeline. threat must cover every malicious address the
 // population answers with (for mixed populations, merge the years' feeds).
 // It is the engine behind RunSynthetic and the drift-monitoring extension.
+// The campaign runs as a fixed plan of probe-range shards on the shard
+// engine (campaign.go), merged in shard order; the merged dataset is
+// byte-identical for every worker count.
 func SynthesizePopulation(cfg Config, pop *population.Population, threat *threatintel.DB) (*Dataset, error) {
-	if !cfg.Faults.pristine() {
-		return nil, fmt.Errorf("core: fault injection requires simulation mode (the synthetic engine has no network to impair)")
-	}
-	tr := cfg.Obs.Tracer()
-	sp := tr.Begin("scan-universe")
-	reg := geo.DefaultRegistry()
-	u, err := scan.NewUniverse(uint64(cfg.Seed), cfg.SampleShift, ipv4.NewReservedBlocklist())
+	sc, err := openSynthCampaign(cfg, pop, threat)
 	if err != nil {
 		return nil, err
 	}
-	assigner, err := population.NewAssigner(u, reg, pop, ProberAddr, RootAddr, TLDAddr, AuthAddr)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(sp)
-	clusterSize := cfg.scaledClusterSize()
-	sp = tr.Begin("synthesize")
-	acc, err := synthesize(cfg, pop, threat, reg, assigner, clusterSize)
-	if err != nil {
-		return nil, err
-	}
-	tr.End(sp)
-
-	sp = tr.Begin("report")
-	camp := syntheticCampaignCounts(cfg, pop, clusterSize)
-	ds := &Dataset{
-		Config:       cfg,
-		Report:       acc.Report(camp),
-		Population:   pop,
-		ClustersUsed: int((pop.ExpectedR2 + uint64(clusterSize) - 1) / uint64(clusterSize)),
-	}
-	tr.End(sp)
-	return ds, nil
+	return sc.run()
 }
 
 // ProbeQID returns the DNS transaction ID of the probe at zero-based
@@ -319,18 +296,41 @@ func (p shardPlan) skip(pop *population.Population, a *population.Assigner) erro
 	})
 }
 
-// synthJob is one shard handed to the worker pool, with the assigner
-// cursor positioned at the shard's first draw.
-type synthJob struct {
-	shard    int
-	plan     shardPlan
-	assigner *population.Assigner
+// cursorChain hands every shard an assigner at the shard's first draw, so
+// each shard draws exactly the addresses the serial walk would. It walks one
+// cursor through the plan with shardPlan.skip, forking it at each shard
+// start, only as far as the highest shard requested. The pool requests
+// shards in ascending order, so the walk happens once per campaign,
+// overlapped with running shards; a restored prefix is simply walked past.
+type cursorChain struct {
+	mu     sync.Mutex
+	pop    *population.Population
+	plans  []shardPlan
+	cursor *population.Assigner   // at the last start's first draw (shard 0's before any)
+	starts []*population.Assigner // starts[j] is at shard j's first draw
+	err    error                  // a failed walk step; the cursor is lost
 }
 
-// synthWorker holds one pool worker's streaming state: its accumulator,
-// its metrics shard, and the scratch the per-probe path reuses — query and
-// response messages, the encode buffer, the qname buffer and the decode
-// message — so steady-state synthesis allocates nothing per probe.
+// at returns a private assigner positioned at shard i's first draw.
+func (c *cursorChain) at(i int) (*population.Assigner, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.err == nil && len(c.starts) <= i {
+		if n := len(c.starts); n > 0 {
+			c.err = c.plans[n-1].skip(c.pop, c.cursor)
+		}
+		c.starts = append(c.starts, c.cursor.Fork())
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.starts[i].Fork(), nil
+}
+
+// synthWorker holds one shard run's assigner, accumulator and metrics shard,
+// and the scratch the per-probe path reuses — query and response messages,
+// the encode buffer, the qname buffer and the decode message — so
+// steady-state synthesis allocates nothing per probe.
 type synthWorker struct {
 	clusterSize uint64
 	assigner    *population.Assigner
@@ -341,20 +341,20 @@ type synthWorker struct {
 	buf, name            []byte
 }
 
-// run synthesizes one shard into the worker's accumulator. The global
-// probe index g determines the qname and transaction ID; the job's
-// assigner cursor determines the source address; together they reproduce
-// the serial walk's exact output for the shard. Cancellation is polled
-// every 64Ki probes — cheap against the per-probe work, fine-grained
-// against a multi-minute campaign.
-func (w *synthWorker) run(ctx context.Context, pop *population.Population, job synthJob) error {
-	w.assigner = job.assigner
-	g := job.plan.start
-	return job.plan.each(pop, func(c *population.Cohort, n uint64) error {
+// synthWorkers recycles synthWorker scratch across shards, so a pool worker
+// that runs many shards reuses one set of buffers.
+var synthWorkers = sync.Pool{New: func() any {
+	return &synthWorker{buf: make([]byte, 0, 512), name: make([]byte, 0, 64)}
+}}
+
+// run synthesizes shard p into the worker's accumulator. The global probe
+// index g determines the qname and transaction ID; the worker's assigner
+// determines the source address; together they reproduce the serial
+// walk's exact output for the shard.
+func (w *synthWorker) run(pop *population.Population, p shardPlan) error {
+	g := p.start
+	return p.each(pop, func(c *population.Cohort, n uint64) error {
 		for end := g + n; g < end; g++ {
-			if g&0xFFFF == 0 && ctx.Err() != nil {
-				return ErrInterrupted
-			}
 			if err := w.probe(c, g); err != nil {
 				return err
 			}
@@ -395,65 +395,69 @@ func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
 	return nil
 }
 
-// synthesize streams the whole population through the analysis pipeline.
-// The fixed shard plan runs on a pool of cfg.workers() goroutines, each
-// accumulating every shard it takes into its own accumulator. The
-// dispatcher hands each shard a fork of one running assigner cursor and
-// then advances the cursor past the shard's draws, so every shard draws
-// exactly the source addresses the serial walk would, and the walk is
-// made once per campaign, overlapped with the workers. Accumulator.Merge
-// is exact and order-free, so the merged accumulator is identical for
-// every worker count.
-func synthesize(cfg Config, pop *population.Population, threat *threatintel.DB,
-	reg *geo.Registry, cursor *population.Assigner, clusterSize int) (*analysis.Accumulator, error) {
-	plans := planShards(pop)
-	accCfg := analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg}
-	ws := make([]*synthWorker, min(cfg.workers(), max(len(plans), 1)))
-	for i := range ws {
-		ws[i] = &synthWorker{
-			clusterSize: uint64(clusterSize),
-			acc:         analysis.NewAccumulator(accCfg),
-			// Registered here, in worker order, so the snapshot's shard
-			// list is deterministic regardless of goroutine scheduling.
-			obs:  cfg.Obs.NewShard(fmt.Sprintf("synth-%d", i)),
-			buf:  make([]byte, 0, 512),
-			name: make([]byte, 0, 64),
-		}
-	}
+// synthEnv is the state every synthetic shard shares: the configuration,
+// and the cursor chain with the population and plan it walks.
+type synthEnv struct {
+	cursorChain
+	cfg         Config
+	accCfg      analysis.Config
+	clusterSize int
+}
 
-	ctx := cfg.ctx()
-	// A shard that never runs — the dispatch stopped or the pool dropped
-	// it on cancellation — keeps ErrInterrupted.
-	errs := make([]error, len(plans))
-	for i := range errs {
-		errs[i] = ErrInterrupted
+// openSynthCampaign plans a synthetic campaign and opens it on the shard
+// engine with synthEnv's hooks.
+func openSynthCampaign(cfg Config, pop *population.Population, threat *threatintel.DB) (*ShardCampaign, error) {
+	if !cfg.Faults.pristine() {
+		return nil, fmt.Errorf("core: fault injection requires simulation mode (the synthetic engine has no network to impair)")
 	}
-	pool := startPool(ctx, len(ws), func(w int, job synthJob) {
-		errs[job.shard] = ws[w].run(ctx, pop, job)
-	})
-	var err error
-	for i, plan := range plans {
-		if !pool.send(synthJob{shard: i, plan: plan, assigner: cursor.Fork()}) {
-			break
-		}
-		if err = plan.skip(pop, cursor); err != nil {
-			break
-		}
-	}
-	pool.wait()
+	reg, _, assigner, err := openAssigner(cfg, pop)
 	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	env := &synthEnv{
+		cursorChain: cursorChain{pop: pop, plans: planShards(pop), cursor: assigner},
+		cfg:         cfg,
+		accCfg:      analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg},
+		clusterSize: cfg.scaledClusterSize(),
 	}
-	acc := ws[0].acc
-	for _, w := range ws[1:] {
-		acc.Merge(w.acc)
+	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, merge: env.merge}
+	return newShardCampaign(cfg, eng, len(env.plans), synthCampaignKey(cfg, env.plans), env.accCfg)
+}
+
+// runShard synthesizes shard i into a fresh accumulator, on scratch taken
+// from synthWorkers.
+func (env *synthEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
+	a, err := env.at(i)
+	if err != nil {
+		return nil, err
 	}
-	return acc, nil
+	acc := analysis.NewAccumulator(env.accCfg)
+	w := synthWorkers.Get().(*synthWorker)
+	defer synthWorkers.Put(w)
+	w.clusterSize, w.assigner, w.acc, w.obs = uint64(env.clusterSize), a, acc, msh
+	err = w.run(env.pop, env.plans[i])
+	w.assigner, w.acc, w.obs = nil, nil, nil
+	if err != nil {
+		return nil, err
+	}
+	return &shardRun{acc: acc, obs: msh}, nil
+}
+
+// merge folds the shards' accumulators in shard order — Accumulator.Merge
+// is exact, so the shard layout never changes a byte — and reports them
+// against the campaign counts the population and configuration imply.
+func (env *synthEnv) merge(runs []*shardRun) *Dataset {
+	acc := analysis.NewAccumulator(env.accCfg)
+	for _, r := range runs {
+		acc.Merge(r.acc)
+	}
+	size := uint64(env.clusterSize)
+	return &Dataset{
+		Config:       env.cfg,
+		Report:       acc.Report(syntheticCampaignCounts(env.cfg, env.pop, env.clusterSize)),
+		Population:   env.pop,
+		ClustersUsed: int((env.pop.ExpectedR2 + size - 1) / size),
+	}
 }
 
 // syntheticCampaignCounts derives the Table II row for a synthetic run: Q1
@@ -479,7 +483,7 @@ func syntheticCampaignCounts(cfg Config, pop *population.Population, clusterSize
 
 // RunSimulation executes the campaign on the discrete-event network.
 func RunSimulation(cfg Config) (*Dataset, error) {
-	pop, feed, _, _, err := buildDeps(cfg)
+	pop, feed, err := buildDeps(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -501,47 +505,5 @@ func SimulatePopulation(cfg Config, pop *population.Population, threat *threatin
 	if err != nil {
 		return nil, err
 	}
-	tr := cfg.Obs.Tracer()
-	errs := make([]error, len(sc.shards))
-
-	// runShard executes one pending shard and, on success, persists it at
-	// the shard boundary — the atomic unit of crash-safe progress. Each
-	// shard index is owned by exactly one goroutine, so runs/errs writes
-	// need no lock.
-	runShard := func(i int) {
-		sc.runs[i], errs[i] = runSimShard(sc.env, sc.shards[i], sc.obsShards[i])
-		if errs[i] == nil && sc.store != nil {
-			sc.store.write(i, sc.runs[i])
-		}
-	}
-
-	ctx := cfg.ctx()
-	sp := tr.Begin("simulate")
-	// Graceful shutdown: on cancellation, stop dispatching but let every
-	// in-flight shard drain (and checkpoint) before returning.
-	pool := startPool(ctx, min(cfg.workers(), len(sc.shards)), func(_ int, i int) { runShard(i) })
-	for i := range sc.shards {
-		if sc.runs[i] == nil && !pool.send(i) {
-			break
-		}
-	}
-	pool.wait()
-	tr.End(sp)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, run := range sc.runs {
-		if run == nil {
-			// Cancelled before every shard completed. Completed shards are
-			// checkpointed; rerunning the same configuration resumes there.
-			return nil, fmt.Errorf("core: %w: campaign stopped at a shard boundary", ErrInterrupted)
-		}
-	}
-
-	sp = tr.Begin("report")
-	ds, err := sc.Merge()
-	tr.End(sp)
-	return ds, err
+	return sc.run()
 }

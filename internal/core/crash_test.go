@@ -5,8 +5,8 @@ package core
 // stronger property: a campaign whose *process is killed* — no deferred
 // cleanup, no final flush, a temp file possibly mid-write — resumes from
 // its shard checkpoints and still reproduces the uninterrupted run's
-// campaign digest, byte for byte, for both paper years and under the full
-// chaos stack.
+// campaign digest, byte for byte, for both paper years, under the full
+// chaos stack, and for a synthetic campaign.
 //
 // Mechanism: the test re-executes its own binary (os.Args[0]) restricted
 // to TestCrashChild, which runs the campaign with a checkpoint filesystem
@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -33,15 +34,47 @@ import (
 // machinery (same stack TestFaultWorkerEquivalence pins).
 const crashChaosSpec = "ge:0.02,0.3,0.05,0.9;dup:0.05;reorder:0.1,30ms;corrupt:0.02"
 
-// crashScenarioConfig builds the campaign under test, shared verbatim by
-// the parent's cold run and the child's crashing runs so the digests are
-// comparable by construction.
-func crashScenarioConfig(t *testing.T, year paperdata.Year, chaos bool) Config {
-	cfg := Config{Year: year, SampleShift: 14, Seed: 23, KeepPackets: true}
-	if chaos {
+// crashScenario is one campaign the crash matrix kills and resumes.
+type crashScenario struct {
+	name  string
+	year  paperdata.Year
+	chaos bool // run under crashChaosSpec
+	synth bool // the synthetic engine instead of the simulation
+	// killRange bounds each attempt's kill point (1..killRange shard
+	// boundaries), sized to the plan so 40 attempts reach the end.
+	killRange int
+}
+
+// crashScenarios is the matrix. The simulations plan 16 shards; the
+// synthetic campaign's 64 get a wider kill range, so it averages about ten
+// attempts and still dies at three or more boundaries.
+var crashScenarios = []crashScenario{
+	{name: "2013-pristine", year: paperdata.Y2013, killRange: 3},
+	{name: "2018-pristine", year: paperdata.Y2018, killRange: 3},
+	{name: "2018-chaos", year: paperdata.Y2018, chaos: true, killRange: 3},
+	{name: "synth-2018", year: paperdata.Y2018, synth: true, killRange: 12},
+}
+
+// config builds the campaign under test, shared verbatim by the parent's
+// cold run and the child's crashing runs so the digests are comparable by
+// construction.
+func (sc crashScenario) config(t *testing.T) Config {
+	if sc.synth {
+		return Config{Year: sc.year, SampleShift: 10, Seed: 23}
+	}
+	cfg := Config{Year: sc.year, SampleShift: 14, Seed: 23, KeepPackets: true}
+	if sc.chaos {
 		cfg.Faults = chaosPlan(t, crashChaosSpec)
 	}
 	return cfg
+}
+
+// run runs cfg through the scenario's engine.
+func (sc crashScenario) run(cfg Config) (*Dataset, error) {
+	if sc.synth {
+		return RunSynthetic(cfg)
+	}
+	return RunSimulation(cfg)
 }
 
 // killFS crashes the process immediately after the kill-th checkpoint
@@ -66,28 +99,32 @@ func (f *killFS) Rename(oldpath, newpath string) error {
 }
 
 // TestCrashChild is the subprocess body, inert unless the parent set the
-// environment contract. It runs the scenario campaign with checkpointing
-// into ORSIM_CRASH_DIR and a killFS armed at ORSIM_CRASH_KILL (0 = never),
-// printing the final fault digest on completion.
+// environment contract. It runs the scenario named by ORSIM_CRASH_SCENARIO
+// with checkpointing into ORSIM_CRASH_DIR and a killFS armed at
+// ORSIM_CRASH_KILL (0 = never), printing the final fault digest on
+// completion.
 func TestCrashChild(t *testing.T) {
 	if os.Getenv("ORSIM_CRASH_CHILD") != "1" {
 		t.Skip("crash-harness child; run via TestCrashMatrix")
 	}
-	year := paperdata.Y2013
-	if os.Getenv("ORSIM_CRASH_YEAR") == "2018" {
-		year = paperdata.Y2018
+	i := slices.IndexFunc(crashScenarios, func(sc crashScenario) bool {
+		return sc.name == os.Getenv("ORSIM_CRASH_SCENARIO")
+	})
+	if i < 0 {
+		t.Fatalf("ORSIM_CRASH_SCENARIO %q names no scenario", os.Getenv("ORSIM_CRASH_SCENARIO"))
 	}
+	sc := crashScenarios[i]
 	kill, err := strconv.Atoi(os.Getenv("ORSIM_CRASH_KILL"))
 	if err != nil {
 		t.Fatalf("ORSIM_CRASH_KILL: %v", err)
 	}
-	cfg := crashScenarioConfig(t, year, os.Getenv("ORSIM_CRASH_CHAOS") == "1")
+	cfg := sc.config(t)
 	cfg.Checkpoints = CheckpointPlan{
 		Dir: os.Getenv("ORSIM_CRASH_DIR"),
 		FS:  &killFS{CheckpointFS: osCheckpointFS{}, kill: kill},
 		Log: os.Stderr,
 	}
-	ds, err := RunSimulation(cfg)
+	ds, err := sc.run(cfg)
 	if err != nil {
 		t.Fatalf("child campaign: %v", err)
 	}
@@ -107,18 +144,9 @@ func TestCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash matrix skipped in -short mode")
 	}
-	scenarios := []struct {
-		name  string
-		year  paperdata.Year
-		chaos bool
-	}{
-		{"2013-pristine", paperdata.Y2013, false},
-		{"2018-pristine", paperdata.Y2018, false},
-		{"2018-chaos", paperdata.Y2018, true},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range crashScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			cold, err := RunSimulation(crashScenarioConfig(t, sc.year, sc.chaos))
+			cold, err := sc.run(sc.config(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,8 +158,8 @@ func TestCrashMatrix(t *testing.T) {
 			for attempt := 0; attempt < 40 && digest == ""; attempt++ {
 				// Small kill points force many distinct crash boundaries;
 				// every attempt is guaranteed ≥1 shard of forward progress.
-				kill := rng.Intn(3) + 1
-				out, err := runCrashChild(t, sc.year, sc.chaos, dir, kill)
+				kill := rng.Intn(sc.killRange) + 1
+				out, err := runCrashChild(t, sc.name, dir, kill)
 				if m := crashDigestRe.FindSubmatch(out); m != nil {
 					digest = string(m[1])
 					break
@@ -159,13 +187,12 @@ func TestCrashMatrix(t *testing.T) {
 // runCrashChild re-executes the test binary restricted to TestCrashChild
 // with the scenario in its environment, returning the combined output and
 // the child's exit error (non-nil on a kill).
-func runCrashChild(t *testing.T, year paperdata.Year, chaos bool, dir string, kill int) ([]byte, error) {
+func runCrashChild(t *testing.T, scenario, dir string, kill int) ([]byte, error) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashChild$", "-test.count=1")
 	cmd.Env = append(os.Environ(),
 		"ORSIM_CRASH_CHILD=1",
-		fmt.Sprintf("ORSIM_CRASH_YEAR=%d", year),
-		fmt.Sprintf("ORSIM_CRASH_CHAOS=%s", map[bool]string{true: "1", false: "0"}[chaos]),
+		"ORSIM_CRASH_SCENARIO="+scenario,
 		"ORSIM_CRASH_DIR="+dir,
 		fmt.Sprintf("ORSIM_CRASH_KILL=%d", kill),
 	)

@@ -24,9 +24,13 @@
 //     pool of Config.Workers goroutines, whose merged result is identical
 //     to the serial walk for every worker count (DESIGN.md §2).
 //
+// Both modes run on one shard engine, ShardCampaign: a fixed shard plan, a
+// worker pool, checkpoints and cancellation at shard boundaries, and one
+// ordered merge (DESIGN.md §13).
+//
 // Both modes accept an optional obs.Registry (Config.Obs) that receives
 // the campaign's observability stream — phase spans for every stage, one
-// metrics shard per worker, and the virtual-vs-wall clock ratio — without
+// metrics shard per plan shard, and the virtual-vs-wall clock ratio — without
 // perturbing the campaign itself: metrics are write-only and the metrics
 // golden tests pin instrumented runs to the uninstrumented digests
 // (DESIGN.md §9).

@@ -26,13 +26,13 @@ import (
 
 // envelopeFixture runs shard 0 of cfg and returns the campaign key and
 // the completed run that marshalShardEnvelope serializes.
-func envelopeFixture(tb testing.TB, cfg Config) (string, *simShardRun) {
+func envelopeFixture(tb testing.TB, cfg Config) (string, *shardRun) {
 	tb.Helper()
 	sc, err := OpenShardCampaign(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	run, err := runSimShard(sc.env, sc.shards[0], obs.NewShard("sim-0"))
+	run, err := sc.engine.runShard(0, obs.NewShard("sim-0"))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -124,19 +124,28 @@ func TestFaultGoldenWithMetrics(t *testing.T) {
 
 // TestSyntheticDeterministicWithMetrics checks that the synthetic engine's
 // report is identical with and without metrics, across worker counts, and
-// that every worker shard registered in deterministic order.
+// that one metrics shard per plan shard registered in shard order, however
+// many workers ran them.
 func TestSyntheticDeterministicWithMetrics(t *testing.T) {
-	base, err := RunSynthetic(Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 3})
+	cfg := Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 3}
+	base, err := RunSynthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := base.Report.RenderAll()
+	pop, feed, err := buildDeps(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := openSynthCampaign(cfg, pop, feed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3, 8} {
 		reg := obs.NewRegistry()
-		ds, err := RunSynthetic(Config{
-			Year: paperdata.Y2018, SampleShift: 12, Seed: 3,
-			Workers: workers, Obs: reg,
-		})
+		run := cfg
+		run.Workers, run.Obs = workers, reg
+		ds, err := RunSynthetic(run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,8 +153,8 @@ func TestSyntheticDeterministicWithMetrics(t *testing.T) {
 			t.Errorf("workers=%d with metrics: report diverged from uninstrumented run", workers)
 		}
 		shards := reg.Shards()
-		if len(shards) != workers {
-			t.Fatalf("workers=%d: %d shards registered", workers, len(shards))
+		if len(shards) != sc.NumShards() {
+			t.Fatalf("workers=%d: %d shards registered, want the plan's %d", workers, len(shards), sc.NumShards())
 		}
 		var total uint64
 		for i, sh := range shards {
@@ -157,8 +166,8 @@ func TestSyntheticDeterministicWithMetrics(t *testing.T) {
 		if merged := reg.Merged().Counter(obs.CSynthProbes); merged != total {
 			t.Errorf("merged synth.probes %d != shard sum %d", merged, total)
 		}
-		if total == 0 {
-			t.Error("no synthetic probes counted")
+		if total != pop.ExpectedR2 {
+			t.Errorf("synth.probes = %d, want one per response (%d)", total, pop.ExpectedR2)
 		}
 	}
 }

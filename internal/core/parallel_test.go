@@ -62,14 +62,14 @@ func synthCases(t *testing.T) []synthCase {
 	var cases []synthCase
 	for _, y := range []paperdata.Year{paperdata.Y2013, paperdata.Y2018} {
 		cfg := Config{Year: y, SampleShift: 8, Seed: 5}
-		pop, feed, _, _, err := buildDeps(cfg)
+		pop, feed, err := buildDeps(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cases = append(cases, synthCase{fmt.Sprintf("%d", y), cfg, pop, feed})
 	}
 	cfg := Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 7}
-	full, feed, _, _, err := buildDeps(cfg)
+	full, feed, err := buildDeps(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +204,24 @@ func TestSyntheticMoreWorkersThanProbes(t *testing.T) {
 	}
 }
 
+// TestSyntheticEmptyPopulation: a population with no cohorts plans no
+// shards and synthesizes to the empty report the reference gives.
+func TestSyntheticEmptyPopulation(t *testing.T) {
+	cfg := Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 3}
+	feed := threatintel.NewFeed(cfg.Year, cfg.Seed)
+	pop := &population.Population{Year: cfg.Year, Shift: cfg.SampleShift}
+	ds, err := SynthesizePopulation(cfg, pop, feed.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Report.Correctness.R2 != 0 || ds.ClustersUsed != 0 {
+		t.Errorf("empty population: R2 %d, %d clusters, want none", ds.Report.Correctness.R2, ds.ClustersUsed)
+	}
+	if want := referenceSynthesize(t, cfg, pop, feed.DB); !reflect.DeepEqual(ds.Report, want) {
+		t.Error("empty population's report differs from the reference")
+	}
+}
+
 func TestPlanShardsCoversEveryProbeOnce(t *testing.T) {
 	for _, sc := range synthCases(t) {
 		pop := sc.pop
@@ -257,9 +275,9 @@ func TestPlanShardsCoversEveryProbeOnce(t *testing.T) {
 }
 
 func TestShardCursorsReplaySerialWalk(t *testing.T) {
-	// The dispatcher's cursor walk: forking the running cursor at each shard
-	// and skipping it past the shard's draws must hand every shard exactly
-	// the source addresses one serial assigner draws for that range.
+	// The cursor chain: every shard's assigner, requested in any order and
+	// more than once, must draw exactly the source addresses one serial
+	// assigner draws for that shard's range.
 	for _, sc := range synthCases(t) {
 		u, err := scan.NewUniverse(uint64(sc.cfg.Seed), sc.cfg.SampleShift, ipv4.NewReservedBlocklist())
 		if err != nil {
@@ -272,21 +290,54 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 			}
 			return a
 		}
-		serial, cursor := newAssigner(), newAssigner()
-		for i, p := range planShards(sc.pop) {
-			fork := cursor.Fork()
-			if err := p.skip(sc.pop, cursor); err != nil {
-				t.Fatal(err)
-			}
+		plans := planShards(sc.pop)
+		// The serial walk's draws, per shard.
+		serial := newAssigner()
+		want := make([][]ipv4.Addr, len(plans))
+		for i, p := range plans {
 			err := p.each(sc.pop, func(c *population.Cohort, n uint64) error {
 				for ; n > 0; n-- {
-					want, err := serial.Next(c.Country)
+					a, err := serial.Next(c.Country)
 					if err != nil {
 						return err
 					}
-					if got, err := fork.Next(c.Country); err != nil || got != want {
-						return fmt.Errorf("drew %v (%v), serial walk drew %v", got, err, want)
+					want[i] = append(want[i], a)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Ascending (the pool's order), then a jump ahead, a step back,
+		// a repeat, and the rest in reverse.
+		n := len(plans)
+		order := []int{0, 1, n / 2, 2, 1}
+		for i := n - 1; i >= 0; i-- {
+			order = append(order, i)
+		}
+		chain := &cursorChain{pop: sc.pop, plans: plans, cursor: newAssigner()}
+		hi := -1
+		for _, i := range order {
+			if i >= n {
+				continue
+			}
+			a, err := chain.at(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The walk goes only as far as the highest shard requested.
+			hi = max(hi, i)
+			if len(chain.starts) != hi+1 {
+				t.Fatalf("%s: after shard %d the chain walked to %d shard starts, want %d", sc.name, i, len(chain.starts), hi+1)
+			}
+			j := 0
+			err = plans[i].each(sc.pop, func(c *population.Cohort, n uint64) error {
+				for ; n > 0; n-- {
+					if got, err := a.Next(c.Country); err != nil || got != want[i][j] {
+						return fmt.Errorf("draw %d: %v (%v), serial walk drew %v", j, got, err, want[i][j])
 					}
+					j++
 				}
 				return nil
 			})

@@ -21,19 +21,24 @@ func TestShardPlacement(t *testing.T) {
 		{Year: paperdata.Y2013, SampleShift: 14, Seed: 1},
 		{Year: paperdata.Y2018, SampleShift: 12, Seed: 7},
 	} {
-		pop, feed, _, u, err := buildDeps(cfg)
+		pop, feed, err := buildDeps(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := openSimCampaign(cfg, pop, feed.DB)
+		_, u, a, err := openAssigner(cfg, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := planSimShards(cfg, u)
+		hosts, err := placeSimHosts(pop, a, u, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seen := make(map[ipv4.Addr]int)
 		perCohort := make([]uint64, len(pop.Cohorts))
 		total := 0
-		for w, list := range sc.env.hosts {
-			sh := sc.shards[w]
+		for w, list := range hosts {
+			sh := shards[w]
 			for _, h := range list {
 				if prev, dup := seen[h.addr]; dup {
 					t.Fatalf("%d: %v placed in shards %d and %d", cfg.Year, h.addr, prev, w)
@@ -55,7 +60,7 @@ func TestShardPlacement(t *testing.T) {
 				t.Errorf("%d: cohort %d placed %d, want %d", cfg.Year, ci, perCohort[ci], c.Count)
 			}
 		}
-		if len(sc.env.hosts) > 1 && len(sc.env.hosts[0]) == total {
+		if len(hosts) > 1 && len(hosts[0]) == total {
 			t.Errorf("%d: every resolver landed in shard 0", cfg.Year)
 		}
 

@@ -14,7 +14,7 @@ func TestWorkPoolStartsNothingAfterCancel(t *testing.T) {
 	for rep := 0; rep < 200; rep++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var started []int
-		pool := startPool(ctx, 1, func(_ int, job int) {
+		pool := startPool(ctx, 1, func(job int) {
 			started = append(started, job)
 			if job == 2 {
 				cancel()

@@ -89,7 +89,7 @@ func planSimShards(cfg Config, u *scan.Universe) []simShard {
 		// (every name burned) — retires at least 3·clusterSize/4 burned
 		// names, and names burn only on a response to a sent probe, so a
 		// shard of P probes rotates at most 4P/(3·clusterSize) times (+1 for
-		// the initial cluster, +1 slack for the integer edge). runSimShard
+		// the initial cluster, +1 slack for the integer edge). runShard
 		// re-checks the bound after the run; exceeding it would collide
 		// qnames across shards.
 		span := int(4*probes/(3*clusterSize)) + 2
@@ -119,16 +119,41 @@ func shardSeed(seed int64, w int) int64 {
 	return int64(x ^ (x >> 31))
 }
 
-// simEnv is the read-only state every shard shares: the compiled population
-// and each shard's resolver list, the threat and geo databases, and the
-// scan universe. Nothing in it is written during the fan-out.
+// simEnv is the read-only state every shard shares: the population, the
+// shard plan and each shard's resolver list, the threat and geo databases,
+// and the scan universe. Nothing in it is written during the fan-out.
 type simEnv struct {
 	cfg    Config
 	pop    *population.Population
 	threat *threatintel.DB
 	reg    *geo.Registry
 	u      *scan.Universe
+	shards []simShard
 	hosts  [][]simHost // per shard, in assigner-walk order
+}
+
+// openSimCampaign plans a simulated campaign, places its resolvers, and
+// opens it on the shard engine with simEnv's hooks.
+func openSimCampaign(cfg Config, pop *population.Population, threat *threatintel.DB) (*ShardCampaign, error) {
+	if cfg.SampleShift < 6 {
+		return nil, fmt.Errorf("core: simulation mode needs SampleShift ≥ 6 (got %d); use RunSynthetic for full scale", cfg.SampleShift)
+	}
+	reg, u, assigner, err := openAssigner(cfg, pop)
+	if err != nil {
+		return nil, err
+	}
+	shards := planSimShards(cfg, u)
+	tr := cfg.Obs.Tracer()
+	sp := tr.Begin("population-place")
+	hosts, err := placeSimHosts(pop, assigner, u, shards)
+	if err != nil {
+		return nil, err
+	}
+	tr.End(sp)
+	env := &simEnv{cfg: cfg, pop: pop, threat: threat, reg: reg, u: u, shards: shards, hosts: hosts}
+	eng := shardEngine{label: "sim", span: "simulate", runShard: env.runShard, merge: env.merge}
+	return newShardCampaign(cfg, eng, len(shards), checkpointCampaignKey(cfg, shards),
+		analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg})
 }
 
 // simHost is one resolver: its address and its cohort's index.
@@ -197,37 +222,12 @@ func (st *resolverStub) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
 	r.HandleDatagram(n, dg)
 }
 
-// simShardRun is one completed sub-simulation: the shard's private
-// accumulator, capture counters, R2 stream and responder verdicts, and
-// counter snapshots, ready for the ordered merge. The authoritative-side
-// capture is not kept: the shard joins it against its own R2s as it runs
-// (roles), which is exact because every qname's Q2s reach the shard that
-// probed it. Every field is plain value data (no live logs or simulator
-// handles): a run restored from a checkpoint is indistinguishable from a
-// freshly executed one, which is what makes the resumed merge
-// byte-identical.
-type simShardRun struct {
-	acc           *analysis.Accumulator
-	probeCounters capture.Counters
-	authCounters  capture.Counters
-	r2            []capture.Packet
-	roles         *classify.Summary // responder verdicts; KeepPackets campaigns only
-	netStats      netsim.Stats
-	faultStats    netsim.FaultStats
-	probeStats    prober.Stats
-	sent          uint64
-	reused        uint64
-	clusters      int
-	duration      time.Duration
-	obs           *obs.Shard
-}
-
-// runSimShard executes one shard: a complete private replica of the
-// campaign's network — the DNS hierarchy of Fig. 1 with the tcpdump tap of
-// Fig. 2, the shard's share of the resolver population, and the prober —
-// bounded to the shard's probe range, cluster namespace, and rate slice.
-func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error) {
-	cfg := env.cfg
+// runShard executes shard i: a complete private replica of the campaign's
+// network — the DNS hierarchy of Fig. 1 with the tcpdump tap of Fig. 2, the
+// shard's share of the resolver population, and the prober — bounded to the
+// shard's probe range, cluster namespace, and rate slice.
+func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
+	cfg, sh := env.cfg, env.shards[i]
 	sim := netsim.New(netsim.Config{
 		Seed:    shardSeed(cfg.Seed, sh.index),
 		Latency: netsim.UniformLatency(10*time.Millisecond, 80*time.Millisecond),
@@ -329,7 +329,7 @@ func runSimShard(env *simEnv, sh simShard, msh *obs.Shard) (*simShardRun, error)
 	if tap.roles != nil {
 		roles = tap.roles.Classify(probeLog.R2())
 	}
-	return &simShardRun{
+	return &shardRun{
 		acc:           acc,
 		probeCounters: probeLog.Counters(),
 		authCounters:  tap.log.Counters(),
@@ -365,15 +365,16 @@ func (t *authTap) Packet(inbound bool, at time.Duration, dg netsim.Datagram, msg
 	}
 }
 
-// mergeSimShards folds the completed shards, in shard order, into one
-// Dataset — exactly the synth path's discipline: accumulators merge with
+// merge folds the completed shards, in shard order, into one Dataset —
+// exactly the synth engine's discipline: accumulators merge with
 // analysis.Accumulator.Merge (exact for arbitrary stream splits), counters
 // sum field-wise, the campaign duration is the slowest shard's (the shards
 // probe concurrently at split rates), the R2 streams concatenate and the
 // per-shard role verdicts fold (classify.Merge) in shard order, so every
 // derived byte is deterministic.
-func mergeSimShards(cfg Config, pop *population.Population, runs []*simShardRun) *Dataset {
-	ds := &Dataset{Config: cfg, Population: pop}
+func (env *simEnv) merge(runs []*shardRun) *Dataset {
+	cfg := env.cfg
+	ds := &Dataset{Config: cfg, Population: env.pop}
 	acc := runs[0].acc
 	var camp analysis.CampaignCounts
 	for i, r := range runs {

@@ -20,8 +20,8 @@
 //     shards safe to read concurrently — the metrics server and the
 //     progress printer sample them while the campaign runs.
 //
-//   - Aggregation is deterministic. Each worker (the single-threaded
-//     simulator, or one goroutine of the parallel synthetic engine) owns
+//   - Aggregation is deterministic. Each campaign shard (one
+//     sub-simulation, or one probe range of the synthetic engine) owns
 //     its shard; merging sums counters and per-bucket histogram counts,
 //     which is commutative and associative, so the merged snapshot is
 //     identical for any worker count and any merge order — the same

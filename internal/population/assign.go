@@ -163,8 +163,8 @@ func (a *Assigner) Fork() *Assigner {
 // still permuted and tested against the exclusions and the avoid set. On a
 // 2-vCPU Xeon a skipped draw costs about 40 ns against about 600 ns for a
 // synthesized probe: cheap, but not free at millions of draws, so the
-// synthetic engine walks each campaign's draws once, in its dispatcher,
-// rather than once per shard from the campaign start.
+// synthetic engine's cursor chain walks each campaign's draws once, shard
+// by shard, rather than once per shard from the campaign start.
 func (a *Assigner) AdvanceUnpinned(n uint64) error {
 	for i := uint64(0); i < n; i++ {
 		if _, err := a.nextUnpinned(); err != nil {
