@@ -163,7 +163,8 @@ bench-batch:
 # Benchmark-regression gate: run the committed benchmark suites, fold the
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
-# records it (BenchmarkShardEnvelope: BENCH_PR14.json). Fails on
+# records it (BenchmarkShardEnvelope: BENCH_PR14.json; BenchmarkSynthProbe,
+# one sub-benchmark per answer kind: BENCH_PR19.json). Fails on
 # >25% ns/op growth or >0.1% allocs/op growth for any benchmark both sides
 # know (zero-alloc benchmarks stay strict — 0 × 1.001 is still 0).
 # bench_fresh.json is scratch (gitignored).
@@ -171,7 +172,7 @@ benchdiff:
 	( $(GO) test -run '^$$' -bench 'CampaignSynthetic(Serial|Parallel)' -benchmem -count $(BENCH_COUNT) . ; \
 	  $(GO) test -run '^$$' -bench 'CampaignSimulated' -benchmem -count $(BENCH_COUNT) . ; \
 	  $(GO) test -run '^$$' -bench 'TimerEnqueueDequeue|HostLookup|StepBatchDrain' -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
-	  $(GO) test -run '^$$' -bench 'ShardEnvelope' -benchmem -count $(BENCH_COUNT) ./internal/core ) \
+	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe' -benchmem -count $(BENCH_COUNT) ./internal/core ) \
 	  | $(GO) run ./scripts/bench2json > $(BENCH_FRESH)
 	$(GO) run ./scripts/benchdiff -fresh $(BENCH_FRESH) -alloc-ratio 1.001 -newest BENCH_PR*.json
 

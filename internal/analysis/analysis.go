@@ -64,8 +64,8 @@ type Accumulator struct {
 
 	// Table VII uniqueness and multiplicity.
 	ipCounts  map[ipv4.Addr]uint64
-	urlCounts map[string]uint64
-	strCounts map[string]uint64
+	urlCounts nameCounts
+	strCounts nameCounts
 	naPackets uint64
 
 	// Malicious analysis (Tables IX, X, geo).
@@ -84,8 +84,8 @@ func NewAccumulator(cfg Config) *Accumulator {
 	return &Accumulator{
 		cfg:        cfg,
 		ipCounts:   make(map[ipv4.Addr]uint64),
-		urlCounts:  make(map[string]uint64),
-		strCounts:  make(map[string]uint64),
+		urlCounts:  make(nameCounts),
+		strCounts:  make(nameCounts),
 		malPackets: make(map[paperdata.MalCategory]uint64),
 		malUnique:  make(map[ipv4.Addr]paperdata.MalCategory),
 		malGeo:     make(map[string]uint64),
@@ -144,10 +144,10 @@ func (a *Accumulator) Merge(b *Accumulator) {
 		a.ipCounts[k] += n
 	}
 	for k, n := range b.urlCounts {
-		a.urlCounts[k] += n
+		a.urlCounts.add(k, *n)
 	}
 	for k, n := range b.strCounts {
-		a.strCounts[k] += n
+		a.strCounts.add(k, *n)
 	}
 	a.naPackets += b.naPackets
 	for k, n := range b.malPackets {
@@ -230,7 +230,7 @@ func classifyAnswer(msg *dnswire.Message, qname string) (answerForm, ipv4.Addr, 
 		switch {
 		case rr.Type == dnswire.TypeA && !rr.Malformed:
 			addr := ipv4.Addr(rr.A)
-			return formIP, addr, addr == dnssrv.TruthAddr(qname)
+			return formIP, addr, dnssrv.IsTruthAddr(addr, qname)
 		case rr.Type == dnswire.TypeA && rr.Malformed:
 			sawMalformed = true
 		case rr.Type == dnswire.TypeCNAME:
@@ -285,23 +285,33 @@ func (a *Accumulator) addIncorrect(src ipv4.Addr, msg *dnswire.Message, form ans
 		}
 	case formURL:
 		if t, ok := firstTarget(msg, dnswire.TypeCNAME); ok {
-			bumpCount(a.urlCounts, t)
+			a.urlCounts.add(t, 1)
 		}
 	case formStr:
 		t, _ := firstTarget(msg, dnswire.TypeTXT)
-		bumpCount(a.strCounts, t)
+		a.strCounts.add(t, 1)
 	case formNA:
 		a.naPackets++
 	}
 }
 
-// bumpCount increments m[k] through an owned copy of k: decoded targets
-// alias their message's arena (dnswire.UnpackInto), and a map assignment
-// may install the live key operand even when the key is already present —
-// a lookup-then-clone-on-miss guard is NOT enough to keep aliased bytes
-// out of the map.
-func bumpCount(m map[string]uint64, k string) {
-	m[strings.Clone(k)]++
+// nameCounts counts packets per answer target. Decoded targets alias their
+// message's arena (dnswire.UnpackInto), and a map assignment may install
+// the live key operand even when the key is already present, so the map is
+// never assigned through a caller's key: a count lives behind a pointer
+// that a lookup reaches, and only a new target is stored, as an owned copy.
+// Counting a seen target therefore allocates nothing.
+type nameCounts map[string]*uint64
+
+// add adds n to k's count.
+func (m nameCounts) add(k string, n uint64) {
+	if c := m[k]; c != nil {
+		*c += n
+		return
+	}
+	c := new(uint64)
+	*c = n
+	m[strings.Clone(k)] = c
 }
 
 func firstTarget(msg *dnswire.Message, t dnswire.Type) (string, bool) {
@@ -385,11 +395,11 @@ func (a *Accumulator) Report(camp CampaignCounts) *Report {
 	}
 	var urlPkts uint64
 	for _, n := range a.urlCounts {
-		urlPkts += n
+		urlPkts += *n
 	}
 	var strPkts uint64
 	for _, n := range a.strCounts {
-		strPkts += n
+		strPkts += *n
 	}
 	r.Forms = paperdata.IncorrectForms{
 		IP:  paperdata.FormCount{Packets: ipPkts, Unique: uint64(len(a.ipCounts))},

@@ -70,13 +70,13 @@ func (a *Accumulator) State() *AccumulatorState {
 	if len(a.urlCounts) > 0 {
 		st.URLCounts = make(map[string]uint64, len(a.urlCounts))
 		for k, v := range a.urlCounts {
-			st.URLCounts[k] = v
+			st.URLCounts[k] = *v
 		}
 	}
 	if len(a.strCounts) > 0 {
 		st.StrCounts = make(map[string]uint64, len(a.strCounts))
 		for k, v := range a.strCounts {
-			st.StrCounts[k] = v
+			st.StrCounts[k] = *v
 		}
 	}
 	if len(a.malPackets) > 0 {
@@ -123,10 +123,10 @@ func NewAccumulatorFromState(cfg Config, st *AccumulatorState) *Accumulator {
 		a.ipCounts[k] = v
 	}
 	for k, v := range st.URLCounts {
-		a.urlCounts[k] = v
+		a.urlCounts.add(k, v)
 	}
 	for k, v := range st.StrCounts {
-		a.strCounts[k] = v
+		a.strCounts.add(k, v)
 	}
 	for k, v := range st.MalPackets {
 		a.malPackets[k] = v

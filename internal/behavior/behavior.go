@@ -326,8 +326,9 @@ func (r *Resolver) respond(n *netsim.Node, qi qinfo, res dnssrv.Result) {
 
 // BuildResponse constructs the R2 message a profile produces for query q,
 // given the recursion result res (zero Result when Upstream is 0). It is
-// shared by the discrete-event Resolver and the streaming synthetic mode,
-// guaranteeing both modes emit byte-identical behaviour.
+// shared by the discrete-event Resolver and the streaming synthetic mode
+// (whose per-cluster Template is built with it), guaranteeing both modes
+// emit byte-identical behaviour.
 func BuildResponse(q *dnswire.Message, p Profile, res dnssrv.Result) *dnswire.Message {
 	resp := new(dnswire.Message)
 	BuildResponseInto(resp, q, p, res)
@@ -339,8 +340,9 @@ func BuildResponse(q *dnswire.Message, p Profile, res dnssrv.Result) *dnswire.Me
 var malformedRDATA = []byte{0x00, 0x00}
 
 // BuildResponseInto is BuildResponse writing into resp, whose section
-// slices are reused across calls — the synthetic engine's per-probe path
-// builds millions of responses through one scratch message per worker.
+// slices are reused across calls — the simulated resolvers answer every
+// probe through one shared scratch message, and Template rebuilds through
+// its own.
 // resp must not alias q and must not be read after a subsequent call.
 // The encoded bytes are identical to BuildResponse's (an omitted question
 // section is length-0 rather than nil, which encodes the same).

@@ -1,0 +1,166 @@
+package behavior_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"openresolver/internal/behavior"
+	"openresolver/internal/dnssrv"
+	"openresolver/internal/dnswire"
+	"openresolver/internal/ipv4"
+	"openresolver/internal/paperdata"
+	"openresolver/internal/population"
+)
+
+// encoderResponse is the reference a template must reproduce: the
+// allocating BuildResponse(...).Pack() path for the probe's query, with the
+// ground-truth recursion result for AnswerTruth.
+func encoderResponse(t *testing.T, p behavior.Profile, cluster, idx int, id uint16) []byte {
+	t.Helper()
+	q := dnswire.NewQuery(id, dnssrv.FormatProbeName(cluster, idx, paperdata.SLD), dnswire.TypeA)
+	res := dnssrv.Result{}
+	if p.Answer == behavior.AnswerTruth {
+		res = dnssrv.Result{Addr: dnssrv.TruthAddr(q.Questions[0].Name), OK: true}
+	}
+	wire, err := behavior.BuildResponse(q, p, res).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// checkTemplate builds p's template for each cluster and compares every
+// patched response against the encoder.
+func checkTemplate(t *testing.T, tmpl *behavior.Template, p behavior.Profile, clusters, indexes []int) {
+	t.Helper()
+	for _, c := range clusters {
+		if err := tmpl.Build(p, c, paperdata.SLD); err != nil {
+			t.Fatalf("%+v cluster %d: %v", p, c, err)
+		}
+		for _, idx := range indexes {
+			for _, id := range []uint16{0, 1, 0xFFFF} {
+				got := tmpl.Append([]byte("pool"), id, idx)
+				want := encoderResponse(t, p, c, idx, id)
+				if !bytes.Equal(got[4:], want) || string(got[:4]) != "pool" {
+					t.Fatalf("%+v cluster %d index %d id %#x:\n got %x\nwant %x", p, c, idx, id, got[4:], want)
+				}
+			}
+		}
+	}
+}
+
+// testIndexes returns the edge indexes plus n random ones.
+func testIndexes(rng *rand.Rand, n int) []int {
+	idx := []int{0, 1, 9_999_999}
+	for range n {
+		idx = append(idx, rng.Intn(10_000_000))
+	}
+	return idx
+}
+
+// TestTemplateMatchesEncoder pins Template against the general encoder for
+// every answer kind, with the question kept and omitted, across flag and
+// rcode combinations, for 3- and 4-digit cluster labels, edge and random
+// indexes, and edge IDs. The CNAME and TXT names include a copy of the
+// index-0 label, which a template that searched for the label instead of
+// deriving it from the encoder would patch by mistake.
+func TestTemplateMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	flags := []struct {
+		ra, aa bool
+		rcode  dnswire.Rcode
+	}{
+		{false, false, dnswire.RcodeNoError},
+		{true, false, dnswire.RcodeNoError},
+		{false, true, dnswire.RcodeRefused},
+		{true, true, dnswire.RcodeServFail},
+		{true, false, dnswire.RcodeNXDomain},
+	}
+	kinds := []behavior.AnswerKind{
+		behavior.AnswerNone, behavior.AnswerTruth, behavior.AnswerFixed,
+		behavior.AnswerCNAME, behavior.AnswerTXT, behavior.AnswerMalformed,
+	}
+	var tmpl behavior.Template
+	for _, kind := range kinds {
+		for _, omit := range []bool{false, true} {
+			for _, f := range flags {
+				for _, name := range []string{"www.example-ads.com", "or000.0000000." + paperdata.SLD} {
+					p := behavior.Profile{
+						RA: f.ra, AA: f.aa, Rcode: f.rcode, Answer: kind, OmitQuestion: omit,
+						Addr: ipv4.MustParseAddr("203.0.113.7"), Name: name,
+					}
+					checkTemplate(t, &tmpl, p, []int{0, 999, 1000}, testIndexes(rng, 4))
+				}
+			}
+		}
+	}
+}
+
+// TestTemplateMatchesEncoderPopulations runs the same comparison over every
+// distinct profile population.Build emits for both calibration years.
+func TestTemplateMatchesEncoderPopulations(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var tmpl behavior.Template
+	for _, y := range []paperdata.Year{paperdata.Y2013, paperdata.Y2018} {
+		pop, err := population.Build(population.Config{Year: y, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, c := range pop.Cohorts {
+			key := fmt.Sprintf("%+v", c.Profile)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			checkTemplate(t, &tmpl, c.Profile, []int{0, 1000}, testIndexes(rng, 2))
+		}
+		if len(seen) < 10 {
+			t.Errorf("%v: only %d distinct profiles", y, len(seen))
+		}
+	}
+}
+
+// TestTemplateBuildErrors: a response that cannot be encoded leaves no
+// template to patch, and Build says so instead of producing one.
+func TestTemplateBuildErrors(t *testing.T) {
+	var tmpl behavior.Template
+	long := strings.Repeat("x", 64) + ".net" // a label over 63 octets
+	if err := tmpl.Build(behavior.Honest(1), 0, long); err == nil {
+		t.Error("unencodable SLD: Build succeeded")
+	}
+	bad := behavior.Profile{Answer: behavior.AnswerCNAME, Name: strings.Repeat("y", 64) + ".com"}
+	if err := tmpl.Build(bad, 0, paperdata.SLD); err == nil {
+		t.Error("unencodable CNAME target: Build succeeded")
+	}
+}
+
+// TestTemplateZeroAlloc pins a warm template's rebuild and patch at zero
+// allocations: the synthetic engine rebuilds at every cohort and cluster
+// change and patches once per probe.
+func TestTemplateZeroAlloc(t *testing.T) {
+	var tmpl behavior.Template
+	profiles := []behavior.Profile{
+		behavior.Honest(1), behavior.Refuser(),
+		{RA: true, OmitQuestion: true, Answer: behavior.AnswerCNAME, Name: "www.example-ads.com"},
+	}
+	buf := make([]byte, 0, 512)
+	c := 0
+	run := func() {
+		p := profiles[c%len(profiles)]
+		if err := tmpl.Build(p, c%1100, paperdata.SLD); err != nil {
+			t.Fatal(err)
+		}
+		buf = tmpl.Append(buf[:0], uint16(c), c*7919%10_000_000)
+		c++
+	}
+	for range 10 {
+		run()
+	}
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Errorf("%.2f allocs per rebuild and patch, want 0", avg)
+	}
+}

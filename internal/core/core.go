@@ -6,13 +6,11 @@ import (
 	"runtime"
 	"sync"
 	"time"
-	"unsafe"
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/behavior"
 	"openresolver/internal/capture"
 	"openresolver/internal/classify"
-	"openresolver/internal/dnssrv"
 	"openresolver/internal/dnswire"
 	"openresolver/internal/geo"
 	"openresolver/internal/ipv4"
@@ -328,23 +326,30 @@ func (c *cursorChain) at(i int) (*population.Assigner, error) {
 }
 
 // synthWorker holds one shard run's assigner, accumulator and metrics shard,
-// and the scratch the per-probe path reuses — query and response messages,
-// the encode buffer, the qname buffer and the decode message — so
-// steady-state synthesis allocates nothing per probe.
+// and the scratch the per-probe path reuses — the response template, the
+// encode buffer and the decode message — so steady-state synthesis
+// allocates nothing per probe.
 type synthWorker struct {
 	clusterSize uint64
 	assigner    *population.Assigner
 	acc         *analysis.Accumulator
 	obs         *obs.Shard
 
-	query, resp, decoded dnswire.Message
-	buf, name            []byte
+	// tmpl is the response of tmplCohort's profile for the cluster whose
+	// first global probe index is tmplFirst; a nil tmplCohort forces the
+	// next probe to rebuild it.
+	tmpl       behavior.Template
+	tmplCohort *population.Cohort
+	tmplFirst  uint64
+
+	decoded dnswire.Message
+	buf     []byte
 }
 
 // synthWorkers recycles synthWorker scratch across shards, so a pool worker
 // that runs many shards reuses one set of buffers.
 var synthWorkers = sync.Pool{New: func() any {
-	return &synthWorker{buf: make([]byte, 0, 512), name: make([]byte, 0, 64)}
+	return &synthWorker{buf: make([]byte, 0, 512)}
 }}
 
 // run synthesizes shard p into the worker's accumulator. The global probe
@@ -363,31 +368,26 @@ func (w *synthWorker) run(pop *population.Population, p shardPlan) error {
 	})
 }
 
+// probe synthesizes probe g of cohort: the response is the worker's
+// template for the cohort and g's cluster, with g's ID and index patched
+// in. The general encoder runs only when the template is rebuilt, once per
+// cohort and cluster.
 func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
 	src, err := w.assigner.Next(cohort.Country)
 	if err != nil {
 		return err
 	}
-	w.name = dnssrv.AppendProbeName(w.name[:0],
-		int(g/w.clusterSize), int(g%w.clusterSize), paperdata.SLD)
-	// Probe names are already canonical (lowercase, no trailing dot), so
-	// the qname aliases the name buffer instead of copying it. The alias
-	// lives only until the next probe rewrites the buffer: the query and
-	// response built here are encoded and dropped within this call, and
-	// the accumulator reads names from its own decode of the wire bytes.
-	qname := unsafe.String(unsafe.SliceData(w.name), len(w.name))
-	w.query.Header = dnswire.Header{ID: ProbeQID(g), RD: true}
-	w.query.Questions = append(w.query.Questions[:0],
-		dnswire.Question{Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN})
-	res := dnssrv.Result{}
-	if cohort.Profile.Answer == behavior.AnswerTruth {
-		res = dnssrv.Result{Addr: dnssrv.TruthAddr(qname), Rcode: dnswire.RcodeNoError, OK: true}
+	idx := g - w.tmplFirst // g's index in the template's cluster, if it is in it
+	if cohort != w.tmplCohort || idx >= w.clusterSize {
+		cluster := g / w.clusterSize
+		w.tmplCohort = nil
+		if err := w.tmpl.Build(cohort.Profile, int(cluster), paperdata.SLD); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		w.tmplCohort, w.tmplFirst = cohort, cluster*w.clusterSize
+		idx = g - w.tmplFirst
 	}
-	behavior.BuildResponseInto(&w.resp, &w.query, cohort.Profile, res)
-	w.buf, err = w.resp.Append(w.buf[:0])
-	if err != nil {
-		return fmt.Errorf("core: encode response: %w", err)
-	}
+	w.buf = w.tmpl.Append(w.buf[:0], ProbeQID(g), int(idx))
 	w.obs.Inc(obs.CSynthProbes)
 	w.obs.Add(obs.CSynthBytes, uint64(len(w.buf)))
 	w.obs.Observe(obs.HRespBytes, int64(len(w.buf)))
@@ -434,7 +434,9 @@ func (env *synthEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 	acc := analysis.NewAccumulator(env.accCfg)
 	w := synthWorkers.Get().(*synthWorker)
 	defer synthWorkers.Put(w)
-	w.clusterSize, w.assigner, w.acc, w.obs = uint64(env.clusterSize), a, acc, msh
+	// The template is keyed by cohort pointer, and a pooled worker outlives
+	// the population its last shard ran against.
+	w.clusterSize, w.assigner, w.acc, w.obs, w.tmplCohort = uint64(env.clusterSize), a, acc, msh, nil
 	err = w.run(env.pop, env.plans[i])
 	w.assigner, w.acc, w.obs = nil, nil, nil
 	if err != nil {

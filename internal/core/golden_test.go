@@ -161,3 +161,45 @@ func checkRolesGolden(t *testing.T, key string, ds *Dataset) {
 		t.Errorf("%s: role classification diverged\n got %s\nwant %s", key, got, want)
 	}
 }
+
+// syntheticGoldens pins the synthetic engine's report bytes: the sha256 of
+// Report.JSON() for each year at a test scale and at full scale (seed 1).
+// The values were recorded before the per-probe encoder was replaced by
+// per-cluster wire templates, so a template that patches one byte wrong
+// cannot pass. Re-derive with GOLDEN_PRINT=1, like the digests above.
+var syntheticGoldens = map[string]string{
+	"2013/shift10": "ac81fab9378961f019978c3e33465969f856f58f2db8188191e495ea9ca8562e",
+	"2018/shift10": "c28372a1781a0bec8318c47836544de30d210838b7033e893eef4bb545c98e01",
+	"2013/shift0":  "96beba15bd6a4db1011d04e9c893cb290f37a07fc2ad9786470940a0bb87b441",
+	"2018/shift0":  "b0985f392a9af49b99a09707fb1618b0671a1ac3e415ee0ca068bc008a1b3d92",
+}
+
+func TestSyntheticGolden(t *testing.T) {
+	for _, shift := range []uint8{10, 0} {
+		for _, year := range []paperdata.Year{paperdata.Y2013, paperdata.Y2018} {
+			key := fmt.Sprintf("%v/shift%d", year, shift)
+			t.Run(key, func(t *testing.T) {
+				if shift == 0 && testing.Short() {
+					t.Skip("full-scale synthesis takes several seconds")
+				}
+				ds, err := RunSynthetic(Config{Year: year, SampleShift: shift, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				js, err := ds.Report.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(js)
+				got := hex.EncodeToString(sum[:])
+				if os.Getenv("GOLDEN_PRINT") != "" {
+					t.Logf("synthetic golden %q: %s", key, got)
+					return
+				}
+				if want := syntheticGoldens[key]; got != want {
+					t.Errorf("synthetic report diverged\n got %s\nwant %s", got, want)
+				}
+			})
+		}
+	}
+}

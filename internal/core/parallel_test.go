@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"openresolver/internal/analysis"
@@ -158,6 +159,47 @@ func TestSyntheticWorkersDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(ds.Report, want) {
 				t.Errorf("%s: report with %d workers differs from the reference", sc.name, workers)
 			}
+		}
+	}
+}
+
+// TestSyntheticPooledWorkerReuse runs several populations through one
+// pooled worker (Workers: 1, with the collector held off so the pool keeps
+// it) and requires each report to equal the reference. The worker keys its
+// response template by cohort pointer and cluster, so a template that
+// outlived its population could answer the next population's probes with
+// the old profile. The last two runs share one cohort slice, with its
+// profile changed in place between them: the same cohort address and
+// cluster, as when the collector recycles an earlier population's memory.
+func TestSyntheticPooledWorkerReuse(t *testing.T) {
+	byName := map[string]synthCase{}
+	for _, sc := range synthCases(t) {
+		byName[sc.name] = sc
+	}
+	var runs []synthCase
+	for _, name := range []string{"2018", "2013", "mid-shard-cohorts"} {
+		runs = append(runs, byName[name])
+	}
+	cut := byName["mid-shard-cohorts"]
+	one := &population.Population{Year: cut.pop.Year, Shift: cut.pop.Shift, ExpectedR2: 100, ExpectedQ2: 100,
+		Cohorts: []population.Cohort{{Count: 100, Profile: behavior.Honest(1)}}}
+	runs = append(runs, synthCase{"one-cohort", cut.cfg, one, cut.feed}, synthCase{"recycled-cohort", cut.cfg, one, cut.feed})
+
+	for i, sc := range runs {
+		if sc.name == "recycled-cohort" {
+			one.Cohorts[0].Profile = behavior.Manipulator(ipv4.MustParseAddr("203.0.113.7"))
+		}
+		want := referenceSynthesize(t, sc.cfg, sc.pop, sc.feed.DB)
+		cfg := sc.cfg
+		cfg.Workers = 1
+		gc := debug.SetGCPercent(-1)
+		ds, err := SynthesizePopulation(cfg, sc.pop, sc.feed.DB)
+		debug.SetGCPercent(gc)
+		if err != nil {
+			t.Fatalf("run %d (%s): %v", i, sc.name, err)
+		}
+		if !reflect.DeepEqual(ds.Report, want) {
+			t.Errorf("run %d (%s): report differs from the reference", i, sc.name)
 		}
 	}
 }

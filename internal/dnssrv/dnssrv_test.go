@@ -142,6 +142,32 @@ func TestTruthAddrProperties(t *testing.T) {
 	}
 }
 
+// TestIsTruthAddrMatchesTruthAddr: the range check in front of the hash
+// never changes the verdict — for each name's own truth address, for
+// addresses one bit away from it inside and outside the range, and for
+// arbitrary addresses.
+func TestIsTruthAddrMatchesTruthAddr(t *testing.T) {
+	check := func(addr uint32, index uint32) bool {
+		name := FormatProbeName(int(index%1100), int(index%10_000_000), testSLD)
+		truth := TruthAddr(name)
+		for _, a := range []ipv4.Addr{ipv4.Addr(addr), truth, truth ^ 1, truth ^ 1<<26, truth ^ 1<<31} {
+			if got := IsTruthAddr(a, name); got != (a == truth) {
+				t.Errorf("IsTruthAddr(%v, %q) = %v, truth %v", a, name, got, truth)
+				return false
+			}
+		}
+		return truth&^truthHost == truthBase
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	// The bytes form hashes like the string form.
+	name := FormatProbeName(7, 1234567, testSLD)
+	if TruthAddr([]byte(name)) != TruthAddr(name) {
+		t.Error("TruthAddr differs between []byte and string names")
+	}
+}
+
 func TestFullResolutionChain(t *testing.T) {
 	// Fig. 1 end to end: a stub at resAddr resolves a probe name through
 	// root, TLD and authoritative servers.

@@ -31,15 +31,33 @@ func FormatProbeName(cluster, index int, sld string) string {
 
 // AppendProbeName appends the probe subdomain for (cluster, index) under
 // sld to dst, returning the extended slice. It produces exactly the bytes
-// of FormatProbeName without allocating, which matters on the synthetic
-// campaign's per-probe hot path (millions of names per run).
+// of FormatProbeName without allocating, into buffers that the prober's
+// and the synthetic engine's per-cluster wire templates reuse.
 func AppendProbeName(dst []byte, cluster, index int, sld string) []byte {
 	dst = append(dst, 'o', 'r')
 	dst = appendZeroPad(dst, cluster, 3)
 	dst = append(dst, '.')
-	dst = appendZeroPad(dst, index, 7)
+	dst = appendZeroPad(dst, index, IndexDigits)
 	dst = append(dst, '.')
 	return append(dst, sld...)
+}
+
+// IndexDigits is the width of a probe name's index label: indexes below
+// 10^IndexDigits keep every name of a cluster the same length, which is
+// what lets an encoded probe or response be reused across a cluster with
+// only its digits patched (PutProbeIndex).
+const IndexDigits = 7
+
+// PutProbeIndex writes index as the zero-padded index label's digits into
+// dst[:IndexDigits], overwriting the digits of another probe name of the
+// same cluster, in presentation or wire form. index must be in
+// [0, 10^IndexDigits).
+func PutProbeIndex(dst []byte, index int) {
+	_ = dst[IndexDigits-1]
+	for i := IndexDigits - 1; i >= 0; i-- {
+		dst[i] = byte('0' + index%10)
+		index /= 10
+	}
 }
 
 // appendZeroPad appends v zero-padded to at least width digits, matching
@@ -97,14 +115,29 @@ func ParseProbeName(name, sld string) (ProbeName, error) {
 // agree on correctness without sharing 4-billion-entry state.
 //
 // Addresses are placed in 96.0.0.0/6 (public, far from every Table I block
-// and from the geo registry's synthetic seats).
-func TruthAddr(qname string) ipv4.Addr {
+// and from the geo registry's synthetic seats). The name may be a string
+// or presentation-form bytes.
+func TruthAddr[T string | []byte](qname T) ipv4.Addr {
 	h := fnv64(qname)
-	return ipv4.Addr(0x60000000 | uint32(h)&0x03FFFFFF)
+	return truthBase | ipv4.Addr(h)&truthHost
+}
+
+// The ground-truth range, 96.0.0.0/6: TruthAddr sets the high 6 bits to
+// truthBase's and hashes the name into the rest.
+const (
+	truthBase ipv4.Addr = 0x60000000
+	truthHost ipv4.Addr = 0x03FFFFFF
+)
+
+// IsTruthAddr reports whether addr is qname's ground-truth address, the
+// check the analysis makes on every A answer. An address outside the
+// ground-truth range fails without hashing the name.
+func IsTruthAddr(addr ipv4.Addr, qname string) bool {
+	return addr&^truthHost == truthBase && addr == TruthAddr(qname)
 }
 
 // fnv64 is the FNV-1a hash (inlined to keep the package dependency-free).
-func fnv64(s string) uint64 {
+func fnv64[T string | []byte](s T) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211

@@ -289,11 +289,7 @@ func (p *Prober) appendProbe(dst []byte, idx int, id uint16) []byte {
 	start := len(dst)
 	dst = append(dst, p.tmpl...)
 	dst[start], dst[start+1] = byte(id>>8), byte(id)
-	digits := dst[start+p.tmplDigits : start+p.tmplDigits+7]
-	for i := 6; i >= 0; i-- {
-		digits[i] = byte('0' + idx%10)
-		idx /= 10
-	}
+	dnssrv.PutProbeIndex(dst[start+p.tmplDigits:], idx)
 	return dst
 }
 

@@ -204,6 +204,9 @@ func TestLedgerCoversBenchdiffSet(t *testing.T) {
 		"BenchmarkCampaignSimulatedSerial2013", "BenchmarkCampaignSimulatedSerial2018",
 		"BenchmarkTimerEnqueueDequeue", "BenchmarkHostLookup", "BenchmarkStepBatchDrain",
 		"BenchmarkShardEnvelope",
+		"BenchmarkSynthProbe/truth", "BenchmarkSynthProbe/no-answer", "BenchmarkSynthProbe/fixed",
+		"BenchmarkSynthProbe/empty-question", "BenchmarkSynthProbe/cname", "BenchmarkSynthProbe/txt",
+		"BenchmarkSynthProbe/malformed",
 	} {
 		if base[name].metrics["ns/op"] <= 0 {
 			t.Errorf("%s has no ns/op baseline in the ledger", name)
