@@ -12,7 +12,6 @@
 #   make perfbench-test  the campaign benchmark harness's tiny-scale tests
 #   make bench      campaign benchmarks, recorded as BENCH_PR1.json
 #   make bench-sim  simulated-campaign + event-core benchmarks (BENCH_PR2 set)
-#   make bench-batch batched-drain benchmarks: StepBatch vs Step (PR3 set)
 #   make bench-sim-par parallel vs serial sharded campaigns (BENCH_PR4.json)
 #   make profile    bench-sim under -cpuprofile/-memprofile for pprof
 #                   (PROFILE_PKG / PROFILE_BENCH select other suites)
@@ -51,7 +50,7 @@ FABRIC_LOG_DIR ?= fabric-smoke-logs
 # the campaign bytes.
 SMOKE_BASELINE := d19bd873ab802eecb15921fb73145c7ca0ae4b5eed4d5b6aa670791ad1557d47
 
-.PHONY: all build test chaos race crash-matrix vet perfbench-test bench bench-sim bench-batch benchdiff profile cover doccheck fuzz-smoke smoke serve-smoke fabric-smoke ci
+.PHONY: all build test chaos race crash-matrix vet perfbench-test bench bench-sim benchdiff profile cover doccheck fuzz-smoke smoke serve-smoke fabric-smoke ci
 
 all: build vet test
 
@@ -154,24 +153,19 @@ bench-sim-par:
 	$(GO) test -run '^$$' -bench 'CampaignSimulated(Serial)?20' -benchmem -count $(BENCH_COUNT) . \
 		| tee /dev/stderr | $(GO) run ./scripts/bench2json > BENCH_PR4.json
 
-# The batched event-core drains head-to-head: the same fan-out workload
-# through the single-event Step loop and the same-timestamp StepBatch drain.
-bench-batch:
-	$(GO) test -run '^$$' -bench 'StepDrain|StepBatchDrain' \
-		-benchmem -count $(BENCH_COUNT) ./internal/netsim
-
 # Benchmark-regression gate: run the committed benchmark suites, fold the
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
 # records it (BenchmarkShardEnvelope: BENCH_PR14.json; BenchmarkSynthProbe,
-# one sub-benchmark per answer kind: BENCH_PR19.json). Fails on
+# one sub-benchmark per answer kind: BENCH_PR19.json; BenchmarkStepDrain and
+# the simulated-campaign benchmarks: BENCH_PR20.json). Fails on
 # >25% ns/op growth or >0.1% allocs/op growth for any benchmark both sides
 # know (zero-alloc benchmarks stay strict — 0 × 1.001 is still 0).
 # bench_fresh.json is scratch (gitignored).
 benchdiff:
 	( $(GO) test -run '^$$' -bench 'CampaignSynthetic(Serial|Parallel)' -benchmem -count $(BENCH_COUNT) . ; \
 	  $(GO) test -run '^$$' -bench 'CampaignSimulated' -benchmem -count $(BENCH_COUNT) . ; \
-	  $(GO) test -run '^$$' -bench 'TimerEnqueueDequeue|HostLookup|StepBatchDrain' -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
+	  $(GO) test -run '^$$' -bench 'TimerEnqueueDequeue|HostLookup|StepDrain' -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe' -benchmem -count $(BENCH_COUNT) ./internal/core ) \
 	  | $(GO) run ./scripts/bench2json > $(BENCH_FRESH)
 	$(GO) run ./scripts/benchdiff -fresh $(BENCH_FRESH) -alloc-ratio 1.001 -newest BENCH_PR*.json
@@ -217,8 +211,8 @@ ci: build vet test perfbench-test race chaos fuzz-smoke crash-matrix doccheck sm
 
 # CPU and heap profiles for pprof — by default the simulated campaign:
 #   go tool pprof $(PROFILE_DIR)/cpu.out
-# Other suites via the knobs, e.g. the batched drain:
-#   make profile PROFILE_PKG=./internal/netsim PROFILE_BENCH=StepBatchDrain
+# Other suites via the knobs, e.g. the event loop:
+#   make profile PROFILE_PKG=./internal/netsim PROFILE_BENCH=StepDrain
 profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchmem -count 1 \

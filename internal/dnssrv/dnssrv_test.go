@@ -707,8 +707,9 @@ func TestResolutionSurvivesPacketLoss(t *testing.T) {
 	// 20% packet loss: the engine's retransmissions must still complete
 	// most resolutions (each leg retries twice).
 	sim := netsim.New(netsim.Config{
-		Seed: 11, Loss: 0.2,
-		Latency: netsim.ConstantLatency(10 * time.Millisecond),
+		Seed:        11,
+		Impairments: []netsim.Impairment{&netsim.IIDLoss{P: 0.2}},
+		Latency:     netsim.ConstantLatency(10 * time.Millisecond),
 	})
 	NewReferralServer(sim, rootAddr, []Referral{
 		{Zone: "net", NSName: "a.gtld-servers.net", Addr: tldAddr},

@@ -112,11 +112,8 @@ type AuthServer struct {
 	reloads       int
 
 	// Per-packet scratch for the UDP path (the TCP path shares respMsg;
-	// both encode before the next decode), plus the batched-delivery decode
-	// scratch (netsim.BatchHost).
+	// both encode before the next decode).
 	qmsg, respMsg dnswire.Message
-	qBatch        []dnswire.Message
-	qBatchOK      []bool
 
 	// Stats.
 	queries   uint64
@@ -229,32 +226,6 @@ func (s *AuthServer) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
 	if err := dnswire.UnpackInto(q, dg.Payload); err != nil || q.Header.QR {
 		return
 	}
-	s.serveQuery(n, dg, q)
-}
-
-// HandleBatch implements netsim.BatchHost: an adjacent run of same-instant
-// queries is decoded over a scratch-message batch up front, then every
-// query is answered in arrival order — the same outcomes as per-datagram
-// delivery, with the decode loop amortized across the run.
-func (s *AuthServer) HandleBatch(n *netsim.Node, dgs []netsim.Datagram) {
-	for len(s.qBatch) < len(dgs) {
-		s.qBatch = append(s.qBatch, dnswire.Message{})
-		s.qBatchOK = append(s.qBatchOK, false)
-	}
-	for i := range dgs {
-		err := dnswire.UnpackInto(&s.qBatch[i], dgs[i].Payload)
-		s.qBatchOK[i] = err == nil && !s.qBatch[i].Header.QR
-	}
-	for i := range dgs {
-		if s.qBatchOK[i] {
-			s.serveQuery(n, dgs[i], &s.qBatch[i])
-		}
-	}
-}
-
-// serveQuery answers one decoded query — the shared tail of the single and
-// batched UDP paths.
-func (s *AuthServer) serveQuery(n *netsim.Node, dg netsim.Datagram, q *dnswire.Message) {
 	s.queries++
 	if s.tap != nil {
 		s.tap.Packet(true, n.Now(), dg, q)

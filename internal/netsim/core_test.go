@@ -91,55 +91,40 @@ func TestUnregisterKeepsStaleNodeUsable(t *testing.T) {
 	}
 }
 
-// TestHostReplacesItselfMidGroup pins the contract a dormant placeholder
+// TestHostReplacesItselfInFlight pins the contract a dormant placeholder
 // host relies on: a host that re-registers its own address inside
-// HandleDatagram keeps its Node, and the later same-instant datagrams the
-// batched drain has already grouped for that address reach the
-// replacement — on the grouped path (Run) and the single-event one (Step).
-func TestHostReplacesItselfMidGroup(t *testing.T) {
-	for _, drain := range []string{"batch", "step"} {
-		s := New(Config{Seed: 5, Latency: ConstantLatency(time.Millisecond)})
-		src := s.Register(addrA, HostFunc(func(*Node, Datagram) {}))
-		var stub, real []string
-		var stubNode, realNode *Node
-		s.Register(addrB, HostFunc(func(n *Node, dg Datagram) {
-			stub = append(stub, string(dg.Payload))
-			stubNode = n
-			replaced := s.Register(n.Addr(), HostFunc(func(n *Node, dg Datagram) {
-				real = append(real, string(dg.Payload))
-				realNode = n
-			}))
-			if replaced != n {
-				t.Errorf("%s: re-registration returned a new Node", drain)
-			}
+// HandleDatagram keeps its Node, and the later same-instant datagrams
+// already in flight to that address reach the replacement.
+func TestHostReplacesItselfInFlight(t *testing.T) {
+	s := New(Config{Seed: 5, Latency: ConstantLatency(time.Millisecond)})
+	src := s.Register(addrA, HostFunc(func(*Node, Datagram) {}))
+	var stub, real []string
+	var stubNode, realNode *Node
+	s.Register(addrB, HostFunc(func(n *Node, dg Datagram) {
+		stub = append(stub, string(dg.Payload))
+		stubNode = n
+		replaced := s.Register(n.Addr(), HostFunc(func(n *Node, dg Datagram) {
+			real = append(real, string(dg.Payload))
+			realNode = n
 		}))
-		for _, p := range []string{"x", "y", "z"} {
-			src.Send(addrB, 1, 2, []byte(p))
+		if replaced != n {
+			t.Error("re-registration returned a new Node")
 		}
-		if drain == "batch" {
-			if err := s.Run(0); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for {
-				ok, err := s.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-			}
-		}
-		if len(stub) != 1 || stub[0] != "x" || len(real) != 2 || real[0] != "y" || real[1] != "z" {
-			t.Errorf("%s: placeholder got %q, replacement got %q; want [x] and [y z]", drain, stub, real)
-		}
-		if stubNode == nil || realNode != stubNode {
-			t.Errorf("%s: replacement ran on Node %p, placeholder on %p", drain, realNode, stubNode)
-		}
-		if st := s.Stats(); st.Delivered != 3 || st.NoRoute != 0 || s.NumHosts() != 2 {
-			t.Errorf("%s: stats = %+v with %d hosts, want Delivered 3, 2 hosts", drain, st, s.NumHosts())
-		}
+	}))
+	for _, p := range []string{"x", "y", "z"} {
+		src.Send(addrB, 1, 2, []byte(p))
+	}
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(stub) != 1 || stub[0] != "x" || len(real) != 2 || real[0] != "y" || real[1] != "z" {
+		t.Errorf("placeholder got %q, replacement got %q; want [x] and [y z]", stub, real)
+	}
+	if stubNode == nil || realNode != stubNode {
+		t.Errorf("replacement ran on Node %p, placeholder on %p", realNode, stubNode)
+	}
+	if st := s.Stats(); st.Delivered != 3 || st.NoRoute != 0 || s.NumHosts() != 2 {
+		t.Errorf("stats = %+v with %d hosts, want Delivered 3, 2 hosts", st, s.NumHosts())
 	}
 }
 
@@ -213,7 +198,7 @@ func TestPayloadPoolRecycles(t *testing.T) {
 	})
 
 	t.Run("lost", func(t *testing.T) {
-		s := New(Config{Seed: 7, Loss: 1.0})
+		s := New(Config{Seed: 7, Impairments: []Impairment{&IIDLoss{P: 1.0}}})
 		src := s.Register(addrA, HostFunc(func(*Node, Datagram) {}))
 		buf := append(src.PayloadBuf(), "dropped"...)
 		src.SendPooled(addrB, 1, 2, buf)
@@ -242,8 +227,8 @@ func TestPayloadPoolRecycles(t *testing.T) {
 // TestHeapOrderingProperty drives the 4-ary heap with thousands of random
 // deadlines and asserts the pop order is exactly the (at, seq) total order:
 // nondecreasing times, insertion order within equal times. The dense variant
-// compresses deadlines into a handful of instants (heavy same-timestamp ties,
-// the StepBatch drain's bread and butter) and cancels a third of the timers
+// compresses deadlines into a handful of instants (heavy same-timestamp ties)
+// and cancels a third of the timers
 // mid-queue to exercise lazy deletion through both the SoA heap and the ring.
 func TestHeapOrderingProperty(t *testing.T) {
 	type firing struct {

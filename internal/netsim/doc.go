@@ -14,7 +14,7 @@
 // private Sims concurrently, each seeded independently, with stateful
 // impairments forked per Sim via CloneImpairments.
 //
-// The event core is allocation-free in steady state and batched:
+// The event core is allocation-free in steady state:
 //
 //   - The priority queue is a struct-of-arrays 4-ary min-heap — the (at,
 //     seq) sort keys live in parallel arrays the sift loops walk, while
@@ -26,12 +26,10 @@
 //     buffer; arming out of order or past the ring's capacity falls back
 //     to the heap, and the dispatcher merges both by (at, seq).
 //
-//   - Sim.StepBatch drains every event sharing the head timestamp in one
-//     call and groups adjacent same-destination deliveries into a single
-//     HandleBatch upcall for hosts implementing BatchHost. Run and
-//     RunUntilIdle drive this batched drain; Step remains the single-event
-//     reference (TestStepBatchEquivalence pins the two observationally
-//     identical).
+//   - Sim.Run is a loop over Sim.Step: each step pops one event, advances
+//     the clock to it and runs it, and a delivery reaches its host as one
+//     HandleDatagram call. Latencies are drawn in nanoseconds, so events
+//     practically never share an instant and there is nothing to batch.
 //
 //   - Sends to addresses with no registered host are dead-lettered at
 //     submission — one host-table miss, and the NoRoute accounting happens
@@ -48,9 +46,10 @@
 // default and both preserving determinism:
 //
 //   - Impairments (impair.go) compose an adverse-network fault pipeline —
-//     Gilbert–Elliott burst loss, duplication, reordering, corruption,
-//     blackholes and brownouts — applied to every datagram in
-//     configuration order. All randomness comes from the simulation rng.
+//     uniform (IIDLoss) and Gilbert–Elliott burst loss, duplication,
+//     reordering, corruption, blackholes and brownouts — applied to every
+//     datagram in configuration order. All randomness comes from the
+//     simulation rng.
 //
 //   - SetObserver attaches an obs.Shard that mirrors the event loop's
 //     counters (sends, deliveries, losses, per-cause fault drops, timer

@@ -30,19 +30,6 @@ type HostFunc func(n *Node, dg Datagram)
 // HandleDatagram implements Host.
 func (f HostFunc) HandleDatagram(n *Node, dg Datagram) { f(n, dg) }
 
-// BatchHost is an optional extension of Host for endpoints that can absorb
-// several datagrams per dispatch. When the batched drain (StepBatch) pops
-// an adjacent run of same-instant deliveries to one BatchHost, it hands the
-// whole run to HandleBatch in pop order instead of calling HandleDatagram
-// per datagram. Implementations must process the slice in order and must
-// not retain it (or any payload) beyond the call — the simulator reuses
-// both. Equivalence contract: HandleBatch(n, dgs) must leave the host in
-// the same state as calling HandleDatagram(n, dg) for each dg in order.
-type BatchHost interface {
-	Host
-	HandleBatch(n *Node, dgs []Datagram)
-}
-
 // LatencyModel returns the one-way delivery delay for a packet. The rng is
 // the simulation's deterministic source; models may use it for jitter.
 type LatencyModel func(src, dst ipv4.Addr, rng *rand.Rand) time.Duration
@@ -68,12 +55,9 @@ type Config struct {
 	Seed int64
 	// Latency is the one-way delay model; nil means a constant 20ms.
 	Latency LatencyModel
-	// Loss is the probability in [0,1) that any datagram is dropped in
-	// flight. The 2013 campaign's send shortfall is modeled with this.
-	Loss float64
 	// Impairments is the adverse-network fault pipeline (see impair.go),
-	// applied in order to every datagram after the Loss check. nil keeps
-	// the pristine fast path.
+	// applied in order to every datagram. nil keeps the pristine fast path;
+	// IIDLoss is uniform in-flight loss.
 	Impairments []Impairment
 	// MaxQueuedEvents bounds the event queue as a safety net against
 	// runaway feedback loops; 0 means no bound.
@@ -133,14 +117,6 @@ type Sim struct {
 
 	qstats QueueStats
 
-	// epoch is bumped on Unregister so the batched delivery path can detect
-	// a host-table change mid-run and fall back to per-datagram lookup.
-	epoch uint64
-
-	// Scratch for StepBatch's same-destination delivery grouping.
-	batchDg     []Datagram
-	batchPooled []bool
-
 	// timers are pooled callback slots addressed by event.slot; a slot's
 	// generation is bumped on Stop and on fire so stale handles and lazily
 	// deleted queue entries are detected without touching the heap.
@@ -174,7 +150,8 @@ type Sim struct {
 	impDg Datagram
 }
 
-// ErrEventQueueFull is returned by Run when MaxQueuedEvents is exceeded.
+// ErrEventQueueFull is returned by Step and Run when MaxQueuedEvents is
+// exceeded.
 var ErrEventQueueFull = errors.New("netsim: event queue limit exceeded")
 
 // New creates a simulation.
@@ -318,9 +295,9 @@ func (s *Sim) insertSlot(addr ipv4.Addr, idx int32) {
 // Register attaches host at addr and returns its Node handle. Registering
 // an address twice replaces the previous host but preserves the Node
 // identity seen by pending timers. A host may replace itself from inside
-// its own HandleDatagram: datagrams the batched drain has already grouped
-// for the address reach the replacement (TestHostReplacesItselfMidGroup),
-// which is how a dormant placeholder becomes a full host on first contact.
+// its own HandleDatagram: datagrams already in flight to the address reach
+// the replacement (TestHostReplacesItselfInFlight), which is how a dormant
+// placeholder becomes a full host on first contact.
 func (s *Sim) Register(addr ipv4.Addr, h Host) *Node {
 	if si := s.findSlot(addr); si >= 0 {
 		n := s.nodeAt(s.slots[si].idx)
@@ -345,7 +322,6 @@ func (s *Sim) Unregister(addr ipv4.Addr) {
 	if si := s.findSlot(addr); si >= 0 {
 		s.slots[si].idx = slotTomb
 		s.live--
-		s.epoch++
 	}
 }
 
@@ -382,19 +358,11 @@ func (s *Sim) putPayload(b []byte) {
 
 // --- sending ------------------------------------------------------------
 
-// send enqueues delivery of dg subject to loss and latency. If pooled, the
-// payload buffer is recycled once the datagram is consumed.
+// send enqueues delivery of dg subject to impairments and latency. If
+// pooled, the payload buffer is recycled once the datagram is consumed.
 func (s *Sim) send(dg Datagram, pooled bool) {
 	s.stats.Sent++
 	s.obs.Inc(obs.CSimSent)
-	if s.cfg.Loss > 0 && s.rng.Float64() < s.cfg.Loss {
-		s.stats.Lost++
-		s.obs.Inc(obs.CSimLost)
-		if pooled {
-			s.putPayload(dg.Payload)
-		}
-		return
-	}
 	if len(s.cfg.Impairments) > 0 {
 		s.sendImpaired(dg, pooled)
 		return
@@ -497,12 +465,10 @@ func (s *Sim) sendImpaired(dg Datagram, pooled bool) {
 	s.schedule(s.now+delay, evPayload{kind: evDeliver, dg: dg, pooled: pooled})
 }
 
-// Step executes the next event. It returns false when the queue is empty.
-// It is the single-event reference implementation: StepBatch must be
-// observationally equivalent to a sequence of Step calls (pinned by
-// TestStepBatchEquivalence), differing only in HQueueDepth sampling
-// granularity. Terminal calls (empty queue, limit exceeded) return before
-// the queue-depth observation — an empty poll must not skew the histogram.
+// Step executes the next event and reports false when the queue is empty.
+// Run is a loop over Step. Terminal calls (empty queue, limit exceeded)
+// return before the queue-depth observation, so idle polling does not skew
+// the HQueueDepth histogram: it holds one sample per executed event.
 func (s *Sim) Step() (bool, error) {
 	if s.cfg.MaxQueuedEvents > 0 && s.queueLen() > s.cfg.MaxQueuedEvents {
 		return false, ErrEventQueueFull
@@ -521,44 +487,8 @@ func (s *Sim) Step() (bool, error) {
 	return true, nil
 }
 
-// StepBatch drains every event sharing the head virtual timestamp in one
-// pass and returns how many it executed (0 on an empty queue). Events run
-// in exactly the (at, seq) order the sequential Step loop would use —
-// handlers that schedule new work at the same instant extend the batch, as
-// they would extend a sequence of Steps. Adjacent same-instant deliveries
-// to one destination are grouped so the host-table probe and, for
-// BatchHost implementations, the interface dispatch amortize. The queue
-// limit is still enforced per pop; HQueueDepth is sampled once per batch.
-func (s *Sim) StepBatch() (int, error) {
-	if s.cfg.MaxQueuedEvents > 0 && s.queueLen() > s.cfg.MaxQueuedEvents {
-		return 0, ErrEventQueueFull
-	}
-	if s.queueLen() == 0 {
-		return 0, nil
-	}
-	s.obs.Observe(obs.HQueueDepth, int64(s.queueLen()))
-	at := s.headAt()
-	s.now = at
-	n := 0
-	for {
-		_, p := s.popNext()
-		if p.kind == evDeliver {
-			n += s.deliverGroup(at, p)
-		} else {
-			s.fireTimer(p)
-			n++
-		}
-		if s.queueLen() == 0 || s.headAt() != at {
-			return n, nil
-		}
-		if s.cfg.MaxQueuedEvents > 0 && s.queueLen() > s.cfg.MaxQueuedEvents {
-			return n, ErrEventQueueFull
-		}
-	}
-}
-
-// deliverOne routes and delivers a single datagram — the reference delivery
-// path, shared by Step and by deliverGroup's host-table-change fallback.
+// deliverOne routes and delivers a single datagram. The route is resolved
+// again on arrival, so a host unregistered mid-flight dead-letters.
 func (s *Sim) deliverOne(p evPayload) {
 	n, ok := s.Lookup(p.dg.Dst)
 	if !ok {
@@ -575,58 +505,6 @@ func (s *Sim) deliverOne(p evPayload) {
 	if p.pooled {
 		s.putPayload(p.dg.Payload)
 	}
-}
-
-// deliverGroup delivers p and any adjacent same-instant deliveries to the
-// same destination, resolving the host table once for the run. Only the
-// *adjacent* (in seq order) run is grouped — skipping over an interleaved
-// event would reorder execution relative to the sequential reference. The
-// epoch check detects a handler unregistering hosts mid-run, falling back
-// to the exact per-datagram path for the remainder.
-func (s *Sim) deliverGroup(at time.Duration, p evPayload) int {
-	dst := p.dg.Dst
-	n, ok := s.Lookup(dst)
-	if !ok {
-		s.stats.NoRoute++
-		s.obs.Inc(obs.CSimNoRoute)
-		if p.pooled {
-			s.putPayload(p.dg.Payload)
-		}
-		return 1
-	}
-	s.batchDg = append(s.batchDg[:0], p.dg)
-	s.batchPooled = append(s.batchPooled[:0], p.pooled)
-	for s.headDeliverTo(at, dst) {
-		_, q := s.popNext()
-		s.batchDg = append(s.batchDg, q.dg)
-		s.batchPooled = append(s.batchPooled, q.pooled)
-	}
-	k := len(s.batchDg)
-	if bh, isBatch := n.host.(BatchHost); isBatch && k > 1 {
-		s.stats.Delivered += uint64(k)
-		s.obs.Add(obs.CSimDelivered, uint64(k))
-		bh.HandleBatch(n, s.batchDg)
-		for i, pooled := range s.batchPooled {
-			if pooled {
-				s.putPayload(s.batchDg[i].Payload)
-			}
-		}
-		return k
-	}
-	epoch := s.epoch
-	for i := 0; i < k; i++ {
-		if s.epoch != epoch {
-			s.deliverOne(evPayload{dg: s.batchDg[i], pooled: s.batchPooled[i], kind: evDeliver})
-			continue
-		}
-		s.stats.Delivered++
-		s.obs.Inc(obs.CSimDelivered)
-		n.host.HandleDatagram(n, s.batchDg[i])
-		if s.batchPooled[i] {
-			s.putPayload(s.batchDg[i].Payload)
-		}
-	}
-	return k
 }
 
 // fireTimer runs a popped timer event through the generation discipline.
@@ -650,26 +528,18 @@ func (s *Sim) fireTimer(p evPayload) {
 }
 
 // Run executes events until the queue drains or until the optional deadline
-// (a virtual time) is passed. A zero deadline means run to quiescence. It
-// advances on the batched drain path; the deadline is checked per batch,
-// which is exact because a whole batch shares one timestamp.
+// (a virtual time) is passed. A zero deadline means run to quiescence.
 func (s *Sim) Run(deadline time.Duration) error {
 	for {
-		if s.queueLen() == 0 {
-			return nil
-		}
-		if deadline > 0 && s.headAt() > deadline {
+		if deadline > 0 && s.queueLen() > 0 && s.headAt() > deadline {
 			s.now = deadline
 			return nil
 		}
-		if _, err := s.StepBatch(); err != nil {
+		if ok, err := s.Step(); !ok {
 			return err
 		}
 	}
 }
-
-// RunUntilIdle drains the event queue completely on the batched path.
-func (s *Sim) RunUntilIdle() error { return s.Run(0) }
 
 // --- timers -------------------------------------------------------------
 
@@ -827,24 +697,6 @@ func (s *Sim) headAt() time.Duration {
 		return s.heapAt[0]
 	}
 	return s.heapAt[0]
-}
-
-// headDeliverTo reports whether the next event to pop is a delivery at
-// instant `at` addressed to dst — the adjacency probe of the batched drain.
-func (s *Sim) headDeliverTo(at time.Duration, dst ipv4.Addr) bool {
-	if len(s.heapAt) == 0 || s.heapAt[0] != at {
-		return false
-	}
-	if s.ringLen > 0 {
-		// A ring timer at the same instant with a smaller seq pops first,
-		// breaking the adjacent run. (Its at can never be below the global
-		// minimum `at`.)
-		if r := &s.ring[s.ringHead]; r.at == at && r.seq < s.heapSeq[0] {
-			return false
-		}
-	}
-	p := &s.evSlab[s.heapRef[0]]
-	return p.kind == evDeliver && p.dg.Dst == dst
 }
 
 // schedule stamps ev with (at, seq) and enqueues it. The (at, seq) key is a

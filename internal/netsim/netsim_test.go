@@ -78,7 +78,7 @@ func TestNoRoute(t *testing.T) {
 }
 
 func TestLossModel(t *testing.T) {
-	s := New(Config{Seed: 4, Loss: 0.5, Latency: ConstantLatency(time.Millisecond)})
+	s := New(Config{Seed: 4, Impairments: []Impairment{&IIDLoss{P: 0.5}}, Latency: ConstantLatency(time.Millisecond)})
 	var delivered int
 	s.Register(addrB, HostFunc(func(*Node, Datagram) { delivered++ }))
 	a := s.Register(addrA, HostFunc(func(*Node, Datagram) {}))

@@ -52,7 +52,7 @@ func TestInstrumentedSendStepAllocBudget(t *testing.T) {
 // TestObserverCountsMatchStats cross-checks the shard's counters against
 // the simulator's own Stats over a lossy run.
 func TestObserverCountsMatchStats(t *testing.T) {
-	s := New(Config{Seed: 3, Latency: ConstantLatency(time.Millisecond), Loss: 0.3})
+	s := New(Config{Seed: 3, Latency: ConstantLatency(time.Millisecond), Impairments: []Impairment{&IIDLoss{P: 0.3}}})
 	sh := obs.NewShard("sim")
 	s.SetObserver(sh)
 	s.Register(addrB, HostFunc(func(*Node, Datagram) {}))

@@ -153,11 +153,6 @@ type Prober struct {
 	// unencodable SLD). Rebuilt on every rotation (buildTemplate).
 	tmpl       []byte
 	tmplDigits int
-
-	// Batched receive scratch (netsim.BatchHost): decoded messages and
-	// per-datagram decode verdicts for one delivery batch.
-	rmsgBatch []dnswire.Message
-	rmsgOK    []bool
 }
 
 // tickInterval is the batch cadence of the send loop. Ticks fire on this
@@ -511,42 +506,18 @@ func (p *Prober) LatencyPercentiles(pcts ...float64) []time.Duration {
 // HandleDatagram implements netsim.Host: every inbound packet on the probe
 // port is a candidate R2.
 func (p *Prober) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
-	// Decoding reuses the scratch message; nothing downstream retains it.
-	p.handleResponse(n, dg, &p.rmsg, dnswire.UnpackInto(&p.rmsg, dg.Payload) == nil)
-}
-
-// HandleBatch implements netsim.BatchHost: when the simulator delivers an
-// adjacent run of same-instant responses, the wire decode is driven over a
-// scratch-message batch first, then every response is processed in arrival
-// order — identical outcomes to per-datagram delivery, with the decode
-// loop's setup amortized across the run.
-func (p *Prober) HandleBatch(n *netsim.Node, dgs []netsim.Datagram) {
-	for len(p.rmsgBatch) < len(dgs) {
-		p.rmsgBatch = append(p.rmsgBatch, dnswire.Message{})
-		p.rmsgOK = append(p.rmsgOK, false)
-	}
-	for i := range dgs {
-		p.rmsgOK[i] = dnswire.UnpackInto(&p.rmsgBatch[i], dgs[i].Payload) == nil
-	}
-	for i := range dgs {
-		p.handleResponse(n, dgs[i], &p.rmsgBatch[i], p.rmsgOK[i])
-	}
-}
-
-// handleResponse is the R2 processing path shared by the single and batched
-// receive entry points; msg is the decoded payload when decoded is true.
-func (p *Prober) handleResponse(n *netsim.Node, dg netsim.Datagram, msg *dnswire.Message, decoded bool) {
 	p.received++
 	p.cfg.Obs.Inc(obs.CProbeRecv)
 	p.cfg.Log.AddR2(n.Now(), dg)
 	// Burn the subdomain so it is never reused (it may now be cached at
-	// the responding resolver) and record the response latency.
-	if !decoded {
+	// the responding resolver) and record the response latency. Decoding
+	// reuses the scratch message; nothing downstream retains it.
+	if dnswire.UnpackInto(&p.rmsg, dg.Payload) != nil {
 		p.badPackets++ // e.g. corrupted in flight
 		p.cfg.Obs.Inc(obs.CProbeBad)
 		return
 	}
-	q, ok := msg.Question1()
+	q, ok := p.rmsg.Question1()
 	if !ok {
 		p.badPackets++
 		p.cfg.Obs.Inc(obs.CProbeBad)

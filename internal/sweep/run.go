@@ -290,10 +290,10 @@ dispatch:
 // response stream, exactly like the golden tests. simCap bounds the
 // campaign's own worker fan-out so cell-level and campaign-level
 // parallelism compose against one pool budget instead of multiplying.
-// When an artifact directory is configured, sim cells checkpoint at shard
-// granularity into ckpt-<slug>/ beneath it — an interrupted cell resumes
-// below cell granularity on the next run, and a completed cell's campaign
-// removes its own checkpoint directory.
+// When an artifact directory is configured, cells of either mode
+// checkpoint at shard granularity into ckpt-<slug>/ beneath it — an
+// interrupted cell resumes below cell granularity on the next run, and a
+// completed cell's campaign removes its own checkpoint directory.
 func runCell(rc RunConfig, c Cell, interp *drift.Interpolator, shard *obs.Shard, simCap int, logw io.Writer) (Result, error) {
 	spec := rc.Spec
 	reg := obs.NewRegistry()
@@ -315,11 +315,11 @@ func runCell(rc RunConfig, c Cell, interp *drift.Interpolator, shard *obs.Shard,
 			UpstreamBackoff: c.Retry.Backoff,
 			MaxQueuedEvents: spec.MaxEvents,
 		}
-		if rc.ArtifactDir != "" {
-			cfg.Checkpoints = core.CheckpointPlan{
-				Dir: cellCheckpointDir(rc.ArtifactDir, c),
-				Log: logw,
-			}
+	}
+	if rc.ArtifactDir != "" {
+		cfg.Checkpoints = core.CheckpointPlan{
+			Dir: cellCheckpointDir(rc.ArtifactDir, c),
+			Log: logw,
 		}
 	}
 

@@ -304,8 +304,28 @@ func TestSweepTruncatedArtifactWarns(t *testing.T) {
 // partial results with core.ErrInterrupted, completed cells already have
 // artifacts on disk, and a -resume run restores the interrupted cell's
 // checkpointed shards and reproduces the cold matrix byte-for-byte.
-func TestSweepInterruptAndResume(t *testing.T) {
-	coldSpec := smallSpec(t)
+func TestSweepInterruptAndResume(t *testing.T) { checkInterruptAndResume(t, smallSpec) }
+
+// TestSynthSweepInterruptAndResume is the same contract for a synthetic
+// sweep: synth cells checkpoint per shard too.
+func TestSynthSweepInterruptAndResume(t *testing.T) {
+	checkInterruptAndResume(t, func(t *testing.T) *Spec {
+		var years []YearVal
+		for _, y := range []string{"2018", "2013"} {
+			year, err := ParseYear(y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			years = append(years, year)
+		}
+		return &Spec{Mode: "synth", Years: years, Shift: 8, Seed: 1}
+	})
+}
+
+// checkInterruptAndResume runs the interrupt-and-resume contract on the
+// grid newSpec builds (a fresh Spec per run, since Run normalizes it).
+func checkInterruptAndResume(t *testing.T, newSpec func(*testing.T) *Spec) {
+	coldSpec := newSpec(t)
 	cold, err := Run(RunConfig{Spec: coldSpec, PoolWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +337,10 @@ func TestSweepInterruptAndResume(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stopPoll := make(chan struct{})
+	stopPoll, polled := make(chan struct{}), make(chan struct{})
+	sawCkpt := false
 	go func() {
+		defer close(polled)
 		defer cancel()
 		for {
 			select {
@@ -327,19 +349,24 @@ func TestSweepInterruptAndResume(t *testing.T) {
 			case <-time.After(200 * time.Microsecond):
 			}
 			if m, _ := filepath.Glob(filepath.Join(dir, "ckpt-*", "shard-*.ckpt")); len(m) > 0 {
+				sawCkpt = true
 				return
 			}
 		}
 	}()
-	intSpec := smallSpec(t)
+	intSpec := newSpec(t)
 	var log bytes.Buffer
 	partial, err := Run(RunConfig{
 		Spec: intSpec, PoolWorkers: 1, ArtifactDir: dir, Ctx: ctx, Log: &log,
 	})
 	close(stopPoll)
+	<-polled
 	if err == nil {
-		// The whole sweep outran the poller — possible on a very fast
-		// host; the graceful path then had nothing to interrupt.
+		if !sawCkpt {
+			t.Fatal("sweep with an artifact directory wrote no shard checkpoint")
+		}
+		// The whole sweep outran the cancellation — possible on a very
+		// fast host; the graceful path then had nothing to interrupt.
 		t.Skip("sweep completed before cancellation landed")
 	}
 	if !errors.Is(err, core.ErrInterrupted) {
@@ -360,7 +387,7 @@ func TestSweepInterruptAndResume(t *testing.T) {
 	}
 
 	var resumeLog bytes.Buffer
-	resumeSpec := smallSpec(t)
+	resumeSpec := newSpec(t)
 	resumed, err := Run(RunConfig{
 		Spec: resumeSpec, PoolWorkers: 2, ArtifactDir: dir, Resume: true, Log: &resumeLog,
 	})

@@ -202,7 +202,7 @@ func TestLedgerCoversBenchdiffSet(t *testing.T) {
 		"BenchmarkCampaignSyntheticSerial", "BenchmarkCampaignSyntheticParallel",
 		"BenchmarkCampaignSimulated2013", "BenchmarkCampaignSimulated2018",
 		"BenchmarkCampaignSimulatedSerial2013", "BenchmarkCampaignSimulatedSerial2018",
-		"BenchmarkTimerEnqueueDequeue", "BenchmarkHostLookup", "BenchmarkStepBatchDrain",
+		"BenchmarkTimerEnqueueDequeue", "BenchmarkHostLookup", "BenchmarkStepDrain",
 		"BenchmarkShardEnvelope",
 		"BenchmarkSynthProbe/truth", "BenchmarkSynthProbe/no-answer", "BenchmarkSynthProbe/fixed",
 		"BenchmarkSynthProbe/empty-question", "BenchmarkSynthProbe/cname", "BenchmarkSynthProbe/txt",
