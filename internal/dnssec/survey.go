@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"openresolver/internal/behavior"
 	"openresolver/internal/dnssrv"
 	"openresolver/internal/dnswire"
 	"openresolver/internal/ipv4"
@@ -118,40 +119,6 @@ var (
 	resolverBase     = ipv4.MustParseAddr("33.0.0.0")
 )
 
-// surveyResolver is an open resolver pointed directly at the signed zone's
-// server, optionally validating.
-type surveyResolver struct {
-	rec *dnssrv.Recursive
-}
-
-func (r *surveyResolver) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
-	msg, err := dnswire.Unpack(dg.Payload)
-	if err != nil {
-		return
-	}
-	if msg.Header.QR {
-		r.rec.HandleResponse(msg)
-		return
-	}
-	q, ok := msg.Question1()
-	if !ok {
-		return
-	}
-	r.rec.Resolve(q.Name, func(res dnssrv.Result) {
-		resp := dnswire.NewResponse(msg)
-		resp.Header.RA = true
-		resp.Header.Rcode = res.Rcode
-		if res.OK {
-			resp.AnswerA(uint32(res.Addr), 60)
-		}
-		wire, err := resp.Pack()
-		if err != nil {
-			return
-		}
-		n.Send(dg.Src, dg.DstPort, dg.SrcPort, wire)
-	})
-}
-
 // RunSurvey builds the pool, probes each resolver with a valid and a bogus
 // name (the check-repeat methodology), and tabulates validators.
 func RunSurvey(cfg SurveyConfig) (*SurveyResult, error) {
@@ -172,18 +139,21 @@ func RunSurvey(cfg SurveyConfig) (*SurveyResult, error) {
 	NewSignedAuthServer(sim, surveyAuthAddr, key)
 	validator := NewValidator(key)
 
+	// The pool: honest open resolvers pointed directly at the signed zone's
+	// server, all requesting signatures, the first nValidators validating.
 	nValidators := int(float64(cfg.Resolvers) * cfg.ValidatorFraction)
 	targets := make([]ipv4.Addr, cfg.Resolvers)
+	scratch := new(behavior.Scratch)
 	for i := range targets {
 		addr := resolverBase + ipv4.Addr(i+1)
 		targets[i] = addr
-		sr := &surveyResolver{}
-		node := sim.Register(addr, sr)
-		sr.rec = dnssrv.NewRecursive(node, surveyAuthAddr)
-		sr.rec.DNSSEC = true
-		if i < nValidators {
-			sr.rec.Validate = validator.ValidateMessage
+		tune := func(rec *dnssrv.Recursive) {
+			rec.DNSSEC = true
+			if i < nValidators {
+				rec.Validate = validator.ValidateMessage
+			}
 		}
+		behavior.NewResolverTuned(sim, addr, surveyAuthAddr, behavior.Honest(1), tune, scratch)
 	}
 
 	// Probe: two queries per resolver, unique names to defeat caches.

@@ -1,6 +1,7 @@
 package dnssrv
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -564,6 +565,129 @@ func TestTCPFallbackServerGone(t *testing.T) {
 	}
 }
 
+// TestTCPFallbackKeepsDO: a DNSSEC resolver's TCP retry of a truncated
+// leg must still request signatures. Both transports encode one query.
+func TestTCPFallbackKeepsDO(t *testing.T) {
+	sim := netsim.New(netsim.Config{Seed: 7, Latency: netsim.ConstantLatency(5 * time.Millisecond)})
+	server := ipv4.MustParseAddr("45.76.2.9")
+	sim.Register(server, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		q, err := dnswire.Unpack(dg.Payload)
+		if err != nil || q.Header.QR {
+			return
+		}
+		resp := dnswire.NewResponse(q)
+		resp.Header.TC = true
+		n.Send(dg.Src, dg.DstPort, dg.SrcPort, resp.MustPack())
+	}))
+	var tcpQueries, tcpDO int
+	sim.Listen(server, DNSPort, func(c *netsim.Conn) {
+		parser := &dnswire.StreamParser{}
+		c.OnData(func(b []byte) {
+			msgs, _ := parser.Feed(b)
+			for _, q := range msgs {
+				tcpQueries++
+				if e, ok := q.GetEDNS(); ok && e.DO {
+					tcpDO++
+				}
+				resp := dnswire.NewResponse(q)
+				resp.AnswerA(0x0A141E28, 60)
+				if wire, err := resp.PackTCP(); err == nil {
+					c.Send(wire)
+				}
+			}
+		})
+	})
+	var rec *Recursive
+	node := sim.Register(resAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		if msg, err := dnswire.Unpack(dg.Payload); err == nil && msg.Header.QR {
+			rec.HandleResponse(msg)
+		}
+	}))
+	rec = NewRecursive(node, server)
+	rec.DNSSEC = true
+	rec.Validate = func(string, *dnswire.Message) bool { return true }
+	var got Result
+	rec.Resolve("signed.example.net", func(r Result) { got = r })
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !got.OK {
+		t.Fatalf("result = %+v", got)
+	}
+	if tcpQueries != 1 || tcpDO != 1 {
+		t.Errorf("TCP queries = %d, with DO = %d; want 1 and 1", tcpQueries, tcpDO)
+	}
+}
+
+// TestOutOfBailiwickReferralNotCached: while resolving x.example.net, the
+// .net server refers the name to a server for com. The engine follows it
+// for the lookup in progress but must not cache it as the server for
+// com., so a later y.com lookup starts at the root.
+func TestOutOfBailiwickReferralNotCached(t *testing.T) {
+	sim := netsim.New(netsim.Config{Seed: 12, Latency: netsim.ConstantLatency(time.Millisecond)})
+	bogus := ipv4.MustParseAddr("45.76.2.7")
+	comAddr := ipv4.MustParseAddr("45.76.2.8")
+	NewReferralServer(sim, rootAddr, []Referral{
+		{Zone: "net", NSName: "a.gtld-servers.net", Addr: tldAddr},
+		{Zone: "com", NSName: "a.gtld-servers.com", Addr: comAddr},
+	})
+	sim.Register(tldAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		q, err := dnswire.Unpack(dg.Payload)
+		if err != nil || q.Header.QR {
+			return
+		}
+		resp := dnswire.NewResponse(q)
+		resp.Authority = append(resp.Authority, dnswire.RR{
+			Name: "com", Type: dnswire.TypeNS, Class: dnswire.ClassIN, TTL: 172800, Target: "ns.bogus.net",
+		})
+		resp.Additional = append(resp.Additional, dnswire.RR{
+			Name: "ns.bogus.net", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 172800, A: uint32(bogus),
+		})
+		n.Send(dg.Src, dg.DstPort, dg.SrcPort, resp.MustPack())
+	}))
+	seen := make(map[ipv4.Addr][]string)
+	for _, addr := range []ipv4.Addr{bogus, comAddr} {
+		sim.Register(addr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+			q, err := dnswire.Unpack(dg.Payload)
+			if err != nil || q.Header.QR {
+				return
+			}
+			qst, _ := q.Question1()
+			seen[n.Addr()] = append(seen[n.Addr()], qst.Name)
+			resp := dnswire.NewResponse(q)
+			resp.Header.AA = true
+			resp.AnswerA(uint32(TruthAddr(qst.Name)), 60)
+			n.Send(dg.Src, dg.DstPort, dg.SrcPort, resp.MustPack())
+		}))
+	}
+	var rec *Recursive
+	node := sim.Register(resAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		if msg, err := dnswire.Unpack(dg.Payload); err == nil && msg.Header.QR {
+			rec.HandleResponse(msg)
+		}
+	}))
+	rec = NewRecursive(node, rootAddr)
+	rec.Resolve("x.example.net", func(Result) {})
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	before := rec.UpstreamQueries
+	var got Result
+	rec.Resolve("y.com", func(r Result) { got = r })
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !got.OK || got.Addr != TruthAddr("y.com") {
+		t.Errorf("y.com = %+v", got)
+	}
+	if fmt.Sprint(seen[bogus]) != "[x.example.net]" || fmt.Sprint(seen[comAddr]) != "[y.com]" {
+		t.Errorf("bogus server saw %v, com server saw %v; want [x.example.net] and [y.com]", seen[bogus], seen[comAddr])
+	}
+	if legs := rec.UpstreamQueries - before; legs != 2 {
+		t.Errorf("y.com took %d legs, want 2 (root, com)", legs)
+	}
+}
+
 func TestAuthServesTCP(t *testing.T) {
 	sim, _ := buildHierarchy(t, nil)
 	client := sim.Register(resAddr, netsim.HostFunc(func(*netsim.Node, netsim.Datagram) {}))
@@ -646,7 +770,7 @@ func TestNegativeCaching(t *testing.T) {
 	}
 
 	// After the negative TTL expires the engine re-queries.
-	node.After(rec.NegativeTTL+time.Second, func() {})
+	node.After(negativeTTL+time.Second, func() {})
 	if err := sim.Run(0); err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,14 @@ func FuzzParseZoneFile(f *testing.F) {
 	for _, text := range badZones {
 		f.Add([]byte(text))
 	}
+	// The zones of a few reference graphs: delegations with and without
+	// glue, TTL columns, absolute owner names.
+	for seed := int64(1); seed <= 3; seed++ {
+		files, _ := graphZoneFiles(genGraph(seed))
+		for _, file := range files {
+			f.Add(file)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		z, err := ParseZoneFile(bytes.NewReader(data))
 		if err != nil {

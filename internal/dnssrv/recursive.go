@@ -21,7 +21,8 @@ type Result struct {
 // root → TLD → authoritative exactly as Fig. 1 describes (steps 2-7),
 // caching zone referrals and final answers, retrying on timeout. Honest
 // open resolvers embed one of these; the measurement's Q2/R1 flows are the
-// engine's authoritative-server legs.
+// engine's authoritative-server legs. DESIGN.md §8 lists where the walk
+// deliberately departs from RFC 1034 §5.3.3.
 type Recursive struct {
 	node     *netsim.Node
 	rootAddr ipv4.Addr
@@ -30,19 +31,13 @@ type Recursive struct {
 	Timeout time.Duration
 	Retries int
 	// Backoff doubles the retry timeout on every attempt (capped at
-	// MaxTimeout) instead of retrying on a fixed interval — the adverse-
-	// network discipline: a loss burst is outwaited, not hammered.
+	// maxBackoff×Timeout) instead of retrying on a fixed interval — the
+	// adverse-network discipline: a loss burst is outwaited, not hammered.
 	Backoff bool
 	// Jitter adds a ±12.5% deterministic perturbation (drawn from the
 	// node's rng) to each retry timeout, decorrelating retry storms across
 	// a population of resolvers hit by the same outage.
 	Jitter bool
-	// MaxTimeout caps the backed-off retry timeout; 0 means 8×Timeout.
-	MaxTimeout time.Duration
-	// MaxTCPRetries bounds how often a leg truncated *over TCP* is
-	// re-dialed before the engine gives up with ServFail. A server that
-	// sets TC=1 on every TCP answer must not loop fallbacks forever.
-	MaxTCPRetries int
 	// DupQueries duplicates the authoritative leg (retransmission
 	// behaviour observed in the wild; the Q2 ≈ 2×R2 ratio of Table II is
 	// calibrated with it). 1 means a single query.
@@ -57,18 +52,15 @@ type Recursive struct {
 	// referral cache: zone suffix -> server glue address.
 	referrals map[string]cacheEntry
 	// answer cache: qname -> address.
-	answers map[string]answerEntry
+	answers map[string]cacheEntry
 	// negative cache (RFC 2308): qname -> cached error rcode.
-	negative map[string]negativeEntry
-	// NegativeTTL bounds negative-cache lifetimes (RFC 2308 §5 caps at
-	// 3 hours; BIND defaults lower).
-	NegativeTTL time.Duration
+	negative map[string]cacheEntry
 
 	nextID  uint16
 	pending map[uint16]*inflight
 
-	// qmsg is the upstream-query scratch; sendQuery encodes it into a
-	// pooled payload buffer before returning.
+	// qmsg is the upstream-query scratch; both transports encode it
+	// before returning.
 	qmsg dnswire.Message
 
 	// Stats.
@@ -81,17 +73,27 @@ type Recursive struct {
 	TCPTruncated    uint64 // TCP answers still carrying TC=1
 }
 
+const (
+	// maxBackoff caps the backed-off retry timeout at maxBackoff×Timeout.
+	maxBackoff = 8
+	// maxTCPRetries bounds how often a leg truncated *over TCP* is
+	// re-dialed before the engine gives up with ServFail. A server that
+	// sets TC=1 on every TCP answer must not loop fallbacks forever.
+	maxTCPRetries = 2
+	// negativeTTL is the negative-cache lifetime (RFC 2308 §5 caps it at
+	// 3 hours; BIND defaults lower).
+	negativeTTL = 15 * time.Minute
+	// referralTTL is the lifetime of a cached referral, whatever the NS
+	// records' own TTL (the root and TLD delegation TTL).
+	referralTTL = 172800 * time.Second
+	// maxDepth bounds the referrals one resolution follows.
+	maxDepth = 8
+)
+
+// cacheEntry is one cached referral (addr), answer (addr) or negative
+// answer (rcode).
 type cacheEntry struct {
 	addr    ipv4.Addr
-	expires time.Duration
-}
-
-type answerEntry struct {
-	addr    ipv4.Addr
-	expires time.Duration
-}
-
-type negativeEntry struct {
 	rcode   dnswire.Rcode
 	expires time.Duration
 }
@@ -116,22 +118,29 @@ func (r *Recursive) finish(fl *inflight, res Result) {
 	fl.done(res)
 }
 
+// fail ends the resolution with ServFail, the engine's one failure exit.
+func (r *Recursive) fail(fl *inflight) {
+	if fl.finished {
+		return
+	}
+	r.Failures++
+	r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+}
+
 // NewRecursive creates an engine bound to node, priming the hierarchy at
 // rootAddr.
 func NewRecursive(node *netsim.Node, rootAddr ipv4.Addr) *Recursive {
 	return &Recursive{
-		node:          node,
-		rootAddr:      rootAddr,
-		Timeout:       2 * time.Second,
-		Retries:       2,
-		MaxTCPRetries: 2,
-		DupQueries:    1,
-		referrals:     make(map[string]cacheEntry),
-		answers:       make(map[string]answerEntry),
-		negative:      make(map[string]negativeEntry),
-		NegativeTTL:   15 * time.Minute,
-		pending:       make(map[uint16]*inflight),
-		nextID:        1,
+		node:       node,
+		rootAddr:   rootAddr,
+		Timeout:    2 * time.Second,
+		Retries:    2,
+		DupQueries: 1,
+		referrals:  make(map[string]cacheEntry),
+		answers:    make(map[string]cacheEntry),
+		negative:   make(map[string]cacheEntry),
+		pending:    make(map[uint16]*inflight),
+		nextID:     1,
 	}
 }
 
@@ -163,11 +172,16 @@ func (r *Recursive) bestServer(qname string) ipv4.Addr {
 		if r.node.Now() >= e.expires {
 			continue
 		}
-		if (qname == zone || hasSuffixLabel(qname, zone)) && len(zone) > bestLen {
+		if inZone(qname, zone) && len(zone) > bestLen {
 			best, bestLen = e.addr, len(zone)
 		}
 	}
 	return best
+}
+
+// inZone reports whether name is zone or lies under it.
+func inZone(name, zone string) bool {
+	return name == zone || hasSuffixLabel(name, zone)
 }
 
 func hasSuffixLabel(name, zone string) bool {
@@ -177,9 +191,9 @@ func hasSuffixLabel(name, zone string) bool {
 }
 
 func (r *Recursive) query(qname string, server ipv4.Addr, done func(Result), depth int) {
-	if depth > 8 {
-		r.Failures++
-		done(Result{Rcode: dnswire.RcodeServFail})
+	fl := &inflight{qname: qname, server: server, done: done, depth: depth}
+	if depth > maxDepth {
+		r.fail(fl)
 		return
 	}
 	id := r.nextID
@@ -187,7 +201,6 @@ func (r *Recursive) query(qname string, server ipv4.Addr, done func(Result), dep
 	if r.nextID == 0 {
 		r.nextID = 1
 	}
-	fl := &inflight{qname: qname, server: server, done: done, depth: depth}
 	r.pending[id] = fl
 
 	r.sendQuery(id, qname, server)
@@ -202,11 +215,14 @@ func (r *Recursive) query(qname string, server ipv4.Addr, done func(Result), dep
 	fl.timer = r.node.After(r.Timeout, func() { r.onTimeout(id) })
 }
 
-func (r *Recursive) sendQuery(id uint16, qname string, server ipv4.Addr) {
+// upstreamQuery fills the query scratch for leg id: RD clear (iterative
+// legs), the DO bit when DNSSEC is set. Both transports encode it. qname
+// is canonical (Resolve made it so).
+func (r *Recursive) upstreamQuery(id uint16, qname string) *dnswire.Message {
 	q := &r.qmsg
-	q.Header = dnswire.Header{ID: id} // RD clear: iterative legs
+	q.Header = dnswire.Header{ID: id}
 	q.Questions = append(q.Questions[:0], dnswire.Question{
-		Name: dnswire.CanonicalName(qname), Type: dnswire.TypeA, Class: dnswire.ClassIN,
+		Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN,
 	})
 	q.Answers = q.Answers[:0]
 	q.Authority = q.Authority[:0]
@@ -214,7 +230,11 @@ func (r *Recursive) sendQuery(id uint16, qname string, server ipv4.Addr) {
 	if r.DNSSEC {
 		q.SetEDNS(dnswire.EDNS{UDPSize: dnswire.DefaultEDNSSize, DO: true})
 	}
-	wire, err := q.Append(r.node.PayloadBuf())
+	return q
+}
+
+func (r *Recursive) sendQuery(id uint16, qname string, server ipv4.Addr) {
+	wire, err := r.upstreamQuery(id, qname).Append(r.node.PayloadBuf())
 	if err != nil {
 		return
 	}
@@ -230,8 +250,7 @@ func (r *Recursive) onTimeout(id uint16) {
 	fl.attempts++
 	if fl.attempts > r.Retries {
 		delete(r.pending, id)
-		r.Failures++
-		r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+		r.fail(fl)
 		return
 	}
 	r.Retransmits++
@@ -246,17 +265,11 @@ func (r *Recursive) onTimeout(id uint16) {
 func (r *Recursive) retryTimeout(attempts int) time.Duration {
 	d := r.Timeout
 	if r.Backoff {
-		max := r.MaxTimeout
-		if max <= 0 {
-			max = 8 * r.Timeout
-		}
-		for i := 0; i < attempts; i++ {
+		ceiling := maxBackoff * r.Timeout
+		for i := 0; i < attempts && d < ceiling; i++ {
 			d *= 2
-			if d >= max {
-				d = max
-				break
-			}
 		}
+		d = min(d, ceiling)
 	}
 	if r.Jitter {
 		if j := d / 8; j > 0 {
@@ -281,14 +294,34 @@ func (r *Recursive) HandleResponse(msg *dnswire.Message) bool {
 	}
 	delete(r.pending, msg.Header.ID)
 	fl.timer.Stop()
+	r.answer(fl, msg.Header.ID, msg, false)
+	return true
+}
 
+// answer completes leg id with msg, a response to its question that
+// arrived over UDP or, when overTCP, over the leg's TCP fallback. A
+// truncated UDP answer retries the leg over TCP (RFC 7766); one truncated
+// even over TCP — a protocol violation some broken servers commit on every
+// answer — re-dials at most maxTCPRetries times, then fails instead of
+// looping forever.
+func (r *Recursive) answer(fl *inflight, id uint16, msg *dnswire.Message, overTCP bool) {
+	if fl.finished {
+		// The leg's TCP deadline already failed it; the answer is late.
+		return
+	}
 	if msg.Header.TC {
-		// Truncated over UDP: retry the same leg over TCP (RFC 7766).
-		r.retryTCP(fl, msg.Header.ID)
-		return true
+		if overTCP {
+			r.TCPTruncated++
+			if fl.tcpAttempts >= maxTCPRetries {
+				r.fail(fl)
+				return
+			}
+			fl.tcpAttempts++
+		}
+		r.retryTCP(fl, id)
+		return
 	}
 	r.process(fl, msg)
-	return true
 }
 
 // process consumes a complete (non-truncated) upstream response.
@@ -297,34 +330,31 @@ func (r *Recursive) process(fl *inflight, msg *dnswire.Message) {
 		// RFC 2308: authoritative NXDomain is cacheable; other errors are
 		// transient and are not cached.
 		if msg.Header.Rcode == dnswire.RcodeNXDomain && msg.Header.AA {
-			r.negative[fl.qname] = negativeEntry{
+			r.negative[fl.qname] = cacheEntry{
 				rcode:   msg.Header.Rcode,
-				expires: r.node.Now() + r.NegativeTTL,
+				expires: r.node.Now() + negativeTTL,
 			}
 		}
 		r.finish(fl, Result{Rcode: msg.Header.Rcode})
 		return
 	}
-	if a, ok := msg.FirstA(); ok {
+	// An answer: the first well-formed A record.
+	for _, rr := range msg.Answers {
+		if rr.Type != dnswire.TypeA || rr.Malformed {
+			continue
+		}
 		if r.Validate != nil && !r.Validate(fl.qname, msg) {
 			// Bogus data: a validating resolver answers ServFail and must
 			// not cache the rejected records (RFC 4035 §5.5).
-			r.Failures++
-			r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+			r.fail(fl)
 			return
 		}
-		var ttl time.Duration
-		for _, rr := range msg.Answers {
-			if rr.Type == dnswire.TypeA && !rr.Malformed {
-				ttl = time.Duration(rr.TTL) * time.Second
-				break
-			}
-		}
-		r.answers[fl.qname] = answerEntry{addr: ipv4.Addr(a), expires: r.node.Now() + ttl}
-		r.finish(fl, Result{Addr: ipv4.Addr(a), Rcode: dnswire.RcodeNoError, OK: true})
+		addr := ipv4.Addr(rr.A)
+		r.answers[fl.qname] = cacheEntry{addr: addr, expires: r.node.Now() + time.Duration(rr.TTL)*time.Second}
+		r.finish(fl, Result{Addr: addr, Rcode: dnswire.RcodeNoError, OK: true})
 		return
 	}
-	// A referral: cache it and descend.
+	// A referral: descend to the first NS with glue.
 	var zone string
 	var next ipv4.Addr
 	for _, ns := range msg.Authority {
@@ -343,80 +373,56 @@ func (r *Recursive) process(fl *inflight, msg *dnswire.Message) {
 	}
 	if next == 0 {
 		// NoError, no answer, no usable referral: dead end.
-		r.Failures++
-		r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+		r.fail(fl)
 		return
 	}
-	ttl := 172800 * time.Second
-	// zone aliases msg's decode arena (dnswire.UnpackInto); the cache key
-	// outlives the packet, so pin a copy.
-	r.referrals[strings.Clone(zone)] = cacheEntry{addr: next, expires: r.node.Now() + ttl}
+	// Cache the referral only when its zone covers the qname: an
+	// out-of-bailiwick NS set would otherwise become the server for a zone
+	// it was never delegated, for every later lookup under it. zone aliases
+	// msg's decode arena (dnswire.UnpackInto); the cache key outlives the
+	// packet, so pin a copy.
+	if inZone(fl.qname, zone) {
+		r.referrals[strings.Clone(zone)] = cacheEntry{addr: next, expires: r.node.Now() + referralTTL}
+	}
 	r.query(fl.qname, next, fl.done, fl.depth+1)
 }
 
-// retryTCP re-issues the truncated leg over a stream connection.
+// retryTCP re-issues the truncated leg over a stream connection. The
+// connection only deframes and matches the answer; answer decides.
 func (r *Recursive) retryTCP(fl *inflight, id uint16) {
 	r.TCPFallbacks++
-	deadline := r.node.After(r.Timeout, func() {
-		r.Failures++
-		r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
-	})
-	r.node.Dial(fl.server, DNSPort, func(c *netsim.Conn) {
-		if fl.finished {
-			if c != nil {
-				c.Close()
-			}
-			return
+	deadline := r.node.After(r.Timeout, func() { r.fail(fl) })
+	abort := func(c *netsim.Conn) {
+		deadline.Stop()
+		if c != nil {
+			c.Close()
 		}
-		if c == nil {
-			deadline.Stop()
-			r.Failures++
-			r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+		r.fail(fl)
+	}
+	r.node.Dial(fl.server, DNSPort, func(c *netsim.Conn) {
+		if c == nil || fl.finished {
+			abort(c)
 			return
 		}
 		parser := &dnswire.StreamParser{}
 		c.OnData(func(b []byte) {
 			msgs, err := parser.Feed(b)
 			if err != nil {
-				deadline.Stop()
-				c.Close()
-				r.Failures++
-				r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+				abort(c)
 				return
 			}
 			for _, m := range msgs {
-				q, ok := m.Question1()
-				if !ok || q.Name != fl.qname || !m.Header.QR {
-					continue
-				}
-				deadline.Stop()
-				c.Close()
-				if m.Header.TC {
-					// Truncated even over TCP — a protocol violation some
-					// broken servers commit on every answer. Retry a bounded
-					// number of times, then fail instead of looping forever.
-					r.TCPTruncated++
-					if fl.tcpAttempts < r.MaxTCPRetries {
-						fl.tcpAttempts++
-						r.retryTCP(fl, id)
-						return
-					}
-					r.Failures++
-					r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+				if q, ok := m.Question1(); ok && q.Name == fl.qname && m.Header.QR {
+					deadline.Stop()
+					c.Close()
+					r.answer(fl, id, m, true)
 					return
 				}
-				r.process(fl, m)
-				return
 			}
 		})
-		q := dnswire.NewQuery(id, fl.qname, dnswire.TypeA)
-		q.Header.RD = false
-		wire, err := q.PackTCP()
+		wire, err := r.upstreamQuery(id, fl.qname).AppendTCP(nil)
 		if err != nil {
-			deadline.Stop()
-			c.Close()
-			r.Failures++
-			r.finish(fl, Result{Rcode: dnswire.RcodeServFail})
+			abort(c)
 			return
 		}
 		r.UpstreamQueries++

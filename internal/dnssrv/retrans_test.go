@@ -48,7 +48,7 @@ func newAlwaysTruncatingServer(sim *netsim.Sim, addr ipv4.Addr) *truncatingServe
 // TestTCPTruncationLoopBounded is the regression test for the unbounded
 // TC-over-TCP loop: a server that truncates every TCP answer used to make
 // retryTCP re-dial forever. The engine must give up with ServFail after
-// MaxTCPRetries re-dials, and the simulation must quiesce.
+// maxTCPRetries re-dials, and the simulation must quiesce.
 func TestTCPTruncationLoopBounded(t *testing.T) {
 	sim := netsim.New(netsim.Config{Seed: 8, Latency: netsim.ConstantLatency(5 * time.Millisecond)})
 	server := ipv4.MustParseAddr("45.76.2.4")
@@ -73,8 +73,8 @@ func TestTCPTruncationLoopBounded(t *testing.T) {
 	if got.OK || got.Rcode != dnswire.RcodeServFail {
 		t.Errorf("result = %+v, want ServFail", got)
 	}
-	// One UDP leg, then the initial fallback plus MaxTCPRetries re-dials.
-	wantTCP := uint64(1 + rec.MaxTCPRetries)
+	// One UDP leg, then the initial fallback plus maxTCPRetries re-dials.
+	wantTCP := uint64(1 + maxTCPRetries)
 	if ts.udpQueries != 1 {
 		t.Errorf("server saw %d UDP queries, want 1", ts.udpQueries)
 	}
@@ -89,6 +89,68 @@ func TestTCPTruncationLoopBounded(t *testing.T) {
 	}
 	if rec.Failures == 0 {
 		t.Error("failure not recorded")
+	}
+}
+
+// TestLateTCPAnswerIgnored: a TCP answer that arrives after the leg's TCP
+// deadline has failed it must not be processed. Here it is a referral, and
+// following it used to call done a second time.
+func TestLateTCPAnswerIgnored(t *testing.T) {
+	sim := netsim.New(netsim.Config{Seed: 13, Latency: netsim.ConstantLatency(5 * time.Millisecond)})
+	server := ipv4.MustParseAddr("45.76.2.10")
+	auth := ipv4.MustParseAddr("45.76.2.11")
+	sim.Register(server, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		if q, err := dnswire.Unpack(dg.Payload); err == nil && !q.Header.QR {
+			resp := dnswire.NewResponse(q)
+			resp.Header.TC = true
+			n.Send(dg.Src, dg.DstPort, dg.SrcPort, resp.MustPack())
+		}
+	}))
+	sim.Listen(server, DNSPort, func(c *netsim.Conn) {
+		parser := &dnswire.StreamParser{}
+		c.OnData(func(b []byte) {
+			msgs, _ := parser.Feed(b)
+			for _, q := range msgs {
+				resp := dnswire.NewResponse(q)
+				resp.Authority = append(resp.Authority, dnswire.RR{
+					Name: "example.net", Type: dnswire.TypeNS, Class: dnswire.ClassIN, TTL: 60, Target: "ns.example.net",
+				})
+				resp.Additional = append(resp.Additional, dnswire.RR{
+					Name: "ns.example.net", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: uint32(auth),
+				})
+				if wire, err := resp.PackTCP(); err == nil {
+					c.Send(wire)
+				}
+			}
+		})
+	})
+	sim.Register(auth, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		if q, err := dnswire.Unpack(dg.Payload); err == nil && !q.Header.QR {
+			resp := dnswire.NewResponse(q)
+			resp.AnswerA(0x0A141E28, 60)
+			n.Send(dg.Src, dg.DstPort, dg.SrcPort, resp.MustPack())
+		}
+	}))
+	var rec *Recursive
+	node := sim.Register(resAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
+		if msg, err := dnswire.Unpack(dg.Payload); err == nil && msg.Header.QR {
+			rec.HandleResponse(msg)
+		}
+	}))
+	rec = NewRecursive(node, server)
+	// The TC answer lands at 10ms and arms the TCP deadline for 25ms. The
+	// dial completes at 20ms, but the TCP answer lands at 30ms.
+	rec.Timeout = 15 * time.Millisecond
+	var results []Result
+	rec.Resolve("late.example.net", func(r Result) { results = append(results, r) })
+	if err := sim.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Rcode != dnswire.RcodeServFail {
+		t.Errorf("results = %+v, want one ServFail", results)
+	}
+	if rec.Failures != 1 {
+		t.Errorf("Failures = %d, want 1", rec.Failures)
 	}
 }
 
