@@ -8,6 +8,13 @@
 // responses (Table X), the malicious-resolver geolocation, the §IV-B4
 // empty-question breakdown, and the §IV-B1 open-resolver estimates.
 //
+// Responses enter in one of two forms, and both are classified by
+// AddMessage. The simulation and orreplay hand AddR2 the wire bytes of
+// every captured response, which it decodes. The synthetic engine hands
+// AddMessage the decoded form of its per-cohort response templates
+// (behavior.Template.Message), which equals the decoder's output for the
+// same bytes field by field, so it skips an encode and decode per probe.
+//
 // The Accumulator is streaming: it holds aggregates and per-unique-value
 // maps only, so a full-scale 6.5-million-response campaign runs in constant
 // memory per response.
@@ -77,6 +84,8 @@ type Accumulator struct {
 
 	// §IV-B4 empty-question breakdown.
 	eq paperdata.EmptyQuestionStats
+
+	msg dnswire.Message // AddR2's decode scratch
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -93,26 +102,16 @@ func NewAccumulator(cfg Config) *Accumulator {
 }
 
 // AddR2 ingests one response. src is the responding resolver's address
-// (the prospective open resolver); wire is the raw DNS payload.
+// (the prospective open resolver); wire is the raw DNS payload. The payload
+// is decoded into the accumulator's scratch message, whose sections, RDATA
+// buffers and name arena every call reuses (dnswire.UnpackInto), so no
+// packet allocates a message of its own.
 func (a *Accumulator) AddR2(src ipv4.Addr, wire []byte) {
-	msg, err := dnswire.Unpack(wire)
-	if err != nil {
+	if err := dnswire.UnpackInto(&a.msg, wire); err != nil {
 		a.undecodable++
 		return
 	}
-	a.AddMessage(src, msg)
-}
-
-// AddR2Into is AddR2 with caller-owned decode scratch: the payload is
-// decoded into msg, whose section slices and RDATA buffers are reused
-// across calls (see dnswire.UnpackInto). One scratch message per worker
-// removes the per-packet decode allocations from the campaign hot path.
-func (a *Accumulator) AddR2Into(src ipv4.Addr, wire []byte, msg *dnswire.Message) {
-	if err := dnswire.UnpackInto(msg, wire); err != nil {
-		a.undecodable++
-		return
-	}
-	a.AddMessage(src, msg)
+	a.AddMessage(src, &a.msg)
 }
 
 // Merge folds b's accumulated state into a, leaving b unchanged. Counters
@@ -179,7 +178,8 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	}
 }
 
-// AddMessage ingests an already-decoded response.
+// AddMessage ingests an already-decoded response. It keeps nothing of msg
+// past the call but owned copies, so msg may be decoding scratch.
 func (a *Accumulator) AddMessage(src ipv4.Addr, msg *dnswire.Message) {
 	q, hasQ := msg.Question1()
 	if !hasQ {

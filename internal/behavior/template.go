@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"openresolver/internal/dnssrv"
@@ -11,44 +12,49 @@ import (
 	"openresolver/internal/ipv4"
 )
 
-// Template is a profile's R2 for one subdomain cluster, encoded once and
-// patched per probe. The encoder writes no compression pointers and every
-// probe name of a cluster has the same length, so two probes' responses
-// differ only in the transaction ID, the 7 digits of each copy of the index
-// label and, for AnswerTruth, the A RDATA. Build encodes the response to
-// index 0 under ID 0 with BuildResponseInto and Message.Append, locates
-// those bytes by re-encoding with each varying input changed, and checks
-// the patched template against the encoder before use; Append then
-// produces any probe's response with a copy and a few byte writes.
+// Template is a profile's R2 for one subdomain cluster, encoded and decoded
+// once and patched per probe in decoded form. The encoder writes no
+// compression pointers and every probe name of a cluster has the same
+// length, so two probes' responses differ only in the transaction ID, the
+// names that carry the index label and, for AnswerTruth, the A record.
+// Build encodes the response to index 0 and to index 9999999 under ID 0
+// with BuildResponseInto and Message.Append, decodes both, and aliases every
+// name that differs between them to the template's qname buffer; it checks
+// the patched message against the decoded encoder output before use.
+// Message then produces any probe's decoded response with a few writes and
+// no copy.
 //
 // A Template's buffers are reused by every Build and it is not safe for
 // concurrent use.
 type Template struct {
-	wire   []byte // the response to index 0 under ID 0
-	digits []int  // offset of every index label's digits in wire
-	rdata  int    // offset of the A RDATA for AnswerTruth, or -1
-	qname  []byte // the presentation qname; its digits are the last Append's
-	qdig   int    // offset of the index digits in qname
+	wire  []byte // the response to index 0 under ID 0
+	qname []byte // the presentation qname; its digits are the last Message's
+	qdig  int    // offset of the index digits in qname
 
-	// Encoder scratch, reused by every Build.
-	query, resp dnswire.Message
-	alt         []byte
+	// msg is wire decoded, its index-carrying names aliasing qname; truth
+	// is the index in msg.Answers of the AnswerTruth A record, or -1.
+	msg   dnswire.Message
+	truth int
+
+	// Encoder and decoder scratch, reused by every Build.
+	query, resp, ref dnswire.Message
+	alt              []byte
 }
 
 // Build derives t from the response profile p gives to the probes of
-// cluster under sld. It returns an error if the response does not encode,
-// or if its varying bytes cannot be located or do not reproduce the
-// encoder's output; Append must not be called after a failed Build.
+// cluster under sld. It returns an error if the response does not encode or
+// decode, or if the names that carry the index cannot be located or the
+// patched message does not reproduce the decoded encoder output; Message
+// must not be called after a failed Build.
 func (t *Template) Build(p Profile, cluster int, sld string) error {
 	if t.qname == nil {
 		// A fresh template takes its byte buffers from one allocation,
-		// sized for probe responses with room in alt for two of them.
-		b := make([]byte, 0, 1024)
-		t.wire, t.alt, t.qname = b[0:0:256], b[256:256:768], b[768:768:1024]
+		// sized for probe responses.
+		b := make([]byte, 0, 768)
+		t.wire, t.alt, t.qname = b[0:0:256], b[256:256:512], b[512:512:768]
 	}
 	t.qname = dnssrv.AppendProbeName(t.qname[:0], cluster, 0, sld)
 	t.qdig = bytes.IndexByte(t.qname, '.') + 1
-	t.digits, t.rdata = t.digits[:0], -1
 	var err error
 	if t.wire, err = t.encode(t.wire[:0], p, 0, 0, 0); err != nil {
 		return err
@@ -59,56 +65,80 @@ func (t *Template) Build(p Profile, cluster int, sld string) error {
 	if t.alt, err = t.encode(t.alt[:0], p, 0, maxIndex, 0); err != nil {
 		return err
 	}
-	if len(t.alt) != len(t.wire) {
-		return fmt.Errorf("behavior: template for %s: response length depends on the index", t.qname)
+	if err := t.decode(p); err != nil {
+		return err
 	}
-	for i := 0; i < len(t.wire); i++ {
-		if t.wire[i] == t.alt[i] {
-			continue
-		}
-		end := i + dnssrv.IndexDigits
-		if end > len(t.wire) || string(t.wire[i:end]) != "0000000" || string(t.alt[i:end]) != "9999999" {
-			return fmt.Errorf("behavior: template for %s: byte %d varies outside an index label", t.qname, i)
-		}
-		t.digits = append(t.digits, i)
-		i = end - 1
-	}
-	if p.Answer == AnswerTruth {
-		if t.rdata, err = t.locateRDATA(p); err != nil {
-			return err
-		}
-	}
-	// Check the patch points on a probe that moves every one of them.
+	// Check the patched message on a probe that moves every patch point.
 	const id, idx = 0xA5C3, 1_234_567
 	dnssrv.PutProbeIndex(t.qname[t.qdig:], idx)
 	if t.alt, err = t.encode(t.alt[:0], p, id, idx, dnssrv.TruthAddr(t.qname)); err != nil {
 		return err
 	}
-	n := len(t.alt)
-	if t.alt = t.Append(t.alt, id, idx); !bytes.Equal(t.alt[n:], t.alt[:n]) {
+	if err := dnswire.UnpackInto(&t.ref, t.alt); err != nil || len(t.alt) != len(t.wire) || !sameMessage(t.Message(id, idx), &t.ref) {
 		return fmt.Errorf("behavior: template for %s does not reproduce the encoder", t.qname)
 	}
 	return nil
 }
 
-// locateRDATA returns the offset of the 4 bytes that change in t.wire when
-// the recursion result's address does.
-func (t *Template) locateRDATA(p Profile) (int, error) {
-	var err error
-	if t.alt, err = t.encode(t.alt[:0], p, 0, 0, 0xFFFFFFFF); err != nil {
-		return -1, err
+// decode derives t.msg from t.wire, the response to index 0, while t.alt
+// holds the response to index 9999999: it decodes both, aliases to t.qname
+// every name that differs between them, and for AnswerTruth locates the A
+// record. A name that merely reads like the index-0 qname, such as a CNAME
+// target, is the same in both and keeps its decoded value.
+func (t *Template) decode(p Profile) error {
+	if err := dnswire.UnpackInto(&t.ref, t.alt); err != nil {
+		return fmt.Errorf("behavior: template for %s: %w", t.qname, err)
 	}
-	if len(t.alt) == len(t.wire) {
-		for off := range t.wire {
-			if t.wire[off] != t.alt[off] {
-				if off+4 <= len(t.wire) && bytes.Equal(t.wire[off+4:], t.alt[off+4:]) {
-					return off, nil
-				}
-				break
-			}
+	if err := dnswire.UnpackInto(&t.msg, t.wire); err != nil {
+		return fmt.Errorf("behavior: template for %s: %w", t.qname, err)
+	}
+	// The section counts come from the profile alone, so ref's sections
+	// are as long as m's.
+	m, ref := &t.msg, &t.ref
+	qname := unsafe.String(unsafe.SliceData(t.qname), len(t.qname))
+	alias := func(name *string, alt string) {
+		if *name != alt {
+			*name = qname
 		}
 	}
-	return -1, fmt.Errorf("behavior: template for %s: cannot locate the answer address", t.qname)
+	for i := range m.Questions {
+		alias(&m.Questions[i].Name, ref.Questions[i].Name)
+	}
+	for _, s := range [...][2][]dnswire.RR{{m.Answers, ref.Answers}, {m.Authority, ref.Authority}, {m.Additional, ref.Additional}} {
+		for i := range s[0] {
+			alias(&s[0][i].Name, s[1][i].Name)
+			alias(&s[0][i].Target, s[1][i].Target)
+		}
+	}
+	t.truth = -1
+	if p.Answer == AnswerTruth {
+		t.truth = slices.IndexFunc(m.Answers, func(rr dnswire.RR) bool { return rr.Type == dnswire.TypeA && !rr.Malformed })
+		if t.truth < 0 {
+			return fmt.Errorf("behavior: template for %s: no A record to patch", t.qname)
+		}
+	}
+	return nil
+}
+
+// sameMessage reports whether a and b hold the same header, questions and
+// records, field by field.
+func sameMessage(a, b *dnswire.Message) bool {
+	if a.Header != b.Header || !slices.Equal(a.Questions, b.Questions) {
+		return false
+	}
+	for _, s := range [...][2][]dnswire.RR{{a.Answers, b.Answers}, {a.Authority, b.Authority}, {a.Additional, b.Additional}} {
+		if !slices.EqualFunc(s[0], s[1], sameRR) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRR reports whether a and b agree in every field, RDATA included.
+func sameRR(a, b dnswire.RR) bool {
+	return a.Name == b.Name && a.Type == b.Type && a.Class == b.Class && a.TTL == b.TTL &&
+		bytes.Equal(a.Data, b.Data) && a.A == b.A && a.Target == b.Target && a.Pref == b.Pref &&
+		a.Malformed == b.Malformed
 }
 
 // encode appends the response p gives to the probe for index idx of t's
@@ -133,22 +163,25 @@ func (t *Template) encode(dst []byte, p Profile, id uint16, idx int, addr ipv4.A
 	return dst, nil
 }
 
-// Append appends the response to the probe for index idx of the template's
-// cluster, under transaction ID id, to dst: the template with the ID, the
-// index digits and, for AnswerTruth, the probe name's ground-truth address
-// patched in. idx must be in [0, 10^7).
-func (t *Template) Append(dst []byte, id uint16, idx int) []byte {
-	start := len(dst)
-	dst = append(dst, t.wire...)
-	out := dst[start:]
-	binary.BigEndian.PutUint16(out, id)
-	digits := t.qname[t.qdig : t.qdig+dnssrv.IndexDigits]
-	dnssrv.PutProbeIndex(digits, idx)
-	for _, off := range t.digits {
-		copy(out[off:], digits)
+// Message returns the decoded response to the probe for index idx of the
+// template's cluster under transaction ID id: the decoded template with the
+// ID, the digits of the qname buffer that its index-carrying names alias
+// and, for AnswerTruth, the probe name's ground-truth address in the
+// answer's A and RDATA patched in. It equals dnswire.UnpackInto of the
+// encoder's response field by field. The message and its names belong to
+// the template and are rewritten by the next Message or Build, as
+// UnpackInto's are by the next decode; callers must not modify it. idx must
+// be in [0, 10^7).
+func (t *Template) Message(id uint16, idx int) *dnswire.Message {
+	t.msg.Header.ID = id
+	dnssrv.PutProbeIndex(t.qname[t.qdig:], idx)
+	if t.truth >= 0 {
+		rr := &t.msg.Answers[t.truth]
+		rr.A = uint32(dnssrv.TruthAddr(t.qname))
+		binary.BigEndian.PutUint32(rr.Data, rr.A)
 	}
-	if t.rdata >= 0 {
-		binary.BigEndian.PutUint32(out[t.rdata:], uint32(dnssrv.TruthAddr(t.qname)))
-	}
-	return dst
+	return &t.msg
 }
+
+// Len returns the wire length of every response the template produces.
+func (t *Template) Len() int { return len(t.wire) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,24 +33,63 @@ func encoderResponse(t *testing.T, p behavior.Profile, cluster, idx int, id uint
 	return wire
 }
 
-// checkTemplate builds p's template for each cluster and compares every
-// patched response against the encoder.
+// checkTemplate builds p's template for each cluster and requires, for every
+// index under IDs 0, 1 and 0xFFFF, that Message equal the decoded encoder
+// response field by field and that Len be its length. The probes of a
+// cluster run in sequence, so a Message that failed to patch a field would
+// carry the previous probe's value.
 func checkTemplate(t *testing.T, tmpl *behavior.Template, p behavior.Profile, clusters, indexes []int) {
 	t.Helper()
+	var want dnswire.Message
 	for _, c := range clusters {
 		if err := tmpl.Build(p, c, paperdata.SLD); err != nil {
 			t.Fatalf("%+v cluster %d: %v", p, c, err)
 		}
 		for _, idx := range indexes {
 			for _, id := range []uint16{0, 1, 0xFFFF} {
-				got := tmpl.Append([]byte("pool"), id, idx)
-				want := encoderResponse(t, p, c, idx, id)
-				if !bytes.Equal(got[4:], want) || string(got[:4]) != "pool" {
-					t.Fatalf("%+v cluster %d index %d id %#x:\n got %x\nwant %x", p, c, idx, id, got[4:], want)
+				wire := encoderResponse(t, p, c, idx, id)
+				if err := dnswire.UnpackInto(&want, wire); err != nil {
+					t.Fatalf("%+v cluster %d index %d: %v", p, c, idx, err)
+				}
+				if diff := messageDiff(tmpl.Message(id, idx), &want); diff != "" || tmpl.Len() != len(wire) {
+					t.Fatalf("%+v cluster %d index %d id %#x: %s (Len %d, want %d)", p, c, idx, id, diff, tmpl.Len(), len(wire))
 				}
 			}
 		}
 	}
+}
+
+// messageDiff names the first field in which got and want differ: the
+// header, a question, or any of a record's fields; "" if none does.
+func messageDiff(got, want *dnswire.Message) string {
+	if got.Header != want.Header {
+		return fmt.Sprintf("header %+v, want %+v", got.Header, want.Header)
+	}
+	if !slices.Equal(got.Questions, want.Questions) {
+		return fmt.Sprintf("questions %v, want %v", got.Questions, want.Questions)
+	}
+	sections := []struct {
+		name      string
+		got, want []dnswire.RR
+	}{
+		{"answer", got.Answers, want.Answers},
+		{"authority", got.Authority, want.Authority},
+		{"additional", got.Additional, want.Additional},
+	}
+	for _, s := range sections {
+		if len(s.got) != len(s.want) {
+			return fmt.Sprintf("%d %s records, want %d", len(s.got), s.name, len(s.want))
+		}
+		for i, g := range s.got {
+			w := s.want[i]
+			if g.Name != w.Name || g.Type != w.Type || g.Class != w.Class || g.TTL != w.TTL ||
+				!bytes.Equal(g.Data, w.Data) || g.A != w.A || g.Target != w.Target ||
+				g.Pref != w.Pref || g.Malformed != w.Malformed {
+				return fmt.Sprintf("%s %d: %+v, want %+v", s.name, i, g, w)
+			}
+		}
+	}
+	return ""
 }
 
 // testIndexes returns the edge indexes plus n random ones.
@@ -61,13 +101,13 @@ func testIndexes(rng *rand.Rand, n int) []int {
 	return idx
 }
 
-// TestTemplateMatchesEncoder pins Template against the general encoder for
-// every answer kind, with the question kept and omitted, across flag and
-// rcode combinations, for 3- and 4-digit cluster labels, edge and random
-// indexes, and edge IDs. The CNAME and TXT names include a copy of the
-// index-0 label, which a template that searched for the label instead of
-// deriving it from the encoder would patch by mistake.
-func TestTemplateMatchesEncoder(t *testing.T) {
+// TestTemplateMessageMatchesDecoder pins Message against the decoded
+// encoder output for every answer kind, with the question kept and omitted,
+// across flag and rcode combinations, for 3- and 4-digit cluster labels,
+// edge and random indexes, and edge IDs. The CNAME and TXT names include a
+// copy of the index-0 qname, which must keep its decoded value while every
+// name that carries the index follows it.
+func TestTemplateMessageMatchesDecoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	flags := []struct {
 		ra, aa bool
@@ -99,9 +139,9 @@ func TestTemplateMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestTemplateMatchesEncoderPopulations runs the same comparison over every
-// distinct profile population.Build emits for both calibration years.
-func TestTemplateMatchesEncoderPopulations(t *testing.T) {
+// TestTemplateMessageMatchesDecoderPopulations runs the same comparison over
+// every distinct profile population.Build emits for both calibration years.
+func TestTemplateMessageMatchesDecoderPopulations(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var tmpl behavior.Template
 	for _, y := range []paperdata.Year{paperdata.Y2013, paperdata.Y2018} {
@@ -147,14 +187,13 @@ func TestTemplateZeroAlloc(t *testing.T) {
 		behavior.Honest(1), behavior.Refuser(),
 		{RA: true, OmitQuestion: true, Answer: behavior.AnswerCNAME, Name: "www.example-ads.com"},
 	}
-	buf := make([]byte, 0, 512)
 	c := 0
 	run := func() {
 		p := profiles[c%len(profiles)]
 		if err := tmpl.Build(p, c%1100, paperdata.SLD); err != nil {
 			t.Fatal(err)
 		}
-		buf = tmpl.Append(buf[:0], uint16(c), c*7919%10_000_000)
+		tmpl.Message(uint16(c), c*7919%10_000_000)
 		c++
 	}
 	for range 10 {

@@ -11,7 +11,6 @@ import (
 	"openresolver/internal/behavior"
 	"openresolver/internal/capture"
 	"openresolver/internal/classify"
-	"openresolver/internal/dnswire"
 	"openresolver/internal/geo"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
@@ -195,8 +194,9 @@ func openAssigner(cfg Config, pop *population.Population) (*geo.Registry, *scan.
 }
 
 // RunSynthetic streams the full campaign through the analysis pipeline:
-// every response is encoded to wire format and decoded back by the
-// analyzer, exercising the identical classification path as the simulation.
+// every response is the decoded form of the wire bytes its cohort's
+// profile encodes (behavior.Template), classified by the same
+// Accumulator.AddMessage as the simulation's decoded captures.
 func RunSynthetic(cfg Config) (*Dataset, error) {
 	pop, feed, err := buildDeps(cfg)
 	if err != nil {
@@ -326,9 +326,8 @@ func (c *cursorChain) at(i int) (*population.Assigner, error) {
 }
 
 // synthWorker holds one shard run's assigner, accumulator and metrics shard,
-// and the scratch the per-probe path reuses — the response template, the
-// encode buffer and the decode message — so steady-state synthesis
-// allocates nothing per probe.
+// and the response template the per-probe path reuses, so steady-state
+// synthesis allocates nothing per probe.
 type synthWorker struct {
 	clusterSize uint64
 	assigner    *population.Assigner
@@ -341,16 +340,11 @@ type synthWorker struct {
 	tmpl       behavior.Template
 	tmplCohort *population.Cohort
 	tmplFirst  uint64
-
-	decoded dnswire.Message
-	buf     []byte
 }
 
 // synthWorkers recycles synthWorker scratch across shards, so a pool worker
-// that runs many shards reuses one set of buffers.
-var synthWorkers = sync.Pool{New: func() any {
-	return &synthWorker{buf: make([]byte, 0, 512)}
-}}
+// that runs many shards reuses one template.
+var synthWorkers = sync.Pool{New: func() any { return new(synthWorker) }}
 
 // run synthesizes shard p into the worker's accumulator. The global probe
 // index g determines the qname and transaction ID; the worker's assigner
@@ -369,9 +363,9 @@ func (w *synthWorker) run(pop *population.Population, p shardPlan) error {
 }
 
 // probe synthesizes probe g of cohort: the response is the worker's
-// template for the cohort and g's cluster, with g's ID and index patched
-// in. The general encoder runs only when the template is rebuilt, once per
-// cohort and cluster.
+// decoded template for the cohort and g's cluster, with g's ID and index
+// patched in. The general encoder and decoder run only when the template is
+// rebuilt, once per cohort and cluster.
 func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
 	src, err := w.assigner.Next(cohort.Country)
 	if err != nil {
@@ -387,11 +381,11 @@ func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
 		w.tmplCohort, w.tmplFirst = cohort, cluster*w.clusterSize
 		idx = g - w.tmplFirst
 	}
-	w.buf = w.tmpl.Append(w.buf[:0], ProbeQID(g), int(idx))
+	n := w.tmpl.Len()
 	w.obs.Inc(obs.CSynthProbes)
-	w.obs.Add(obs.CSynthBytes, uint64(len(w.buf)))
-	w.obs.Observe(obs.HRespBytes, int64(len(w.buf)))
-	w.acc.AddR2Into(src, w.buf, &w.decoded)
+	w.obs.Add(obs.CSynthBytes, uint64(n))
+	w.obs.Observe(obs.HRespBytes, int64(n))
+	w.acc.AddMessage(src, w.tmpl.Message(ProbeQID(g), int(idx)))
 	return nil
 }
 

@@ -18,7 +18,9 @@
 //     for every worker count (DESIGN.md §12).
 //
 //   - RunSynthetic streams the population's responses directly into the
-//     analysis pipeline as encoded wire packets, in constant memory, which
+//     analysis pipeline as decoded messages, each patched from its cohort's
+//     template, which the encoder and decoder derive once per cohort and
+//     cluster. It runs in constant memory, which
 //     makes the full-scale (SampleShift 0) campaign feasible and exact.
 //     The stream splits into a fixed plan of probe-range shards run on a
 //     pool of Config.Workers goroutines, whose merged result is identical

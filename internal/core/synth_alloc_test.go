@@ -63,12 +63,11 @@ func (r *probeRig) worker(p behavior.Profile, clusterSize uint64) (*synthWorker,
 		clusterSize: clusterSize,
 		assigner:    r.assigner.Fork(),
 		acc:         analysis.NewAccumulator(r.accCfg),
-		buf:         make([]byte, 0, 512),
 	}, &population.Cohort{Profile: p}
 }
 
 // TestSynthProbeZeroAlloc pins the steady-state synthetic probe path —
-// address draw, template rebuild, patch, metrics, decode and accumulate —
+// address draw, template rebuild, patch, metrics and accumulate —
 // at zero allocations per probe, with and without metrics, for every answer
 // kind. One measured run is a whole cluster, so every run crosses one
 // cluster rollover and rebuilds the template: any allocation in a rebuild
@@ -102,7 +101,7 @@ func TestSynthProbeZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkSynthProbe measures the synthetic engine's per-probe path —
-// address draw, response bytes, metrics, decode and accumulate — for each
+// address draw, decoded response, metrics and accumulate — for each
 // answer kind, at the cluster size of a shift-10 campaign.
 func BenchmarkSynthProbe(b *testing.B) {
 	// A shift-8 universe has about 14M eligible addresses; the worker

@@ -201,6 +201,12 @@ func UnpackInto(m *Message, msg []byte) error {
 
 	m.Header = headerFromFlags(id, flags)
 	m.arena = m.arena[:0]
+	if cap(m.arena) < len(msg) {
+		// Without compression pointers or escapes, a message's names and
+		// strings take fewer presentation bytes than the message itself,
+		// so one reservation holds them all.
+		m.arena = make([]byte, 0, len(msg))
+	}
 	off := 12
 	var err error
 	m.Questions = m.Questions[:0]

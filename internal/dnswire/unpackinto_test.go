@@ -106,7 +106,8 @@ func TestUnpackIntoErrors(t *testing.T) {
 }
 
 // TestUnpackIntoAllocs bounds the steady-state allocations of the reusing
-// decode path: after warm-up, only name/target strings allocate.
+// decode path: after warm-up, only name/target strings allocate; and those
+// of a fresh decode, whose arena is one allocation.
 func TestUnpackIntoAllocs(t *testing.T) {
 	q := NewQuery(7, "or003.0001234.ucfsealresearch.net", TypeA)
 	resp := NewResponse(q)
@@ -135,5 +136,10 @@ func TestUnpackIntoAllocs(t *testing.T) {
 	})
 	if steady >= fresh {
 		t.Errorf("reusing decode (%.1f allocs/op) not cheaper than fresh Unpack (%.1f)", steady, fresh)
+	}
+	// A fresh decode reserves its name arena once, at the message's length,
+	// instead of growing it name by name.
+	if fresh > 4 {
+		t.Errorf("fresh Unpack allocates %.1f times per op, want ≤ 4", fresh)
 	}
 }

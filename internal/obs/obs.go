@@ -45,7 +45,7 @@ const (
 
 	// Synthetic engine (internal/core).
 	CSynthProbes // probes synthesized through the analysis pipeline
-	CSynthBytes  // response wire bytes encoded
+	CSynthBytes  // response wire bytes synthesized
 
 	// Event-queue placement (internal/netsim, PR 6). Appended after the
 	// original set so existing snapshot orderings are unchanged.
