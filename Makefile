@@ -157,8 +157,9 @@ bench-sim-par:
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
 # records it (BenchmarkShardEnvelope: BENCH_PR14.json; BenchmarkStepDrain:
-# BENCH_PR20.json; the synthetic- and simulated-campaign benchmarks and
-# BenchmarkSynthProbe, one sub-benchmark per answer kind: BENCH_PR22.json).
+# BENCH_PR20.json; the simulated-campaign benchmarks: BENCH_PR22.json; the
+# synthetic-campaign benchmarks and BenchmarkSynthProbe, one sub-benchmark
+# per answer kind: BENCH_PR23.json).
 # Fails on
 # >25% ns/op growth or >0.1% allocs/op growth for any benchmark both sides
 # know (zero-alloc benchmarks stay strict — 0 × 1.001 is still 0).

@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -106,15 +107,18 @@ func countCheckpoints(t *testing.T, dir string) int {
 // engines: interrupt a campaign partway, resume it with the same
 // configuration, and the merged dataset — report, digest and rendered
 // tables — is identical to an uninterrupted run's. Checkpoints are cleaned
-// up after the successful merge.
+// up after the successful merge. The synthetic campaign is also resumed
+// from a non-prefix set of restored shards, so its cursor chain walks past
+// the restored shards between the ones it draws.
 func TestCheckpointResumeIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		run  func(Config) (*Dataset, error)
+		name   string
+		cfg    Config
+		run    func(Config) (*Dataset, error)
+		sparse []int // shards restored in the non-prefix resume; nil skips it
 	}{
-		{"sim", ckptTestConfig(), RunSimulation},
-		{"synth", Config{Year: paperdata.Y2018, SampleShift: 10, Seed: 11}, RunSynthetic},
+		{"sim", ckptTestConfig(), RunSimulation, nil},
+		{"synth", Config{Year: paperdata.Y2018, SampleShift: 10, Seed: 11}, runSynthUnpinned, []int{1, 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cold, err := tc.run(tc.cfg)
@@ -152,7 +156,75 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 			if n := countCheckpoints(t, dir); n != 0 {
 				t.Errorf("completed campaign left %d checkpoint files behind", n)
 			}
+			if tc.sparse != nil {
+				resumeSparse(t, tc.run, tc.cfg, tc.sparse, cold)
+			}
 		})
+	}
+}
+
+// runSynthUnpinned runs cfg's synthetic campaign with every other cohort's
+// country pin dropped. Build pins every malicious cohort to a country, so
+// the report of its population never sees which unpinned address a probe
+// drew; unpinned malicious cohorts put the cursor walk into the malicious
+// geolocation table, so a resume that misplaces a shard's draws shows.
+func runSynthUnpinned(cfg Config) (*Dataset, error) {
+	pop, feed, err := buildDeps(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := range pop.Cohorts {
+		if i%2 == 0 {
+			pop.Cohorts[i].Country = ""
+		}
+	}
+	return SynthesizePopulation(cfg, pop, feed.DB)
+}
+
+// resumeSparse checkpoints every shard of a campaign, deletes all but the
+// listed shards' files, and resumes: the resumed report must equal the cold
+// run's.
+func resumeSparse(t *testing.T, run func(Config) (*Dataset, error), cfg Config, shards []int, cold *Dataset) {
+	t.Helper()
+	dir := t.TempDir()
+	keep := cfg
+	keep.Checkpoints = CheckpointPlan{Dir: dir, Keep: true}
+	if _, err := run(keep); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := make(map[string]bool)
+	for _, i := range shards {
+		restored[fmt.Sprintf("shard-%03d.ckpt", i)] = true
+	}
+	for _, m := range matches {
+		if !restored[filepath.Base(m)] {
+			if err := os.Remove(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := countCheckpoints(t, dir); n != len(shards) {
+		t.Fatalf("kept %d checkpoint files, want %d (shards %v)", n, len(shards), shards)
+	}
+	// Workers 1 requests the remaining shards in ascending order, so the
+	// cursor chain deterministically walks past each restored shard
+	// between the ones it draws.
+	var log bytes.Buffer
+	cfg.Workers = 1
+	cfg.Checkpoints = CheckpointPlan{Dir: dir, Log: &log}
+	ds, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(log.String(), "restored from checkpoint"); got != len(shards) {
+		t.Errorf("resume restored %d shards, want %d:\n%s", got, len(shards), log.String())
+	}
+	if !reflect.DeepEqual(ds.Report, cold.Report) {
+		t.Errorf("campaign resumed from shards %v: report differs from cold run", shards)
 	}
 }
 

@@ -52,14 +52,14 @@ type Config struct {
 	// Workers sets the campaign's parallelism: the size of the worker pool
 	// that runs the campaign's fixed shard plan on the shard engine both
 	// modes share. A synthetic shard is a contiguous probe-index range
-	// drawing from a fork of one running assigner cursor (DESIGN.md §2); a
-	// simulated shard is a private sub-simulation with a disjoint
-	// subdomain-cluster namespace and a proportional rate slice (DESIGN.md
-	// §12). Every shard has its own accumulator, merged exactly in shard
-	// order. The plan is a function of the configuration and population
-	// alone, never of Workers, so the report is byte-identical for every
-	// value. 0 uses runtime.GOMAXPROCS(0); 1 runs the plan on a single
-	// worker.
+	// whose source addresses are drawn from one running assigner cursor
+	// (DESIGN.md §2); a simulated shard is a private sub-simulation with a
+	// disjoint subdomain-cluster namespace and a proportional rate slice
+	// (DESIGN.md §12). Every shard has its own accumulator, merged exactly
+	// in shard order. The plan is a function of the configuration and
+	// population alone, never of Workers, so the report is byte-identical
+	// for every value. 0 uses runtime.GOMAXPROCS(0); 1 runs the plan on a
+	// single worker.
 	Workers int
 	// Faults configures adverse-network fault injection and the adaptive
 	// retransmission machinery (simulation mode only; the zero value is a
@@ -294,45 +294,80 @@ func (p shardPlan) skip(pop *population.Population, a *population.Assigner) erro
 	})
 }
 
-// cursorChain hands every shard an assigner at the shard's first draw, so
-// each shard draws exactly the addresses the serial walk would. It walks one
-// cursor through the plan with shardPlan.skip, forking it at each shard
-// start, only as far as the highest shard requested. The pool requests
-// shards in ascending order, so the walk happens once per campaign,
-// overlapped with running shards; a restored prefix is simply walked past.
+// draw fills buf[:p.end-p.start] with the shard's source addresses, drawn
+// from a in cohort order, and leaves a past the shard's last draw.
+func (p shardPlan) draw(pop *population.Population, a *population.Assigner, buf []ipv4.Addr) error {
+	i := 0
+	return p.each(pop, func(c *population.Cohort, n uint64) error {
+		for end := i + int(n); i < end; i++ {
+			addr, err := a.Next(c.Country)
+			if err != nil {
+				return err
+			}
+			buf[i] = addr
+		}
+		return nil
+	})
+}
+
+// cursorChain draws every shard's source addresses from one running
+// assigner cursor, so each shard gets exactly the addresses the serial walk
+// draws for its range. The shard at the chain's frontier, the first one the
+// cursor has not passed, draws straight from the cursor, which then sits at
+// the next shard's first draw. The pool requests shards in ascending order,
+// so each draw of the campaign is computed once, under the chain's lock,
+// overlapped with the shards already running. The chain also keeps a fork of
+// every shard start it passes, for the two other cases: a request past the
+// frontier walks the cursor over the shards in between with shardPlan.skip
+// (a restored checkpoint), and a request below it redraws from the shard's
+// start fork (a repeated or out-of-order request).
 type cursorChain struct {
 	mu     sync.Mutex
 	pop    *population.Population
 	plans  []shardPlan
-	cursor *population.Assigner   // at the last start's first draw (shard 0's before any)
+	cursor *population.Assigner   // at the frontier shard len(starts)'s first draw
 	starts []*population.Assigner // starts[j] is at shard j's first draw
 	err    error                  // a failed walk step; the cursor is lost
+
+	// skipped counts shards the cursor walked past without drawing them,
+	// redrawn the draws of shards below the frontier.
+	skipped, redrawn int
 }
 
-// at returns a private assigner positioned at shard i's first draw.
-func (c *cursorChain) at(i int) (*population.Assigner, error) {
+// draw fills buf[:plans[i].end-plans[i].start] with shard i's source
+// addresses.
+func (c *cursorChain) draw(i int, buf []ipv4.Addr) error {
 	c.mu.Lock()
+	if i < len(c.starts) {
+		c.redrawn++
+		a := c.starts[i].Fork()
+		c.mu.Unlock()
+		return c.plans[i].draw(c.pop, a, buf)
+	}
 	defer c.mu.Unlock()
 	for c.err == nil && len(c.starts) <= i {
-		if n := len(c.starts); n > 0 {
-			c.err = c.plans[n-1].skip(c.pop, c.cursor)
-		}
+		j := len(c.starts)
 		c.starts = append(c.starts, c.cursor.Fork())
+		if j < i {
+			c.skipped++
+			c.err = c.plans[j].skip(c.pop, c.cursor)
+		} else {
+			c.err = c.plans[j].draw(c.pop, c.cursor, buf)
+		}
 	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.starts[i].Fork(), nil
+	return c.err
 }
 
-// synthWorker holds one shard run's assigner, accumulator and metrics shard,
-// and the response template the per-probe path reuses, so steady-state
-// synthesis allocates nothing per probe.
+// synthWorker holds one shard run's source addresses, accumulator and
+// metrics shard, and the response template the per-probe path reuses, so
+// steady-state synthesis allocates nothing per probe.
 type synthWorker struct {
 	clusterSize uint64
-	assigner    *population.Assigner
-	acc         *analysis.Accumulator
-	obs         *obs.Shard
+	// src holds the running shard's source addresses, in probe order. It
+	// is sized once to a plan's largest shard and reused across shards.
+	src []ipv4.Addr
+	acc *analysis.Accumulator
+	obs *obs.Shard
 
 	// tmpl is the response of tmplCohort's profile for the cluster whose
 	// first global probe index is tmplFirst; a nil tmplCohort forces the
@@ -343,18 +378,18 @@ type synthWorker struct {
 }
 
 // synthWorkers recycles synthWorker scratch across shards, so a pool worker
-// that runs many shards reuses one template.
+// that runs many shards reuses one address buffer and one template.
 var synthWorkers = sync.Pool{New: func() any { return new(synthWorker) }}
 
-// run synthesizes shard p into the worker's accumulator. The global probe
-// index g determines the qname and transaction ID; the worker's assigner
-// determines the source address; together they reproduce the serial
-// walk's exact output for the shard.
+// run synthesizes shard p, whose source addresses the worker's buffer
+// holds, into the worker's accumulator. The global probe index g determines
+// the qname and transaction ID, and the buffer the source address; together
+// they reproduce the serial walk's exact output for the shard.
 func (w *synthWorker) run(pop *population.Population, p shardPlan) error {
 	g := p.start
 	return p.each(pop, func(c *population.Cohort, n uint64) error {
 		for end := g + n; g < end; g++ {
-			if err := w.probe(c, g); err != nil {
+			if err := w.probe(c, g, w.src[g-p.start]); err != nil {
 				return err
 			}
 		}
@@ -362,15 +397,11 @@ func (w *synthWorker) run(pop *population.Population, p shardPlan) error {
 	})
 }
 
-// probe synthesizes probe g of cohort: the response is the worker's
-// decoded template for the cohort and g's cluster, with g's ID and index
-// patched in. The general encoder and decoder run only when the template is
+// probe synthesizes probe g of cohort, answered from src: the response is
+// the worker's decoded template for the cohort and g's cluster, with g's ID
+// and index patched in. The general encoder and decoder run only when the template is
 // rebuilt, once per cohort and cluster.
-func (w *synthWorker) probe(cohort *population.Cohort, g uint64) error {
-	src, err := w.assigner.Next(cohort.Country)
-	if err != nil {
-		return err
-	}
+func (w *synthWorker) probe(cohort *population.Cohort, g uint64, src ipv4.Addr) error {
 	idx := g - w.tmplFirst // g's index in the template's cluster, if it is in it
 	if cohort != w.tmplCohort || idx >= w.clusterSize {
 		cluster := g / w.clusterSize
@@ -396,6 +427,7 @@ type synthEnv struct {
 	cfg         Config
 	accCfg      analysis.Config
 	clusterSize int
+	maxShard    uint64 // probes in the plan's largest shard
 }
 
 // openSynthCampaign plans a synthetic campaign and opens it on the shard
@@ -414,25 +446,31 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 		accCfg:      analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg},
 		clusterSize: cfg.scaledClusterSize(),
 	}
+	for _, p := range env.plans {
+		env.maxShard = max(env.maxShard, p.end-p.start)
+	}
 	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, merge: env.merge}
 	return newShardCampaign(cfg, eng, len(env.plans), synthCampaignKey(cfg, env.plans), env.accCfg)
 }
 
 // runShard synthesizes shard i into a fresh accumulator, on scratch taken
-// from synthWorkers.
+// from synthWorkers: the cursor chain draws the shard's source addresses
+// into the worker's buffer, and the worker synthesizes from them.
 func (env *synthEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
-	a, err := env.at(i)
-	if err != nil {
+	w := synthWorkers.Get().(*synthWorker)
+	defer synthWorkers.Put(w)
+	if uint64(len(w.src)) < env.maxShard {
+		w.src = make([]ipv4.Addr, env.maxShard)
+	}
+	if err := env.draw(i, w.src); err != nil {
 		return nil, err
 	}
 	acc := analysis.NewAccumulator(env.accCfg)
-	w := synthWorkers.Get().(*synthWorker)
-	defer synthWorkers.Put(w)
 	// The template is keyed by cohort pointer, and a pooled worker outlives
 	// the population its last shard ran against.
-	w.clusterSize, w.assigner, w.acc, w.obs, w.tmplCohort = uint64(env.clusterSize), a, acc, msh, nil
-	err = w.run(env.pop, env.plans[i])
-	w.assigner, w.acc, w.obs = nil, nil, nil
+	w.clusterSize, w.acc, w.obs, w.tmplCohort = uint64(env.clusterSize), acc, msh, nil
+	err := w.run(env.pop, env.plans[i])
+	w.acc, w.obs = nil, nil
 	if err != nil {
 		return nil, err
 	}

@@ -317,9 +317,11 @@ func TestPlanShardsCoversEveryProbeOnce(t *testing.T) {
 }
 
 func TestShardCursorsReplaySerialWalk(t *testing.T) {
-	// The cursor chain: every shard's assigner, requested in any order and
-	// more than once, must draw exactly the source addresses one serial
-	// assigner draws for that shard's range.
+	// The cursor chain: every shard's draw, requested in any order and more
+	// than once, must equal the source addresses one serial assigner draws
+	// for that shard's range. Requested in the pool's ascending order, every
+	// shard must be drawn straight from the running cursor: the chain never
+	// walks past a shard or redraws one, so each draw is computed once.
 	for _, sc := range synthCases(t) {
 		u, err := scan.NewUniverse(uint64(sc.cfg.Seed), sc.cfg.SampleShift, ipv4.NewReservedBlocklist())
 		if err != nil {
@@ -336,6 +338,7 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 		// The serial walk's draws, per shard.
 		serial := newAssigner()
 		want := make([][]ipv4.Addr, len(plans))
+		var largest int
 		for i, p := range plans {
 			err := p.each(sc.pop, func(c *population.Cohort, n uint64) error {
 				for ; n > 0; n-- {
@@ -350,42 +353,60 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			largest = max(largest, len(want[i]))
 		}
-		// Ascending (the pool's order), then a jump ahead, a step back,
-		// a repeat, and the rest in reverse.
+		// Every request draws into one buffer sized to the largest shard,
+		// as a pooled worker's is.
+		buf := make([]ipv4.Addr, largest)
+		request := func(chain *cursorChain, order string, i int) {
+			t.Helper()
+			clear(buf)
+			if err := chain.draw(i, buf); err != nil {
+				t.Fatalf("%s %s shard %d: %v", sc.name, order, i, err)
+			}
+			for j, w := range want[i] {
+				if buf[j] != w {
+					t.Fatalf("%s %s shard %d draw %d: chain drew %v, serial walk drew %v", sc.name, order, i, j, buf[j], w)
+				}
+			}
+		}
+
 		n := len(plans)
+		chain := &cursorChain{pop: sc.pop, plans: plans, cursor: newAssigner()}
+		for i := range n {
+			request(chain, "ascending", i)
+		}
+		if len(chain.starts) != n || chain.skipped != 0 || chain.redrawn != 0 {
+			t.Errorf("%s ascending: %d shard starts, %d skipped, %d redrawn; want %d, 0, 0",
+				sc.name, len(chain.starts), chain.skipped, chain.redrawn, n)
+		}
+
+		// Ascending, then a jump ahead, a step back, a repeat, and the rest
+		// in reverse.
 		order := []int{0, 1, n / 2, 2, 1}
 		for i := n - 1; i >= 0; i-- {
 			order = append(order, i)
 		}
-		chain := &cursorChain{pop: sc.pop, plans: plans, cursor: newAssigner()}
-		hi := -1
+		chain = &cursorChain{pop: sc.pop, plans: plans, cursor: newAssigner()}
+		hi, skipped, redrawn := -1, 0, 0
 		for _, i := range order {
 			if i >= n {
 				continue
 			}
-			a, err := chain.at(i)
-			if err != nil {
-				t.Fatal(err)
+			if i <= hi {
+				redrawn++
+			} else {
+				skipped += i - hi - 1
 			}
+			request(chain, "mixed", i)
 			// The walk goes only as far as the highest shard requested.
 			hi = max(hi, i)
 			if len(chain.starts) != hi+1 {
 				t.Fatalf("%s: after shard %d the chain walked to %d shard starts, want %d", sc.name, i, len(chain.starts), hi+1)
 			}
-			j := 0
-			err = plans[i].each(sc.pop, func(c *population.Cohort, n uint64) error {
-				for ; n > 0; n-- {
-					if got, err := a.Next(c.Country); err != nil || got != want[i][j] {
-						return fmt.Errorf("draw %d: %v (%v), serial walk drew %v", j, got, err, want[i][j])
-					}
-					j++
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s shard %d: %v", sc.name, i, err)
-			}
+		}
+		if chain.skipped != skipped || chain.redrawn != redrawn {
+			t.Errorf("%s mixed: %d skipped, %d redrawn; want %d, %d", sc.name, chain.skipped, chain.redrawn, skipped, redrawn)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -56,38 +57,60 @@ func newProbeRig(tb testing.TB, shift uint8) *probeRig {
 	return &probeRig{assigner: a, accCfg: analysis.Config{Year: paperdata.Y2018, Threat: feed.DB, Geo: reg}}
 }
 
-// worker returns a fresh synthWorker, drawing from the rig's first address
-// on, and an unpinned cohort with profile p to probe it with.
-func (r *probeRig) worker(p behavior.Profile, clusterSize uint64) (*synthWorker, *population.Cohort) {
-	return &synthWorker{
-		clusterSize: clusterSize,
-		assigner:    r.assigner.Fork(),
-		acc:         analysis.NewAccumulator(r.accCfg),
-	}, &population.Cohort{Profile: p}
+// probeStream runs probes of one unpinned cohort through a synthWorker,
+// shard by shard, the way the synthetic engine runs a shard: each shard's
+// source addresses are drawn into the worker's buffer, then synthesized.
+type probeStream struct {
+	w   *synthWorker
+	pop *population.Population
+	a   *population.Assigner
+	g   uint64 // the next shard's first global probe index
+}
+
+// stream returns a stream on a fresh synthWorker, with a buffer for shards
+// of up to maxShard probes, that draws from the rig's first address on and
+// probes a cohort with profile p.
+func (r *probeRig) stream(p behavior.Profile, clusterSize, maxShard uint64) *probeStream {
+	return &probeStream{
+		w: &synthWorker{
+			clusterSize: clusterSize,
+			src:         make([]ipv4.Addr, maxShard),
+			acc:         analysis.NewAccumulator(r.accCfg),
+		},
+		pop: &population.Population{Cohorts: []population.Cohort{{Count: math.MaxUint64, Profile: p}}},
+		a:   r.assigner.Fork(),
+	}
+}
+
+// next draws and synthesizes the next n probes as one shard.
+func (s *probeStream) next(n uint64) error {
+	p := shardPlan{start: s.g, end: s.g + n, offset: s.g}
+	s.g += n
+	if err := p.draw(s.pop, s.a, s.w.src); err != nil {
+		return err
+	}
+	return s.w.run(s.pop, p)
 }
 
 // TestSynthProbeZeroAlloc pins the steady-state synthetic probe path —
-// address draw, template rebuild, patch, metrics and accumulate —
-// at zero allocations per probe, with and without metrics, for every answer
-// kind. One measured run is a whole cluster, so every run crosses one
-// cluster rollover and rebuilds the template: any allocation in a rebuild
-// shows as a whole allocation per run, not a fraction rounded away.
+// address draw into the worker's buffer, template rebuild, patch, metrics
+// and accumulate — at zero allocations per probe, with and without
+// metrics, for every answer kind. One measured run is a whole cluster,
+// drawn and synthesized as one shard, so every run crosses one cluster
+// rollover and rebuilds the template: any allocation in a rebuild shows as
+// a whole allocation per run, not a fraction rounded away.
 func TestSynthProbeZeroAlloc(t *testing.T) {
 	const clusterSize = 16
 	rig := newProbeRig(t, 12)
 	for _, tc := range synthProbeCohorts {
 		for _, withObs := range []bool{false, true} {
-			w, c := rig.worker(tc.profile, clusterSize)
+			s := rig.stream(tc.profile, clusterSize, clusterSize)
 			if withObs {
-				w.obs = obs.NewRegistry().NewShard("synth-0")
+				s.w.obs = obs.NewRegistry().NewShard("synth-0")
 			}
-			var g uint64
 			cluster := func() {
-				for i := 0; i < clusterSize; i++ {
-					if err := w.probe(c, g); err != nil {
-						t.Fatal(err)
-					}
-					g++
+				if err := s.next(clusterSize); err != nil {
+					t.Fatal(err)
 				}
 			}
 			for i := 0; i < 4; i++ {
@@ -102,7 +125,8 @@ func TestSynthProbeZeroAlloc(t *testing.T) {
 
 // BenchmarkSynthProbe measures the synthetic engine's per-probe path —
 // address draw, decoded response, metrics and accumulate — for each
-// answer kind, at the cluster size of a shift-10 campaign.
+// answer kind, at the cluster size of a shift-10 campaign. Each cluster's
+// addresses are drawn into the worker's buffer as one shard's are.
 func BenchmarkSynthProbe(b *testing.B) {
 	// A shift-8 universe has about 14M eligible addresses; the worker
 	// starts over on a fresh fork of the rig's assigner every 4M probes.
@@ -111,18 +135,18 @@ func BenchmarkSynthProbe(b *testing.B) {
 	clusterSize := uint64(Config{SampleShift: 10}.scaledClusterSize())
 	for _, tc := range synthProbeCohorts {
 		b.Run(tc.name, func(b *testing.B) {
-			w, c := rig.worker(tc.profile, clusterSize)
-			w.obs = obs.NewRegistry().NewShard("synth-0")
+			s := rig.stream(tc.profile, clusterSize, clusterSize)
+			s.w.obs = obs.NewRegistry().NewShard("synth-0")
 			runtime.GC() // no collection left over from setup runs inside the timed loop
 			b.ReportAllocs()
 			b.ResetTimer()
-			for g := uint64(0); g < uint64(b.N); g++ {
-				if g > 0 && g%restart == 0 {
+			for s.g < uint64(b.N) {
+				if s.g > 0 && s.g%restart < clusterSize {
 					b.StopTimer()
-					w.assigner = rig.assigner.Fork()
+					s.a = rig.assigner.Fork()
 					b.StartTimer()
 				}
-				if err := w.probe(c, g); err != nil {
+				if err := s.next(min(clusterSize, uint64(b.N)-s.g)); err != nil {
 					b.Fatal(err)
 				}
 			}

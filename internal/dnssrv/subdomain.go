@@ -54,11 +54,30 @@ const IndexDigits = 7
 // [0, 10^IndexDigits).
 func PutProbeIndex(dst []byte, index int) {
 	_ = dst[IndexDigits-1]
-	for i := IndexDigits - 1; i >= 0; i-- {
-		dst[i] = byte('0' + index%10)
-		index /= 10
+	u := uint(index)
+	i := IndexDigits
+	for ; i >= 2; i -= 2 {
+		d := u % 100 * 2
+		u /= 100
+		dst[i-2], dst[i-1] = digitPairs[d], digitPairs[d+1]
+	}
+	if i == 1 {
+		dst[0] = byte('0' + u%10)
 	}
 }
+
+// digitPairs holds the two decimal digits of every n in [0, 100) at
+// [2n, 2n+2).
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
 
 // appendZeroPad appends v zero-padded to at least width digits, matching
 // fmt's %0*d (the sign, if any, precedes the padding).

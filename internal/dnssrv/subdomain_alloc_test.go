@@ -2,6 +2,7 @@ package dnssrv
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +31,27 @@ func TestAppendProbeNameMatchesSprintf(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPutProbeIndexMatchesSprintf pins PutProbeIndex to the bytes of
+// fmt's %07d over the index range's edges, every power of ten, and random
+// indexes, each written over another index's digits.
+func TestPutProbeIndexMatchesSprintf(t *testing.T) {
+	indexes := []int{0, 9, 10, 99, 100, 9999999}
+	for p := 1; p < 10000000; p *= 10 {
+		indexes = append(indexes, p, p-1, p+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 10000 {
+		indexes = append(indexes, rng.Intn(10000000))
+	}
+	dst := []byte("8888888|")
+	for _, index := range indexes {
+		PutProbeIndex(dst, index)
+		if got, want := string(dst), fmt.Sprintf("%07d|", index); got != want {
+			t.Fatalf("PutProbeIndex(%d) wrote %q, want %q", index, got, want)
+		}
 	}
 }
 

@@ -141,10 +141,9 @@ func (a *Assigner) reserveCountry(country string, n uint64) ([]ipv4.Addr, error)
 // writer of those, so forks may draw addresses concurrently with each other
 // and the parent as long as each assigner is used by a single goroutine.
 //
-// Combined with Advance*, forks let a shard worker start exactly where the
-// serial walk would be after the preceding shards' draws, without
-// materializing any addresses: fork a running cursor at each shard start,
-// then advance the cursor past that shard's draws.
+// Combined with Advance*, forks let a shard start exactly where the serial
+// walk would be after the preceding shards' draws: fork a running cursor at
+// each shard start, then draw or advance the cursor past that shard.
 func (a *Assigner) Fork() *Assigner {
 	taken := make(map[string]int, len(a.taken))
 	for k, v := range a.taken {
@@ -160,11 +159,12 @@ func (a *Assigner) Fork() *Assigner {
 // AdvanceUnpinned consumes and discards the next n unconstrained
 // assignments, leaving the cursor exactly where n successful Next("")
 // calls would. It is a replay, not arithmetic: every visited position is
-// still permuted and tested against the exclusions and the avoid set. On a
-// 2-vCPU Xeon a skipped draw costs about 40 ns against about 600 ns for a
-// synthesized probe: cheap, but not free at millions of draws, so the
-// synthetic engine's cursor chain walks each campaign's draws once, shard
-// by shard, rather than once per shard from the campaign start.
+// still permuted and tested against the exclusions and the avoid set, so a
+// skipped draw costs as much as a drawn one. The synthetic engine's cursor
+// chain draws each shard's addresses straight from its running cursor and
+// calls this only to walk past shards it does not draw: those restored
+// from a checkpoint, and those requested out of order. perfbench also times
+// it per draw.
 func (a *Assigner) AdvanceUnpinned(n uint64) error {
 	for i := uint64(0); i < n; i++ {
 		if _, err := a.nextUnpinned(); err != nil {
