@@ -158,8 +158,9 @@ bench-sim-par:
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
 # records it (BenchmarkShardEnvelope: BENCH_PR14.json; BenchmarkStepDrain:
 # BENCH_PR20.json; the simulated-campaign benchmarks: BENCH_PR22.json; the
-# synthetic-campaign benchmarks and BenchmarkSynthProbe, one sub-benchmark
-# per answer kind: BENCH_PR23.json).
+# synthetic-campaign benchmarks, BenchmarkSynthProbe, one sub-benchmark per
+# answer kind, BenchmarkTruthAddr and BenchmarkAssignerDraw:
+# BENCH_PR24.json).
 # Fails on
 # >25% ns/op growth or >0.1% allocs/op growth for any benchmark both sides
 # know (zero-alloc benchmarks stay strict — 0 × 1.001 is still 0).
@@ -168,7 +169,9 @@ benchdiff:
 	( $(GO) test -run '^$$' -bench 'CampaignSynthetic(Serial|Parallel)' -benchmem -count $(BENCH_COUNT) . ; \
 	  $(GO) test -run '^$$' -bench 'CampaignSimulated' -benchmem -count $(BENCH_COUNT) . ; \
 	  $(GO) test -run '^$$' -bench 'TimerEnqueueDequeue|HostLookup|StepDrain' -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
-	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe' -benchmem -count $(BENCH_COUNT) ./internal/core ) \
+	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe' -benchmem -count $(BENCH_COUNT) ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'TruthAddr' -benchmem -count $(BENCH_COUNT) ./internal/dnssrv ; \
+	  $(GO) test -run '^$$' -bench 'AssignerDraw' -benchmem -count $(BENCH_COUNT) ./internal/population ) \
 	  | $(GO) run ./scripts/bench2json > $(BENCH_FRESH)
 	$(GO) run ./scripts/benchdiff -fresh $(BENCH_FRESH) -alloc-ratio 1.001 -newest BENCH_PR*.json
 

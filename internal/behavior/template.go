@@ -30,6 +30,9 @@ type Template struct {
 	wire  []byte // the response to index 0 under ID 0
 	qname []byte // the presentation qname; its digits are the last Message's
 	qdig  int    // offset of the index digits in qname
+	// last is the index qname's digits spell when the last Message set
+	// them, or -1 after Build rewrote them.
+	last int
 
 	// msg is wire decoded, its index-carrying names aliasing qname; truth
 	// is the index in msg.Answers of the AnswerTruth A record, or -1.
@@ -55,6 +58,7 @@ func (t *Template) Build(p Profile, cluster int, sld string) error {
 	}
 	t.qname = dnssrv.AppendProbeName(t.qname[:0], cluster, 0, sld)
 	t.qdig = bytes.IndexByte(t.qname, '.') + 1
+	t.last = -1
 	var err error
 	if t.wire, err = t.encode(t.wire[:0], p, 0, 0, 0); err != nil {
 		return err
@@ -172,9 +176,24 @@ func (t *Template) encode(dst []byte, p Profile, id uint16, idx int, addr ipv4.A
 // the template and are rewritten by the next Message or Build, as
 // UnpackInto's are by the next decode; callers must not modify it. idx must
 // be in [0, 10^7).
+//
+// A cluster's probes arrive in index order, so when idx is the previous
+// Message's index plus one the digits are advanced in place, like an
+// odometer: the trailing 9s become 0s and the digit before them goes up by
+// one. Any other index is written in full by PutProbeIndex.
 func (t *Template) Message(id uint16, idx int) *dnswire.Message {
 	t.msg.Header.ID = id
-	dnssrv.PutProbeIndex(t.qname[t.qdig:], idx)
+	if dig := t.qname[t.qdig : t.qdig+dnssrv.IndexDigits]; idx == t.last+1 && t.last >= 0 {
+		i := len(dig) - 1
+		for dig[i] == '9' {
+			dig[i] = '0'
+			i--
+		}
+		dig[i]++
+	} else {
+		dnssrv.PutProbeIndex(dig, idx)
+	}
+	t.last = idx
 	if t.truth >= 0 {
 		rr := &t.msg.Answers[t.truth]
 		rr.A = uint32(dnssrv.TruthAddr(t.qname))

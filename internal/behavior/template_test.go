@@ -164,6 +164,52 @@ func TestTemplateMessageMatchesDecoderPopulations(t *testing.T) {
 	}
 }
 
+// TestTemplateOdometer walks Message through consecutive indexes across
+// every carry of the index digits (…09→…10 up to 0999999→1000000, and on
+// to 9999999), jumps back, and patches after a rebuild; every response
+// must carry its own index's qname and ground-truth address.
+func TestTemplateOdometer(t *testing.T) {
+	var tmpl behavior.Template
+	cluster := 3
+	if err := tmpl.Build(behavior.Honest(1), cluster, paperdata.SLD); err != nil {
+		t.Fatal(err)
+	}
+	check := func(idx int) {
+		t.Helper()
+		m := tmpl.Message(uint16(idx), idx)
+		name := dnssrv.FormatProbeName(cluster, idx, paperdata.SLD)
+		if m.Questions[0].Name != name || len(m.Answers) != 1 || m.Answers[0].A != uint32(dnssrv.TruthAddr(name)) {
+			t.Fatalf("index %d: question %q, answers %+v; want %q answered with %v",
+				idx, m.Questions[0].Name, m.Answers, name, dnssrv.TruthAddr(name))
+		}
+	}
+	for idx := 0; idx <= 1100; idx++ {
+		check(idx)
+	}
+	for pow := 10_000; pow <= 10_000_000; pow *= 10 {
+		for idx := pow - 12; idx < min(pow+3, 10_000_000); idx++ {
+			check(idx)
+		}
+	}
+	// A jump back, then a consecutive run from there.
+	for idx := 5; idx <= 12; idx++ {
+		check(idx)
+	}
+	// Build writes the digits itself and checks its template on index
+	// 1234567; the index before that one, patched just before, must not
+	// let that check advance the digits Build wrote. After the rebuild
+	// the digits, like the answer, belong to the new cluster.
+	check(1_234_566)
+	cluster = 4
+	if err := tmpl.Build(behavior.Honest(1), cluster, paperdata.SLD); err != nil {
+		t.Fatal(err)
+	}
+	check(1_234_568)
+	for idx := 13; idx <= 20; idx++ {
+		check(idx)
+	}
+}
+
 // TestTemplateBuildErrors: a response that cannot be encoded leaves no
 // template to patch, and Build says so instead of producing one.
 func TestTemplateBuildErrors(t *testing.T) {

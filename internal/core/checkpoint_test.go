@@ -24,6 +24,7 @@ import (
 
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
+	"openresolver/internal/obs"
 	"openresolver/internal/paperdata"
 	"openresolver/internal/scan"
 )
@@ -212,16 +213,21 @@ func resumeSparse(t *testing.T, run func(Config) (*Dataset, error), cfg Config, 
 	}
 	// Workers 1 requests the remaining shards in ascending order, so the
 	// cursor chain deterministically walks past each restored shard
-	// between the ones it draws.
+	// between the ones it draws, and redraws none.
 	var log bytes.Buffer
 	cfg.Workers = 1
 	cfg.Checkpoints = CheckpointPlan{Dir: dir, Log: &log}
+	cfg.Obs = obs.NewRegistry()
 	ds, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(log.String(), "restored from checkpoint"); got != len(shards) {
 		t.Errorf("resume restored %d shards, want %d:\n%s", got, len(shards), log.String())
+	}
+	m := cfg.Obs.Merged()
+	if sk, rd := m.Counter(obs.CSynthShardsSkipped), m.Counter(obs.CSynthShardsRedrawn); sk != uint64(len(shards)) || rd != 0 {
+		t.Errorf("resume from shards %v: %d skipped, %d redrawn; want %d, 0", shards, sk, rd, len(shards))
 	}
 	if !reflect.DeepEqual(ds.Report, cold.Report) {
 		t.Errorf("campaign resumed from shards %v: report differs from cold run", shards)

@@ -295,18 +295,13 @@ func (p shardPlan) skip(pop *population.Population, a *population.Assigner) erro
 }
 
 // draw fills buf[:p.end-p.start] with the shard's source addresses, drawn
-// from a in cohort order, and leaves a past the shard's last draw.
+// from a in cohort order, one Draw per cohort, and leaves a past the
+// shard's last draw.
 func (p shardPlan) draw(pop *population.Population, a *population.Assigner, buf []ipv4.Addr) error {
-	i := 0
 	return p.each(pop, func(c *population.Cohort, n uint64) error {
-		for end := i + int(n); i < end; i++ {
-			addr, err := a.Next(c.Country)
-			if err != nil {
-				return err
-			}
-			buf[i] = addr
-		}
-		return nil
+		err := a.Draw(c.Country, buf[:n])
+		buf = buf[n:]
+		return err
 	})
 }
 
@@ -316,11 +311,20 @@ func (p shardPlan) draw(pop *population.Population, a *population.Assigner, buf 
 // cursor has not passed, draws straight from the cursor, which then sits at
 // the next shard's first draw. The pool requests shards in ascending order,
 // so each draw of the campaign is computed once, under the chain's lock,
-// overlapped with the shards already running. The chain also keeps a fork of
-// every shard start it passes, for the two other cases: a request past the
-// frontier walks the cursor over the shards in between with shardPlan.skip
-// (a restored checkpoint), and a request below it redraws from the shard's
-// start fork (a repeated or out-of-order request).
+// overlapped with the shards already running.
+//
+// Two workers can still reach the lock out of order: the pool hands shard
+// j+1 to one worker before the worker holding shard j gets there. The
+// campaign driver claims each shard before it hands it out, and a request
+// past the frontier waits while the frontier shard is claimed, until its
+// worker has drawn it, the walk has failed, or the campaign is cancelled
+// (a claimed shard a cancelled pool drops is never drawn). The chain also
+// keeps a fork of every shard start it passes, for the two other cases: a
+// request past an unclaimed frontier walks the cursor over it with
+// shardPlan.skip (a restored checkpoint), and a request below the frontier
+// redraws from the shard's start fork (a repeated or out-of-order request).
+// Each such shard is computed twice; the requesting shard's metrics count
+// it as synth.shards_skipped or synth.shards_redrawn.
 type cursorChain struct {
 	mu     sync.Mutex
 	pop    *population.Population
@@ -329,33 +333,75 @@ type cursorChain struct {
 	starts []*population.Assigner // starts[j] is at shard j's first draw
 	err    error                  // a failed walk step; the cursor is lost
 
-	// skipped counts shards the cursor walked past without drawing them,
-	// redrawn the draws of shards below the frontier.
-	skipped, redrawn int
+	// passed[j] is made when shard j is claimed, that is handed to a local
+	// worker that will draw it unless done closes first, and closed when
+	// the cursor has passed shard j.
+	passed []chan struct{}
+	done   <-chan struct{}
+}
+
+// claim marks shard i as handed to a worker that will draw it.
+func (c *cursorChain) claim(i int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.passed == nil {
+		c.passed = make([]chan struct{}, len(c.plans))
+	}
+	c.passed[i] = make(chan struct{})
 }
 
 // draw fills buf[:plans[i].end-plans[i].start] with shard i's source
-// addresses.
-func (c *cursorChain) draw(i int, buf []ipv4.Addr) error {
+// addresses, counting a shard it walks past or redraws in msh.
+func (c *cursorChain) draw(i int, buf []ipv4.Addr, msh *obs.Shard) error {
 	c.mu.Lock()
-	if i < len(c.starts) {
-		c.redrawn++
-		a := c.starts[i].Fork()
-		c.mu.Unlock()
-		return c.plans[i].draw(c.pop, a, buf)
-	}
-	defer c.mu.Unlock()
-	for c.err == nil && len(c.starts) <= i {
+	for {
 		j := len(c.starts)
+		switch {
+		case c.err != nil:
+			err := c.err
+			c.mu.Unlock()
+			return err
+		case i < j:
+			msh.Inc(obs.CSynthShardsRedrawn)
+			a := c.starts[i].Fork()
+			c.mu.Unlock()
+			return c.plans[i].draw(c.pop, a, buf)
+		case j < i && j < len(c.passed) && c.passed[j] != nil && !c.cancelled():
+			passed := c.passed[j]
+			c.mu.Unlock()
+			select {
+			case <-passed:
+			case <-c.done:
+			}
+			c.mu.Lock()
+			continue
+		}
 		c.starts = append(c.starts, c.cursor.Fork())
 		if j < i {
-			c.skipped++
+			msh.Inc(obs.CSynthShardsSkipped)
 			c.err = c.plans[j].skip(c.pop, c.cursor)
 		} else {
 			c.err = c.plans[j].draw(c.pop, c.cursor, buf)
 		}
+		if j < len(c.passed) && c.passed[j] != nil {
+			close(c.passed[j])
+		}
+		if j == i {
+			err := c.err
+			c.mu.Unlock()
+			return err
+		}
 	}
-	return c.err
+}
+
+// cancelled reports whether the campaign driving the chain was cancelled.
+func (c *cursorChain) cancelled() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // synthWorker holds one shard run's source addresses, accumulator and
@@ -441,7 +487,7 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 		return nil, err
 	}
 	env := &synthEnv{
-		cursorChain: cursorChain{pop: pop, plans: planShards(pop), cursor: assigner},
+		cursorChain: cursorChain{pop: pop, plans: planShards(pop), cursor: assigner, done: cfg.ctx().Done()},
 		cfg:         cfg,
 		accCfg:      analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg},
 		clusterSize: cfg.scaledClusterSize(),
@@ -449,7 +495,7 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 	for _, p := range env.plans {
 		env.maxShard = max(env.maxShard, p.end-p.start)
 	}
-	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, merge: env.merge}
+	eng := shardEngine{label: "synth", span: "synthesize", claim: env.claim, runShard: env.runShard, merge: env.merge}
 	return newShardCampaign(cfg, eng, len(env.plans), synthCampaignKey(cfg, env.plans), env.accCfg)
 }
 
@@ -462,7 +508,7 @@ func (env *synthEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 	if uint64(len(w.src)) < env.maxShard {
 		w.src = make([]ipv4.Addr, env.maxShard)
 	}
-	if err := env.draw(i, w.src); err != nil {
+	if err := env.draw(i, w.src, msh); err != nil {
 		return nil, err
 	}
 	acc := analysis.NewAccumulator(env.accCfg)

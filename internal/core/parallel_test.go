@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/behavior"
@@ -13,6 +15,7 @@ import (
 	"openresolver/internal/dnswire"
 	"openresolver/internal/geo"
 	"openresolver/internal/ipv4"
+	"openresolver/internal/obs"
 	"openresolver/internal/paperdata"
 	"openresolver/internal/population"
 	"openresolver/internal/scan"
@@ -358,10 +361,11 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 		// Every request draws into one buffer sized to the largest shard,
 		// as a pooled worker's is.
 		buf := make([]ipv4.Addr, largest)
+		msh := obs.NewShard("chain")
 		request := func(chain *cursorChain, order string, i int) {
 			t.Helper()
 			clear(buf)
-			if err := chain.draw(i, buf); err != nil {
+			if err := chain.draw(i, buf, msh); err != nil {
 				t.Fatalf("%s %s shard %d: %v", sc.name, order, i, err)
 			}
 			for j, w := range want[i] {
@@ -376,9 +380,12 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 		for i := range n {
 			request(chain, "ascending", i)
 		}
-		if len(chain.starts) != n || chain.skipped != 0 || chain.redrawn != 0 {
+		skippedRedrawn := func() (uint64, uint64) {
+			return msh.Counter(obs.CSynthShardsSkipped), msh.Counter(obs.CSynthShardsRedrawn)
+		}
+		if sk, rd := skippedRedrawn(); len(chain.starts) != n || sk != 0 || rd != 0 {
 			t.Errorf("%s ascending: %d shard starts, %d skipped, %d redrawn; want %d, 0, 0",
-				sc.name, len(chain.starts), chain.skipped, chain.redrawn, n)
+				sc.name, len(chain.starts), sk, rd, n)
 		}
 
 		// Ascending, then a jump ahead, a step back, a repeat, and the rest
@@ -388,7 +395,8 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 			order = append(order, i)
 		}
 		chain = &cursorChain{pop: sc.pop, plans: plans, cursor: newAssigner()}
-		hi, skipped, redrawn := -1, 0, 0
+		msh = obs.NewShard("chain")
+		hi, skipped, redrawn := -1, uint64(0), uint64(0)
 		for _, i := range order {
 			if i >= n {
 				continue
@@ -396,7 +404,7 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 			if i <= hi {
 				redrawn++
 			} else {
-				skipped += i - hi - 1
+				skipped += uint64(i - hi - 1)
 			}
 			request(chain, "mixed", i)
 			// The walk goes only as far as the highest shard requested.
@@ -405,8 +413,121 @@ func TestShardCursorsReplaySerialWalk(t *testing.T) {
 				t.Fatalf("%s: after shard %d the chain walked to %d shard starts, want %d", sc.name, i, len(chain.starts), hi+1)
 			}
 		}
-		if chain.skipped != skipped || chain.redrawn != redrawn {
-			t.Errorf("%s mixed: %d skipped, %d redrawn; want %d, %d", sc.name, chain.skipped, chain.redrawn, skipped, redrawn)
+		if sk, rd := skippedRedrawn(); sk != skipped || rd != redrawn {
+			t.Errorf("%s mixed: %d skipped, %d redrawn; want %d, %d", sc.name, sk, rd, skipped, redrawn)
 		}
 	}
+}
+
+// TestSyntheticColdCampaignDrawsEachShardOnce: at shift 10 a shard's draw
+// is short, so two pool workers often reach the cursor chain's lock out
+// of order. The claim on the earlier shard makes the later request wait
+// for it, and a cold campaign computes every shard once: none walked past,
+// none redrawn.
+func TestSyntheticColdCampaignDrawsEachShardOnce(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		reg := obs.NewRegistry()
+		if _, err := RunSynthetic(Config{Year: paperdata.Y2018, SampleShift: 10, Seed: seed, Workers: 2, Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		m := reg.Merged()
+		if sk, rd := m.Counter(obs.CSynthShardsSkipped), m.Counter(obs.CSynthShardsRedrawn); sk != 0 || rd != 0 {
+			t.Errorf("seed %d: %d shards skipped, %d redrawn; want 0, 0", seed, sk, rd)
+		}
+	}
+}
+
+// TestCursorChainReleasesWaiters: a request past a claimed frontier shard
+// waits for it, and is released when that shard is drawn, when the
+// campaign is cancelled (the claimed shard may then never be drawn, so
+// the request walks past it), and when the walk fails.
+func TestCursorChainReleasesWaiters(t *testing.T) {
+	sc := synthCases(t)[1] // 2018
+	plans := planShards(sc.pop)
+	// newChain's cursor is the campaign's assigner, or with broken set, an
+	// assigner over a four-address universe that reserves no country
+	// addresses, so shard 0's draw fails.
+	newChain := func(broken bool, done <-chan struct{}) *cursorChain {
+		shift, pop := sc.cfg.SampleShift, sc.pop
+		if broken {
+			shift, pop = 30, &population.Population{}
+		}
+		u, err := scan.NewUniverse(uint64(sc.cfg.Seed), shift, ipv4.NewReservedBlocklist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := population.NewAssigner(u, geo.DefaultRegistry(), pop, ProberAddr, RootAddr, TLDAddr, AuthAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &cursorChain{pop: sc.pop, plans: plans, cursor: a, done: done}
+		c.claim(0)
+		c.claim(1)
+		return c
+	}
+	size := int(plans[0].end - plans[0].start)
+	for _, p := range plans {
+		size = max(size, int(p.end-p.start))
+	}
+	// wait starts a request for shard 1 and checks that it is still
+	// waiting for shard 0 a little later.
+	wait := func(c *cursorChain, msh *obs.Shard) chan error {
+		t.Helper()
+		errc := make(chan error, 1)
+		go func() { errc <- c.draw(1, make([]ipv4.Addr, size), msh) }()
+		select {
+		case err := <-errc:
+			t.Fatalf("request for shard 1 returned (%v) while claimed shard 0 was undrawn", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		return errc
+	}
+	released := func(errc chan error) error {
+		t.Helper()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("request for shard 1 still waiting: deadlock")
+			return nil
+		}
+	}
+
+	t.Run("drawn", func(t *testing.T) {
+		c, msh := newChain(false, nil), obs.NewShard("t")
+		errc := wait(c, msh)
+		if err := c.draw(0, make([]ipv4.Addr, size), msh); err != nil {
+			t.Fatal(err)
+		}
+		if err := released(errc); err != nil {
+			t.Fatal(err)
+		}
+		if sk, rd := msh.Counter(obs.CSynthShardsSkipped), msh.Counter(obs.CSynthShardsRedrawn); sk != 0 || rd != 0 {
+			t.Errorf("%d skipped, %d redrawn; want 0, 0", sk, rd)
+		}
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		c, msh := newChain(false, ctx.Done()), obs.NewShard("t")
+		errc := wait(c, msh)
+		cancel()
+		if err := released(errc); err != nil {
+			t.Fatal(err)
+		}
+		if sk := msh.Counter(obs.CSynthShardsSkipped); sk != 1 {
+			t.Errorf("cancelled: %d shards skipped, want 1", sk)
+		}
+	})
+	t.Run("failed", func(t *testing.T) {
+		c, msh := newChain(true, nil), obs.NewShard("t")
+		errc := wait(c, msh)
+		err0 := c.draw(0, make([]ipv4.Addr, size), msh)
+		if err0 == nil {
+			t.Fatal("shard 0 drew its addresses from the broken assigner")
+		}
+		if err := released(errc); err != err0 {
+			t.Errorf("waiter returned %v, want shard 0's error %v", err, err0)
+		}
+	})
 }

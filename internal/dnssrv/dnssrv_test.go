@@ -169,6 +169,43 @@ func TestIsTruthAddrMatchesTruthAddr(t *testing.T) {
 	}
 }
 
+// TestTruthAddrFoldMatchesFNV checks the folded suffix against the plain
+// FNV-1a reference on every low byte the hash can enter the suffix with
+// and on probe names of every cluster width.
+func TestTruthAddrFoldMatchesFNV(t *testing.T) {
+	for lo := 0; lo < 256; lo++ {
+		// One byte in front of the suffix sets every low byte once, since
+		// a step is a bijection of the low byte.
+		name := append([]byte{byte(lo)}, truthSuffix...)
+		if got, want := TruthAddr(name), referenceTruthAddr(name); got != want {
+			t.Fatalf("TruthAddr(%q) = %v, FNV-1a says %v", name, got, want)
+		}
+	}
+	for _, cluster := range []int{0, 7, 999, 1022, 65535} {
+		for _, idx := range []int{0, 1, 1234567, 9999999} {
+			name := FormatProbeName(cluster, idx, testSLD)
+			if got, want := TruthAddr(name), referenceTruthAddr([]byte(name)); got != want {
+				t.Fatalf("TruthAddr(%q) = %v, FNV-1a says %v", name, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkTruthAddr times a probe's truth hash as the synthetic engine
+// computes it: the index digits written into the name, then TruthAddr of
+// the name's bytes.
+func BenchmarkTruthAddr(b *testing.B) {
+	name := AppendProbeName(nil, 7, 0, testSLD)
+	var sink ipv4.Addr
+	for i := 0; i < b.N; i++ {
+		PutProbeIndex(name[6:], i%10_000_000)
+		sink ^= TruthAddr(name)
+	}
+	if sink == 1 {
+		b.Log(sink)
+	}
+}
+
 func TestFullResolutionChain(t *testing.T) {
 	// Fig. 1 end to end: a stub at resAddr resolves a probe name through
 	// root, TLD and authoritative servers.

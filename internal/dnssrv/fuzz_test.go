@@ -3,6 +3,8 @@ package dnssrv
 import (
 	"bytes"
 	"testing"
+
+	"openresolver/internal/ipv4"
 )
 
 // FuzzParseZoneFile feeds untrusted bytes to the zone-file parser, the one
@@ -44,6 +46,52 @@ func FuzzParseZoneFile(f *testing.F) {
 		}
 		if n, err := VerifyClusterZone(z); err == nil && n != len(z.A) {
 			t.Fatalf("verified %d of %d records", n, len(z.A))
+		}
+	})
+}
+
+// fnv1a64 is the plain 64-bit FNV-1a hash, byte by byte: the reference
+// TruthAddr's folded form must agree with in its low 26 bits.
+func fnv1a64(name []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range name {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// referenceTruthAddr is TruthAddr by its definition: 96.0.0.0/6 plus the
+// low 26 bits of the name's FNV-1a hash.
+func referenceTruthAddr(name []byte) ipv4.Addr {
+	return truthBase | ipv4.Addr(fnv1a64(name))&truthHost
+}
+
+// FuzzTruthAddr checks TruthAddr, in both its string and []byte forms,
+// against the plain FNV-1a reference on arbitrary names: names that end in
+// the folded suffix and names that only come close to it.
+func FuzzTruthAddr(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte("a"))
+	f.Add([]byte("research.net"))
+	f.Add([]byte(truthSuffix[1:])) // the suffix without its leading dot
+	f.Add([]byte(truthSuffix))
+	f.Add([]byte("x" + truthSuffix[1:]))
+	f.Add([]byte(truthSuffix + "."))
+	for _, idx := range []int{0, 1, 9, 10, 999999, 1000000, 9999999} {
+		f.Add([]byte(FormatProbeName(idx%1100, idx, testSLD)))
+	}
+	f.Add([]byte(FormatProbeName(1022, 110, testSLD)))
+	f.Fuzz(func(t *testing.T, name []byte) {
+		want := referenceTruthAddr(name)
+		if got := TruthAddr(name); got != want {
+			t.Fatalf("TruthAddr(%q) = %v, FNV-1a says %v", name, got, want)
+		}
+		if got := TruthAddr(string(name)); got != want {
+			t.Fatalf("TruthAddr(string %q) = %v, FNV-1a says %v", name, got, want)
+		}
+		if !IsTruthAddr(want, string(name)) {
+			t.Fatalf("IsTruthAddr rejects %q's own address %v", name, want)
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"openresolver/internal/ipv4"
+	"openresolver/internal/paperdata"
 )
 
 // ProbeName is a parsed measurement subdomain of the two-tier structure of
@@ -134,10 +135,26 @@ func ParseProbeName(name, sld string) (ProbeName, error) {
 // agree on correctness without sharing 4-billion-entry state.
 //
 // Addresses are placed in 96.0.0.0/6 (public, far from every Table I block
-// and from the geo registry's synthetic seats). The name may be a string
-// or presentation-form bytes.
+// and from the geo registry's synthetic seats), and the host part is the
+// low 26 bits of the name's 64-bit FNV-1a hash. The name may be a string
+// or presentation-form bytes. Every probe name ends in "." + the
+// measurement's SLD, so that suffix is not hashed byte by byte: its effect
+// on the 26 bits is one table load and one multiply (suffixFold), and only
+// the labels in front of it go through the byte loop. Any other name is
+// hashed byte by byte to its end.
 func TruthAddr[T string | []byte](qname T) ipv4.Addr {
-	h := fnv64(qname)
+	h := uint32(fnvOffset)
+	n := len(qname)
+	folded := n >= len(truthSuffix) && string(qname[n-len(truthSuffix):]) == truthSuffix
+	if folded {
+		n -= len(truthSuffix)
+	}
+	for i := 0; i < n; i++ {
+		h = (h ^ uint32(qname[i])) * fnvPrime
+	}
+	if folded {
+		h = h&^0xFF*suffixMul + suffixFold[h&0xFF]
+	}
 	return truthBase | ipv4.Addr(h)&truthHost
 }
 
@@ -150,21 +167,44 @@ const (
 
 // IsTruthAddr reports whether addr is qname's ground-truth address, the
 // check the analysis makes on every A answer. An address outside the
-// ground-truth range fails without hashing the name.
+// ground-truth range fails without hashing the name. The synthetic engine
+// computed the same address when it built the answer; the analysis hashes
+// the name again on purpose, as its own check of what the resolver sent.
 func IsTruthAddr(addr ipv4.Addr, qname string) bool {
 	return addr&^truthHost == truthBase && addr == TruthAddr(qname)
 }
 
-// fnv64 is the FNV-1a hash (inlined to keep the package dependency-free).
-func fnv64[T string | []byte](s T) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
+// FNV-1a's 64-bit offset basis and prime, reduced to the 32 bits TruthAddr
+// computes in. A step h = (h ^ b) * prime only carries upwards, so the low
+// 26 bits of the 32-bit hash are those of the 64-bit one; the prime
+// 2^40 + 435 reduces to 435.
+const (
+	fnvOffset = 14695981039346656037 & 0xFFFFFFFF
+	fnvPrime  = 1099511628211 & 0xFFFFFFFF
+)
+
+// truthSuffix is the suffix every probe name shares.
+const truthSuffix = "." + paperdata.SLD
+
+// suffixMul and suffixFold fold truthSuffix into one step. Split the hash
+// before the suffix into its low byte lo and the rest hi (a multiple of
+// 256). XOR with a name byte touches only lo, and the multiply adds lo's
+// carries into hi but never the reverse, so after the suffix's bytes the
+// hash is hi·prime^len(truthSuffix) plus a value that depends on lo alone:
+// suffixFold[lo], the hash of the suffix started from lo.
+var suffixMul, suffixFold = foldSuffix()
+
+func foldSuffix() (mul uint32, fold [256]uint32) {
+	mul = 1
+	for range len(truthSuffix) {
+		mul *= fnvPrime
 	}
-	return h
+	for lo := range fold {
+		h := uint32(lo)
+		for i := 0; i < len(truthSuffix); i++ {
+			h = (h ^ uint32(truthSuffix[i])) * fnvPrime
+		}
+		fold[lo] = h
+	}
+	return mul, fold
 }

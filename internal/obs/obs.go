@@ -78,6 +78,12 @@ const (
 	CFabricNacks         // shard failures reported by workers
 	CFabricEnvelopeBytes // envelope payload bytes received from workers
 
+	// Synthetic engine's cursor chain (internal/core): shards computed
+	// twice, counted on the shard whose request caused it. Appended so
+	// existing snapshot orderings are unchanged.
+	CSynthShardsSkipped // shards the chain walked past without drawing them
+	CSynthShardsRedrawn // shards drawn again from a start fork below the frontier
+
 	NumCounters // array size; not a real counter
 )
 
@@ -126,6 +132,9 @@ var counterNames = [NumCounters]string{
 	CFabricDupResults:    "fabric.results_duplicate",
 	CFabricNacks:         "fabric.nacks",
 	CFabricEnvelopeBytes: "fabric.envelope_bytes",
+
+	CSynthShardsSkipped: "synth.shards_skipped",
+	CSynthShardsRedrawn: "synth.shards_redrawn",
 }
 
 // CounterName returns the stable dotted name of c.

@@ -23,6 +23,13 @@ import (
 // the synthetic and simulation modes agree without storing millions of
 // addresses: only the country reservations (tens of thousands at full
 // scale) are materialized.
+//
+// The stride walk visits its positions in groups of four (Universe.At4):
+// the universe holds 2^k positions with k ≥ 2, so a group never crosses
+// the walk's end. The eligible addresses of the last group that have not
+// been handed out yet — at most three — wait in held, so the addresses
+// drawn, and the point where the universe runs out, are exactly those of
+// a walk that visits one position at a time.
 type Assigner struct {
 	u   *scan.Universe
 	reg *geo.Registry
@@ -37,9 +44,16 @@ type Assigner struct {
 	// it once; forks share it read-only.
 	avoid16 *prefixSet
 
+	// pos is the walk's next position before reduction modulo the
+	// universe size, issued the number of positions visited; both move in
+	// groups of four.
 	pos    uint64
 	stride uint64
 	issued uint64
+	// held[heldLo:heldHi] are the undrawn eligible addresses of the last
+	// group, in walk order.
+	held           [3]ipv4.Addr
+	heldLo, heldHi uint8
 
 	// reserved holds each country's pre-generated address list and a
 	// cursor into it.
@@ -152,6 +166,7 @@ func (a *Assigner) Fork() *Assigner {
 	return &Assigner{
 		u: a.u, reg: a.reg, avoid: a.avoid, avoid16: a.avoid16,
 		pos: a.pos, stride: a.stride, issued: a.issued,
+		held: a.held, heldLo: a.heldLo, heldHi: a.heldHi,
 		reserved: a.reserved, taken: taken,
 	}
 }
@@ -166,10 +181,13 @@ func (a *Assigner) Fork() *Assigner {
 // from a checkpoint, and those requested out of order. perfbench also times
 // it per draw.
 func (a *Assigner) AdvanceUnpinned(n uint64) error {
-	for i := uint64(0); i < n; i++ {
-		if _, err := a.nextUnpinned(); err != nil {
+	var discard [256]ipv4.Addr
+	for n > 0 {
+		k := min(n, uint64(len(discard)))
+		if err := a.walk(discard[:k]); err != nil {
 			return err
 		}
+		n -= k
 	}
 	return nil
 }
@@ -189,36 +207,68 @@ func (a *Assigner) AdvanceCountry(country string, n uint64) error {
 // Next returns the next source address for a resolver of the given cohort
 // country ("" = unconstrained).
 func (a *Assigner) Next(country string) (ipv4.Addr, error) {
-	if country != "" {
-		list := a.reserved[country]
-		i := a.taken[country]
-		if i >= len(list) {
-			return 0, fmt.Errorf("population: country %q reservation exhausted", country)
-		}
-		a.taken[country] = i + 1
-		return list[i], nil
-	}
-	return a.nextUnpinned()
+	var one [1]ipv4.Addr
+	err := a.Draw(country, one[:])
+	return one[0], err
 }
 
-// nextUnpinned advances the stride walk to the next eligible address that
-// is not avoided.
-func (a *Assigner) nextUnpinned() (ipv4.Addr, error) {
+// Draw fills buf with the next len(buf) source addresses for resolvers of
+// the given cohort country ("" = unconstrained): the addresses len(buf)
+// Next(country) calls return, in one call.
+func (a *Assigner) Draw(country string, buf []ipv4.Addr) error {
+	if country == "" {
+		return a.walk(buf)
+	}
+	list := a.reserved[country]
+	i := a.taken[country]
+	if len(list)-i < len(buf) {
+		return fmt.Errorf("population: country %q reservation exhausted", country)
+	}
+	a.taken[country] = i + copy(buf, list[i:])
+	return nil
+}
+
+// walk fills buf from the stride walk: the held addresses first, then
+// group after group of four positions, each eligible address that is not
+// avoided in walk order. The cursor stays in locals, and since the
+// universe size is a power of two the reduction modulo it is a mask. On
+// exhaustion buf is partly filled and the cursor is at the walk's end.
+func (a *Assigner) walk(buf []ipv4.Addr) error {
+	i := copy(buf, a.held[a.heldLo:a.heldHi])
+	a.heldLo += uint8(i)
+	if i == len(buf) {
+		return nil
+	}
 	n := a.u.Indexes()
-	if a.issued >= n {
-		return 0, fmt.Errorf("population: universe exhausted")
-	}
-	for a.issued < n {
-		idx := a.pos % n
-		a.pos += a.stride
-		a.issued++
-		addr, ok := a.u.At(idx)
-		if !ok || a.avoided(addr) {
-			continue
+	mask, stride := n-1, a.stride
+	pos, issued := a.pos, a.issued
+	var idx [4]uint64
+	var addr [4]ipv4.Addr
+	held := 0
+	for i < len(buf) {
+		if issued >= n {
+			a.pos, a.issued, a.heldLo, a.heldHi = pos, issued, 0, 0
+			return fmt.Errorf("population: universe exhausted")
 		}
-		return addr, nil
+		idx[0], idx[1], idx[2], idx[3] = pos&mask, (pos+stride)&mask, (pos+2*stride)&mask, (pos+3*stride)&mask
+		pos += 4 * stride
+		issued += 4
+		ok := a.u.At4(&idx, &addr)
+		for k, ad := range addr {
+			if ok&(1<<k) == 0 || a.avoided(ad) {
+				continue
+			}
+			if i < len(buf) {
+				buf[i] = ad
+				i++
+			} else {
+				a.held[held] = ad
+				held++
+			}
+		}
 	}
-	return 0, fmt.Errorf("population: universe exhausted")
+	a.pos, a.issued, a.heldLo, a.heldHi = pos, issued, 0, uint8(held)
+	return nil
 }
 
 // residueOf recovers the universe's coset residue from any member address.

@@ -168,3 +168,23 @@ func TestAssignerRejectsImpossibleCountryLoad(t *testing.T) {
 		t.Error("oversized country cohort accepted")
 	}
 }
+
+// BenchmarkAssignerDraw times the unpinned stride walk per drawn address
+// at full scale (shift 0), drawing in blocks as a synthetic shard does.
+func BenchmarkAssignerDraw(b *testing.B) {
+	u, err := scan.NewUniverse(1, 0, ipv4.NewReservedBlocklist())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := NewAssigner(u, geo.DefaultRegistry(), &Population{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]ipv4.Addr, 1024)
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= len(buf) {
+		if err := a.Draw("", buf[:min(n, len(buf))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -104,6 +104,30 @@ func (p *Permutation) Apply(x uint64) uint64 {
 	}
 }
 
+// apply4 is Apply on four values at once. The Feistel rounds of the four
+// lanes are interleaved, so their independent multiply chains overlap
+// instead of running back to back; a lane whose first pass lands outside
+// the domain finishes its cycle walk on its own.
+func (p *Permutation) apply4(x *[4]uint64) {
+	half, hm := p.half, p.hmask
+	l0, r0 := x[0]>>half&hm, x[0]&hm
+	l1, r1 := x[1]>>half&hm, x[1]&hm
+	l2, r2 := x[2]>>half&hm, x[2]&hm
+	l3, r3 := x[3]>>half&hm, x[3]&hm
+	for _, k := range &p.keys {
+		l0, r0 = r0, l0^(splitmix64(r0^k)&hm)
+		l1, r1 = r1, l1^(splitmix64(r1^k)&hm)
+		l2, r2 = r2, l2^(splitmix64(r2^k)&hm)
+		l3, r3 = r3, l3^(splitmix64(r3^k)&hm)
+	}
+	x[0], x[1], x[2], x[3] = l0<<half|r0, l1<<half|r1, l2<<half|r2, l3<<half|r3
+	for i := range x {
+		for x[i] > p.mask {
+			x[i] = p.feistel(x[i])
+		}
+	}
+}
+
 // invert is the inverse of Apply for y < Size(): the Feistel rounds are
 // undone in reverse key order, and the cycle walk runs backwards — the
 // first in-domain value on the inverse orbit is the preimage.
@@ -167,6 +191,24 @@ func (u *Universe) At(idx uint64) (ipv4.Addr, bool) {
 		return a, false
 	}
 	return a, true
+}
+
+// At4 is At for the four positions idx, each < Indexes(): it writes each
+// candidate address to addr and returns the eligible ones as a bit mask,
+// bit k for idx[k]. The four permutations are evaluated together (apply4), which is what
+// makes a walk that visits positions in groups of four cheaper per
+// position than one At call each.
+func (u *Universe) At4(idx *[4]uint64, addr *[4]ipv4.Addr) (eligible uint8) {
+	x := *idx
+	u.perm.apply4(&x)
+	for k := range x {
+		a := ipv4.Addr(uint32(x[k])<<u.shift | u.residue)
+		addr[k] = a
+		if u.excl == nil || !u.excl.Contains(a) {
+			eligible |= 1 << k
+		}
+	}
+	return eligible
 }
 
 // Position is the inverse of At: the probe-order position of addr, and
