@@ -86,6 +86,11 @@ type Accumulator struct {
 	eq paperdata.EmptyQuestionStats
 
 	msg dnswire.Message // AddR2's decode scratch
+	// truth checks A answers against the ground truth. It keeps the
+	// leading bytes of the last qname it hashed, so consecutive probe
+	// names hash only their last index digit; every name is still hashed
+	// from the bytes the accumulator received.
+	truth dnssrv.TruthMemo
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -187,7 +192,7 @@ func (a *Accumulator) AddMessage(src ipv4.Addr, msg *dnswire.Message) {
 		return
 	}
 
-	form, addr, correct := classifyAnswer(msg, q.Name)
+	form, addr, correct := a.classifyAnswer(msg, q.Name)
 
 	flagIdx := func(b bool) int {
 		if b {
@@ -220,7 +225,7 @@ func (a *Accumulator) AddMessage(src ipv4.Addr, msg *dnswire.Message) {
 
 // classifyAnswer determines the Table VII form of the answer section and,
 // for IP answers, whether the address matches the ground truth.
-func classifyAnswer(msg *dnswire.Message, qname string) (answerForm, ipv4.Addr, bool) {
+func (a *Accumulator) classifyAnswer(msg *dnswire.Message, qname string) (answerForm, ipv4.Addr, bool) {
 	if len(msg.Answers) == 0 {
 		return formNone, 0, false
 	}
@@ -230,7 +235,7 @@ func classifyAnswer(msg *dnswire.Message, qname string) (answerForm, ipv4.Addr, 
 		switch {
 		case rr.Type == dnswire.TypeA && !rr.Malformed:
 			addr := ipv4.Addr(rr.A)
-			return formIP, addr, dnssrv.IsTruthAddr(addr, qname)
+			return formIP, addr, a.truth.IsTruthAddr(addr, qname)
 		case rr.Type == dnswire.TypeA && rr.Malformed:
 			sawMalformed = true
 		case rr.Type == dnswire.TypeCNAME:

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -322,5 +323,54 @@ func TestEstimatesWithEmptyInput(t *testing.T) {
 	// Rendering an empty report must not divide by zero.
 	if out := rep.RenderAll(); len(out) == 0 {
 		t.Error("empty render")
+	}
+}
+
+// TestAccumulatorTruthMemo feeds one accumulator A answers for a stream
+// that mixes consecutive probe names with names of other clusters, names
+// without the SLD suffix, names shorter than it, and probe names with a
+// corrupted byte, answered with their own truth address, a neighbour's,
+// one a bit away, or an arbitrary one. Every answer must count as correct
+// exactly when dnssrv.IsTruthAddr says so.
+func TestAccumulatorTruthMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	acc := newAcc(t)
+	src := ipv4.MustParseAddr("28.0.0.1")
+	prev := dnssrv.FormatProbeName(0, 0, sld)
+	idx := 0
+	for step := range 5000 {
+		idx++
+		name := dnssrv.FormatProbeName(5, idx, sld)
+		switch rng.Intn(10) {
+		case 0:
+			name = dnssrv.FormatProbeName(rng.Intn(1100), rng.Intn(10_000_000), sld)
+		case 1:
+			name = dnssrv.FormatProbeName(rng.Intn(1100), idx, "example.org")
+		case 2:
+			name = ("." + sld)[rng.Intn(len(sld)):]
+		case 3:
+			b := []byte(name)
+			b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
+			name = string(b)
+		}
+		msg := dnswire.NewResponse(dnswire.NewQuery(1, name, dnswire.TypeA))
+		name = msg.Questions[0].Name // as the accumulator sees it
+		var addr ipv4.Addr
+		switch rng.Intn(4) {
+		case 0:
+			addr = dnssrv.TruthAddr(prev)
+		case 1:
+			addr = dnssrv.TruthAddr(name) ^ 1
+		case 2:
+			addr = ipv4.Addr(rng.Uint32())
+		default:
+			addr = dnssrv.TruthAddr(name)
+		}
+		before := acc.correct
+		acc.AddMessage(src, msg.AnswerA(uint32(addr), 60))
+		if got, want := acc.correct > before, dnssrv.IsTruthAddr(addr, name); got != want {
+			t.Fatalf("step %d: %v for %q after %q counted correct %v, IsTruthAddr says %v", step, addr, name, prev, got, want)
+		}
+		prev = name
 	}
 }

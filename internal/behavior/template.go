@@ -31,8 +31,11 @@ type Template struct {
 	qname []byte // the presentation qname; its digits are the last Message's
 	qdig  int    // offset of the index digits in qname
 	// last is the index qname's digits spell when the last Message set
-	// them, or -1 after Build rewrote them.
+	// them, or -1 after Build rewrote them. lead is the truth hash state
+	// of qname up to its last index digit (dnssrv.TruthPrefix), kept for
+	// AnswerTruth while last is not -1.
 	last int
+	lead uint32
 
 	// msg is wire decoded, its index-carrying names aliasing qname; truth
 	// is the index in msg.Answers of the AnswerTruth A record, or -1.
@@ -180,23 +183,32 @@ func (t *Template) encode(dst []byte, p Profile, id uint16, idx int, addr ipv4.A
 // A cluster's probes arrive in index order, so when idx is the previous
 // Message's index plus one the digits are advanced in place, like an
 // odometer: the trailing 9s become 0s and the digit before them goes up by
-// one. Any other index is written in full by PutProbeIndex.
+// one. Any other index is written in full by PutProbeIndex. The truth hash
+// of the qname up to its last index digit is kept, and computed again only
+// when a digit before the last one changed, so nine probes in ten hash just
+// the last digit and the folded suffix.
 func (t *Template) Message(id uint16, idx int) *dnswire.Message {
 	t.msg.Header.ID = id
-	if dig := t.qname[t.qdig : t.qdig+dnssrv.IndexDigits]; idx == t.last+1 && t.last >= 0 {
+	end := t.qdig + dnssrv.IndexDigits - 1 // the last index digit
+	rehash := true
+	if dig := t.qname[t.qdig : end+1]; idx == t.last+1 && t.last >= 0 {
 		i := len(dig) - 1
 		for dig[i] == '9' {
 			dig[i] = '0'
 			i--
 		}
 		dig[i]++
+		rehash = i < len(dig)-1
 	} else {
 		dnssrv.PutProbeIndex(dig, idx)
 	}
 	t.last = idx
 	if t.truth >= 0 {
+		if rehash {
+			t.lead = dnssrv.TruthPrefix(t.qname[:end])
+		}
 		rr := &t.msg.Answers[t.truth]
-		rr.A = uint32(dnssrv.TruthAddr(t.qname))
+		rr.A = uint32(dnssrv.TruthAddrAfter(t.lead, t.qname[end:]))
 		binary.BigEndian.PutUint32(rr.Data, rr.A)
 	}
 	return &t.msg

@@ -210,6 +210,51 @@ func TestTemplateOdometer(t *testing.T) {
 	}
 }
 
+// TestTemplateTruthMemo drives Message with random runs of consecutive
+// indexes that cross 9→0 carries, index jumps (PutProbeIndex), repeats of
+// the last index, and rebuilds between calls, to clusters of every label
+// width, under another SLD and for a profile without a truth answer: every
+// truth answer must be dnssrv.TruthAddr of the response's own qname.
+func TestTemplateTruthMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var tmpl behavior.Template
+	truth := false
+	idx := 0
+	for step := 0; step < 4000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 3 || step == 0:
+			sld := paperdata.SLD
+			if rng.Intn(4) == 0 {
+				sld = "example.org"
+			}
+			p := behavior.Honest(1)
+			if truth = rng.Intn(5) != 0; !truth {
+				p = behavior.Refuser()
+			}
+			if err := tmpl.Build(p, []int{0, 7, 999, 1022, 65535}[rng.Intn(5)], sld); err != nil {
+				t.Fatal(err)
+			}
+		case r < 10:
+			idx = rng.Intn(10_000_000)
+		case r < 15:
+			idx = []int{9, 99, 999_999, 9_999_998}[rng.Intn(4)] // carries follow
+		case r < 20:
+			// The same index again.
+		default:
+			idx = (idx + 1) % 10_000_000
+		}
+		m := tmpl.Message(uint16(idx), idx)
+		if !truth {
+			continue
+		}
+		name := m.Questions[0].Name
+		if !strings.Contains(name, fmt.Sprintf(".%07d.", idx)) || len(m.Answers) != 1 || m.Answers[0].A != uint32(dnssrv.TruthAddr(name)) {
+			t.Fatalf("step %d index %d: question %q, answers %+v; want the index's name answered with %v",
+				step, idx, name, m.Answers, dnssrv.TruthAddr(name))
+		}
+	}
+}
+
 // TestTemplateBuildErrors: a response that cannot be encoded leaves no
 // template to patch, and Build says so instead of producing one.
 func TestTemplateBuildErrors(t *testing.T) {

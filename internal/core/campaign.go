@@ -55,12 +55,10 @@ type ShardCampaign struct {
 // shardEngine is what one campaign mode contributes to a ShardCampaign:
 // runShard executes shard i (concurrently with other shards), recording
 // its metrics in msh, and merge folds every run, in shard order, into the
-// Dataset. The local driver calls claim, if set, with each shard before it
-// hands the shard to a worker.
+// Dataset.
 type shardEngine struct {
 	label    string // metrics-shard label prefix: "sim" or "synth"
 	span     string // phase span of the shard runs: "simulate" or "synthesize"
-	claim    func(i int)
 	runShard func(i int, msh *obs.Shard) (*shardRun, error)
 	merge    func(runs []*shardRun) *Dataset
 }
@@ -146,9 +144,6 @@ func (sc *ShardCampaign) run() (*Dataset, error) {
 	for i := range sc.runs {
 		if sc.runs[i] != nil {
 			continue
-		}
-		if sc.engine.claim != nil {
-			sc.engine.claim(i)
 		}
 		if !pool.send(i) {
 			break

@@ -109,8 +109,8 @@ func countCheckpoints(t *testing.T, dir string) int {
 // configuration, and the merged dataset — report, digest and rendered
 // tables — is identical to an uninterrupted run's. Checkpoints are cleaned
 // up after the successful merge. The synthetic campaign is also resumed
-// from a non-prefix set of restored shards, so its cursor chain walks past
-// the restored shards between the ones it draws.
+// from a non-prefix set of restored shards, so its segment walk passes
+// the restored shards' draws between the ones it reads.
 func TestCheckpointResumeIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -167,7 +167,7 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 // runSynthUnpinned runs cfg's synthetic campaign with every other cohort's
 // country pin dropped. Build pins every malicious cohort to a country, so
 // the report of its population never sees which unpinned address a probe
-// drew; unpinned malicious cohorts put the cursor walk into the malicious
+// drew; unpinned malicious cohorts put the stride walk into the malicious
 // geolocation table, so a resume that misplaces a shard's draws shows.
 func runSynthUnpinned(cfg Config) (*Dataset, error) {
 	pop, feed, err := buildDeps(cfg)
@@ -184,12 +184,14 @@ func runSynthUnpinned(cfg Config) (*Dataset, error) {
 
 // resumeSparse checkpoints every shard of a campaign, deletes all but the
 // listed shards' files, and resumes: the resumed report must equal the cold
-// run's.
+// run's, and the resume must walk each segment of the stride walk once, as
+// the checkpointing run did.
 func resumeSparse(t *testing.T, run func(Config) (*Dataset, error), cfg Config, shards []int, cold *Dataset) {
 	t.Helper()
 	dir := t.TempDir()
 	keep := cfg
 	keep.Checkpoints = CheckpointPlan{Dir: dir, Keep: true}
+	keep.Obs = obs.NewRegistry()
 	if _, err := run(keep); err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +213,6 @@ func resumeSparse(t *testing.T, run func(Config) (*Dataset, error), cfg Config, 
 	if n := countCheckpoints(t, dir); n != len(shards) {
 		t.Fatalf("kept %d checkpoint files, want %d (shards %v)", n, len(shards), shards)
 	}
-	// Workers 1 requests the remaining shards in ascending order, so the
-	// cursor chain deterministically walks past each restored shard
-	// between the ones it draws, and redraws none.
 	var log bytes.Buffer
 	cfg.Workers = 1
 	cfg.Checkpoints = CheckpointPlan{Dir: dir, Log: &log}
@@ -225,9 +224,14 @@ func resumeSparse(t *testing.T, run func(Config) (*Dataset, error), cfg Config, 
 	if got := strings.Count(log.String(), "restored from checkpoint"); got != len(shards) {
 		t.Errorf("resume restored %d shards, want %d:\n%s", got, len(shards), log.String())
 	}
-	m := cfg.Obs.Merged()
-	if sk, rd := m.Counter(obs.CSynthShardsSkipped), m.Counter(obs.CSynthShardsRedrawn); sk != uint64(len(shards)) || rd != 0 {
-		t.Errorf("resume from shards %v: %d skipped, %d redrawn; want %d, 0", shards, sk, rd, len(shards))
+	// The restored shards' metrics, walks of the checkpointing run
+	// included, are merged back in; the resume's own walks are the rest.
+	walked, want := cfg.Obs.Merged().Counter(obs.CSynthSegmentsWalked), keep.Obs.Merged().Counter(obs.CSynthSegmentsWalked)
+	for _, i := range shards {
+		walked -= cfg.Obs.Shards()[i].Counter(obs.CSynthSegmentsWalked)
+	}
+	if walked != want || want == 0 {
+		t.Errorf("resume from shards %v walked %d segments, the cold run %d", shards, walked, want)
 	}
 	if !reflect.DeepEqual(ds.Report, cold.Report) {
 		t.Errorf("campaign resumed from shards %v: report differs from cold run", shards)

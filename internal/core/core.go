@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"time"
@@ -52,8 +53,8 @@ type Config struct {
 	// Workers sets the campaign's parallelism: the size of the worker pool
 	// that runs the campaign's fixed shard plan on the shard engine both
 	// modes share. A synthetic shard is a contiguous probe-index range
-	// whose source addresses are drawn from one running assigner cursor
-	// (DESIGN.md §2); a simulated shard is a private sub-simulation with a
+	// whose source addresses it reads from the segments of the assigner's
+	// stride walk that hold them (DESIGN.md §2); a simulated shard is a private sub-simulation with a
 	// disjoint subdomain-cluster namespace and a proportional rate slice
 	// (DESIGN.md §12). Every shard has its own accumulator, merged exactly
 	// in shard order. The plan is a function of the configuration and
@@ -284,136 +285,14 @@ func (p shardPlan) each(pop *population.Population, fn func(c *population.Cohort
 	return nil
 }
 
-// skip advances a past every source address the shard draws.
-func (p shardPlan) skip(pop *population.Population, a *population.Assigner) error {
-	return p.each(pop, func(c *population.Cohort, n uint64) error {
-		if c.Country == "" {
-			return a.AdvanceUnpinned(n)
-		}
-		return a.AdvanceCountry(c.Country, n)
-	})
-}
-
-// draw fills buf[:p.end-p.start] with the shard's source addresses, drawn
-// from a in cohort order, one Draw per cohort, and leaves a past the
-// shard's last draw.
-func (p shardPlan) draw(pop *population.Population, a *population.Assigner, buf []ipv4.Addr) error {
-	return p.each(pop, func(c *population.Cohort, n uint64) error {
-		err := a.Draw(c.Country, buf[:n])
-		buf = buf[n:]
-		return err
-	})
-}
-
-// cursorChain draws every shard's source addresses from one running
-// assigner cursor, so each shard gets exactly the addresses the serial walk
-// draws for its range. The shard at the chain's frontier, the first one the
-// cursor has not passed, draws straight from the cursor, which then sits at
-// the next shard's first draw. The pool requests shards in ascending order,
-// so each draw of the campaign is computed once, under the chain's lock,
-// overlapped with the shards already running.
-//
-// Two workers can still reach the lock out of order: the pool hands shard
-// j+1 to one worker before the worker holding shard j gets there. The
-// campaign driver claims each shard before it hands it out, and a request
-// past the frontier waits while the frontier shard is claimed, until its
-// worker has drawn it, the walk has failed, or the campaign is cancelled
-// (a claimed shard a cancelled pool drops is never drawn). The chain also
-// keeps a fork of every shard start it passes, for the two other cases: a
-// request past an unclaimed frontier walks the cursor over it with
-// shardPlan.skip (a restored checkpoint), and a request below the frontier
-// redraws from the shard's start fork (a repeated or out-of-order request).
-// Each such shard is computed twice; the requesting shard's metrics count
-// it as synth.shards_skipped or synth.shards_redrawn.
-type cursorChain struct {
-	mu     sync.Mutex
-	pop    *population.Population
-	plans  []shardPlan
-	cursor *population.Assigner   // at the frontier shard len(starts)'s first draw
-	starts []*population.Assigner // starts[j] is at shard j's first draw
-	err    error                  // a failed walk step; the cursor is lost
-
-	// passed[j] is made when shard j is claimed, that is handed to a local
-	// worker that will draw it unless done closes first, and closed when
-	// the cursor has passed shard j.
-	passed []chan struct{}
-	done   <-chan struct{}
-}
-
-// claim marks shard i as handed to a worker that will draw it.
-func (c *cursorChain) claim(i int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.passed == nil {
-		c.passed = make([]chan struct{}, len(c.plans))
-	}
-	c.passed[i] = make(chan struct{})
-}
-
-// draw fills buf[:plans[i].end-plans[i].start] with shard i's source
-// addresses, counting a shard it walks past or redraws in msh.
-func (c *cursorChain) draw(i int, buf []ipv4.Addr, msh *obs.Shard) error {
-	c.mu.Lock()
-	for {
-		j := len(c.starts)
-		switch {
-		case c.err != nil:
-			err := c.err
-			c.mu.Unlock()
-			return err
-		case i < j:
-			msh.Inc(obs.CSynthShardsRedrawn)
-			a := c.starts[i].Fork()
-			c.mu.Unlock()
-			return c.plans[i].draw(c.pop, a, buf)
-		case j < i && j < len(c.passed) && c.passed[j] != nil && !c.cancelled():
-			passed := c.passed[j]
-			c.mu.Unlock()
-			select {
-			case <-passed:
-			case <-c.done:
-			}
-			c.mu.Lock()
-			continue
-		}
-		c.starts = append(c.starts, c.cursor.Fork())
-		if j < i {
-			msh.Inc(obs.CSynthShardsSkipped)
-			c.err = c.plans[j].skip(c.pop, c.cursor)
-		} else {
-			c.err = c.plans[j].draw(c.pop, c.cursor, buf)
-		}
-		if j < len(c.passed) && c.passed[j] != nil {
-			close(c.passed[j])
-		}
-		if j == i {
-			err := c.err
-			c.mu.Unlock()
-			return err
-		}
-	}
-}
-
-// cancelled reports whether the campaign driving the chain was cancelled.
-func (c *cursorChain) cancelled() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// synthWorker holds one shard run's source addresses, accumulator and
-// metrics shard, and the response template the per-probe path reuses, so
-// steady-state synthesis allocates nothing per probe.
+// synthWorker holds one shard run's accumulator and metrics shard, the
+// source of its addresses, and the response template the per-probe path
+// reuses, so steady-state synthesis allocates nothing per probe.
 type synthWorker struct {
 	clusterSize uint64
-	// src holds the running shard's source addresses, in probe order. It
-	// is sized once to a plan's largest shard and reused across shards.
-	src []ipv4.Addr
-	acc *analysis.Accumulator
-	obs *obs.Shard
+	src         shardSource
+	acc         *analysis.Accumulator
+	obs         *obs.Shard
 
 	// tmpl is the response of tmplCohort's profile for the cluster whose
 	// first global probe index is tmplFirst; a nil tmplCohort forces the
@@ -424,20 +303,50 @@ type synthWorker struct {
 }
 
 // synthWorkers recycles synthWorker scratch across shards, so a pool worker
-// that runs many shards reuses one address buffer and one template.
+// that runs many shards reuses one template.
 var synthWorkers = sync.Pool{New: func() any { return new(synthWorker) }}
 
-// run synthesizes shard p, whose source addresses the worker's buffer
+// shardSource hands out a shard's source addresses in probe order, read in
+// place: the unpinned draws from the segments of the walk that hold them,
+// and the pinned ones from their country's reservation.
+type shardSource struct {
+	walk     [][]ipv4.Addr // the shard's unpinned draws not handed out yet
+	assigner *population.Assigner
+	taken    map[string]uint64 // the next reserved index per country
+}
+
+// next returns up to n of the next source addresses of a cohort pinned to
+// country ("" = unpinned).
+func (s *shardSource) next(country string, n uint64) []ipv4.Addr {
+	if country == "" {
+		d := s.walk[0]
+		d, s.walk[0] = d[:min(n, uint64(len(d)))], d[min(n, uint64(len(d))):]
+		if len(s.walk[0]) == 0 {
+			s.walk = s.walk[1:]
+		}
+		return d
+	}
+	i := s.taken[country]
+	s.taken[country] = i + n
+	return s.assigner.Reserved(country)[i : i+n]
+}
+
+// run synthesizes shard p, whose source addresses the worker's source
 // holds, into the worker's accumulator. The global probe index g determines
-// the qname and transaction ID, and the buffer the source address; together
-// they reproduce the serial walk's exact output for the shard.
+// the qname and transaction ID, and the source the address; together they
+// reproduce the serial walk's exact output for the shard.
 func (w *synthWorker) run(pop *population.Population, p shardPlan) error {
 	g := p.start
 	return p.each(pop, func(c *population.Cohort, n uint64) error {
-		for end := g + n; g < end; g++ {
-			if err := w.probe(c, g, w.src[g-p.start]); err != nil {
-				return err
+		for n > 0 {
+			src := w.src.next(c.Country, n)
+			for _, addr := range src {
+				if err := w.probe(c, g, addr); err != nil {
+					return err
+				}
+				g++
 			}
+			n -= uint64(len(src))
 		}
 		return nil
 	})
@@ -467,17 +376,24 @@ func (w *synthWorker) probe(cohort *population.Cohort, g uint64, src ipv4.Addr) 
 }
 
 // synthEnv is the state every synthetic shard shares: the configuration,
-// and the cursor chain with the population and plan it walks.
+// the population and plan, and the segment walk with the assigner it walks.
 type synthEnv struct {
-	cursorChain
 	cfg         Config
 	accCfg      analysis.Config
 	clusterSize int
-	maxShard    uint64 // probes in the plan's largest shard
+	pop         *population.Population
+	plans       []shardPlan
+	assigner    *population.Assigner
+	walk        *segWalk
+	// pinnedAt[i] is, per country, the reserved addresses the shards
+	// before shard i draw.
+	pinnedAt []map[string]uint64
 }
 
 // openSynthCampaign plans a synthetic campaign and opens it on the shard
-// engine with synthEnv's hooks.
+// engine with synthEnv's hooks. Each shard's place in the unpinned walk and
+// in every country's reservation follows from the plan alone, so shards can
+// be drawn in any order; restored shards are released from the walk.
 func openSynthCampaign(cfg Config, pop *population.Population, threat *threatintel.DB) (*ShardCampaign, error) {
 	if !cfg.Faults.pristine() {
 		return nil, fmt.Errorf("core: fault injection requires simulation mode (the synthetic engine has no network to impair)")
@@ -487,35 +403,78 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 		return nil, err
 	}
 	env := &synthEnv{
-		cursorChain: cursorChain{pop: pop, plans: planShards(pop), cursor: assigner, done: cfg.ctx().Done()},
 		cfg:         cfg,
 		accCfg:      analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg},
 		clusterSize: cfg.scaledClusterSize(),
+		pop:         pop,
+		plans:       planShards(pop),
+		assigner:    assigner,
 	}
-	for _, p := range env.plans {
-		env.maxShard = max(env.maxShard, p.end-p.start)
+	first, pinnedAt := drawOffsets(pop, env.plans)
+	env.walk = newSegWalk(assigner, first, segmentLength(assigner.Steps(), first))
+	env.pinnedAt = pinnedAt
+	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, merge: env.merge}
+	sc, err := newShardCampaign(cfg, eng, len(env.plans), synthCampaignKey(cfg, env.plans), env.accCfg)
+	if err != nil {
+		return nil, err
 	}
-	eng := shardEngine{label: "synth", span: "synthesize", claim: env.claim, runShard: env.runShard, merge: env.merge}
-	return newShardCampaign(cfg, eng, len(env.plans), synthCampaignKey(cfg, env.plans), env.accCfg)
+	for i, run := range sc.runs {
+		if run != nil {
+			env.walk.restored(i)
+		}
+	}
+	return sc, nil
+}
+
+// drawOffsets returns where each shard's draws start: first[i] counts the
+// unpinned draws of the shards before shard i (first has one more entry,
+// the campaign's total), and pinnedAt[i] their draws from each country's
+// reservation.
+func drawOffsets(pop *population.Population, plans []shardPlan) (first []uint64, pinnedAt []map[string]uint64) {
+	first = make([]uint64, len(plans)+1)
+	pinnedAt = make([]map[string]uint64, len(plans))
+	taken := make(map[string]uint64)
+	for i, p := range plans {
+		pinnedAt[i] = maps.Clone(taken)
+		first[i+1] = first[i]
+		p.each(pop, func(c *population.Cohort, n uint64) error {
+			if c.Country == "" {
+				first[i+1] += n
+			} else {
+				taken[c.Country] += n
+			}
+			return nil
+		})
+	}
+	return first, pinnedAt
 }
 
 // runShard synthesizes shard i into a fresh accumulator, on scratch taken
-// from synthWorkers: the cursor chain draws the shard's source addresses
-// into the worker's buffer, and the worker synthesizes from them.
+// from synthWorkers: the worker reads the shard's unpinned draws in place
+// from the segment walk, and releases them when the shard is done.
 func (env *synthEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 	w := synthWorkers.Get().(*synthWorker)
 	defer synthWorkers.Put(w)
-	if uint64(len(w.src)) < env.maxShard {
-		w.src = make([]ipv4.Addr, env.maxShard)
-	}
-	if err := env.draw(i, w.src, msh); err != nil {
+	walk, pinned, err := env.walk.acquire(i, msh, w.src.walk[:0])
+	defer func() {
+		env.walk.release(i, pinned)
+		clear(walk) // the pooled worker keeps no segment alive
+		w.src.walk = walk[:0]
+	}()
+	if err != nil {
 		return nil, err
 	}
+	if w.src.taken == nil {
+		w.src.taken = make(map[string]uint64)
+	}
+	clear(w.src.taken)
+	maps.Copy(w.src.taken, env.pinnedAt[i])
+	w.src.walk, w.src.assigner = walk, env.assigner
 	acc := analysis.NewAccumulator(env.accCfg)
 	// The template is keyed by cohort pointer, and a pooled worker outlives
 	// the population its last shard ran against.
 	w.clusterSize, w.acc, w.obs, w.tmplCohort = uint64(env.clusterSize), acc, msh, nil
-	err := w.run(env.pop, env.plans[i])
+	err = w.run(env.pop, env.plans[i])
 	w.acc, w.obs = nil, nil
 	if err != nil {
 		return nil, err

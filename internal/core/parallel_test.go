@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/behavior"
@@ -15,7 +13,6 @@ import (
 	"openresolver/internal/dnswire"
 	"openresolver/internal/geo"
 	"openresolver/internal/ipv4"
-	"openresolver/internal/obs"
 	"openresolver/internal/paperdata"
 	"openresolver/internal/population"
 	"openresolver/internal/scan"
@@ -79,7 +76,7 @@ func synthCases(t *testing.T) []synthCase {
 	}
 	// Build pins every malicious cohort to a country, so its reports never
 	// see which unpinned address a probe drew. Unpinning every other one
-	// makes the malicious geolocation table depend on the cursor walk.
+	// makes the malicious geolocation table depend on the stride walk.
 	cut := func(counts ...uint64) *population.Population {
 		pop := &population.Population{Year: full.Year, Shift: full.Shift}
 		for i, c := range full.Cohorts {
@@ -106,7 +103,7 @@ func synthCases(t *testing.T) []synthCase {
 // referenceSynthesize is the synthetic engine reduced to its definition:
 // one assigner drawing a source address per probe in cohort order, the
 // allocating encode and decode APIs, and one accumulator. It has no shard
-// plan, no pool, no cursor forks and no scratch reuse.
+// plan, no pool, no segment walk and no scratch reuse.
 func referenceSynthesize(t *testing.T, cfg Config, pop *population.Population, threat *threatintel.DB) *analysis.Report {
 	t.Helper()
 	reg := geo.DefaultRegistry()
@@ -146,7 +143,7 @@ func referenceSynthesize(t *testing.T, cfg Config, pop *population.Population, t
 func TestSyntheticWorkersDeterministic(t *testing.T) {
 	// The acceptance invariant of the synthetic engine: for every worker
 	// count the report is deep-equal to the reference synthesizer's, which
-	// shares neither the shard plan nor the pool nor the cursor walk.
+	// shares neither the shard plan nor the pool nor the segment walk.
 	for _, sc := range synthCases(t) {
 		want := referenceSynthesize(t, sc.cfg, sc.pop, sc.feed.DB)
 		if want.Correctness.R2 == 0 {
@@ -317,217 +314,4 @@ func TestPlanShardsCoversEveryProbeOnce(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestShardCursorsReplaySerialWalk(t *testing.T) {
-	// The cursor chain: every shard's draw, requested in any order and more
-	// than once, must equal the source addresses one serial assigner draws
-	// for that shard's range. Requested in the pool's ascending order, every
-	// shard must be drawn straight from the running cursor: the chain never
-	// walks past a shard or redraws one, so each draw is computed once.
-	for _, sc := range synthCases(t) {
-		u, err := scan.NewUniverse(uint64(sc.cfg.Seed), sc.cfg.SampleShift, ipv4.NewReservedBlocklist())
-		if err != nil {
-			t.Fatal(err)
-		}
-		newAssigner := func() *population.Assigner {
-			a, err := population.NewAssigner(u, geo.DefaultRegistry(), sc.pop, ProberAddr, RootAddr, TLDAddr, AuthAddr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		}
-		plans := planShards(sc.pop)
-		// The serial walk's draws, per shard.
-		serial := newAssigner()
-		want := make([][]ipv4.Addr, len(plans))
-		var largest int
-		for i, p := range plans {
-			err := p.each(sc.pop, func(c *population.Cohort, n uint64) error {
-				for ; n > 0; n-- {
-					a, err := serial.Next(c.Country)
-					if err != nil {
-						return err
-					}
-					want[i] = append(want[i], a)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			largest = max(largest, len(want[i]))
-		}
-		// Every request draws into one buffer sized to the largest shard,
-		// as a pooled worker's is.
-		buf := make([]ipv4.Addr, largest)
-		msh := obs.NewShard("chain")
-		request := func(chain *cursorChain, order string, i int) {
-			t.Helper()
-			clear(buf)
-			if err := chain.draw(i, buf, msh); err != nil {
-				t.Fatalf("%s %s shard %d: %v", sc.name, order, i, err)
-			}
-			for j, w := range want[i] {
-				if buf[j] != w {
-					t.Fatalf("%s %s shard %d draw %d: chain drew %v, serial walk drew %v", sc.name, order, i, j, buf[j], w)
-				}
-			}
-		}
-
-		n := len(plans)
-		chain := &cursorChain{pop: sc.pop, plans: plans, cursor: newAssigner()}
-		for i := range n {
-			request(chain, "ascending", i)
-		}
-		skippedRedrawn := func() (uint64, uint64) {
-			return msh.Counter(obs.CSynthShardsSkipped), msh.Counter(obs.CSynthShardsRedrawn)
-		}
-		if sk, rd := skippedRedrawn(); len(chain.starts) != n || sk != 0 || rd != 0 {
-			t.Errorf("%s ascending: %d shard starts, %d skipped, %d redrawn; want %d, 0, 0",
-				sc.name, len(chain.starts), sk, rd, n)
-		}
-
-		// Ascending, then a jump ahead, a step back, a repeat, and the rest
-		// in reverse.
-		order := []int{0, 1, n / 2, 2, 1}
-		for i := n - 1; i >= 0; i-- {
-			order = append(order, i)
-		}
-		chain = &cursorChain{pop: sc.pop, plans: plans, cursor: newAssigner()}
-		msh = obs.NewShard("chain")
-		hi, skipped, redrawn := -1, uint64(0), uint64(0)
-		for _, i := range order {
-			if i >= n {
-				continue
-			}
-			if i <= hi {
-				redrawn++
-			} else {
-				skipped += uint64(i - hi - 1)
-			}
-			request(chain, "mixed", i)
-			// The walk goes only as far as the highest shard requested.
-			hi = max(hi, i)
-			if len(chain.starts) != hi+1 {
-				t.Fatalf("%s: after shard %d the chain walked to %d shard starts, want %d", sc.name, i, len(chain.starts), hi+1)
-			}
-		}
-		if sk, rd := skippedRedrawn(); sk != skipped || rd != redrawn {
-			t.Errorf("%s mixed: %d skipped, %d redrawn; want %d, %d", sc.name, sk, rd, skipped, redrawn)
-		}
-	}
-}
-
-// TestSyntheticColdCampaignDrawsEachShardOnce: at shift 10 a shard's draw
-// is short, so two pool workers often reach the cursor chain's lock out
-// of order. The claim on the earlier shard makes the later request wait
-// for it, and a cold campaign computes every shard once: none walked past,
-// none redrawn.
-func TestSyntheticColdCampaignDrawsEachShardOnce(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		reg := obs.NewRegistry()
-		if _, err := RunSynthetic(Config{Year: paperdata.Y2018, SampleShift: 10, Seed: seed, Workers: 2, Obs: reg}); err != nil {
-			t.Fatal(err)
-		}
-		m := reg.Merged()
-		if sk, rd := m.Counter(obs.CSynthShardsSkipped), m.Counter(obs.CSynthShardsRedrawn); sk != 0 || rd != 0 {
-			t.Errorf("seed %d: %d shards skipped, %d redrawn; want 0, 0", seed, sk, rd)
-		}
-	}
-}
-
-// TestCursorChainReleasesWaiters: a request past a claimed frontier shard
-// waits for it, and is released when that shard is drawn, when the
-// campaign is cancelled (the claimed shard may then never be drawn, so
-// the request walks past it), and when the walk fails.
-func TestCursorChainReleasesWaiters(t *testing.T) {
-	sc := synthCases(t)[1] // 2018
-	plans := planShards(sc.pop)
-	// newChain's cursor is the campaign's assigner, or with broken set, an
-	// assigner over a four-address universe that reserves no country
-	// addresses, so shard 0's draw fails.
-	newChain := func(broken bool, done <-chan struct{}) *cursorChain {
-		shift, pop := sc.cfg.SampleShift, sc.pop
-		if broken {
-			shift, pop = 30, &population.Population{}
-		}
-		u, err := scan.NewUniverse(uint64(sc.cfg.Seed), shift, ipv4.NewReservedBlocklist())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := population.NewAssigner(u, geo.DefaultRegistry(), pop, ProberAddr, RootAddr, TLDAddr, AuthAddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &cursorChain{pop: sc.pop, plans: plans, cursor: a, done: done}
-		c.claim(0)
-		c.claim(1)
-		return c
-	}
-	size := int(plans[0].end - plans[0].start)
-	for _, p := range plans {
-		size = max(size, int(p.end-p.start))
-	}
-	// wait starts a request for shard 1 and checks that it is still
-	// waiting for shard 0 a little later.
-	wait := func(c *cursorChain, msh *obs.Shard) chan error {
-		t.Helper()
-		errc := make(chan error, 1)
-		go func() { errc <- c.draw(1, make([]ipv4.Addr, size), msh) }()
-		select {
-		case err := <-errc:
-			t.Fatalf("request for shard 1 returned (%v) while claimed shard 0 was undrawn", err)
-		case <-time.After(50 * time.Millisecond):
-		}
-		return errc
-	}
-	released := func(errc chan error) error {
-		t.Helper()
-		select {
-		case err := <-errc:
-			return err
-		case <-time.After(10 * time.Second):
-			t.Fatal("request for shard 1 still waiting: deadlock")
-			return nil
-		}
-	}
-
-	t.Run("drawn", func(t *testing.T) {
-		c, msh := newChain(false, nil), obs.NewShard("t")
-		errc := wait(c, msh)
-		if err := c.draw(0, make([]ipv4.Addr, size), msh); err != nil {
-			t.Fatal(err)
-		}
-		if err := released(errc); err != nil {
-			t.Fatal(err)
-		}
-		if sk, rd := msh.Counter(obs.CSynthShardsSkipped), msh.Counter(obs.CSynthShardsRedrawn); sk != 0 || rd != 0 {
-			t.Errorf("%d skipped, %d redrawn; want 0, 0", sk, rd)
-		}
-	})
-	t.Run("cancelled", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		c, msh := newChain(false, ctx.Done()), obs.NewShard("t")
-		errc := wait(c, msh)
-		cancel()
-		if err := released(errc); err != nil {
-			t.Fatal(err)
-		}
-		if sk := msh.Counter(obs.CSynthShardsSkipped); sk != 1 {
-			t.Errorf("cancelled: %d shards skipped, want 1", sk)
-		}
-	})
-	t.Run("failed", func(t *testing.T) {
-		c, msh := newChain(true, nil), obs.NewShard("t")
-		errc := wait(c, msh)
-		err0 := c.draw(0, make([]ipv4.Addr, size), msh)
-		if err0 == nil {
-			t.Fatal("shard 0 drew its addresses from the broken assigner")
-		}
-		if err := released(errc); err != err0 {
-			t.Errorf("waiter returned %v, want shard 0's error %v", err, err0)
-		}
-	})
 }

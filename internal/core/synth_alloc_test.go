@@ -59,26 +59,28 @@ func newProbeRig(tb testing.TB, shift uint8) *probeRig {
 
 // probeStream runs probes of one unpinned cohort through a synthWorker,
 // shard by shard, the way the synthetic engine runs a shard: each shard's
-// source addresses are drawn into the worker's buffer, then synthesized.
+// source addresses are drawn, then synthesized, read in place.
 type probeStream struct {
 	w   *synthWorker
 	pop *population.Population
 	a   *population.Assigner
+	buf []ipv4.Addr // the running shard's draws
+	one [1][]ipv4.Addr
 	g   uint64 // the next shard's first global probe index
 }
 
-// stream returns a stream on a fresh synthWorker, with a buffer for shards
-// of up to maxShard probes, that draws from the rig's first address on and
-// probes a cohort with profile p.
+// stream returns a stream on a fresh synthWorker, for shards of up to
+// maxShard probes, that draws from the rig's first address on and probes
+// a cohort with profile p.
 func (r *probeRig) stream(p behavior.Profile, clusterSize, maxShard uint64) *probeStream {
 	return &probeStream{
 		w: &synthWorker{
 			clusterSize: clusterSize,
-			src:         make([]ipv4.Addr, maxShard),
 			acc:         analysis.NewAccumulator(r.accCfg),
 		},
 		pop: &population.Population{Cohorts: []population.Cohort{{Count: math.MaxUint64, Profile: p}}},
 		a:   r.assigner.Fork(),
+		buf: make([]ipv4.Addr, maxShard),
 	}
 }
 
@@ -86,15 +88,17 @@ func (r *probeRig) stream(p behavior.Profile, clusterSize, maxShard uint64) *pro
 func (s *probeStream) next(n uint64) error {
 	p := shardPlan{start: s.g, end: s.g + n, offset: s.g}
 	s.g += n
-	if err := p.draw(s.pop, s.a, s.w.src); err != nil {
+	if err := s.a.Draw("", s.buf[:n]); err != nil {
 		return err
 	}
+	s.one[0] = s.buf[:n]
+	s.w.src.walk = s.one[:]
 	return s.w.run(s.pop, p)
 }
 
 // TestSynthProbeZeroAlloc pins the steady-state synthetic probe path —
-// address draw into the worker's buffer, template rebuild, patch, metrics
-// and accumulate — at zero allocations per probe, with and without
+// address draw, template rebuild, patch, metrics and accumulate — at zero
+// allocations per probe, with and without
 // metrics, for every answer kind. One measured run is a whole cluster,
 // drawn and synthesized as one shard, so every run crosses one cluster
 // rollover and rebuilds the template: any allocation in a rebuild shows as
@@ -126,7 +130,7 @@ func TestSynthProbeZeroAlloc(t *testing.T) {
 // BenchmarkSynthProbe measures the synthetic engine's per-probe path —
 // address draw, decoded response, metrics and accumulate — for each
 // answer kind, at the cluster size of a shift-10 campaign. Each cluster's
-// addresses are drawn into the worker's buffer as one shard's are.
+// addresses are drawn as one shard's are.
 func BenchmarkSynthProbe(b *testing.B) {
 	// A shift-8 universe has about 14M eligible addresses; the worker
 	// starts over on a fresh fork of the rig's assigner every 4M probes.

@@ -2,6 +2,8 @@ package dnssrv
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,6 +188,63 @@ func TestTruthAddrFoldMatchesFNV(t *testing.T) {
 			name := FormatProbeName(cluster, idx, testSLD)
 			if got, want := TruthAddr(name), referenceTruthAddr([]byte(name)); got != want {
 				t.Fatalf("TruthAddr(%q) = %v, FNV-1a says %v", name, got, want)
+			}
+		}
+	}
+}
+
+// TestTruthMemoMatchesTruthAddr feeds one TruthMemo a stream that starts
+// with a one-byte name under the suffix and names whose leading part is
+// about as long as the memo keeps, then mixes consecutive probe names, across index carries, with names of other
+// clusters and cluster widths, names under another SLD, names shorter than
+// the suffix, names that end in the suffix without a byte in front of it,
+// and probe names with one byte corrupted; every address must be
+// TruthAddr's.
+func TestTruthMemoMatchesTruthAddr(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// First, with the memo fresh, a name with no bytes in front of the one
+	// before the suffix; then leading parts around the longest the memo
+	// keeps, each twice.
+	names := []string{"a" + truthSuffix}
+	for n := 22; n <= 27; n++ {
+		long := strings.Repeat("x", n) + "7" + truthSuffix
+		names = append(names, long, long)
+	}
+	for idx := 0; idx < 250; idx++ {
+		names = append(names, FormatProbeName(3, idx, testSLD))
+	}
+	for range 3000 {
+		name := FormatProbeName(rng.Intn(1100), rng.Intn(10_000_000), testSLD)
+		switch rng.Intn(8) {
+		case 0:
+			name = FormatProbeName(rng.Intn(1100), rng.Intn(100), "example.org")
+		case 1:
+			name = truthSuffix[rng.Intn(len(truthSuffix)):]
+		case 2:
+			name = truthSuffix[:rng.Intn(len(truthSuffix))]
+		case 3:
+			name = truthSuffix
+		case 4:
+			b := []byte(name)
+			b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
+			name = string(b)
+		case 5:
+			name = FormatProbeName(1022+rng.Intn(3), rng.Intn(10_000_000), testSLD)
+		}
+		names = append(names, name)
+		if rng.Intn(4) == 0 {
+			names = append(names, name) // the same name twice
+		}
+	}
+	var m TruthMemo
+	for _, name := range names {
+		want := referenceTruthAddr([]byte(name))
+		if got := m.Addr(name); got != want {
+			t.Fatalf("TruthMemo.Addr(%q) = %v, want %v", name, got, want)
+		}
+		for _, a := range []ipv4.Addr{want, want ^ 1, want ^ 1<<31} {
+			if got := m.IsTruthAddr(a, name); got != IsTruthAddr(a, name) {
+				t.Fatalf("TruthMemo.IsTruthAddr(%v, %q) = %v, IsTruthAddr says %v", a, name, got, !got)
 			}
 		}
 	}

@@ -69,7 +69,11 @@ func referenceTruthAddr(name []byte) ipv4.Addr {
 
 // FuzzTruthAddr checks TruthAddr, in both its string and []byte forms,
 // against the plain FNV-1a reference on arbitrary names: names that end in
-// the folded suffix and names that only come close to it.
+// the folded suffix and names that only come close to it. The split hash
+// (TruthPrefix, then TruthAddrAfter) must agree at every split of the
+// name, and a TruthMemo must agree whatever name it hashed before: the
+// name itself, a probe name, or the name with its byte in front of the
+// suffix changed.
 func FuzzTruthAddr(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("a"))
@@ -77,6 +81,7 @@ func FuzzTruthAddr(f *testing.F) {
 	f.Add([]byte(truthSuffix[1:])) // the suffix without its leading dot
 	f.Add([]byte(truthSuffix))
 	f.Add([]byte("x" + truthSuffix[1:]))
+	f.Add([]byte("x" + truthSuffix))
 	f.Add([]byte(truthSuffix + "."))
 	for _, idx := range []int{0, 1, 9, 10, 999999, 1000000, 9999999} {
 		f.Add([]byte(FormatProbeName(idx%1100, idx, testSLD)))
@@ -92,6 +97,27 @@ func FuzzTruthAddr(f *testing.F) {
 		}
 		if !IsTruthAddr(want, string(name)) {
 			t.Fatalf("IsTruthAddr rejects %q's own address %v", name, want)
+		}
+		for k := range len(name) + 1 {
+			if got := TruthAddrAfter(TruthPrefix(name[:k]), name[k:]); got != want {
+				t.Fatalf("TruthAddrAfter(TruthPrefix(%q), %q) = %v, FNV-1a says %v", name[:k], name[k:], got, want)
+			}
+		}
+		var m TruthMemo
+		neighbor := bytes.Clone(name)
+		if k := len(name) - len(truthSuffix) - 1; k >= 0 {
+			neighbor[k]++
+		}
+		for _, before := range [][]byte{nil, name, neighbor, []byte(FormatProbeName(1, 2, testSLD)), name} {
+			if before != nil {
+				m.Addr(string(before))
+			}
+			if got := m.Addr(string(name)); got != want {
+				t.Fatalf("TruthMemo.Addr(%q) after %q = %v, FNV-1a says %v", name, before, got, want)
+			}
+			if !m.IsTruthAddr(want, string(name)) || m.IsTruthAddr(want^1, string(name)) {
+				t.Fatalf("TruthMemo.IsTruthAddr(%q) after %q disagrees with IsTruthAddr", name, before)
+			}
 		}
 	})
 }

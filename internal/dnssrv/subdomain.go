@@ -143,19 +143,79 @@ func ParseProbeName(name, sld string) (ProbeName, error) {
 // the labels in front of it go through the byte loop. Any other name is
 // hashed byte by byte to its end.
 func TruthAddr[T string | []byte](qname T) ipv4.Addr {
+	return TruthAddrAfter(fnvOffset, qname)
+}
+
+// TruthPrefix returns the hash state TruthAddr reaches after the leading
+// bytes lead of a name. For every split of a name into lead and rest,
+// TruthAddrAfter(TruthPrefix(lead), rest) is TruthAddr of the whole name,
+// so a caller that hashes many names with the same leading bytes can hash
+// those bytes once.
+func TruthPrefix[T string | []byte](lead T) uint32 {
 	h := uint32(fnvOffset)
-	n := len(qname)
-	folded := n >= len(truthSuffix) && string(qname[n-len(truthSuffix):]) == truthSuffix
+	for i := 0; i < len(lead); i++ {
+		h = (h ^ uint32(lead[i])) * fnvPrime
+	}
+	return h
+}
+
+// TruthAddrAfter finishes TruthAddr from the hash state h of a name's
+// leading bytes (TruthPrefix) over the rest of the name, folding the SLD
+// suffix when rest ends in it.
+func TruthAddrAfter[T string | []byte](h uint32, rest T) ipv4.Addr {
+	n := len(rest)
+	folded := n >= len(truthSuffix) && string(rest[n-len(truthSuffix):]) == truthSuffix
 	if folded {
 		n -= len(truthSuffix)
 	}
 	for i := 0; i < n; i++ {
-		h = (h ^ uint32(qname[i])) * fnvPrime
+		h = (h ^ uint32(rest[i])) * fnvPrime
 	}
 	if folded {
-		h = h&^0xFF*suffixMul + suffixFold[h&0xFF]
+		return foldedAddr(h)
 	}
 	return truthBase | ipv4.Addr(h)&truthHost
+}
+
+// foldedAddr is the ground-truth address of a name whose bytes in front
+// of truthSuffix hash to h.
+func foldedAddr(h uint32) ipv4.Addr {
+	return truthBase | ipv4.Addr(h&^0xFF*suffixMul+suffixFold[h&0xFF])&truthHost
+}
+
+// TruthMemo computes TruthAddr over a stream of names in which most names
+// differ from the one before only in the byte in front of the SLD suffix,
+// as consecutive probe names of a cluster do in their last index digit. It
+// keeps that leading part of the last name it hashed and its hash state,
+// and hashes the leading part again only when a name's differs. The
+// leading bytes are compared, not assumed, so every name is checked in
+// full. Leading parts longer than a probe name's cluster and index labels
+// could be are not kept: such names are hashed in full. The zero value is
+// ready to use and never allocates; a TruthMemo is not safe for concurrent
+// use.
+type TruthMemo struct {
+	lead [24]byte
+	n    int    // lead[:n] is the kept leading part
+	h    uint32 // TruthPrefix(lead[:n]), once ok
+	ok   bool
+}
+
+// Addr returns TruthAddr(qname).
+func (m *TruthMemo) Addr(qname string) ipv4.Addr {
+	k := len(qname) - len(truthSuffix) - 1 // the byte in front of the suffix
+	if k < 0 || k > len(m.lead) || qname[k+1:] != truthSuffix {
+		return TruthAddr(qname)
+	}
+	if !m.ok || string(m.lead[:m.n]) != qname[:k] {
+		m.n = copy(m.lead[:], qname[:k])
+		m.h, m.ok = TruthPrefix(qname[:k]), true
+	}
+	return foldedAddr((m.h ^ uint32(qname[k])) * fnvPrime)
+}
+
+// IsTruthAddr is the package's IsTruthAddr, hashed through the memo.
+func (m *TruthMemo) IsTruthAddr(addr ipv4.Addr, qname string) bool {
+	return addr&^truthHost == truthBase && addr == m.Addr(qname)
 }
 
 // The ground-truth range, 96.0.0.0/6: TruthAddr sets the high 6 bits to

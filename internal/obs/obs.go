@@ -78,11 +78,10 @@ const (
 	CFabricNacks         // shard failures reported by workers
 	CFabricEnvelopeBytes // envelope payload bytes received from workers
 
-	// Synthetic engine's cursor chain (internal/core): shards computed
-	// twice, counted on the shard whose request caused it. Appended so
-	// existing snapshot orderings are unchanged.
-	CSynthShardsSkipped // shards the chain walked past without drawing them
-	CSynthShardsRedrawn // shards drawn again from a start fork below the frontier
+	// Synthetic engine's segment walk (internal/core), counted on the
+	// shard whose worker walked the segment. Appended so existing snapshot
+	// orderings are unchanged.
+	CSynthSegmentsWalked // segments of the assigner's stride walk walked
 
 	NumCounters // array size; not a real counter
 )
@@ -133,8 +132,7 @@ var counterNames = [NumCounters]string{
 	CFabricNacks:         "fabric.nacks",
 	CFabricEnvelopeBytes: "fabric.envelope_bytes",
 
-	CSynthShardsSkipped: "synth.shards_skipped",
-	CSynthShardsRedrawn: "synth.shards_redrawn",
+	CSynthSegmentsWalked: "synth.segments_walked",
 }
 
 // CounterName returns the stable dotted name of c.

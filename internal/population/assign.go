@@ -1,7 +1,9 @@
 package population
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"openresolver/internal/geo"
 	"openresolver/internal/ipv4"
@@ -154,10 +156,6 @@ func (a *Assigner) reserveCountry(country string, n uint64) ([]ipv4.Addr, error)
 // and the per-country reservations are shared: NewAssigner is the only
 // writer of those, so forks may draw addresses concurrently with each other
 // and the parent as long as each assigner is used by a single goroutine.
-//
-// Combined with Advance*, forks let a shard start exactly where the serial
-// walk would be after the preceding shards' draws: fork a running cursor at
-// each shard start, then draw or advance the cursor past that shard.
 func (a *Assigner) Fork() *Assigner {
 	taken := make(map[string]int, len(a.taken))
 	for k, v := range a.taken {
@@ -175,11 +173,7 @@ func (a *Assigner) Fork() *Assigner {
 // assignments, leaving the cursor exactly where n successful Next("")
 // calls would. It is a replay, not arithmetic: every visited position is
 // still permuted and tested against the exclusions and the avoid set, so a
-// skipped draw costs as much as a drawn one. The synthetic engine's cursor
-// chain draws each shard's addresses straight from its running cursor and
-// calls this only to walk past shards it does not draw: those restored
-// from a checkpoint, and those requested out of order. perfbench also times
-// it per draw.
+// skipped draw costs as much as a drawn one. perfbench times it per draw.
 func (a *Assigner) AdvanceUnpinned(n uint64) error {
 	var discard [256]ipv4.Addr
 	for n > 0 {
@@ -203,6 +197,11 @@ func (a *Assigner) AdvanceCountry(country string, n uint64) error {
 	a.taken[country] = i + int(n)
 	return nil
 }
+
+// Reserved returns country's reserved addresses in the order Draw(country)
+// hands them out: the n-th pinned draw of country is Reserved(country)[n].
+// The list is shared; callers must not modify it.
+func (a *Assigner) Reserved(country string) []ipv4.Addr { return a.reserved[country] }
 
 // Next returns the next source address for a resolver of the given cohort
 // country ("" = unconstrained).
@@ -240,22 +239,19 @@ func (a *Assigner) walk(buf []ipv4.Addr) error {
 		return nil
 	}
 	n := a.u.Indexes()
-	mask, stride := n-1, a.stride
 	pos, issued := a.pos, a.issued
-	var idx [4]uint64
 	var addr [4]ipv4.Addr
 	held := 0
 	for i < len(buf) {
 		if issued >= n {
 			a.pos, a.issued, a.heldLo, a.heldHi = pos, issued, 0, 0
-			return fmt.Errorf("population: universe exhausted")
+			return ErrUniverseExhausted
 		}
-		idx[0], idx[1], idx[2], idx[3] = pos&mask, (pos+stride)&mask, (pos+2*stride)&mask, (pos+3*stride)&mask
-		pos += 4 * stride
+		ok := a.group(pos, &addr)
+		pos += 4 * a.stride
 		issued += 4
-		ok := a.u.At4(&idx, &addr)
 		for k, ad := range addr {
-			if ok&(1<<k) == 0 || a.avoided(ad) {
+			if ok&(1<<k) == 0 {
 				continue
 			}
 			if i < len(buf) {
@@ -270,6 +266,55 @@ func (a *Assigner) walk(buf []ipv4.Addr) error {
 	a.pos, a.issued, a.heldLo, a.heldHi = pos, issued, 0, uint8(held)
 	return nil
 }
+
+// Steps returns the length of the stride walk: the number of positions it
+// visits before the universe runs out, a power of two of at least 4.
+func (a *Assigner) Steps() uint64 { return a.u.Indexes() }
+
+// AppendSteps appends to dst the addresses steps [lo, hi) of the stride
+// walk draw, in walk order: each eligible address that is not avoided.
+// Over consecutive ranges from step 0 the appended addresses are those a
+// fresh assigner's Next("") calls return, up to exhaustion. lo and hi must
+// be multiples of 4 with lo ≤ hi ≤ Steps(). AppendSteps reads only what
+// NewAssigner built, never the cursors, so any number of goroutines may
+// call it on one assigner, and on its forks, while they draw.
+func (a *Assigner) AppendSteps(dst []ipv4.Addr, lo, hi uint64) []ipv4.Addr {
+	n := len(dst)
+	dst = slices.Grow(dst, int(hi-lo))
+	// Every visited address is written at out[i], and i moves past the
+	// ones drawn, so there is no branch on eligibility; after the group at
+	// step k, i ≤ k+4-lo, so the writes stay inside out.
+	out, i := dst[n:n+int(hi-lo)], 0
+	var addr [4]ipv4.Addr
+	for k := lo; k < hi; k += 4 {
+		ok := a.group(k*a.stride, &addr)
+		for j, ad := range addr {
+			out[i] = ad
+			i += int(ok >> j & 1)
+		}
+	}
+	return dst[:n+i]
+}
+
+// group visits the four positions pos, pos+stride, pos+2·stride and
+// pos+3·stride (modulo the universe size): it writes their addresses to
+// addr and returns the eligible ones that are not avoided as a bit mask.
+func (a *Assigner) group(pos uint64, addr *[4]ipv4.Addr) uint8 {
+	mask, stride := a.u.Indexes()-1, a.stride
+	idx := [4]uint64{pos & mask, (pos + stride) & mask, (pos + 2*stride) & mask, (pos + 3*stride) & mask}
+	ok := a.u.At4(&idx, addr)
+	for k, ad := range addr {
+		if ok&(1<<k) != 0 && a.avoided(ad) {
+			ok &^= 1 << k
+		}
+	}
+	return ok
+}
+
+// ErrUniverseExhausted reports an unpinned draw past the end of the stride
+// walk: the scan universe holds fewer eligible addresses than the
+// population's unpinned cohorts.
+var ErrUniverseExhausted = errors.New("population: universe exhausted")
 
 // residueOf recovers the universe's coset residue from any member address.
 func residueOf(u *scan.Universe) uint32 {

@@ -188,3 +188,25 @@ func BenchmarkAssignerDraw(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAssignerWalkSteps times the stride walk per step (ns/op is per
+// position visited) as the synthetic engine's segment walk runs it:
+// AppendSteps over 2^15-step ranges at full scale (shift 0), into one
+// reused buffer.
+func BenchmarkAssignerWalkSteps(b *testing.B) {
+	u, err := scan.NewUniverse(1, 0, ipv4.NewReservedBlocklist())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := NewAssigner(u, geo.DefaultRegistry(), &Population{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const segment = 1 << 15
+	buf := make([]ipv4.Addr, 0, segment)
+	b.ResetTimer()
+	for lo := uint64(0); lo < uint64(b.N); lo += segment {
+		hi := min(lo+segment, (uint64(b.N)+3)&^3)
+		buf = a.AppendSteps(buf[:0], lo, hi)
+	}
+}
