@@ -32,8 +32,9 @@ GO ?= go
 BENCH_OUT ?= BENCH_PR1.json
 BENCH_FRESH ?= bench_fresh.json
 # Repetitions per benchmark; benchdiff collapses them to per-metric minima,
-# so more runs means less scheduler noise in the gate.
-BENCH_COUNT ?= 3
+# so more runs means less scheduler noise in the gate. The BENCH_PR<n>.json
+# ledgers record 5 runs each, so 5 folds the same statistic on both sides.
+BENCH_COUNT ?= 5
 PROFILE_DIR ?= profiles
 # Profile target knobs: which package and which benchmarks to profile.
 PROFILE_PKG ?= .
@@ -158,8 +159,10 @@ bench-sim-par:
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
 # records it (BenchmarkShardEnvelope: BENCH_PR14.json; BenchmarkEventThroughput
 # and BenchmarkStepDrain: BENCH_PR20.json; the simulated-campaign
-# benchmarks: BENCH_PR22.json; BenchmarkAssignerDraw: BENCH_PR24.json; the
-# synthetic-campaign benchmarks BenchmarkCampaignSynthetic{2018,Serial,Parallel},
+# benchmarks: BENCH_PR22.json; BenchmarkAssignerDraw, ns per address that
+# population.Assigner.Assign draws (the ledger timed the deleted cursor
+# walk, the same walk): BENCH_PR24.json; the synthetic-campaign benchmarks
+# BenchmarkCampaignSynthetic{2018,Serial,Parallel},
 # BenchmarkSynthProbe, one sub-benchmark per answer kind, BenchmarkTruthAddr
 # and BenchmarkAssignerWalkSteps: BENCH_PR25.json).
 # Fails on

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -27,13 +28,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "orversion:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("orversion", flag.ContinueOnError)
 	year := fs.Int("year", 2018, "campaign year (2013 or 2018)")
 	shift := uint8(12)
@@ -69,18 +70,16 @@ func run(args []string) error {
 	})
 	rng := rand.New(rand.NewSource(*seed ^ 0xF17))
 	var targets []ipv4.Addr
-	for _, cohort := range pop.Cohorts {
-		for i := uint64(0); i < cohort.Count; i++ {
-			src, err := assigner.Next(cohort.Country)
-			if err != nil {
-				return err
-			}
-			profile := cohort.Profile
-			profile.Upstream = 0 // no hierarchy in this survey
-			profile.Version = fingerprint.Assign(rng, fingerprint.DefaultDistribution)
-			behavior.NewResolver(sim, src, core.RootAddr, profile)
-			targets = append(targets, src)
-		}
+	err = assigner.Assign(pop, func(ci int, src ipv4.Addr) error {
+		profile := pop.Cohorts[ci].Profile
+		profile.Upstream = 0 // no hierarchy in this survey
+		profile.Version = fingerprint.Assign(rng, fingerprint.DefaultDistribution)
+		behavior.NewResolver(sim, src, core.RootAddr, profile)
+		targets = append(targets, src)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	res, err := fingerprint.Scan(sim, core.ProberAddr, targets)
@@ -88,19 +87,19 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("version.bind survey over %d responders (%d campaign, 1/%d sample)\n\n",
+	fmt.Fprintf(out, "version.bind survey over %d responders (%d campaign, 1/%d sample)\n\n",
 		res.Probed, *year, uint64(1)<<shift)
-	fmt.Printf("%-44s %8s %8s\n", "banner", "count", "share")
+	fmt.Fprintf(out, "%-44s %8s %8s\n", "banner", "count", "share")
 	for _, v := range res.Top(*top) {
-		fmt.Printf("%-44s %8d %7.1f%%\n", v.Banner, v.Weight,
+		fmt.Fprintf(out, "%-44s %8d %7.1f%%\n", v.Banner, v.Weight,
 			float64(v.Weight)/float64(res.Probed)*100)
 	}
-	fmt.Printf("%-44s %8d %7.1f%%\n", "(banner withheld)", res.Refused,
+	fmt.Fprintf(out, "%-44s %8d %7.1f%%\n", "(banner withheld)", res.Refused,
 		float64(res.Refused)/float64(res.Probed)*100)
 	if res.Silent > 0 {
-		fmt.Printf("%-44s %8d\n", "(silent)", res.Silent)
+		fmt.Fprintf(out, "%-44s %8d\n", "(silent)", res.Silent)
 	}
-	fmt.Println("\nEmbedded forwarder builds (dnsmasq) dominate, as Takano et al. [8]")
-	fmt.Println("observed — the same CPE population behind the paper's deviant flags.")
+	fmt.Fprintln(out, "\nEmbedded forwarder builds (dnsmasq) dominate, as Takano et al. [8]")
+	fmt.Fprintln(out, "observed — the same CPE population behind the paper's deviant flags.")
 	return nil
 }

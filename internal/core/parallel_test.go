@@ -101,7 +101,7 @@ func synthCases(t *testing.T) []synthCase {
 }
 
 // referenceSynthesize is the synthetic engine reduced to its definition:
-// one assigner drawing a source address per probe in cohort order, the
+// Assign handing out a source address per probe in cohort order, the
 // allocating encode and decode APIs, and one accumulator. It has no shard
 // plan, no pool, no segment walk and no scratch reuse.
 func referenceSynthesize(t *testing.T, cfg Config, pop *population.Population, threat *threatintel.DB) *analysis.Report {
@@ -118,24 +118,22 @@ func referenceSynthesize(t *testing.T, cfg Config, pop *population.Population, t
 	acc := analysis.NewAccumulator(analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg})
 	size := cfg.scaledClusterSize()
 	var g int
-	for _, c := range pop.Cohorts {
-		for i := uint64(0); i < c.Count; i++ {
-			src, err := a.Next(c.Country)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := dnswire.NewQuery(ProbeQID(uint64(g)), dnssrv.FormatProbeName(g/size, g%size, paperdata.SLD), dnswire.TypeA)
-			res := dnssrv.Result{}
-			if c.Profile.Answer == behavior.AnswerTruth {
-				res = dnssrv.Result{Addr: dnssrv.TruthAddr(q.Questions[0].Name), OK: true}
-			}
-			wire, err := behavior.BuildResponse(q, c.Profile, res).Pack()
-			if err != nil {
-				t.Fatal(err)
-			}
-			acc.AddR2(src, wire)
-			g++
+	err = a.Assign(pop, func(ci int, src ipv4.Addr) error {
+		q := dnswire.NewQuery(ProbeQID(uint64(g)), dnssrv.FormatProbeName(g/size, g%size, paperdata.SLD), dnswire.TypeA)
+		p, res := pop.Cohorts[ci].Profile, dnssrv.Result{}
+		if p.Answer == behavior.AnswerTruth {
+			res = dnssrv.Result{Addr: dnssrv.TruthAddr(q.Questions[0].Name), OK: true}
 		}
+		wire, err := behavior.BuildResponse(q, p, res).Pack()
+		if err != nil {
+			return err
+		}
+		acc.AddR2(src, wire)
+		g++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return acc.Report(syntheticCampaignCounts(cfg, pop, size))
 }

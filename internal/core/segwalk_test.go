@@ -24,7 +24,7 @@ import (
 type walkRig struct {
 	a      *population.Assigner
 	segLen uint64
-	serial []ipv4.Addr // the serial walk: a fresh fork's Draw(""), to its end or to limit draws
+	serial []ipv4.Addr // the serial walk: Assign's unpinned draws, to its end or to limit draws
 	ended  bool        // the serial walk reached the end of the universe
 	bounds []uint64    // bounds[s]: draws before segment s, while within serial
 }
@@ -39,8 +39,8 @@ func newWalkRig(t *testing.T, shift uint8, limit int, segLen uint64) *walkRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := make([]ipv4.Addr, 64)
-	if err := probe.Draw("", first); err != nil {
+	first, err := assignUnpinned(probe, 64)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var infra []ipv4.Addr
@@ -51,17 +51,9 @@ func newWalkRig(t *testing.T, shift uint8, limit int, segLen uint64) *walkRig {
 	if r.a, err = population.NewAssigner(u, geo.DefaultRegistry(), &population.Population{}, infra...); err != nil {
 		t.Fatal(err)
 	}
-	cur := r.a.Fork()
-	for len(r.serial) < limit {
-		a, err := cur.Next("")
-		if errors.Is(err, population.ErrUniverseExhausted) {
-			r.ended = true
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.serial = append(r.serial, a)
+	r.serial, err = assignUnpinned(r.a, limit)
+	if r.ended = errors.Is(err, population.ErrUniverseExhausted); err != nil && !r.ended {
+		t.Fatal(err)
 	}
 	// The segments, concatenated, are the serial walk.
 	var walked []ipv4.Addr
@@ -73,6 +65,17 @@ func newWalkRig(t *testing.T, shift uint8, limit int, segLen uint64) *walkRig {
 		t.Fatalf("shift %d: the segments' %d draws are not the serial walk's %d", shift, len(walked), len(r.serial))
 	}
 	return r
+}
+
+// assignUnpinned returns the addresses a.Assign gives one unpinned cohort of
+// n, up to its error.
+func assignUnpinned(a *population.Assigner, n int) ([]ipv4.Addr, error) {
+	var out []ipv4.Addr
+	err := a.Assign(&population.Population{Cohorts: []population.Cohort{{Count: uint64(n)}}}, func(_ int, addr ipv4.Addr) error {
+		out = append(out, addr)
+		return nil
+	})
+	return out, err
 }
 
 // cuts returns shard boundaries over the rig's draws: shards that start

@@ -162,37 +162,37 @@ type simHost struct {
 	cohort int32
 }
 
-// placeSimHosts draws every resolver address through the assigner walk —
-// the same walk, and so the same addresses, as the synthetic engine's — and
-// places each in the shard whose probe range [start, end) holds the
-// address's probe-order position. That is exact: in a campaign only a
+// placeSimHosts places every resolver, at the address Assign gives it —
+// the stride walk and reservations the synthetic engine draws from, and so
+// the same addresses — in the shard whose probe range [start, end) holds
+// the address's probe-order position. That is exact: in a campaign only a
 // shard's prober sends to non-infrastructure addresses, and it sends only
 // to its own range, so a resolver is reached by exactly one shard. A
 // forwarder would break this (its upstream may sit in another shard), so a
 // population with one is refused; population.Build never makes one.
 func placeSimHosts(pop *population.Population, assigner *population.Assigner, u *scan.Universe, shards []simShard) ([][]simHost, error) {
+	for ci, cohort := range pop.Cohorts {
+		if cohort.Profile.ForwardTo != 0 {
+			return nil, fmt.Errorf("core: simulation mode cannot place cohort %d, a forwarder: its upstream may sit in another shard", ci)
+		}
+	}
 	// Positions are uniform over the equal shard ranges, so each list is
 	// sized once for its share plus slack.
 	hosts := make([][]simHost, len(shards))
 	for w := range hosts {
 		hosts[w] = make([]simHost, 0, pop.ExpectedR2/uint64(len(shards))*9/8+16)
 	}
-	for ci, cohort := range pop.Cohorts {
-		if cohort.Profile.ForwardTo != 0 {
-			return nil, fmt.Errorf("core: simulation mode cannot place cohort %d, a forwarder: its upstream may sit in another shard", ci)
+	err := assigner.Assign(pop, func(ci int, addr ipv4.Addr) error {
+		pos, ok := u.Position(addr)
+		if !ok {
+			return fmt.Errorf("core: resolver address %v is outside the scan universe", addr)
 		}
-		for i := uint64(0); i < cohort.Count; i++ {
-			addr, err := assigner.Next(cohort.Country)
-			if err != nil {
-				return nil, err
-			}
-			pos, ok := u.Position(addr)
-			if !ok {
-				return nil, fmt.Errorf("core: resolver address %v is outside the scan universe", addr)
-			}
-			w := sort.Search(len(shards), func(w int) bool { return shards[w].end > pos })
-			hosts[w] = append(hosts[w], simHost{addr: addr, cohort: int32(ci)})
-		}
+		w := sort.Search(len(shards), func(w int) bool { return shards[w].end > pos })
+		hosts[w] = append(hosts[w], simHost{addr: addr, cohort: int32(ci)})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return hosts, nil
 }

@@ -61,12 +61,14 @@ func newProbeRig(tb testing.TB, shift uint8) *probeRig {
 // shard by shard, the way the synthetic engine runs a shard: each shard's
 // source addresses are drawn, then synthesized, read in place.
 type probeStream struct {
-	w   *synthWorker
-	pop *population.Population
-	a   *population.Assigner
-	buf []ipv4.Addr // the running shard's draws
-	one [1][]ipv4.Addr
-	g   uint64 // the next shard's first global probe index
+	w    *synthWorker
+	pop  *population.Population
+	a    *population.Assigner
+	buf  []ipv4.Addr // the running shard's draws, then at most 3 drawn past it
+	n    int         // the running shard's draws in buf
+	step uint64      // the next walk step
+	one  [1][]ipv4.Addr
+	g    uint64 // the next shard's first global probe index
 }
 
 // stream returns a stream on a fresh synthWorker, for shards of up to
@@ -79,18 +81,26 @@ func (r *probeRig) stream(p behavior.Profile, clusterSize, maxShard uint64) *pro
 			acc:         analysis.NewAccumulator(r.accCfg),
 		},
 		pop: &population.Population{Cohorts: []population.Cohort{{Count: math.MaxUint64, Profile: p}}},
-		a:   r.assigner.Fork(),
-		buf: make([]ipv4.Addr, maxShard),
+		a:   r.assigner,
+		buf: make([]ipv4.Addr, 0, maxShard+3),
 	}
 }
 
-// next draws and synthesizes the next n probes as one shard.
+// next draws and synthesizes the next n probes as one shard. It walks as
+// many steps as draws are missing, rounded up to a group of four, so it
+// draws at most three past the shard, which the next shard takes first.
 func (s *probeStream) next(n uint64) error {
 	p := shardPlan{start: s.g, end: s.g + n, offset: s.g}
 	s.g += n
-	if err := s.a.Draw("", s.buf[:n]); err != nil {
-		return err
+	s.buf = s.buf[:copy(s.buf, s.buf[s.n:])]
+	for uint64(len(s.buf)) < n {
+		hi := min(s.step+(n-uint64(len(s.buf))+3)&^3, s.a.Steps())
+		if hi == s.step {
+			return population.ErrUniverseExhausted
+		}
+		s.buf, s.step = s.a.AppendSteps(s.buf, s.step, hi), hi
 	}
+	s.n = int(n)
 	s.one[0] = s.buf[:n]
 	s.w.src.walk = s.one[:]
 	return s.w.run(s.pop, p)
@@ -133,7 +143,7 @@ func TestSynthProbeZeroAlloc(t *testing.T) {
 // addresses are drawn as one shard's are.
 func BenchmarkSynthProbe(b *testing.B) {
 	// A shift-8 universe has about 14M eligible addresses; the worker
-	// starts over on a fresh fork of the rig's assigner every 4M probes.
+	// starts over at the walk's first address every 4M probes.
 	const restart = 1 << 22
 	rig := newProbeRig(b, 8)
 	clusterSize := uint64(Config{SampleShift: 10}.scaledClusterSize())
@@ -146,9 +156,7 @@ func BenchmarkSynthProbe(b *testing.B) {
 			b.ResetTimer()
 			for s.g < uint64(b.N) {
 				if s.g > 0 && s.g%restart < clusterSize {
-					b.StopTimer()
-					s.a = rig.assigner.Fork()
-					b.StartTimer()
+					s.buf, s.n, s.step = s.buf[:0], 0, 0
 				}
 				if err := s.next(min(clusterSize, uint64(b.N)-s.g)); err != nil {
 					b.Fatal(err)

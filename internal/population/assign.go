@@ -26,12 +26,11 @@ import (
 // addresses: only the country reservations (tens of thousands at full
 // scale) are materialized.
 //
-// The stride walk visits its positions in groups of four (Universe.At4):
-// the universe holds 2^k positions with k ≥ 2, so a group never crosses
-// the walk's end. The eligible addresses of the last group that have not
-// been handed out yet — at most three — wait in held, so the addresses
-// drawn, and the point where the universe runs out, are exactly those of
-// a walk that visits one position at a time.
+// An Assigner holds no cursor: NewAssigner is the only writer of its
+// fields. Whether step k of the stride walk yields an address depends on k
+// alone (AppendSteps), and the n-th pinned draw of a country is
+// Reserved(country)[n], so any number of goroutines may use one assigner.
+// Assign replays the whole population in cohort order.
 type Assigner struct {
 	u   *scan.Universe
 	reg *geo.Registry
@@ -42,39 +41,26 @@ type Assigner struct {
 	avoid map[ipv4.Addr]bool
 	// avoid16 marks every /16 prefix that holds at least one avoid entry.
 	// Most walked addresses fall in an unmarked prefix, which settles the
-	// check with one bit test instead of a map lookup. NewAssigner builds
-	// it once; forks share it read-only.
+	// check with one bit test instead of a map lookup.
 	avoid16 *prefixSet
 
-	// pos is the walk's next position before reduction modulo the
-	// universe size, issued the number of positions visited; both move in
-	// groups of four.
-	pos    uint64
-	stride uint64
-	issued uint64
-	// held[heldLo:heldHi] are the undrawn eligible addresses of the last
-	// group, in walk order.
-	held           [3]ipv4.Addr
-	heldLo, heldHi uint8
-
-	// reserved holds each country's pre-generated address list and a
-	// cursor into it.
+	// reserved holds each country's pre-generated address list.
 	reserved map[string][]ipv4.Addr
-	taken    map[string]int
 }
+
+// stride is the stride walk's step between positions. A large odd stride
+// decorrelates assignment order from probe order while remaining a
+// bijection over the 2^k index ring.
+const stride = 2654435761
 
 // NewAssigner builds an assigner for pop's cohorts. infra lists addresses
 // that must never be assigned (prober, root, TLD, authoritative server).
 func NewAssigner(u *scan.Universe, reg *geo.Registry, pop *Population, infra ...ipv4.Addr) (*Assigner, error) {
 	a := &Assigner{
-		u:     u,
-		reg:   reg,
-		avoid: make(map[ipv4.Addr]bool, len(infra)),
-		// A large odd stride decorrelates assignment order from probe
-		// order while remaining a bijection over the 2^k index ring.
-		stride:   2654435761,
+		u:        u,
+		reg:      reg,
+		avoid:    make(map[ipv4.Addr]bool, len(infra)),
 		reserved: make(map[string][]ipv4.Addr),
-		taken:    make(map[string]int),
 	}
 	for _, ip := range infra {
 		a.avoid[ip] = true
@@ -151,119 +137,79 @@ func (a *Assigner) reserveCountry(country string, n uint64) ([]ipv4.Addr, error)
 	return nil, fmt.Errorf("population: country %q has only %d/%d coset addresses", country, len(out), n)
 }
 
-// Fork returns an assigner with independent cursors over the same
-// assignment sequence. The universe, registry, avoid set, its prefix bitmap
-// and the per-country reservations are shared: NewAssigner is the only
-// writer of those, so forks may draw addresses concurrently with each other
-// and the parent as long as each assigner is used by a single goroutine.
+// Fork returns a copy of a.
+//
+// Deprecated: an Assigner has no cursor, so a copy draws nothing a itself
+// would not. Fork is kept only for perfbench's advance_ns_per_draw and goes
+// with AdvanceUnpinned in ROADMAP 10.4.
 func (a *Assigner) Fork() *Assigner {
-	taken := make(map[string]int, len(a.taken))
-	for k, v := range a.taken {
-		taken[k] = v
-	}
-	return &Assigner{
-		u: a.u, reg: a.reg, avoid: a.avoid, avoid16: a.avoid16,
-		pos: a.pos, stride: a.stride, issued: a.issued,
-		held: a.held, heldLo: a.heldLo, heldHi: a.heldHi,
-		reserved: a.reserved, taken: taken,
-	}
+	f := *a
+	return &f
 }
 
-// AdvanceUnpinned consumes and discards the next n unconstrained
-// assignments, leaving the cursor exactly where n successful Next("")
-// calls would. It is a replay, not arithmetic: every visited position is
-// still permuted and tested against the exclusions and the avoid set, so a
-// skipped draw costs as much as a drawn one. perfbench times it per draw.
+// AdvanceUnpinned walks the first n unpinned assignments, the addresses a
+// population of one unpinned cohort of n is given, and discards them.
+//
+// Deprecated: it is Assign over that cohort, kept only for perfbench's
+// advance_ns_per_draw; ROADMAP 10.4 moves that metric to AppendSteps and
+// deletes AdvanceUnpinned and Fork.
 func (a *Assigner) AdvanceUnpinned(n uint64) error {
-	var discard [256]ipv4.Addr
-	for n > 0 {
-		k := min(n, uint64(len(discard)))
-		if err := a.walk(discard[:k]); err != nil {
-			return err
-		}
-		n -= k
-	}
-	return nil
+	pop := &Population{Cohorts: []Cohort{{Count: n}}}
+	return a.Assign(pop, func(int, ipv4.Addr) error { return nil })
 }
 
-// AdvanceCountry consumes and discards the next n reserved addresses of
-// country. Country reservations are materialized lists, so this is O(1).
-func (a *Assigner) AdvanceCountry(country string, n uint64) error {
-	list := a.reserved[country]
-	i := a.taken[country]
-	if uint64(len(list)-i) < n {
-		return fmt.Errorf("population: country %q reservation exhausted", country)
-	}
-	a.taken[country] = i + int(n)
-	return nil
-}
-
-// Reserved returns country's reserved addresses in the order Draw(country)
-// hands them out: the n-th pinned draw of country is Reserved(country)[n].
-// The list is shared; callers must not modify it.
+// Reserved returns country's reserved addresses in the order Assign hands
+// them to the country's cohorts: the n-th pinned draw of country is
+// Reserved(country)[n]. The list is shared; callers must not modify it.
 func (a *Assigner) Reserved(country string) []ipv4.Addr { return a.reserved[country] }
 
-// Next returns the next source address for a resolver of the given cohort
-// country ("" = unconstrained).
-func (a *Assigner) Next(country string) (ipv4.Addr, error) {
-	var one [1]ipv4.Addr
-	err := a.Draw(country, one[:])
-	return one[0], err
-}
+// assignChunk is how many walk steps Assign draws at a time, a multiple of 4.
+const assignChunk = 1 << 10
 
-// Draw fills buf with the next len(buf) source addresses for resolvers of
-// the given cohort country ("" = unconstrained): the addresses len(buf)
-// Next(country) calls return, in one call.
-func (a *Assigner) Draw(country string, buf []ipv4.Addr) error {
-	if country == "" {
-		return a.walk(buf)
-	}
-	list := a.reserved[country]
-	i := a.taken[country]
-	if len(list)-i < len(buf) {
-		return fmt.Errorf("population: country %q reservation exhausted", country)
-	}
-	a.taken[country] = i + copy(buf, list[i:])
-	return nil
-}
-
-// walk fills buf from the stride walk: the held addresses first, then
-// group after group of four positions, each eligible address that is not
-// avoided in walk order. The cursor stays in locals, and since the
-// universe size is a power of two the reduction modulo it is a mask. On
-// exhaustion buf is partly filled and the cursor is at the walk's end.
-func (a *Assigner) walk(buf []ipv4.Addr) error {
-	i := copy(buf, a.held[a.heldLo:a.heldHi])
-	a.heldLo += uint8(i)
-	if i == len(buf) {
-		return nil
-	}
-	n := a.u.Indexes()
-	pos, issued := a.pos, a.issued
-	var addr [4]ipv4.Addr
-	held := 0
-	for i < len(buf) {
-		if issued >= n {
-			a.pos, a.issued, a.heldLo, a.heldHi = pos, issued, 0, 0
-			return ErrUniverseExhausted
-		}
-		ok := a.group(pos, &addr)
-		pos += 4 * a.stride
-		issued += 4
-		for k, ad := range addr {
-			if ok&(1<<k) == 0 {
-				continue
-			}
-			if i < len(buf) {
-				buf[i] = ad
-				i++
+// Assign calls fn with every resolver of pop, cohort by cohort, in order:
+// the cohort's index and the resolver's source address. Unpinned cohorts
+// take the stride walk's draws in walk order (AppendSteps from step 0),
+// pinned ones their country's reservation in order (Reserved). When the
+// walk or a reservation runs out, Assign has called fn for every address
+// before it and returns ErrUniverseExhausted or a reservation-exhausted
+// error. It stops at the first error fn returns and returns it.
+func (a *Assigner) Assign(pop *Population, fn func(cohort int, addr ipv4.Addr) error) error {
+	buf := make([]ipv4.Addr, 0, assignChunk)
+	var drawn []ipv4.Addr // the walk's draws not yet assigned, a tail of buf
+	step := uint64(0)
+	taken := make(map[string]int)
+	for ci, c := range pop.Cohorts {
+		for n := c.Count; n > 0; {
+			var from []ipv4.Addr
+			if c.Country != "" {
+				if from = a.reserved[c.Country][taken[c.Country]:]; len(from) == 0 {
+					return fmt.Errorf("population: country %q reservation exhausted", c.Country)
+				}
 			} else {
-				a.held[held] = ad
-				held++
+				for len(drawn) == 0 {
+					if step == a.Steps() {
+						return ErrUniverseExhausted
+					}
+					hi := min(step+assignChunk, a.Steps())
+					buf = a.AppendSteps(buf[:0], step, hi)
+					drawn, step = buf, hi
+				}
+				from = drawn
+			}
+			k := min(n, uint64(len(from)))
+			for _, addr := range from[:k] {
+				if err := fn(ci, addr); err != nil {
+					return err
+				}
+			}
+			n -= k
+			if c.Country != "" {
+				taken[c.Country] += int(k)
+			} else {
+				drawn = drawn[k:]
 			}
 		}
 	}
-	a.pos, a.issued, a.heldLo, a.heldHi = pos, issued, 0, uint8(held)
 	return nil
 }
 
@@ -273,11 +219,9 @@ func (a *Assigner) Steps() uint64 { return a.u.Indexes() }
 
 // AppendSteps appends to dst the addresses steps [lo, hi) of the stride
 // walk draw, in walk order: each eligible address that is not avoided.
-// Over consecutive ranges from step 0 the appended addresses are those a
-// fresh assigner's Next("") calls return, up to exhaustion. lo and hi must
-// be multiples of 4 with lo ≤ hi ≤ Steps(). AppendSteps reads only what
-// NewAssigner built, never the cursors, so any number of goroutines may
-// call it on one assigner, and on its forks, while they draw.
+// Over consecutive ranges from step 0 the appended addresses are those
+// Assign gives the unpinned cohorts, up to exhaustion. lo and hi must be
+// multiples of 4 with lo ≤ hi ≤ Steps().
 func (a *Assigner) AppendSteps(dst []ipv4.Addr, lo, hi uint64) []ipv4.Addr {
 	n := len(dst)
 	dst = slices.Grow(dst, int(hi-lo))
@@ -287,7 +231,7 @@ func (a *Assigner) AppendSteps(dst []ipv4.Addr, lo, hi uint64) []ipv4.Addr {
 	out, i := dst[n:n+int(hi-lo)], 0
 	var addr [4]ipv4.Addr
 	for k := lo; k < hi; k += 4 {
-		ok := a.group(k*a.stride, &addr)
+		ok := a.group(k*stride, &addr)
 		for j, ad := range addr {
 			out[i] = ad
 			i += int(ok >> j & 1)
@@ -300,7 +244,7 @@ func (a *Assigner) AppendSteps(dst []ipv4.Addr, lo, hi uint64) []ipv4.Addr {
 // pos+3·stride (modulo the universe size): it writes their addresses to
 // addr and returns the eligible ones that are not avoided as a bit mask.
 func (a *Assigner) group(pos uint64, addr *[4]ipv4.Addr) uint8 {
-	mask, stride := a.u.Indexes()-1, a.stride
+	mask := a.u.Indexes() - 1
 	idx := [4]uint64{pos & mask, (pos + stride) & mask, (pos + 2*stride) & mask, (pos + 3*stride) & mask}
 	ok := a.u.At4(&idx, addr)
 	for k, ad := range addr {

@@ -1,6 +1,8 @@
 package population
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"openresolver/internal/geo"
@@ -22,6 +24,19 @@ func buildScaled(t *testing.T, y paperdata.Year, shift uint8) (*Population, *sca
 	return pop, u
 }
 
+// assignAll returns every address Assign gives pop's resolvers, in order.
+func assignAll(t *testing.T, a *Assigner, pop *Population) []ipv4.Addr {
+	t.Helper()
+	var out []ipv4.Addr
+	if err := a.Assign(pop, func(_ int, addr ipv4.Addr) error {
+		out = append(out, addr)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestAssignerUniqueInUniverse(t *testing.T) {
 	pop, u := buildScaled(t, paperdata.Y2018, 10)
 	infra := []ipv4.Addr{
@@ -37,22 +52,16 @@ func TestAssignerUniqueInUniverse(t *testing.T) {
 	for _, ip := range infra {
 		infraSet[ip] = true
 	}
-	for _, c := range pop.Cohorts {
-		for i := uint64(0); i < c.Count; i++ {
-			addr, err := a.Next(c.Country)
-			if err != nil {
-				t.Fatalf("cohort %s/%s: %v", c.Class, c.Country, err)
-			}
-			if seen[addr] {
-				t.Fatalf("address %v assigned twice", addr)
-			}
-			seen[addr] = true
-			if !u.Contains(addr) {
-				t.Fatalf("address %v outside the scan universe", addr)
-			}
-			if infraSet[addr] {
-				t.Fatalf("infrastructure address %v assigned", addr)
-			}
+	for _, addr := range assignAll(t, a, pop) {
+		if seen[addr] {
+			t.Fatalf("address %v assigned twice", addr)
+		}
+		seen[addr] = true
+		if !u.Contains(addr) {
+			t.Fatalf("address %v outside the scan universe", addr)
+		}
+		if infraSet[addr] {
+			t.Fatalf("infrastructure address %v assigned", addr)
 		}
 	}
 	if uint64(len(seen)) != pop.ExpectedR2 {
@@ -67,19 +76,14 @@ func TestAssignerCountryPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range pop.Cohorts {
-		for i := uint64(0); i < c.Count; i++ {
-			addr, err := a.Next(c.Country)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.Country == "" {
-				continue
-			}
-			if got := reg.Country(addr); got != c.Country {
-				t.Fatalf("cohort wants %s, address %v geolocates to %s", c.Country, addr, got)
-			}
+	err = a.Assign(pop, func(ci int, addr ipv4.Addr) error {
+		if want := pop.Cohorts[ci].Country; want != "" && reg.Country(addr) != want {
+			t.Fatalf("cohort wants %s, address %v geolocates to %s", want, addr, reg.Country(addr))
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -91,17 +95,7 @@ func TestAssignerDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []ipv4.Addr
-		for _, c := range pop.Cohorts {
-			for i := uint64(0); i < c.Count; i++ {
-				addr, err := a.Next(c.Country)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, addr)
-			}
-		}
-		return out
+		return assignAll(t, a, pop)
 	}
 	x, y := gen(), gen()
 	if len(x) != len(y) {
@@ -130,13 +124,11 @@ func TestAssignerCountryReservationExhaustion(t *testing.T) {
 	if usCount == 0 {
 		t.Skip("no US malicious cohorts at this scale")
 	}
-	for i := uint64(0); i < usCount; i++ {
-		if _, err := a.Next("US"); err != nil {
-			t.Fatalf("draw %d: %v", i, err)
-		}
-	}
-	if _, err := a.Next("US"); err == nil {
-		t.Error("over-drawing the US reservation succeeded")
+	over := &Population{Cohorts: []Cohort{{Count: usCount, Country: "US"}, {Count: 1, Country: "US"}}}
+	var drawn uint64
+	err = a.Assign(over, func(int, ipv4.Addr) error { drawn++; return nil })
+	if err == nil || drawn != usCount {
+		t.Errorf("over-drawing the US reservation: %d of %d draws, then %v", drawn, usCount, err)
 	}
 }
 
@@ -146,14 +138,14 @@ func TestAssignerUnknownCountry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Next("XX"); err == nil {
+	if err := a.Assign(&Population{Cohorts: []Cohort{{Count: 1, Country: "XX"}}}, func(int, ipv4.Addr) error { return nil }); err == nil {
 		t.Error("unknown country accepted")
 	}
 }
 
 func TestAssignerRejectsImpossibleCountryLoad(t *testing.T) {
 	// A universe sampled so thinly that a country's blocks cannot host its
-	// cohort must fail at construction, not at Next.
+	// cohort must fail at construction, not at Assign.
 	pop := &Population{
 		Year: paperdata.Y2018,
 		Cohorts: []Cohort{
@@ -169,8 +161,73 @@ func TestAssignerRejectsImpossibleCountryLoad(t *testing.T) {
 	}
 }
 
+func TestAvoidPrefixBitmapCoversAvoidSet(t *testing.T) {
+	pop, u := buildScaled(t, paperdata.Y2018, 10)
+	a, err := NewAssigner(u, geo.DefaultRegistry(), pop, ipv4.MustParseAddr("45.76.1.10"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.avoid) < 2 {
+		t.Fatalf("avoid set holds %d addresses, want the infrastructure plus reservations", len(a.avoid))
+	}
+	for addr := range a.avoid {
+		if !a.avoid16.has(addr) || !a.avoided(addr) {
+			t.Fatalf("%v is in the avoid set but not avoided", addr)
+		}
+	}
+	marked := 0
+	for p := uint32(0); p < 1<<16; p++ {
+		if a.avoid16.has(ipv4.Addr(p << 16)) {
+			marked++
+		}
+	}
+	if marked == 0 || marked == 1<<16 {
+		t.Errorf("%d of 65536 prefixes marked", marked)
+	}
+}
+
+func TestAssignerSharedByGoroutines(t *testing.T) {
+	// NewAssigner is the only writer of an assigner. Under -race this pins
+	// that goroutines calling Assign and AppendSteps on one assigner at
+	// once write none of what they share, and draw what one caller draws.
+	pop, u := buildScaled(t, paperdata.Y2018, 12)
+	a, err := NewAssigner(u, geo.DefaultRegistry(), pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := assignAll(t, a, pop)
+	walk := a.AppendSteps(nil, 0, a.Steps())
+	errs := make(chan error, 4)
+	for i := range cap(errs) {
+		go func() {
+			var got []ipv4.Addr
+			if i%2 == 0 {
+				err := a.Assign(pop, func(_ int, addr ipv4.Addr) error { got = append(got, addr); return nil })
+				if err != nil || !slices.Equal(got, want) {
+					errs <- fmt.Errorf("goroutine %d: Assign drew %d addresses unlike the serial %d (%v)", i, len(got), len(want), err)
+					return
+				}
+			} else {
+				for lo := uint64(0); lo < a.Steps(); lo += 1 << 8 {
+					got = a.AppendSteps(got, lo, lo+1<<8)
+				}
+				if !slices.Equal(got, walk) {
+					errs <- fmt.Errorf("goroutine %d: AppendSteps drew %d addresses unlike the serial %d", i, len(got), len(walk))
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range cap(errs) {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // BenchmarkAssignerDraw times the unpinned stride walk per drawn address
-// at full scale (shift 0), drawing in blocks as a synthetic shard does.
+// at full scale (shift 0): Assign over one unpinned cohort of b.N.
 func BenchmarkAssignerDraw(b *testing.B) {
 	u, err := scan.NewUniverse(1, 0, ipv4.NewReservedBlocklist())
 	if err != nil {
@@ -180,12 +237,10 @@ func BenchmarkAssignerDraw(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]ipv4.Addr, 1024)
+	pop := &Population{Cohorts: []Cohort{{Count: uint64(b.N)}}}
 	b.ResetTimer()
-	for n := b.N; n > 0; n -= len(buf) {
-		if err := a.Draw("", buf[:min(n, len(buf))]); err != nil {
-			b.Fatal(err)
-		}
+	if err := a.Assign(pop, func(int, ipv4.Addr) error { return nil }); err != nil {
+		b.Fatal(err)
 	}
 }
 

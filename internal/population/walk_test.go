@@ -14,19 +14,25 @@ import (
 // serialWalk is the assigner's unpinned stride walk one position at a
 // time: the definition the four-lane walk must reproduce draw for draw.
 type serialWalk struct {
-	a           *Assigner // for the universe, stride and avoid set
+	a           *Assigner // for the universe and avoid set
 	pos, issued uint64
 }
 
 var errWalkEnd = errors.New("universe exhausted")
 
+// visit moves past the next position and returns its address, with ok
+// set if the walk draws it.
+func (w *serialWalk) visit() (addr ipv4.Addr, ok bool) {
+	idx := w.pos % w.a.u.Indexes()
+	w.pos += stride
+	w.issued++
+	addr, ok = w.a.u.At(idx)
+	return addr, ok && !w.a.avoided(addr)
+}
+
 func (w *serialWalk) next() (ipv4.Addr, error) {
-	n := w.a.u.Indexes()
-	for w.issued < n {
-		idx := w.pos % n
-		w.pos += w.a.stride
-		w.issued++
-		if addr, ok := w.a.u.At(idx); ok && !w.a.avoided(addr) {
+	for w.issued < w.a.u.Indexes() {
+		if addr, ok := w.visit(); ok {
 			return addr, nil
 		}
 	}
@@ -47,15 +53,20 @@ func (w *serialWalk) draws(k int) ([]ipv4.Addr, error) {
 	return out, nil
 }
 
-// TestLaneWalkMatchesSerialWalk drives the assigner with a random mix of
-// Next(""), AdvanceUnpinned and Draw calls of random sizes, and Forks taken
-// wherever the mix happens to be (usually mid-group), and requires every
-// draw to equal the serial walk's. The avoid set holds some of the walk's
-// own addresses, so skipping them is covered. Shift 1 cycle-walks (31 bits,
-// two 16-bit Feistel halves); shift 30 is the smallest universe (four
-// positions), and shifts 20 and 30 run to exhaustion, which must hit the
-// same draw as in the serial walk.
+// TestLaneWalkMatchesSerialWalk requires the four-lane walk to draw what
+// the serial walk draws, both ways it is reached. AppendSteps over ranges
+// between random cut points (multiples of 4, some ranges empty) must
+// append the serial walk's draws over the same steps. Assign over a random
+// interleaving of pinned and unpinned cohorts (some empty) must give each
+// unpinned resolver the serial walk's next draw and each pinned one its
+// country's next reserved address. The avoid set holds some of the walk's
+// own addresses, and the reservations, so skipping them is covered. Shift
+// 1 cycle-walks (31 bits, two 16-bit Feistel halves); shift 30 is the
+// smallest universe (four positions). Shifts 20 and 30, too sparse for the
+// reservations, run to exhaustion, which Assign must report at the same
+// draw as the serial walk.
 func TestLaneWalkMatchesSerialWalk(t *testing.T) {
+	reg := geo.DefaultRegistry()
 	for _, tc := range []struct {
 		shift   uint8
 		draws   int
@@ -66,7 +77,7 @@ func TestLaneWalkMatchesSerialWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Avoid a few addresses the walk itself would draw.
-		probe, err := NewAssigner(u, geo.DefaultRegistry(), &Population{})
+		probe, err := NewAssigner(u, reg, &Population{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,73 +86,80 @@ func TestLaneWalkMatchesSerialWalk(t *testing.T) {
 		for i := 2; i < len(first); i += 7 {
 			infra = append(infra, first[i])
 		}
-		a, err := NewAssigner(u, geo.DefaultRegistry(), &Population{}, infra...)
+		rng := rand.New(rand.NewSource(int64(tc.shift)))
+		size := func() uint64 {
+			if rng.Intn(4) == 0 {
+				return uint64(rng.Intn(300))
+			}
+			return uint64(rng.Intn(10))
+		}
+		unpinned := uint64(tc.draws)
+		if tc.exhaust {
+			unpinned = u.AllowedCount() + 1
+		}
+		pop := &Population{}
+		for n := uint64(0); n < unpinned; {
+			c := Cohort{Count: min(size(), unpinned-n)}
+			if tc.shift <= 10 && rng.Intn(3) == 0 {
+				c = Cohort{Count: uint64(rng.Intn(4)), Country: []string{"US", "CN", "DE"}[rng.Intn(3)]}
+			} else {
+				n += c.Count
+			}
+			pop.Cohorts = append(pop.Cohorts, c)
+		}
+		a, err := NewAssigner(u, reg, pop, infra...)
 		if err != nil {
 			t.Fatal(err)
 		}
+
+		// AppendSteps, between random cut points.
 		ref := &serialWalk{a: a}
-		rng := rand.New(rand.NewSource(int64(tc.shift)))
-		drawn, ended := 0, false
-		for step := 0; !ended && (tc.exhaust || drawn < tc.draws); step++ {
-			k := 1 + rng.Intn(9)
-			if rng.Intn(4) == 0 {
-				k = rng.Intn(300)
-			}
-			want, wantErr := ref.draws(k)
-			var got []ipv4.Addr
-			var gotErr error
-			op := rng.Intn(4)
-			switch op {
-			case 0: // Next(""), k times
-				for range k {
-					addr, err := a.Next("")
-					if err != nil {
-						gotErr = err
-						break
-					}
-					got = append(got, addr)
+		var got, want []ipv4.Addr
+		for lo := uint64(0); lo < a.Steps() && (tc.exhaust || len(want) < tc.draws); {
+			hi := min(lo+4*size(), a.Steps())
+			got = a.AppendSteps(got, lo, hi)
+			for ; lo < hi; lo++ {
+				if addr, ok := ref.visit(); ok {
+					want = append(want, addr)
 				}
-			case 1:
-				got = make([]ipv4.Addr, k)
-				gotErr = a.Draw("", got)
-			case 2:
-				// AdvanceUnpinned skips k draws; the next draw shows where
-				// it left the cursor.
-				gotErr = a.AdvanceUnpinned(uint64(k))
-				got = want
-			case 3:
-				// A fork draws the same k as its parent, from the same
-				// point, and leaves the parent's cursor alone.
-				f := a.Fork()
-				fork := make([]ipv4.Addr, k)
-				forkErr := f.Draw("", fork)
-				got = make([]ipv4.Addr, k)
-				gotErr = a.Draw("", got)
-				if (forkErr == nil) != (gotErr == nil) || gotErr == nil && !slices.Equal(fork, got) {
-					t.Fatalf("shift %d step %d: fork drew %v (%v), parent %v (%v)", tc.shift, step, fork, forkErr, got, gotErr)
-				}
-			}
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("shift %d step %d (op %d, %d draws after %d): error %v, serial walk %v", tc.shift, step, op, k, drawn, gotErr, wantErr)
-			}
-			if wantErr != nil {
-				ended = true
-				// Exhaustion is final.
-				if _, err := a.Next(""); err == nil {
-					t.Fatalf("shift %d: a draw succeeded after the universe ran out", tc.shift)
-				}
-				break
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("shift %d step %d (op %d, %d draws after %d): drew %v, serial walk %v", tc.shift, step, op, k, drawn, got, want)
+				t.Fatalf("shift %d: AppendSteps to step %d drew %d addresses unlike the serial walk's %d", tc.shift, hi, len(got), len(want))
 			}
-			drawn += k
 		}
-		if tc.exhaust && !ended {
-			t.Fatalf("shift %d: universe never ran out", tc.shift)
+
+		// Assign, against the serial walk and the reservations in order.
+		type draw struct {
+			cohort int
+			addr   ipv4.Addr
 		}
-		if tc.exhaust && uint64(drawn) > u.AllowedCount() {
-			t.Fatalf("shift %d: drew %d of %d eligible addresses", tc.shift, drawn, u.AllowedCount())
+		var gotDraws, wantDraws []draw
+		gotErr := a.Assign(pop, func(ci int, addr ipv4.Addr) error {
+			gotDraws = append(gotDraws, draw{ci, addr})
+			return nil
+		})
+		ref, taken := &serialWalk{a: a}, map[string]int{}
+		var wantErr error
+		for ci, c := range pop.Cohorts {
+			for i := uint64(0); i < c.Count && wantErr == nil; i++ {
+				var addr ipv4.Addr
+				var err error
+				if c.Country == "" {
+					addr, err = ref.next()
+				} else {
+					addr = a.Reserved(c.Country)[taken[c.Country]]
+					taken[c.Country]++
+				}
+				if wantErr = err; err == nil {
+					wantDraws = append(wantDraws, draw{ci, addr})
+				}
+			}
+		}
+		if !slices.Equal(gotDraws, wantDraws) {
+			t.Fatalf("shift %d: Assign drew %d resolvers unlike the serial walk's %d", tc.shift, len(gotDraws), len(wantDraws))
+		}
+		if tc.exhaust != (wantErr != nil) || tc.exhaust != errors.Is(gotErr, ErrUniverseExhausted) || !tc.exhaust && gotErr != nil {
+			t.Fatalf("shift %d: Assign returned %v after %d draws, serial walk %v", tc.shift, gotErr, len(gotDraws), wantErr)
 		}
 	}
 }
