@@ -158,13 +158,16 @@ bench-sim-par:
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
 # records it (BenchmarkShardEnvelope: BENCH_PR14.json; BenchmarkEventThroughput
-# and BenchmarkStepDrain: BENCH_PR20.json; the simulated-campaign
-# benchmarks: BENCH_PR22.json; BenchmarkAssignerDraw, ns per address that
-# population.Assigner.Assign draws (the ledger timed the deleted cursor
+# and BenchmarkStepDrain: BENCH_PR20.json; BenchmarkAssignerDraw, ns per
+# address that population.Assigner.Assign draws (the ledger timed the deleted cursor
 # walk, the same walk): BENCH_PR24.json; the synthetic-campaign benchmarks
 # BenchmarkCampaignSynthetic{2018,Serial,Parallel},
 # BenchmarkSynthProbe, one sub-benchmark per answer kind, BenchmarkTruthAddr
-# and BenchmarkAssignerWalkSteps: BENCH_PR25.json).
+# and BenchmarkAssignerWalkSteps: BENCH_PR25.json; the simulated-campaign
+# benchmarks BenchmarkCampaignSimulated{2013,2018,Serial2013,Serial2018},
+# BenchmarkProberSend/{routed,unrouted}, ns per probe of a running
+# campaign's send path, and BenchmarkUniverseNext, ns per address of the
+# prober's universe walk: BENCH_PR27.json).
 # Fails on
 # >25% ns/op growth or >0.1% allocs/op growth for any benchmark both sides
 # know (zero-alloc benchmarks stay strict — 0 × 1.001 is still 0).
@@ -175,7 +178,9 @@ benchdiff:
 	  $(GO) test -run '^$$' -bench 'EventThroughput|TimerEnqueueDequeue|HostLookup|StepDrain' -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe' -benchmem -count $(BENCH_COUNT) ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'TruthAddr' -benchmem -count $(BENCH_COUNT) ./internal/dnssrv ; \
-	  $(GO) test -run '^$$' -bench 'AssignerDraw|AssignerWalkSteps' -benchmem -count $(BENCH_COUNT) ./internal/population ) \
+	  $(GO) test -run '^$$' -bench 'AssignerDraw|AssignerWalkSteps' -benchmem -count $(BENCH_COUNT) ./internal/population ; \
+	  $(GO) test -run '^$$' -bench 'ProberSend' -benchmem -count $(BENCH_COUNT) ./internal/prober ; \
+	  $(GO) test -run '^$$' -bench 'UniverseNext' -benchmem -count $(BENCH_COUNT) ./internal/scan ) \
 	  | $(GO) run ./scripts/bench2json > $(BENCH_FRESH)
 	$(GO) run ./scripts/benchdiff -fresh $(BENCH_FRESH) -alloc-ratio 1.001 -newest BENCH_PR*.json
 

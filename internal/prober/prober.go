@@ -216,6 +216,9 @@ func Start(sim *netsim.Sim, cfg Config) (*Prober, error) {
 // cluster c.
 func (p *Prober) refillCluster(c int) {
 	p.cluster = c
+	if cap(p.avail) < p.cfg.ClusterSize {
+		p.avail = make([]int, 0, p.cfg.ClusterSize) // sized once: the pool never holds more
+	}
 	p.avail = p.avail[:0]
 	for i := p.cfg.ClusterSize - 1; i >= 0; i-- {
 		p.avail = append(p.avail, i)
@@ -380,12 +383,10 @@ func (p *Prober) tick() {
 // order, to expire.
 func (p *Prober) sweep(now time.Duration) {
 	last := int64((now - p.start) / tickInterval)
-	for {
-		idx, cluster, ok := p.wheel.pop(last)
-		if !ok {
-			return
+	for es := p.wheel.take(last); es != nil; es = p.wheel.take(last) {
+		for _, e := range es {
+			p.expire(int(e.idx), int(e.cluster), now)
 		}
-		p.expire(idx, cluster, now)
 	}
 }
 
@@ -456,7 +457,7 @@ func (p *Prober) sendOne(now time.Duration) bool {
 		p.avail = append(p.avail, idx)
 		return true
 	}
-	p.node.SendPooled(target, p.srcPort, dnssrv.DNSPort, p.appendProbe(p.node.PayloadBuf(), idx, id))
+	p.transmit(target, idx, id)
 	p.sent++
 	p.cfg.Obs.Inc(obs.CProbeSent)
 	p.cfg.Log.CountQ1(1)
@@ -468,6 +469,16 @@ func (p *Prober) sendOne(now time.Duration) bool {
 	}
 	p.arm(idx, now+p.rto())
 	return true
+}
+
+// transmit sends the probe for subdomain idx under transaction ID id to
+// target. A target with no host, on a network without impairments, gets
+// no packet: netsim only makes the accounting of its dead-lettered send
+// (Node.SendUnrouted), which is all such a send would do.
+func (p *Prober) transmit(target ipv4.Addr, idx int, id uint16) {
+	if !p.node.SendUnrouted(target) {
+		p.node.SendPooled(target, p.srcPort, dnssrv.DNSPort, p.appendProbe(p.node.PayloadBuf(), idx, id))
+	}
 }
 
 // Latencies returns the response latencies observed so far (probe send to

@@ -16,7 +16,6 @@ package prober
 import (
 	"time"
 
-	"openresolver/internal/dnssrv"
 	"openresolver/internal/obs"
 )
 
@@ -169,7 +168,7 @@ func (p *Prober) retransmit(idx int, now time.Duration) {
 		p.giveUp(idx)
 		return
 	}
-	p.node.SendPooled(p.target[idx], p.srcPort, dnssrv.DNSPort, p.appendProbe(p.node.PayloadBuf(), idx, p.qid[idx]))
+	p.transmit(p.target[idx], idx, p.qid[idx])
 	p.retransmits++
 	p.cfg.Obs.Inc(obs.CProbeRetransmits)
 	p.sendAt[idx] = now

@@ -21,22 +21,46 @@ import (
 //
 // Slots live in a power-of-two ring larger than the horizon (the longest
 // timeout the prober can arm, in ticks), so the ring never holds two
-// absolute slots in one position. Entries are nodes of one arena, chained
-// through next into per-slot FIFOs; a drained node goes on the free list,
-// so a warmed wheel arms without allocating.
+// absolute slots in one position. A slot is a FIFO of chunks, each a
+// contiguous array of entries in arm order: arming appends to the last
+// chunk, and draining hands whole chunks out. Chunks come from one arena
+// with a free list, so a warmed wheel arms without allocating, and the
+// arena holds about as many entries as are in flight — not, as a growable
+// array per ring slot would, the most each slot ever held, summed over a
+// ring that retransmission backoff makes hundreds of slots long.
 type wheel struct {
-	head, tail []int32 // per ring position: first and last node, -1 when empty
-	mask       int64   // len(head) − 1
-	nodes      []wheelNode
-	free       int32 // free-list head, -1 when empty
-	n          int   // armed entries: the prober's in-flight count
-	swept      int64 // last absolute slot fully drained
+	slots  []wheelSlot
+	mask   int64 // len(slots) − 1
+	chunks []wheelChunk
+	free   int32 // free-list head, -1 when empty
+	n      int   // armed entries: the prober's in-flight count
+	swept  int64 // last absolute slot fully drained
 }
 
-// wheelNode is one armed timeout: subdomain idx of cluster, and the next
-// node in its slot's FIFO (or in the free list); -1 ends a chain.
-type wheelNode struct {
-	idx, cluster, next int32
+// wheelSlot is one ring position: its first and last chunk, -1 when
+// empty, and the entries in use in the last one. Arming reads the fill
+// count here rather than in the chunk, so it touches the chunk only to
+// write the entry.
+type wheelSlot struct {
+	head, tail, fill int32
+}
+
+// wheelEntry is one armed timeout: subdomain idx of cluster. The cluster
+// is kept because a rotation can strand armed entries of the old one.
+type wheelEntry struct {
+	idx, cluster int32
+}
+
+// wheelChunkLen is the number of entries in one chunk. A 2013 shard arms
+// about four probes per tick, so a longer chunk would mostly sit empty.
+const wheelChunkLen = 8
+
+// wheelChunk is a run of one slot's entries in arm order, and the next
+// chunk of its slot or of the free list. A slot's chunks before its last
+// are full.
+type wheelChunk struct {
+	e    [wheelChunkLen]wheelEntry
+	next int32
 }
 
 // init sizes the ring for timeouts up to horizon. A deadline armed at now
@@ -44,10 +68,9 @@ type wheelNode struct {
 // now is off the tick grid), so the mask must be at least that.
 func (w *wheel) init(horizon time.Duration) {
 	size := 1 << bits.Len64(uint64(slotOf(horizon)+1))
-	w.head = make([]int32, size)
-	w.tail = make([]int32, size)
-	for i := range w.head {
-		w.head[i], w.tail[i] = -1, -1
+	w.slots = make([]wheelSlot, size)
+	for i := range w.slots {
+		w.slots[i] = wheelSlot{head: -1, tail: -1}
 	}
 	w.mask = int64(size - 1)
 	w.free = -1
@@ -67,47 +90,52 @@ func (w *wheel) arm(s int64, idx, cluster int) {
 	if s <= w.swept || s-w.swept > w.mask {
 		panic(fmt.Sprintf("prober: timeout slot %d outside the wheel's window (%d, %d]", s, w.swept, w.swept+w.mask))
 	}
-	n := w.free
-	if n >= 0 {
-		w.free = w.nodes[n].next
-		w.nodes[n] = wheelNode{idx: int32(idx), cluster: int32(cluster), next: -1}
-	} else {
-		n = int32(len(w.nodes))
-		w.nodes = append(w.nodes, wheelNode{idx: int32(idx), cluster: int32(cluster), next: -1})
+	sl := &w.slots[s&w.mask]
+	if sl.tail < 0 || sl.fill == wheelChunkLen {
+		c := w.free
+		if c >= 0 {
+			w.free = w.chunks[c].next
+		} else {
+			c = int32(len(w.chunks))
+			w.chunks = append(w.chunks, wheelChunk{})
+		}
+		if sl.tail >= 0 {
+			w.chunks[sl.tail].next = c
+		} else {
+			sl.head = c
+		}
+		sl.tail, sl.fill = c, 0
 	}
-	pos := s & w.mask
-	if t := w.tail[pos]; t >= 0 {
-		w.nodes[t].next = n
-	} else {
-		w.head[pos] = n
-	}
-	w.tail[pos] = n
+	w.chunks[sl.tail].e[sl.fill] = wheelEntry{idx: int32(idx), cluster: int32(cluster)}
+	sl.fill++
 	w.n++
 }
 
-// pop removes and returns the oldest entry of the earliest non-empty slot
-// up to absolute slot last. Once it reports false, every slot up to last
-// is drained.
-func (w *wheel) pop(last int64) (idx, cluster int, ok bool) {
+// take removes the first chunk of the earliest non-empty slot up to
+// absolute slot last and returns its entries in arm order, or nil once
+// every slot up to last is drained. The entries stay valid until the next
+// arm, which may reuse the chunk.
+func (w *wheel) take(last int64) []wheelEntry {
 	for w.n > 0 && w.swept < last {
-		pos := (w.swept + 1) & w.mask
-		n := w.head[pos]
-		if n < 0 {
+		sl := &w.slots[(w.swept+1)&w.mask]
+		c := sl.head
+		if c < 0 {
 			w.swept++
 			continue
 		}
-		nd := &w.nodes[n]
-		w.head[pos] = nd.next
-		if nd.next < 0 {
-			w.tail[pos] = -1
+		ch := &w.chunks[c]
+		n := int32(wheelChunkLen)
+		if c == sl.tail {
+			n, sl.head, sl.tail = sl.fill, -1, -1
+		} else {
+			sl.head = ch.next
 		}
-		idx, cluster = int(nd.idx), int(nd.cluster)
-		nd.next, w.free = w.free, n
-		w.n--
-		return idx, cluster, true
+		w.n -= int(n)
+		ch.next, w.free = w.free, c
+		return ch.e[:n]
 	}
 	if w.swept < last {
 		w.swept = last // nothing armed: skip the empty slots
 	}
-	return 0, 0, false
+	return nil
 }

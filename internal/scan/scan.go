@@ -18,6 +18,7 @@ package scan
 
 import (
 	"fmt"
+	"math/bits"
 
 	"openresolver/internal/ipv4"
 )
@@ -261,10 +262,21 @@ func (u *Universe) AllowedCount() uint64 {
 // Iterator walks the universe in probe order, optionally sharded: shard s of
 // n visits positions s, s+n, s+2n, … permitting parallel senders exactly as
 // ZMap shards do.
+//
+// The walk evaluates its positions four at a time (Universe.At4) and hands
+// the buffered addresses out in position order; a tail shorter than four
+// positions is walked one At call each. The sequence is exactly the
+// At-filtered one.
 type Iterator struct {
 	u        *Universe
-	pos, end uint64
+	pos, end uint64 // next position not yet evaluated, and the bound
 	step     uint64
+	buf      [4]ipv4.Addr
+	// elig holds the eligible bits of buf not yet handed out; held counts
+	// the buffered positions after the last one handed out, eligible or
+	// not, for Remaining.
+	elig uint8
+	held uint8
 }
 
 // Iterate returns an iterator over the whole universe (one shard).
@@ -296,6 +308,24 @@ func (u *Universe) Range(start, end uint64) *Iterator {
 // Next returns the next probe-eligible address. ok is false when the shard
 // is exhausted. Excluded candidates are skipped internally.
 func (it *Iterator) Next() (addr ipv4.Addr, ok bool) {
+	for {
+		if it.elig != 0 {
+			k := bits.TrailingZeros8(it.elig)
+			it.elig &= it.elig - 1
+			it.held = 3 - uint8(k)
+			return it.buf[k], true
+		}
+		it.held = 0
+		// Four lanes need pos+3·step < end; fewer positions left take the
+		// one-lane tail.
+		if it.pos >= it.end || (it.end-it.pos-1)/3 < it.step {
+			break
+		}
+		p, s := it.pos, it.step
+		idx := [4]uint64{p, p + s, p + 2*s, p + 3*s}
+		it.elig = it.u.At4(&idx, &it.buf)
+		it.pos += 4 * s
+	}
 	for it.pos < it.end {
 		a, eligible := it.u.At(it.pos)
 		it.pos += it.step
@@ -306,10 +336,12 @@ func (it *Iterator) Next() (addr ipv4.Addr, ok bool) {
 	return 0, false
 }
 
-// Remaining returns an upper bound on candidates left (including excluded).
+// Remaining returns an upper bound on candidates left (including excluded),
+// counting the buffered positions not yet handed out.
 func (it *Iterator) Remaining() uint64 {
-	if it.pos >= it.end {
-		return 0
+	n := uint64(it.held)
+	if it.pos < it.end {
+		n += (it.end - it.pos + it.step - 1) / it.step
 	}
-	return (it.end - it.pos + it.step - 1) / it.step
+	return n
 }

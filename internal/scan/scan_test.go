@@ -374,3 +374,16 @@ func FuzzUniversePosition(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkUniverseNext times the prober's universe walk per address
+// handed out, at the sampling and exclusions of a shift-8 campaign.
+func BenchmarkUniverseNext(b *testing.B) {
+	u, _ := NewUniverse(1, 8, ipv4.NewReservedBlocklist())
+	it := u.Iterate()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := it.Next(); !ok {
+			it = u.Iterate()
+		}
+	}
+}
