@@ -164,10 +164,11 @@ bench-sim-par:
 # BenchmarkCampaignSynthetic{2018,Serial,Parallel},
 # BenchmarkSynthProbe, one sub-benchmark per answer kind, BenchmarkTruthAddr
 # and BenchmarkAssignerWalkSteps: BENCH_PR25.json; the simulated-campaign
-# benchmarks BenchmarkCampaignSimulated{2013,2018,Serial2013,Serial2018},
-# BenchmarkProberSend/{routed,unrouted}, ns per probe of a running
-# campaign's send path, and BenchmarkUniverseNext, ns per address of the
-# prober's universe walk: BENCH_PR27.json).
+# benchmarks BenchmarkCampaignSimulated{2013,2018,Serial2013,Serial2018}
+# and BenchmarkUniverseNext, ns per address of the prober's universe walk:
+# BENCH_PR27.json; BenchmarkProberSend/{routed,unrouted,impaired}, ns per
+# probe of a running campaign's send path, impaired with the sim-chaos-2018
+# pipeline and three retries: BENCH_PR28.json).
 # Fails on
 # >25% ns/op growth or >0.1% allocs/op growth for any benchmark both sides
 # know (zero-alloc benchmarks stay strict — 0 × 1.001 is still 0).

@@ -31,16 +31,30 @@
 //     HandleDatagram call. Latencies are drawn in nanoseconds, so events
 //     practically never share an instant and there is nothing to batch.
 //
-//   - Sends to addresses with no registered host are dead-lettered at
-//     submission — one host-table miss, and the NoRoute accounting happens
-//     without a queue round trip. At campaign scale ~95% of probes hit
-//     unoccupied addresses, so this is the event core's hottest shortcut.
-//     A host may stand in as a cheap placeholder and re-register its own
-//     address with the real host on first contact (see Sim.Register).
+//   - Every datagram takes one send path that works out its fate — the
+//     fault pipeline, duplicate copies, corrupt bit, latency draws and
+//     route — before its payload is needed. Sends to addresses with no
+//     registered host are dead-lettered at submission: one host-table
+//     miss, and the NoRoute accounting happens without a queue round
+//     trip. At campaign scale about 99.5% of probes hit unoccupied
+//     addresses, so this is the event core's hottest shortcut. A host may
+//     stand in as a cheap placeholder and re-register its own address
+//     with the real host on first contact (see Sim.Register).
 //
 //   - Hosts sit in a flat open-addressed table backed by a chunked Node
-//     arena, and datagram payload buffers recycle through a pool via
-//     Node.PayloadBuf / Node.SendPooled.
+//     arena, and datagram payload buffers recycle through a pool.
+//
+// Hosts send datagrams through their Node:
+//
+//   - Send and SendSpoofed send caller-owned bytes.
+//
+//   - PayloadBuf lends a buffer from the payload pool, and SendPooled
+//     sends it and recycles it once the datagram is consumed.
+//
+//   - SendDeferred sends a payload of a declared size that is not built
+//     yet: a PayloadBuilder writes it into a pooled buffer only when a
+//     copy will be delivered, so a dropped or dead-lettered datagram
+//     never gets its bytes.
 //
 // Two optional layers sit on top of the pristine core, both off by
 // default and both preserving determinism:

@@ -24,7 +24,9 @@ import (
 // service models TCP, whose retransmissions hide link loss). Each
 // impairment reads and updates a shared Fate; the simulator then executes
 // the combined verdict: drop, deliver with extra delay, inject duplicate
-// copies, or flip a payload bit. Duplicate copies are cloned from the
+// copies, or flip a payload bit. The verdict depends on the datagram's
+// addresses and length only, so the simulator executes it before the
+// payload of a deferred send exists. Duplicate copies are cloned from the
 // original payload before any corruption is applied, so a corrupted
 // primary never leaks into its twins.
 
@@ -58,8 +60,36 @@ type Fate struct {
 // chain) must advance their state on every call — including calls where the
 // packet is already doomed — so the chain's trajectory is a function of the
 // packet sequence alone.
+//
+// On a deferred send (Node.SendDeferred) the payload is not built yet. When
+// every element of the pipeline, including any a Windowed wraps, is one of
+// this package's impairments, Apply then sees a Payload of the declared
+// length whose bytes are unspecified: those impairments read only the
+// addresses, now and len(Payload). A pipeline holding any other Impairment
+// gets the built payload, as on every other send.
 type Impairment interface {
 	Apply(dg *Datagram, now time.Duration, rng *rand.Rand, f *Fate)
+}
+
+// ownImpairments reports whether every element of imps, including those a
+// Windowed wraps, is one of this package's impairments.
+func ownImpairments(imps []Impairment) bool {
+	for _, imp := range imps {
+		if !ownImpairment(imp) {
+			return false
+		}
+	}
+	return true
+}
+
+func ownImpairment(imp Impairment) bool {
+	switch imp := imp.(type) {
+	case *IIDLoss, *GilbertElliott, *Duplicator, *Reorderer, *Corruptor, *Blackhole, *Brownout:
+		return true
+	case *Windowed:
+		return ownImpairment(imp.Inner)
+	}
+	return false
 }
 
 // FaultStats count the impairment pipeline's interventions. They live

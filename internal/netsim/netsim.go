@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"time"
@@ -152,10 +153,16 @@ type Sim struct {
 	// observation on (pinned by TestSimulationGoldenWithMetrics).
 	obs *obs.Shard
 
-	// Scratch cells for sendImpaired: Apply takes pointers through an
-	// interface, which would otherwise force a heap escape per packet.
+	// Scratch cells for the fault pipeline: Apply takes pointers through
+	// an interface, which would otherwise force a heap escape per packet.
 	fate  Fate
 	impDg Datagram
+	// lengthOnly records that every pipeline element is one of this
+	// package's impairments, which read a datagram's addresses, now and
+	// len(Payload) but never its bytes, so a deferred send runs the
+	// pipeline on view, a scratch buffer cut to the declared size.
+	lengthOnly bool
+	view       []byte
 }
 
 // ErrEventQueueFull is returned by Step and Run when MaxQueuedEvents is
@@ -168,8 +175,9 @@ func New(cfg Config) *Sim {
 		cfg.Latency = ConstantLatency(20 * time.Millisecond)
 	}
 	return &Sim{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		cfg:        cfg,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		lengthOnly: ownImpairments(cfg.Impairments),
 	}
 }
 
@@ -209,7 +217,10 @@ const (
 	slotEmpty = int32(-1)
 	slotTomb  = int32(-2)
 
-	nodeChunkBits = 14
+	// The node arena grows in chunks of 1024 nodes (32 KiB). A sim shard
+	// of a campaign registers a few thousand hosts, so a larger chunk is
+	// mostly never used, and every shard is its own Sim.
+	nodeChunkBits = 10
 	nodeChunkSize = 1 << nodeChunkBits
 )
 
@@ -384,129 +395,180 @@ func (s *Sim) putPayload(b []byte) {
 
 // --- sending ------------------------------------------------------------
 
-// send enqueues delivery of dg subject to impairments and latency. If
-// pooled, the payload buffer is recycled once the datagram is consumed.
-func (s *Sim) send(dg Datagram, pooled bool) {
+// intact is the fate of a datagram that meets no impairment: one copy,
+// delivered unchanged after its latency. It is never written.
+var intact = Fate{CorruptBit: -1}
+
+// PayloadBuilder writes a datagram's payload on demand (Node.SendDeferred):
+// AppendPayload appends the payload to dst and returns the extended slice.
+// It must append exactly the size declared with the send, and it runs
+// inside the send, so it must not send itself.
+type PayloadBuilder interface {
+	AppendPayload(dst []byte) []byte
+}
+
+// send is the one path of every datagram. It works out the datagram's fate
+// — the fault pipeline, the duplicate copies, the corrupt bit, the latency
+// draws and the route — before the payload exists: with b non-nil, dg has
+// no payload yet and size is its declared length, and b builds it into a
+// pooled buffer only when a copy will be scheduled for delivery; with b
+// nil, dg.Payload holds the bytes and size is their length. If pooled, the
+// payload buffer is recycled once the datagram is consumed. Duplicates are
+// cloned before the primary is corrupted, so a flipped bit never reaches a
+// twin. A copy that cannot arrive makes every counter update and rng draw a
+// delivered one makes.
+//
+// dg comes last so that the register ABI passes it on the stack, where the
+// function reads it without spilling it first: with dg first, the
+// unrouted probe's send read about 8 ns slower in
+// BenchmarkProberSend/unrouted.
+func (s *Sim) send(b PayloadBuilder, size int, pooled bool, dg Datagram) {
 	s.stats.Sent++
 	s.obs.Inc(obs.CSimSent)
+	f := &intact
 	if len(s.cfg.Impairments) > 0 {
-		s.sendImpaired(dg, pooled)
-		return
+		if b != nil && !s.lengthOnly {
+			// An element from outside this package may read the bytes.
+			dg.Payload, pooled, b = s.build(b, size), true, nil
+		}
+		// The datagram is copied field by field and the fate is read in
+		// place: a block copy reads wider than the narrow stores just made
+		// to them, which stalls store forwarding on every send.
+		d := &s.impDg
+		d.Src, d.Dst, d.SrcPort, d.DstPort, d.Payload = dg.Src, dg.Dst, dg.SrcPort, dg.DstPort, dg.Payload
+		if b != nil {
+			// Only this package's impairments see this view; they read
+			// its length and never its bytes, nor change the datagram.
+			if cap(s.view) < size {
+				s.view = make([]byte, size)
+			}
+			d.Payload = s.view[:size]
+		}
+		f = &s.fate
+		*f = intact
+		for _, imp := range s.cfg.Impairments {
+			imp.Apply(d, s.now, s.rng, f)
+		}
+		if b == nil {
+			dg.Src, dg.Dst, dg.SrcPort, dg.DstPort, dg.Payload = d.Src, d.Dst, d.SrcPort, d.DstPort, d.Payload
+			size = len(dg.Payload)
+		}
+		d.Payload = nil // no stale reference into the payload pool
+		if f.Drop {
+			s.drop(f.Cause)
+			if pooled {
+				s.putPayload(dg.Payload)
+			}
+			return
+		}
 	}
-	delay := s.cfg.Latency(dg.Src, dg.Dst, s.rng)
-	if !s.routeExists(dg.Dst) {
-		s.noRoute(dg, pooled)
+	routed := s.routeExists(dg.Dst)
+	if routed && b != nil {
+		dg.Payload, pooled = s.build(b, size), true
+	}
+	var extra time.Duration
+	if f != &intact { // only an impaired fate adds copies, a corrupt bit or delay
+		if f.Duplicates > 0 {
+			s.duplicate(dg, f.Duplicates, routed)
+		}
+		if f.CorruptBit >= 0 && size > 0 {
+			dg.Payload, pooled = s.corrupt(dg.Payload, pooled, routed, f.CorruptBit%(size*8))
+		}
+		if f.ExtraDelay > 0 {
+			s.faults.Reordered++
+			s.obs.Inc(obs.CFaultReordered)
+			extra = f.ExtraDelay
+		}
+	}
+	delay := s.cfg.Latency(dg.Src, dg.Dst, s.rng) + extra
+	if !routed {
+		s.noRoute(dg.Payload, pooled)
 		return
 	}
 	s.schedule(s.now+delay, evPayload{kind: evDeliver, dg: dg, pooled: pooled})
 }
 
+// duplicate sends n copies of dg, cloning its payload for each one that
+// will be delivered. Each copy draws its own latency, so copies arrive
+// shuffled relative to the primary.
+func (s *Sim) duplicate(dg Datagram, n int, routed bool) {
+	for range n {
+		s.faults.Duplicated++
+		s.obs.Inc(obs.CFaultDuplicated)
+		delay := s.cfg.Latency(dg.Src, dg.Dst, s.rng)
+		if !routed {
+			s.noRoute(nil, false)
+			continue
+		}
+		cp := dg
+		cp.Payload = append(s.getPayload(), dg.Payload...)
+		s.schedule(s.now+delay, evPayload{kind: evDeliver, dg: cp, pooled: true})
+	}
+}
+
+// corrupt counts a corrupted datagram and, if it will be delivered, flips
+// bit in its payload, copying a caller-owned payload into the pool first.
+func (s *Sim) corrupt(p []byte, pooled, routed bool, bit int) ([]byte, bool) {
+	if routed {
+		if !pooled {
+			p, pooled = append(s.getPayload(), p...), true
+		}
+		p[bit>>3] ^= 1 << (bit & 7)
+	}
+	s.faults.Corrupted++
+	s.obs.Inc(obs.CFaultCorrupted)
+	return p, pooled
+}
+
+// build asks b for a payload of size bytes in a pooled buffer.
+func (s *Sim) build(b PayloadBuilder, size int) []byte {
+	p := b.AppendPayload(s.getPayload())
+	if len(p) != size {
+		panic(fmt.Sprintf("netsim: payload builder appended %d bytes to a datagram declared as %d", len(p), size))
+	}
+	return p
+}
+
 // routeExists reports whether dst is registered right now. Routing is
-// resolved at submission so a dead-letter datagram — about 99.5% of probes
-// in a pristine shift-8 2013 campaign — costs one host-table miss and no
-// queue round trip.
+// resolved once at submission, for the datagram and all its copies, so a
+// dead-letter datagram — about 99.5% of probes in a shift-8 campaign —
+// costs one host-table miss, no queue round trip and no payload.
 // Deliverable packets re-resolve on arrival (deliverOne), so a host
 // unregistered mid-flight dead-letters as before; a host registered *after*
 // Send misses in-flight packets, which nothing in the simulation does
 // (hosts, or placeholders standing in for them, register at setup). The
-// latency draw above stays unconditional: the rng stream must not depend
-// on routability.
+// latency draws stay unconditional: the rng stream must not depend on
+// routability.
 func (s *Sim) routeExists(dst ipv4.Addr) bool { return s.findSlot(dst) >= 0 }
 
-// sendUnrouted makes the accounting send makes for a datagram from src to
-// dst that cannot arrive, without the datagram: Sent, the latency draw and
-// NoRoute, in that order. It does so and reports true only when dst has no
-// host and the network has no impairments; the fault pipeline draws for
-// every datagram and acts on its payload, so an impaired network always
-// takes the full path.
-func (s *Sim) sendUnrouted(src, dst ipv4.Addr) bool {
-	if len(s.cfg.Impairments) > 0 || s.routeExists(dst) {
-		return false
-	}
-	s.stats.Sent++
-	s.obs.Inc(obs.CSimSent)
-	s.cfg.Latency(src, dst, s.rng)
-	s.noRoute(Datagram{Src: src, Dst: dst}, false)
-	return true
-}
-
 // noRoute counts and discards an unroutable datagram at submission time.
-func (s *Sim) noRoute(dg Datagram, pooled bool) {
+func (s *Sim) noRoute(payload []byte, pooled bool) {
 	s.stats.NoRoute++
 	s.obs.Inc(obs.CSimNoRoute)
 	if pooled {
-		s.putPayload(dg.Payload)
+		s.putPayload(payload)
 	}
 }
 
-// sendImpaired runs dg through the fault pipeline and executes the combined
-// verdict. Duplicate copies are cloned from the original payload before the
-// primary is corrupted, so a flipped bit never propagates into a twin; each
-// copy draws its own latency, arriving shuffled relative to the primary.
-func (s *Sim) sendImpaired(dg Datagram, pooled bool) {
-	s.impDg = dg
-	s.fate = Fate{CorruptBit: -1}
-	for _, imp := range s.cfg.Impairments {
-		imp.Apply(&s.impDg, s.now, s.rng, &s.fate)
+// drop counts a datagram the fault pipeline dropped.
+func (s *Sim) drop(cause DropCause) {
+	s.stats.Lost++
+	s.obs.Inc(obs.CSimLost)
+	s.faults.Dropped++
+	switch cause {
+	case CauseLoss:
+		s.faults.LossDrops++
+		s.obs.Inc(obs.CFaultLossDrop)
+	case CauseBurst:
+		s.faults.BurstDrops++
+		s.obs.Inc(obs.CFaultBurstDrop)
+	case CauseBlackhole:
+		s.faults.Blackholed++
+		s.obs.Inc(obs.CFaultBlackholed)
+	case CauseBrownout:
+		s.faults.BrownedOut++
+		s.obs.Inc(obs.CFaultBrownedOut)
 	}
-	dg, f := s.impDg, s.fate
-	s.impDg.Payload = nil // no stale reference into the payload pool
-	if f.Drop {
-		s.stats.Lost++
-		s.obs.Inc(obs.CSimLost)
-		s.faults.Dropped++
-		switch f.Cause {
-		case CauseLoss:
-			s.faults.LossDrops++
-			s.obs.Inc(obs.CFaultLossDrop)
-		case CauseBurst:
-			s.faults.BurstDrops++
-			s.obs.Inc(obs.CFaultBurstDrop)
-		case CauseBlackhole:
-			s.faults.Blackholed++
-			s.obs.Inc(obs.CFaultBlackholed)
-		case CauseBrownout:
-			s.faults.BrownedOut++
-			s.obs.Inc(obs.CFaultBrownedOut)
-		}
-		if pooled {
-			s.putPayload(dg.Payload)
-		}
-		return
-	}
-	for i := 0; i < f.Duplicates; i++ {
-		cp := dg
-		cp.Payload = append(s.getPayload(), dg.Payload...)
-		s.faults.Duplicated++
-		s.obs.Inc(obs.CFaultDuplicated)
-		delay := s.cfg.Latency(cp.Src, cp.Dst, s.rng)
-		if !s.routeExists(cp.Dst) {
-			s.noRoute(cp, true)
-			continue
-		}
-		s.schedule(s.now+delay, evPayload{kind: evDeliver, dg: cp, pooled: true})
-	}
-	if f.CorruptBit >= 0 && len(dg.Payload) > 0 {
-		if !pooled {
-			// Never mutate a caller-owned buffer: corrupt a pooled copy.
-			dg.Payload = append(s.getPayload(), dg.Payload...)
-			pooled = true
-		}
-		bit := f.CorruptBit % (len(dg.Payload) * 8)
-		dg.Payload[bit>>3] ^= 1 << (bit & 7)
-		s.faults.Corrupted++
-		s.obs.Inc(obs.CFaultCorrupted)
-	}
-	if f.ExtraDelay > 0 {
-		s.faults.Reordered++
-		s.obs.Inc(obs.CFaultReordered)
-	}
-	delay := s.cfg.Latency(dg.Src, dg.Dst, s.rng) + f.ExtraDelay
-	if !s.routeExists(dg.Dst) {
-		s.noRoute(dg, pooled)
-		return
-	}
-	s.schedule(s.now+delay, evPayload{kind: evDeliver, dg: dg, pooled: pooled})
 }
 
 // Step executes the next event and reports false when the queue is empty.
@@ -653,21 +715,21 @@ func (n *Node) Rand() *rand.Rand { return n.sim.rng }
 
 // Send transmits a datagram from this node. Src is stamped automatically.
 func (n *Node) Send(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) {
-	n.sim.send(Datagram{
+	n.sim.send(nil, len(payload), false, Datagram{
 		Src: n.addr, Dst: dst,
 		SrcPort: srcPort, DstPort: dstPort,
 		Payload: payload,
-	}, false)
+	})
 }
 
 // SendSpoofed transmits a datagram with a forged source address — the
 // primitive behind the paper's DNS amplification threat model (§II-C).
 func (n *Node) SendSpoofed(src, dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) {
-	n.sim.send(Datagram{
+	n.sim.send(nil, len(payload), false, Datagram{
 		Src: src, Dst: dst,
 		SrcPort: srcPort, DstPort: dstPort,
 		Payload: payload,
-	}, false)
+	})
 }
 
 // PayloadBuf returns a zero-length scratch buffer from the simulation's
@@ -680,21 +742,28 @@ func (n *Node) PayloadBuf() []byte { return n.sim.getPayload() }
 // must not retain the payload slice beyond its HandleDatagram call — every
 // consumer in this codebase decodes or copies it synchronously.
 func (n *Node) SendPooled(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) {
-	n.sim.send(Datagram{
+	n.sim.send(nil, len(payload), true, Datagram{
 		Src: n.addr, Dst: dst,
 		SrcPort: srcPort, DstPort: dstPort,
 		Payload: payload,
-	}, true)
+	})
 }
 
-// SendUnrouted accounts a datagram from this node to dst that would
-// dead-letter, without building it: when dst has no registered host and
-// the network has no impairments, the counters and the rng advance exactly
-// as a Send to dst would advance them, and it reports true. Otherwise it
-// does nothing and reports false, and the caller sends the datagram. A
-// sender whose targets are mostly empty addresses (the prober) asks this
-// first and skips the payload build for them.
-func (n *Node) SendUnrouted(dst ipv4.Addr) bool { return n.sim.sendUnrouted(n.addr, dst) }
+// SendDeferred is SendPooled for a payload of size bytes that is not built
+// yet: netsim decides the datagram's fate from its addresses and size and
+// calls b.AppendPayload on a PayloadBuf buffer only when a copy will be
+// scheduled for delivery, so a datagram that is dropped or addressed to no
+// host never gets its bytes. Counters and the rng advance exactly as a
+// SendPooled of the built payload would advance them. When the fault
+// pipeline holds an impairment from outside this package, which may read
+// the bytes, the payload is built before the pipeline runs. It panics if
+// b appends other than size bytes.
+func (n *Node) SendDeferred(dst ipv4.Addr, srcPort, dstPort uint16, size int, b PayloadBuilder) {
+	n.sim.send(b, size, false, Datagram{
+		Src: n.addr, Dst: dst,
+		SrcPort: srcPort, DstPort: dstPort,
+	})
+}
 
 // After schedules fn to run after d of virtual time and returns a handle
 // that can cancel it.

@@ -153,6 +153,10 @@ type Prober struct {
 	// unencodable SLD). Rebuilt on every rotation (buildTemplate).
 	tmpl       []byte
 	tmplDigits int
+	// pendIdx and pendID are the subdomain and query ID of the probe in
+	// transmit, which netsim builds through AppendPayload.
+	pendIdx int
+	pendID  uint16
 }
 
 // tickInterval is the batch cadence of the send loop. Ticks fire on this
@@ -472,13 +476,19 @@ func (p *Prober) sendOne(now time.Duration) bool {
 }
 
 // transmit sends the probe for subdomain idx under transaction ID id to
-// target. A target with no host, on a network without impairments, gets
-// no packet: netsim only makes the accounting of its dead-lettered send
-// (Node.SendUnrouted), which is all such a send would do.
+// target. netsim decides the datagram's fate first and asks the prober for
+// the bytes (AppendPayload) only when a copy will be delivered, so a probe
+// to an address with no host, or one the fault pipeline drops, is never
+// built.
 func (p *Prober) transmit(target ipv4.Addr, idx int, id uint16) {
-	if !p.node.SendUnrouted(target) {
-		p.node.SendPooled(target, p.srcPort, dnssrv.DNSPort, p.appendProbe(p.node.PayloadBuf(), idx, id))
-	}
+	p.pendIdx, p.pendID = idx, id
+	p.node.SendDeferred(target, p.srcPort, dnssrv.DNSPort, len(p.tmpl), p)
+}
+
+// AppendPayload implements netsim.PayloadBuilder: it appends the probe
+// transmit is sending.
+func (p *Prober) AppendPayload(dst []byte) []byte {
+	return p.appendProbe(dst, p.pendIdx, p.pendID)
 }
 
 // Latencies returns the response latencies observed so far (probe send to
