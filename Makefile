@@ -157,8 +157,8 @@ bench-sim-par:
 # Benchmark-regression gate: run the committed benchmark suites, fold the
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
-# records it (BenchmarkShardEnvelope: BENCH_PR14.json; BenchmarkEventThroughput
-# and BenchmarkStepDrain: BENCH_PR20.json; BenchmarkAssignerDraw, ns per
+# records it (BenchmarkShardEnvelope, the version-4 envelope: BENCH_PR29.json;
+# BenchmarkEventThroughput and BenchmarkStepDrain: BENCH_PR20.json; BenchmarkAssignerDraw, ns per
 # address that population.Assigner.Assign draws (the ledger timed the deleted cursor
 # walk, the same walk): BENCH_PR24.json; the synthetic-campaign benchmarks
 # BenchmarkCampaignSynthetic{2018,Serial,Parallel},

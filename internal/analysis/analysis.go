@@ -58,32 +58,19 @@ const (
 type Accumulator struct {
 	cfg Config
 
-	// Table III.
-	correct, incorrect, without uint64
-	undecodable                 uint64
-
-	// Tables IV and V, indexed by flag value.
-	ra [2]paperdata.FlagRow
-	aa [2]paperdata.FlagRow
-
-	// Table VI.
-	rcodeW, rcodeWO [16]uint64
+	// Tables III–VI and X and the §IV-B4 breakdown: every count no unique
+	// value keys.
+	tab tables
 
 	// Table VII uniqueness and multiplicity.
 	ipCounts  map[ipv4.Addr]uint64
 	urlCounts nameCounts
 	strCounts nameCounts
-	naPackets uint64
 
-	// Malicious analysis (Tables IX, X, geo).
-	malPackets  map[paperdata.MalCategory]uint64
-	malUnique   map[ipv4.Addr]paperdata.MalCategory
-	malFlags    paperdata.MalFlags
-	malGeo      map[string]uint64
-	malNonZeroR uint64 // malicious packets with nonzero rcode (§IV-C3 expects 0)
-
-	// §IV-B4 empty-question breakdown.
-	eq paperdata.EmptyQuestionStats
+	// Malicious analysis (Tables IX and geo).
+	malPackets map[paperdata.MalCategory]uint64
+	malUnique  map[ipv4.Addr]paperdata.MalCategory
+	malGeo     map[string]uint64
 
 	msg dnswire.Message // AddR2's decode scratch
 	// truth checks A answers against the ground truth. It keeps the
@@ -91,6 +78,35 @@ type Accumulator struct {
 	// names hash only their last index digit; every name is still hashed
 	// from the bytes the accumulator received.
 	truth dnssrv.TruthMemo
+}
+
+// tables is an accumulator's scalar state. AccumulatorState embeds it, so
+// a checkpoint carries every count in one copy.
+type tables struct {
+	// Table III.
+	Correct     uint64 `json:"correct"`
+	Incorrect   uint64 `json:"incorrect"`
+	Without     uint64 `json:"without"`
+	Undecodable uint64 `json:"undecodable"`
+
+	// Tables IV and V, indexed by flag value.
+	RA [2]paperdata.FlagRow `json:"ra"`
+	AA [2]paperdata.FlagRow `json:"aa"`
+
+	// Table VI, indexed by the rcode's low four bits.
+	RcodeW  [16]uint64 `json:"rcode_w"`
+	RcodeWO [16]uint64 `json:"rcode_wo"`
+
+	// Table VII's N/A form, which keeps no values.
+	NAPackets uint64 `json:"na_packets"`
+
+	// Table X, and the malicious packets with a nonzero rcode (§IV-C3
+	// expects none).
+	MalFlags    paperdata.MalFlags `json:"mal_flags"`
+	MalNonZeroR uint64             `json:"mal_nonzero_rcode"`
+
+	// §IV-B4 empty-question breakdown.
+	EQ paperdata.EmptyQuestionStats `json:"empty_question"`
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -113,7 +129,7 @@ func NewAccumulator(cfg Config) *Accumulator {
 // packet allocates a message of its own.
 func (a *Accumulator) AddR2(src ipv4.Addr, wire []byte) {
 	if err := dnswire.UnpackInto(&a.msg, wire); err != nil {
-		a.undecodable++
+		a.tab.Undecodable++
 		return
 	}
 	a.AddMessage(src, &a.msg)
@@ -128,21 +144,21 @@ func (a *Accumulator) AddR2(src ipv4.Addr, wire []byte) {
 // shard accumulators in any order reproduces the single-accumulator
 // result exactly — the invariant the parallel campaign engine relies on.
 func (a *Accumulator) Merge(b *Accumulator) {
-	a.correct += b.correct
-	a.incorrect += b.incorrect
-	a.without += b.without
-	a.undecodable += b.undecodable
-	for i := range a.ra {
-		a.ra[i].Without += b.ra[i].Without
-		a.ra[i].Correct += b.ra[i].Correct
-		a.ra[i].Incorr += b.ra[i].Incorr
-		a.aa[i].Without += b.aa[i].Without
-		a.aa[i].Correct += b.aa[i].Correct
-		a.aa[i].Incorr += b.aa[i].Incorr
+	a.tab.Correct += b.tab.Correct
+	a.tab.Incorrect += b.tab.Incorrect
+	a.tab.Without += b.tab.Without
+	a.tab.Undecodable += b.tab.Undecodable
+	for i := range a.tab.RA {
+		a.tab.RA[i].Without += b.tab.RA[i].Without
+		a.tab.RA[i].Correct += b.tab.RA[i].Correct
+		a.tab.RA[i].Incorr += b.tab.RA[i].Incorr
+		a.tab.AA[i].Without += b.tab.AA[i].Without
+		a.tab.AA[i].Correct += b.tab.AA[i].Correct
+		a.tab.AA[i].Incorr += b.tab.AA[i].Incorr
 	}
-	for i := range a.rcodeW {
-		a.rcodeW[i] += b.rcodeW[i]
-		a.rcodeWO[i] += b.rcodeWO[i]
+	for i := range a.tab.RcodeW {
+		a.tab.RcodeW[i] += b.tab.RcodeW[i]
+		a.tab.RcodeWO[i] += b.tab.RcodeWO[i]
 	}
 	for k, n := range b.ipCounts {
 		a.ipCounts[k] += n
@@ -153,33 +169,33 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	for k, n := range b.strCounts {
 		a.strCounts.add(k, *n)
 	}
-	a.naPackets += b.naPackets
+	a.tab.NAPackets += b.tab.NAPackets
 	for k, n := range b.malPackets {
 		a.malPackets[k] += n
 	}
 	for k, v := range b.malUnique {
 		a.malUnique[k] = v
 	}
-	a.malFlags.RA0 += b.malFlags.RA0
-	a.malFlags.RA1 += b.malFlags.RA1
-	a.malFlags.AA0 += b.malFlags.AA0
-	a.malFlags.AA1 += b.malFlags.AA1
+	a.tab.MalFlags.RA0 += b.tab.MalFlags.RA0
+	a.tab.MalFlags.RA1 += b.tab.MalFlags.RA1
+	a.tab.MalFlags.AA0 += b.tab.MalFlags.AA0
+	a.tab.MalFlags.AA1 += b.tab.MalFlags.AA1
 	for k, n := range b.malGeo {
 		a.malGeo[k] += n
 	}
-	a.malNonZeroR += b.malNonZeroR
-	a.eq.Total += b.eq.Total
-	a.eq.WithAnswer += b.eq.WithAnswer
-	a.eq.PrivateNets += b.eq.PrivateNets
-	a.eq.Private192 += b.eq.Private192
-	a.eq.Private10 += b.eq.Private10
-	a.eq.BadFormat += b.eq.BadFormat
-	a.eq.Unroutable += b.eq.Unroutable
-	a.eq.RA1 += b.eq.RA1
-	a.eq.RA0 += b.eq.RA0
-	a.eq.AA1 += b.eq.AA1
-	for i := range a.eq.Rcodes {
-		a.eq.Rcodes[i] += b.eq.Rcodes[i]
+	a.tab.MalNonZeroR += b.tab.MalNonZeroR
+	a.tab.EQ.Total += b.tab.EQ.Total
+	a.tab.EQ.WithAnswer += b.tab.EQ.WithAnswer
+	a.tab.EQ.PrivateNets += b.tab.EQ.PrivateNets
+	a.tab.EQ.Private192 += b.tab.EQ.Private192
+	a.tab.EQ.Private10 += b.tab.EQ.Private10
+	a.tab.EQ.BadFormat += b.tab.EQ.BadFormat
+	a.tab.EQ.Unroutable += b.tab.EQ.Unroutable
+	a.tab.EQ.RA1 += b.tab.EQ.RA1
+	a.tab.EQ.RA0 += b.tab.EQ.RA0
+	a.tab.EQ.AA1 += b.tab.EQ.AA1
+	for i := range a.tab.EQ.Rcodes {
+		a.tab.EQ.Rcodes[i] += b.tab.EQ.Rcodes[i]
 	}
 }
 
@@ -205,20 +221,20 @@ func (a *Accumulator) AddMessage(src ipv4.Addr, msg *dnswire.Message) {
 
 	switch {
 	case form == formNone:
-		a.without++
-		a.ra[ri].Without++
-		a.aa[ai].Without++
-		a.rcodeWO[rc]++
+		a.tab.Without++
+		a.tab.RA[ri].Without++
+		a.tab.AA[ai].Without++
+		a.tab.RcodeWO[rc]++
 	case correct:
-		a.correct++
-		a.ra[ri].Correct++
-		a.aa[ai].Correct++
-		a.rcodeW[rc]++
+		a.tab.Correct++
+		a.tab.RA[ri].Correct++
+		a.tab.AA[ai].Correct++
+		a.tab.RcodeW[rc]++
 	default:
-		a.incorrect++
-		a.ra[ri].Incorr++
-		a.aa[ai].Incorr++
-		a.rcodeW[rc]++
+		a.tab.Incorrect++
+		a.tab.RA[ri].Incorr++
+		a.tab.AA[ai].Incorr++
+		a.tab.RcodeW[rc]++
 		a.addIncorrect(src, msg, form, addr)
 	}
 }
@@ -269,17 +285,17 @@ func (a *Accumulator) addIncorrect(src ipv4.Addr, msg *dnswire.Message, form ans
 				a.malPackets[cat]++
 				a.malUnique[addr] = cat
 				if msg.Header.RA {
-					a.malFlags.RA1++
+					a.tab.MalFlags.RA1++
 				} else {
-					a.malFlags.RA0++
+					a.tab.MalFlags.RA0++
 				}
 				if msg.Header.AA {
-					a.malFlags.AA1++
+					a.tab.MalFlags.AA1++
 				} else {
-					a.malFlags.AA0++
+					a.tab.MalFlags.AA0++
 				}
 				if msg.Header.Rcode != dnswire.RcodeNoError {
-					a.malNonZeroR++
+					a.tab.MalNonZeroR++
 				}
 				country := "ZZ"
 				if a.cfg.Geo != nil {
@@ -296,7 +312,7 @@ func (a *Accumulator) addIncorrect(src ipv4.Addr, msg *dnswire.Message, form ans
 		t, _ := firstTarget(msg, dnswire.TypeTXT)
 		a.strCounts.add(t, 1)
 	case formNA:
-		a.naPackets++
+		a.tab.NAPackets++
 	}
 }
 
@@ -336,39 +352,43 @@ var (
 
 // addEmptyQuestion ingests a §IV-B4 response with no question section.
 func (a *Accumulator) addEmptyQuestion(msg *dnswire.Message) {
-	a.eq.Total++
+	a.tab.EQ.Total++
 	if msg.Header.RA {
-		a.eq.RA1++
+		a.tab.EQ.RA1++
 	} else {
-		a.eq.RA0++
+		a.tab.EQ.RA0++
 	}
 	if msg.Header.AA {
-		a.eq.AA1++
+		a.tab.EQ.AA1++
 	}
-	a.eq.Rcodes[msg.Header.Rcode&0xF]++
+	// The breakdown has Table VI's ten rcode columns; a corrupted response
+	// can carry rcode 10–15, which is counted in Total but in no column.
+	if rc := int(msg.Header.Rcode & 0xF); rc < len(a.tab.EQ.Rcodes) {
+		a.tab.EQ.Rcodes[rc]++
+	}
 	if len(msg.Answers) == 0 {
 		return
 	}
-	a.eq.WithAnswer++
+	a.tab.EQ.WithAnswer++
 	rr := msg.Answers[0]
 	switch {
 	case rr.Type == dnswire.TypeA && !rr.Malformed:
 		addr := ipv4.Addr(rr.A)
 		switch {
 		case private192.Contains(addr):
-			a.eq.PrivateNets++
-			a.eq.Private192++
+			a.tab.EQ.PrivateNets++
+			a.tab.EQ.Private192++
 		case private10.Contains(addr):
-			a.eq.PrivateNets++
-			a.eq.Private10++
+			a.tab.EQ.PrivateNets++
+			a.tab.EQ.Private10++
 		default:
 			// "Addresses which could not be found in Whois."
 			if a.cfg.Geo == nil || a.cfg.Geo.Country(addr) == "ZZ" {
-				a.eq.Unroutable++
+				a.tab.EQ.Unroutable++
 			}
 		}
 	default:
-		a.eq.BadFormat++
+		a.tab.EQ.BadFormat++
 	}
 }
 
@@ -379,19 +399,19 @@ func (a *Accumulator) Report(camp CampaignCounts) *Report {
 	r := &Report{
 		Year:        a.cfg.Year,
 		Campaign:    camp,
-		Undecodable: a.undecodable,
+		Undecodable: a.tab.Undecodable,
 		Correctness: paperdata.Correctness{
-			R2:      a.correct + a.incorrect + a.without,
-			Without: a.without,
-			Correct: a.correct,
-			Incorr:  a.incorrect,
+			R2:      a.tab.Correct + a.tab.Incorrect + a.tab.Without,
+			Without: a.tab.Without,
+			Correct: a.tab.Correct,
+			Incorr:  a.tab.Incorrect,
 		},
-		RA:     paperdata.FlagTable{Flag0: a.ra[0], Flag1: a.ra[1]},
-		AA:     paperdata.FlagTable{Flag0: a.aa[0], Flag1: a.aa[1]},
-		EmptyQ: a.eq,
+		RA:     paperdata.FlagTable{Flag0: a.tab.RA[0], Flag1: a.tab.RA[1]},
+		AA:     paperdata.FlagTable{Flag0: a.tab.AA[0], Flag1: a.tab.AA[1]},
+		EmptyQ: a.tab.EQ,
 	}
-	copy(r.Rcode.With[:], a.rcodeW[:10])
-	copy(r.Rcode.Without[:], a.rcodeWO[:10])
+	copy(r.Rcode.With[:], a.tab.RcodeW[:10])
+	copy(r.Rcode.Without[:], a.tab.RcodeWO[:10])
 
 	// Table VII.
 	var ipPkts uint64
@@ -410,7 +430,7 @@ func (a *Accumulator) Report(camp CampaignCounts) *Report {
 		IP:  paperdata.FormCount{Packets: ipPkts, Unique: uint64(len(a.ipCounts))},
 		URL: paperdata.FormCount{Packets: urlPkts, Unique: uint64(len(a.urlCounts))},
 		Str: paperdata.FormCount{Packets: strPkts, Unique: uint64(len(a.strCounts))},
-		NA:  paperdata.FormCount{Packets: a.naPackets},
+		NA:  paperdata.FormCount{Packets: a.tab.NAPackets},
 	}
 
 	// Table VIII: top-10 incorrect addresses.
@@ -458,8 +478,8 @@ func (a *Accumulator) Report(camp CampaignCounts) *Report {
 		r.MaliciousTotal.R2 += pkts
 	}
 	r.MaliciousTotal.IPs = uint64(len(a.malUnique))
-	r.MalFlags = a.malFlags
-	r.MalNonZeroRcode = a.malNonZeroR
+	r.MalFlags = a.tab.MalFlags
+	r.MalNonZeroRcode = a.tab.MalNonZeroR
 
 	// Geolocation, sorted by count descending then country.
 	for c, n := range a.malGeo {
@@ -474,9 +494,9 @@ func (a *Accumulator) Report(camp CampaignCounts) *Report {
 
 	// §IV-B1 estimates.
 	r.Estimates = paperdata.OpenResolverEstimates{
-		StrictRA1Correct: a.ra[1].Correct,
-		RAOnly:           a.ra[1].Total(),
-		CorrectOnly:      a.correct,
+		StrictRA1Correct: a.tab.RA[1].Correct,
+		RAOnly:           a.tab.RA[1].Total(),
+		CorrectOnly:      a.tab.Correct,
 	}
 	return r
 }

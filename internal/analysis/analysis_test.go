@@ -189,6 +189,28 @@ func TestEmptyQuestionAnalysis(t *testing.T) {
 	}
 }
 
+// TestEmptyQuestionRcodeBeyondTableVI: a corrupted empty-question response
+// can carry any rcode 0–15, but the breakdown has only Table VI's ten
+// columns. Rcodes 10–15 count in Total and in no column, and the
+// accumulator does not panic on them.
+func TestEmptyQuestionRcodeBeyondTableVI(t *testing.T) {
+	acc := newAcc(t)
+	src := ipv4.MustParseAddr("1.2.3.4")
+	for rc := dnswire.Rcode(0); rc < 16; rc++ {
+		m := &dnswire.Message{Header: dnswire.Header{ID: 1, QR: true, Rcode: rc}}
+		acc.AddR2(src, m.MustPack())
+	}
+	e := acc.Report(CampaignCounts{}).EmptyQ
+	if e.Total != 16 {
+		t.Errorf("Total = %d, want 16", e.Total)
+	}
+	for rc, n := range e.Rcodes {
+		if n != 1 {
+			t.Errorf("Rcodes[%d] = %d, want 1", rc, n)
+		}
+	}
+}
+
 func TestTop10OrderingAndAnnotations(t *testing.T) {
 	acc := newAcc(t)
 	q1 := dnssrv.FormatProbeName(0, 3, sld)
@@ -366,9 +388,9 @@ func TestAccumulatorTruthMemo(t *testing.T) {
 		default:
 			addr = dnssrv.TruthAddr(name)
 		}
-		before := acc.correct
+		before := acc.tab.Correct
 		acc.AddMessage(src, msg.AnswerA(uint32(addr), 60))
-		if got, want := acc.correct > before, dnssrv.IsTruthAddr(addr, name); got != want {
+		if got, want := acc.tab.Correct > before, dnssrv.IsTruthAddr(addr, name); got != want {
 			t.Fatalf("step %d: %v for %q after %q counted correct %v, IsTruthAddr says %v", step, addr, name, prev, got, want)
 		}
 		prev = name

@@ -172,7 +172,7 @@ func TestAddR2MatchesUnpack(t *testing.T) {
 	got := NewAccumulator(cfg)
 	for _, p := range stream {
 		if msg, err := dnswire.Unpack(p.wire); err != nil {
-			ref.undecodable++
+			ref.tab.Undecodable++
 		} else {
 			ref.AddMessage(p.src, msg)
 		}

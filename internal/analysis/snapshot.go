@@ -18,49 +18,22 @@ import (
 // and the enclosing checkpoint's campaign digest guards against mixing
 // states across configurations.
 type AccumulatorState struct {
-	Correct     uint64 `json:"correct"`
-	Incorrect   uint64 `json:"incorrect"`
-	Without     uint64 `json:"without"`
-	Undecodable uint64 `json:"undecodable"`
-
-	RA [2]paperdata.FlagRow `json:"ra"`
-	AA [2]paperdata.FlagRow `json:"aa"`
-
-	RcodeW  [16]uint64 `json:"rcode_w"`
-	RcodeWO [16]uint64 `json:"rcode_wo"`
+	tables
 
 	IPCounts  map[ipv4.Addr]uint64 `json:"ip_counts,omitempty"`
 	URLCounts map[string]uint64    `json:"url_counts,omitempty"`
 	StrCounts map[string]uint64    `json:"str_counts,omitempty"`
-	NAPackets uint64               `json:"na_packets"`
 
-	MalPackets  map[paperdata.MalCategory]uint64    `json:"mal_packets,omitempty"`
-	MalUnique   map[ipv4.Addr]paperdata.MalCategory `json:"mal_unique,omitempty"`
-	MalFlags    paperdata.MalFlags                  `json:"mal_flags"`
-	MalGeo      map[string]uint64                   `json:"mal_geo,omitempty"`
-	MalNonZeroR uint64                              `json:"mal_nonzero_rcode"`
-
-	EQ paperdata.EmptyQuestionStats `json:"empty_question"`
+	MalPackets map[paperdata.MalCategory]uint64    `json:"mal_packets,omitempty"`
+	MalUnique  map[ipv4.Addr]paperdata.MalCategory `json:"mal_unique,omitempty"`
+	MalGeo     map[string]uint64                   `json:"mal_geo,omitempty"`
 }
 
 // State captures the accumulator's full analysis state. The maps are deep
 // copies: mutating the accumulator afterwards never changes a taken state,
 // so a checkpoint written while the campaign continues stays consistent.
 func (a *Accumulator) State() *AccumulatorState {
-	st := &AccumulatorState{
-		Correct:     a.correct,
-		Incorrect:   a.incorrect,
-		Without:     a.without,
-		Undecodable: a.undecodable,
-		RA:          a.ra,
-		AA:          a.aa,
-		RcodeW:      a.rcodeW,
-		RcodeWO:     a.rcodeWO,
-		NAPackets:   a.naPackets,
-		MalFlags:    a.malFlags,
-		MalNonZeroR: a.malNonZeroR,
-		EQ:          a.eq,
-	}
+	st := &AccumulatorState{tables: a.tab}
 	if len(a.ipCounts) > 0 {
 		st.IPCounts = make(map[ipv4.Addr]uint64, len(a.ipCounts))
 		for k, v := range a.ipCounts {
@@ -107,18 +80,7 @@ func (a *Accumulator) State() *AccumulatorState {
 // read-only view.
 func NewAccumulatorFromState(cfg Config, st *AccumulatorState) *Accumulator {
 	a := NewAccumulator(cfg)
-	a.correct = st.Correct
-	a.incorrect = st.Incorrect
-	a.without = st.Without
-	a.undecodable = st.Undecodable
-	a.ra = st.RA
-	a.aa = st.AA
-	a.rcodeW = st.RcodeW
-	a.rcodeWO = st.RcodeWO
-	a.naPackets = st.NAPackets
-	a.malFlags = st.MalFlags
-	a.malNonZeroR = st.MalNonZeroR
-	a.eq = st.EQ
+	a.tab = st.tables
 	for k, v := range st.IPCounts {
 		a.ipCounts[k] = v
 	}

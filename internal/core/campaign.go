@@ -69,19 +69,24 @@ type shardEngine struct {
 // plain value data, so a run restored from a checkpoint is
 // indistinguishable from a freshly executed one.
 type shardRun struct {
-	acc           *analysis.Accumulator
-	probeCounters capture.Counters
-	authCounters  capture.Counters
-	r2            []capture.Packet
-	roles         *classify.Summary // responder verdicts; KeepPackets campaigns only
-	netStats      netsim.Stats
-	faultStats    netsim.FaultStats
-	probeStats    prober.Stats
-	sent          uint64
-	reused        uint64
-	clusters      int
-	duration      time.Duration
-	obs           *obs.Shard
+	shardCounters
+	acc   *analysis.Accumulator
+	r2    []capture.Packet
+	roles *classify.Summary // responder verdicts; KeepPackets campaigns only
+	obs   *obs.Shard
+}
+
+// shardCounters is everything a sub-simulation counts: the network's and
+// the fault pipeline's statistics, the prober's (Q1 is Sent, R2 is
+// Received), the auth tap's Q2 and R1, and the shard's virtual duration.
+// A shard run and its envelope payload both embed it, so a restored run
+// carries exactly the counters a fresh one does.
+type shardCounters struct {
+	NetStats     netsim.Stats      `json:"net_stats"`
+	FaultStats   netsim.FaultStats `json:"fault_stats"`
+	ProbeStats   prober.Stats      `json:"probe_stats"`
+	AuthCounters capture.Counters  `json:"auth_counters"`
+	Duration     time.Duration     `json:"duration_nanos"`
 }
 
 // OpenShardCampaign compiles cfg's simulated campaign to its shard seams:
@@ -98,18 +103,20 @@ func OpenShardCampaign(cfg Config) (*ShardCampaign, error) {
 }
 
 // newShardCampaign is the opening path both engines share once they have
-// planned n shards under key: it registers one metrics shard per plan
-// shard, in shard order (so the snapshot's shard list never depends on
-// scheduling), and restores every shard with a valid checkpoint when
-// cfg.Checkpoints is configured.
-func newShardCampaign(cfg Config, eng shardEngine, n int, key string, accCfg analysis.Config) (*ShardCampaign, error) {
-	sc := &ShardCampaign{cfg: cfg, engine: eng, accCfg: accCfg, key: key,
+// planned their shards, one campaign-key line per shard: it keys the
+// campaign (campaignKey), registers one metrics shard per plan shard, in
+// shard order (so the snapshot's shard list never depends on scheduling),
+// and restores every shard with a valid checkpoint when cfg.Checkpoints is
+// configured.
+func newShardCampaign(cfg Config, eng shardEngine, plan []string, accCfg analysis.Config) (*ShardCampaign, error) {
+	n := len(plan)
+	sc := &ShardCampaign{cfg: cfg, engine: eng, accCfg: accCfg, key: campaignKey(eng.label, cfg, plan),
 		obsShards: make([]*obs.Shard, n), runs: make([]*shardRun, n)}
 	for i := range sc.obsShards {
 		sc.obsShards[i] = cfg.Obs.NewShard(fmt.Sprintf("%s-%d", eng.label, i))
 	}
 	if cfg.Checkpoints.enabled() {
-		store, err := openCheckpointStore(cfg.Checkpoints, key)
+		store, err := openCheckpointStore(cfg.Checkpoints, sc.key)
 		if err != nil {
 			return nil, err
 		}
@@ -171,10 +178,10 @@ func (sc *ShardCampaign) NumShards() int { return len(sc.runs) }
 
 // CampaignKey returns the campaign's identity digest: the engine, the
 // configuration scalars, the canonical fault-plan description, and the
-// complete shard plan (checkpointCampaignKey, synthCampaignKey). Two
-// processes that derive the same key from their own flags provably agree
-// on every input that shapes the campaign's bytes; the fabric protocol
-// refuses to pair processes whose keys differ.
+// complete shard plan (campaignKey). Two processes that derive the same key
+// from their own flags provably agree on every input that shapes the
+// campaign's bytes; the fabric protocol refuses to pair processes whose
+// keys differ.
 func (sc *ShardCampaign) CampaignKey() string { return sc.key }
 
 // Pending returns the ascending indexes of shards without a recorded run —

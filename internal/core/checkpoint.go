@@ -38,7 +38,6 @@ import (
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
 	"openresolver/internal/obs"
-	"openresolver/internal/prober"
 )
 
 // ErrInterrupted reports a campaign stopped cooperatively by its context:
@@ -121,19 +120,20 @@ func (osCheckpointFS) Remove(name string) error             { return os.Remove(n
 // checkpointVersion is the on-disk format version; any change to the
 // envelope layout, the payload shape or the campaign-key recipe must bump
 // it, invalidating every older checkpoint rather than misreading it.
-const checkpointVersion = 3
+const checkpointVersion = 4
 
-// The version-3 envelope is a fixed header followed by the payload:
+// The version-4 envelope is a fixed header followed by the payload:
 //
 //	magic "ORCK" | version u32 | campaign key [32] | shard u32 |
 //	payload SHA-256 [32] | payload
 //
 // Integers are big-endian; the campaign key is the raw digest that
-// checkpointCampaignKey renders in hex. The payload is the shard's small
-// structured state as JSON, behind a uvarint length, followed by the R2
-// packet stream (appendPackets) and the shard's responder verdicts
-// (appendVerdicts). Version 2 carried the authoritative Q2/R1 packet
-// stream where the verdicts now are; its checkpoints rerun.
+// campaignKey renders in hex. The payload is the shard's small structured
+// state as JSON, behind a uvarint length, followed by the R2 packet stream
+// (appendPackets) and the shard's responder verdicts (appendVerdicts).
+// Version 3 repeated four of the prober's counters beside its statistics,
+// and version 2 carried the authoritative Q2/R1 packet stream where the
+// verdicts now are; checkpoints of either rerun.
 const (
 	envMagic     = "ORCK"
 	envKeyOff    = len(envMagic) + 4
@@ -149,19 +149,11 @@ const (
 // records. The authoritative capture is not here: each shard joins it
 // against its own R2s before it finishes, and only the verdicts leave.
 type shardCheckpoint struct {
-	Acc           *analysis.AccumulatorState `json:"acc"`
-	NetStats      netsim.Stats               `json:"net_stats"`
-	FaultStats    netsim.FaultStats          `json:"fault_stats"`
-	ProbeStats    prober.Stats               `json:"probe_stats"`
-	Sent          uint64                     `json:"sent"`
-	Reused        uint64                     `json:"reused"`
-	Clusters      int                        `json:"clusters"`
-	DurationNanos int64                      `json:"duration_nanos"`
-	ProbeCounters capture.Counters           `json:"probe_counters"`
-	AuthCounters  capture.Counters           `json:"auth_counters"`
-	Obs           *obs.ShardState            `json:"obs,omitempty"`
-	R2Packets     []capture.Packet           `json:"-"`
-	Verdicts      []classify.Verdict         `json:"-"`
+	shardCounters
+	Acc       *analysis.AccumulatorState `json:"acc"`
+	Obs       *obs.ShardState            `json:"obs,omitempty"`
+	R2Packets []capture.Packet           `json:"-"`
+	Verdicts  []classify.Verdict         `json:"-"`
 }
 
 // checkpointStore writes and validates the per-shard checkpoint files of
@@ -177,35 +169,24 @@ type checkpointStore struct {
 	logw io.Writer
 }
 
-// checkpointCampaignKey digests everything that shapes a simulated
-// campaign's bytes: the configuration scalars, the fault plan (impairments
-// by their canonical configuration description — never pointer identity),
-// and the complete shard plan. Checkpoints written under a different key
-// are invalid by construction: resuming a 2013 campaign with 2018
-// checkpoints, or after a shard-plan change, reruns everything instead of
-// merging mismatched state.
-func checkpointCampaignKey(cfg Config, shards []simShard) string {
+// campaignKey digests everything that shapes a campaign's bytes: the
+// engine ("sim" or "synth", which keeps the two modes' keys, and so their
+// checkpoints, disjoint), the configuration scalars, the fault plan
+// (impairments by their canonical configuration description — never
+// pointer identity), and the shard plan, one line per shard. Checkpoints
+// written under a different key are invalid by construction: resuming a
+// 2013 campaign with 2018 checkpoints, or after a shard-plan change, reruns
+// everything instead of merging mismatched state. Workers is absent on
+// purpose: scheduling never changes a byte.
+func campaignKey(engine string, cfg Config, plan []string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "ckpt v%d year=%d shift=%d seed=%d pps=%d keep=%t\n",
-		checkpointVersion, cfg.Year, cfg.SampleShift, cfg.Seed, cfg.pps(), cfg.KeepPackets)
+	fmt.Fprintf(h, "%s ckpt v%d year=%d shift=%d seed=%d pps=%d keep=%t\n",
+		engine, checkpointVersion, cfg.Year, cfg.SampleShift, cfg.Seed, cfg.pps(), cfg.KeepPackets)
 	fmt.Fprintf(h, "retries=%d adaptive=%t backoff=%t maxev=%d imps=%s\n",
 		cfg.Faults.Retries, cfg.Faults.AdaptiveTimeout, cfg.Faults.UpstreamBackoff,
 		cfg.Faults.MaxQueuedEvents, netsim.DescribeImpairments(cfg.Faults.Impairments))
-	for _, sh := range shards {
-		fmt.Fprintf(h, "shard %d [%d,%d) clusters=%d+%d pps=%d\n",
-			sh.index, sh.start, sh.end, sh.firstCluster, sh.clusterSpan, sh.pps)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// synthCampaignKey is checkpointCampaignKey's synthetic-mode twin. Its own
-// prefix keeps the two modes' keys, and so their checkpoints, disjoint.
-func synthCampaignKey(cfg Config, plans []shardPlan) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "synth ckpt v%d year=%d shift=%d seed=%d pps=%d\n",
-		checkpointVersion, cfg.Year, cfg.SampleShift, cfg.Seed, cfg.pps())
-	for i, p := range plans {
-		fmt.Fprintf(h, "shard %d [%d,%d) cohort=%d+%d\n", i, p.start, p.end, p.cohort, p.offset)
+	for _, line := range plan {
+		fmt.Fprintln(h, line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -256,23 +237,15 @@ func marshalShardEnvelope(key string, shard int, run *shardRun) ([]byte, error) 
 		verdicts = run.roles.Verdicts
 	}
 	return encodeShardEnvelope(key, shard, &shardCheckpoint{
+		shardCounters: run.shardCounters,
 		Acc:           run.acc.State(),
-		NetStats:      run.netStats,
-		FaultStats:    run.faultStats,
-		ProbeStats:    run.probeStats,
-		Sent:          run.sent,
-		Reused:        run.reused,
-		Clusters:      run.clusters,
-		DurationNanos: int64(run.duration),
-		ProbeCounters: run.probeCounters,
-		AuthCounters:  run.authCounters,
+		Obs:           run.obs.State(),
 		R2Packets:     run.r2,
 		Verdicts:      verdicts,
-		Obs:           run.obs.State(),
 	})
 }
 
-// encodeShardEnvelope lays ck out as a version-3 envelope in a single
+// encodeShardEnvelope lays ck out as a version-4 envelope in a single
 // allocation: the header, the structured state, the R2 stream, the
 // verdicts, and finally the digest over everything after the header.
 func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
@@ -489,18 +462,10 @@ func decodeVerdicts(b []byte) ([]classify.Verdict, []byte, error) {
 // so it merges indistinguishably from a freshly executed one.
 func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint, msh *obs.Shard) *shardRun {
 	run := &shardRun{
+		shardCounters: ck.shardCounters,
 		acc:           analysis.NewAccumulatorFromState(accCfg, ck.Acc),
-		probeCounters: ck.ProbeCounters,
-		authCounters:  ck.AuthCounters,
 		r2:            ck.R2Packets,
 		roles:         classify.Summarize(ck.Verdicts),
-		netStats:      ck.NetStats,
-		faultStats:    ck.FaultStats,
-		probeStats:    ck.ProbeStats,
-		sent:          ck.Sent,
-		reused:        ck.Reused,
-		clusters:      ck.Clusters,
-		duration:      time.Duration(ck.DurationNanos),
 		obs:           msh,
 	}
 	msh.LoadState(ck.Obs)

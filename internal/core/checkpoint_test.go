@@ -522,16 +522,16 @@ func TestSimCampaignKeyPinned(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{ckptTestConfig(), "1ae80662c44b728270ddc1378a8e842af608791b8cff97758f7a38b51eec5e65"},
+		{ckptTestConfig(), "199fd3dc551f9f1ecb8b87d073f7e48f26371ce0317f6867e7a1f900dd260052"},
 		{Config{Year: paperdata.Y2018, SampleShift: 12, Seed: 3, PacketsPerSec: 5000, KeepPackets: true,
 			Faults: FaultPlan{Retries: 2, AdaptiveTimeout: true}},
-			"566e6b01141a7ad4601ccac81c6a83a9c4f68a7bc29db532d683624bdb0a3b8f"},
+			"60684d0ec3e9ee3a3b1027b0072977ef626067af9696ec4d63adce6e4c23e809"},
 	} {
 		u, err := scan.NewUniverse(uint64(tc.cfg.Seed), tc.cfg.SampleShift, ipv4.NewReservedBlocklist())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := checkpointCampaignKey(tc.cfg, planSimShards(tc.cfg, u)); got != tc.want {
+		if got := campaignKey("sim", tc.cfg, simPlanLines(planSimShards(tc.cfg, u))); got != tc.want {
 			t.Errorf("%+v: sim campaign key %s, want %s", tc.cfg, got, tc.want)
 		}
 	}
@@ -583,7 +583,7 @@ func TestCheckpointCampaignKeyCoversPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return checkpointCampaignKey(c, planSimShards(c, uni))
+		return campaignKey("sim", c, simPlanLines(planSimShards(c, uni)))
 	}
 	key := u(base)
 

@@ -414,7 +414,7 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 	env.walk = newSegWalk(assigner, first, segmentLength(assigner.Steps(), first))
 	env.pinnedAt = pinnedAt
 	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, merge: env.merge}
-	sc, err := newShardCampaign(cfg, eng, len(env.plans), synthCampaignKey(cfg, env.plans), env.accCfg)
+	sc, err := newShardCampaign(cfg, eng, synthPlanLines(env.plans), env.accCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -424,6 +424,16 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 		}
 	}
 	return sc, nil
+}
+
+// synthPlanLines renders the synthetic shard plan for the campaign key, one
+// line per shard.
+func synthPlanLines(plans []shardPlan) []string {
+	lines := make([]string, len(plans))
+	for i, p := range plans {
+		lines[i] = fmt.Sprintf("shard %d [%d,%d) cohort=%d+%d", i, p.start, p.end, p.cohort, p.offset)
+	}
+	return lines
 }
 
 // drawOffsets returns where each shard's draws start: first[i] counts the

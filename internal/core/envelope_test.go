@@ -65,9 +65,38 @@ func legacyShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 // legacyV2ShardEnvelope is the version-2 encoder, kept only to prove that
 // checkpoints which carry the authoritative packet stream instead of
 // verdicts fall back to a rerun: the binary header, the JSON state, the R2
-// stream, then the Q2/R1 stream where version 3 has its verdicts.
+// stream, then the Q2/R1 stream where later versions have their verdicts.
 func legacyV2ShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
-	state, err := json.Marshal(ck)
+	return legacyBinaryEnvelope(key, shard, 2, ck, func(buf []byte) []byte {
+		buf = appendPackets(buf, ck.R2Packets)
+		return appendPackets(buf, legacyAuthStream(ck.R2Packets))
+	})
+}
+
+// legacyV3ShardEnvelope is the version-3 encoder, kept only to prove that
+// checkpoints whose state repeats four of the prober's counters beside its
+// statistics fall back to a rerun: the current layout, with those four
+// fields back in the JSON state.
+func legacyV3ShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
+	st := &ck.ProbeStats
+	state := struct {
+		*shardCheckpoint
+		Sent          uint64           `json:"sent"`
+		Reused        uint64           `json:"reused"`
+		Clusters      int              `json:"clusters"`
+		ProbeCounters capture.Counters `json:"probe_counters"`
+	}{ck, st.Sent, st.Reused, st.ClustersUsed, capture.Counters{Q1: st.Sent, R2: st.Received}}
+	return legacyBinaryEnvelope(key, shard, 3, state, func(buf []byte) []byte {
+		buf = appendPackets(buf, ck.R2Packets)
+		return appendVerdicts(buf, ck.Verdicts)
+	})
+}
+
+// legacyBinaryEnvelope lays out a binary envelope of the given version:
+// the header, state as JSON behind its length, then whatever streams
+// appends, digest-stamped.
+func legacyBinaryEnvelope(key string, shard int, version uint32, state any, streams func([]byte) []byte) ([]byte, error) {
+	js, err := json.Marshal(state)
 	if err != nil {
 		return nil, err
 	}
@@ -77,13 +106,12 @@ func legacyV2ShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, 
 	}
 	buf := make([]byte, envHeaderLen)
 	copy(buf, envMagic)
-	binary.BigEndian.PutUint32(buf[len(envMagic):], 2)
+	binary.BigEndian.PutUint32(buf[len(envMagic):], version)
 	copy(buf[envKeyOff:], rawKey)
 	binary.BigEndian.PutUint32(buf[envShardOff:], uint32(shard))
-	buf = binary.AppendUvarint(buf, uint64(len(state)))
-	buf = append(buf, state...)
-	buf = appendPackets(buf, ck.R2Packets)
-	buf = appendPackets(buf, legacyAuthStream(ck.R2Packets))
+	buf = binary.AppendUvarint(buf, uint64(len(js)))
+	buf = append(buf, js...)
+	buf = streams(buf)
 	sum := sha256.Sum256(buf[envHeaderLen:])
 	copy(buf[envSumOff:], sum[:])
 	return buf, nil
@@ -122,6 +150,14 @@ func TestCheckpointV1EnvelopesRerun(t *testing.T) {
 // verdicts: restoring one would merge a campaign with its roles missing.
 func TestCheckpointV2EnvelopesRerun(t *testing.T) {
 	checkLegacyEnvelopesRerun(t, legacyV2ShardEnvelope)
+}
+
+// TestCheckpointV3EnvelopesRerun is the same fallback for the version-3
+// layout, whose state carries the prober's Q1, R2, reuse and cluster
+// counts twice. Its shards rerun rather than merge through a decoder that
+// no longer knows those fields.
+func TestCheckpointV3EnvelopesRerun(t *testing.T) {
+	checkLegacyEnvelopesRerun(t, legacyV3ShardEnvelope)
 }
 
 // checkLegacyEnvelopesRerun rewrites every checkpoint of a kept campaign
@@ -209,7 +245,7 @@ func TestV2PayloadUnderV3HeaderRejected(t *testing.T) {
 	sum := sha256.Sum256(old[envHeaderLen:])
 	copy(old[envSumOff:], sum[:])
 	if _, err := validateShardEnvelope(key, 0, old); err == nil {
-		t.Fatal("a v2 payload relabeled as v3 was accepted")
+		t.Fatal("a v2 payload relabeled as the current version was accepted")
 	}
 }
 
@@ -239,7 +275,7 @@ func TestShardEnvelopeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(restored.roles, run.roles) {
 		t.Error("restored role summary differs from the shard's own")
 	}
-	if ck.Sent != run.sent || ck.ProbeStats != run.probeStats || ck.NetStats != run.netStats {
+	if ck.shardCounters != run.shardCounters {
 		t.Error("counters changed across the envelope")
 	}
 	p := ck.R2Packets[0].Payload
@@ -346,6 +382,10 @@ func FuzzShardEnvelope(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	v3, err := legacyV3ShardEnvelope(key, 0, ck)
+	if err != nil {
+		f.Fatal(err)
+	}
 	payload := env[envHeaderLen:]
 	stateLen, k := binary.Uvarint(payload)
 	state := k + int(stateLen)
@@ -353,6 +393,7 @@ func FuzzShardEnvelope(f *testing.F) {
 	f.Add(env)
 	f.Add(v1)
 	f.Add(v2)
+	f.Add(v3)
 	f.Add(payload)
 	f.Add(v2[envHeaderLen:])
 	// A packet or verdict count far beyond the bytes left must be refused

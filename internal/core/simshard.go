@@ -152,8 +152,19 @@ func openSimCampaign(cfg Config, pop *population.Population, threat *threatintel
 	tr.End(sp)
 	env := &simEnv{cfg: cfg, pop: pop, threat: threat, reg: reg, u: u, shards: shards, hosts: hosts}
 	eng := shardEngine{label: "sim", span: "simulate", runShard: env.runShard, merge: env.merge}
-	return newShardCampaign(cfg, eng, len(shards), checkpointCampaignKey(cfg, shards),
+	return newShardCampaign(cfg, eng, simPlanLines(shards),
 		analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg})
+}
+
+// simPlanLines renders the simulated shard plan for the campaign key, one
+// line per shard.
+func simPlanLines(shards []simShard) []string {
+	lines := make([]string, len(shards))
+	for i, sh := range shards {
+		lines[i] = fmt.Sprintf("shard %d [%d,%d) clusters=%d+%d pps=%d",
+			sh.index, sh.start, sh.end, sh.firstCluster, sh.clusterSpan, sh.pps)
+	}
+	return lines
 }
 
 // simHost is one resolver: its address and its cohort's index.
@@ -330,19 +341,17 @@ func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 		roles = tap.roles.Classify(probeLog.R2())
 	}
 	return &shardRun{
-		acc:           acc,
-		probeCounters: probeLog.Counters(),
-		authCounters:  tap.log.Counters(),
-		r2:            probeLog.R2(),
-		roles:         roles,
-		netStats:      sim.Stats(),
-		faultStats:    sim.FaultStats(),
-		probeStats:    pr.Stats(),
-		sent:          pr.Sent(),
-		reused:        pr.Reused(),
-		clusters:      pr.ClustersUsed(),
-		duration:      pr.Duration(),
-		obs:           msh,
+		shardCounters: shardCounters{
+			NetStats:     sim.Stats(),
+			FaultStats:   sim.FaultStats(),
+			ProbeStats:   pr.Stats(),
+			AuthCounters: tap.log.Counters(),
+			Duration:     pr.Duration(),
+		},
+		acc:   acc,
+		r2:    probeLog.R2(),
+		roles: roles,
+		obs:   msh,
 	}, nil
 }
 
@@ -380,22 +389,22 @@ func (env *simEnv) merge(runs []*shardRun) *Dataset {
 	for i, r := range runs {
 		if i > 0 {
 			acc.Merge(r.acc)
-			ds.ProbeStats = ds.ProbeStats.Merge(r.probeStats)
+			ds.ProbeStats = ds.ProbeStats.Merge(r.ProbeStats)
 		} else {
-			ds.ProbeStats = r.probeStats
+			ds.ProbeStats = r.ProbeStats
 		}
-		camp.Q1 += r.sent
-		camp.Q2 += r.authCounters.Q2
-		camp.R1 += r.authCounters.R1
-		camp.R2 += r.probeCounters.R2
-		if r.duration > camp.Duration {
-			camp.Duration = r.duration
+		camp.Q2 += r.AuthCounters.Q2
+		camp.R1 += r.AuthCounters.R1
+		if r.Duration > camp.Duration {
+			camp.Duration = r.Duration
 		}
-		ds.ClustersUsed += r.clusters
-		ds.SubdomainsReused += r.reused
-		ds.NetStats.Add(r.netStats)
-		ds.FaultStats.Add(r.faultStats)
+		ds.NetStats.Add(r.NetStats)
+		ds.FaultStats.Add(r.FaultStats)
 	}
+	// The prober counts every Q1 it sends and every R2 it receives, and
+	// Merge sums counters, so the campaign's come from the merged stats.
+	camp.Q1, camp.R2 = ds.ProbeStats.Sent, ds.ProbeStats.Received
+	ds.ClustersUsed, ds.SubdomainsReused = ds.ProbeStats.ClustersUsed, ds.ProbeStats.Reused
 	camp.PacketsPerSec = cfg.pps()
 	camp.SampleShift = cfg.SampleShift
 	ds.Report = acc.Report(camp)

@@ -183,8 +183,9 @@ func (w *rawWorker) lease() *message {
 func TestVersionMismatchHello(t *testing.T) {
 	co := startCoordinator(t, CoordinatorConfig{})
 	// A version-2 worker would ship envelopes that carry the authoritative
-	// packet stream instead of verdicts; a far-future one, who knows what.
-	for _, proto := range []int{2, ProtoVersion + 41} {
+	// packet stream instead of verdicts, a version-3 one envelopes that
+	// repeat the prober's counters; a far-future one, who knows what.
+	for _, proto := range []int{2, 3, ProtoVersion + 41} {
 		conn, err := net.Dial("tcp", co.Addr())
 		if err != nil {
 			t.Fatal(err)

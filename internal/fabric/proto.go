@@ -53,10 +53,11 @@ import (
 // ProtoVersion is the fabric protocol version. HELLO carries it; the
 // coordinator refuses workers whose version differs, because a version
 // skew could mean a different shard plan or envelope layout — and the
-// whole design rests on both sides deriving identical bytes. Version 3
-// ships version-3 envelopes, whose shards carry responder verdicts where
-// version 2 carried the authoritative packet stream.
-const ProtoVersion = 3
+// whole design rests on both sides deriving identical bytes. Version 4
+// ships version-4 envelopes, whose state carries each prober counter once;
+// version 3 repeated four of them, and version 2 carried the authoritative
+// packet stream where later versions carry responder verdicts.
+const ProtoVersion = 4
 
 // maxFrame bounds one message: a frame, or a RESULT's JSON frame and
 // envelope frame together. The largest legitimate message is a RESULT

@@ -298,8 +298,8 @@ func TestRunAllocBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		cycle() // warm the slab, ring and pools
 	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Errorf("Run allocates %.1f/op in steady state, want 0", allocs)
+	if allocs := allocsPer16(100, cycle); allocs != 0 {
+		t.Errorf("Run allocates %.1f per 16 cycles in steady state, want 0", allocs)
 	}
 }
 

@@ -29,17 +29,17 @@ func TestInstrumentedSendStepAllocBudget(t *testing.T) {
 		src.SendPooled(addrB, 1, 2, append(src.PayloadBuf(), payload...))
 		step()
 	}
-	if avg := testing.AllocsPerRun(200, func() {
+	if avg := allocsPer16(200, func() {
 		src.Send(addrB, 1, 2, payload)
 		step()
 	}); avg != 0 {
-		t.Errorf("instrumented Send+Step allocates %v/op, want 0", avg)
+		t.Errorf("instrumented Send+Step allocates %v per 16 ops, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(200, func() {
+	if avg := allocsPer16(200, func() {
 		src.SendPooled(addrB, 1, 2, append(src.PayloadBuf(), payload...))
 		step()
 	}); avg != 0 {
-		t.Errorf("instrumented pooled round trip allocates %v/op, want 0", avg)
+		t.Errorf("instrumented pooled round trip allocates %v per 16 ops, want 0", avg)
 	}
 	if sh.Counter(obs.CSimSent) == 0 || sh.Counter(obs.CSimDelivered) == 0 {
 		t.Error("observer counted nothing — instrumentation not reached")

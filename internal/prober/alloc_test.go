@@ -12,9 +12,8 @@ import (
 // sendLoop builds a prober whose universe has a silent host (one that
 // never answers) on every hostEvery-th address, over a network with the
 // given impairments and retry budget, and returns one step of its
-// steady-state loop, batched 16 to a call: sweep, serveRetries, sendOne,
-// and every event up to a short no-op timer, so built payloads are
-// delivered and recycled.
+// steady-state loop: sweep, serveRetries, sendOne, and every event up to a
+// short no-op timer, so built payloads are delivered and recycled.
 func sendLoop(t *testing.T, imps []netsim.Impairment, hostEvery, retries int) (*Prober, *world, func()) {
 	t.Helper()
 	w := newImpairedWorld(t, 16, 1024, imps) // 65536 candidates
@@ -61,14 +60,19 @@ func sendLoop(t *testing.T, imps []netsim.Impairment, hostEvery, retries int) (*
 	for i := 0; i < 400; i++ { // warm the payload pool, wheel arena, retry queue, event queue
 		iter()
 	}
-	// AllocsPerRun truncates the mean to an integer, so a path that
-	// allocates on one step in ten would read 0; batch the steps.
-	batch := func() {
+	return p, w, iter
+}
+
+// allocsPer16 is testing.AllocsPerRun over batches of 16 calls of step.
+// AllocsPerRun truncates its mean to an integer, so a path that allocates
+// on only some steps reads 0 when each step is measured alone; batched, it
+// reads at least 1 as soon as it allocates once in 16 steps.
+func allocsPer16(runs int, step func()) float64 {
+	return testing.AllocsPerRun(runs, func() {
 		for range 16 {
-			iter()
+			step()
 		}
-	}
-	return p, w, batch
+	})
 }
 
 // TestSendOneRoutedAllocBudget: probes to addresses with a host take the
@@ -77,7 +81,7 @@ func sendLoop(t *testing.T, imps []netsim.Impairment, hostEvery, retries int) (*
 func TestSendOneRoutedAllocBudget(t *testing.T) {
 	p, w, iter := sendLoop(t, nil, 1, 0)
 	before := w.sim.Stats()
-	if avg := testing.AllocsPerRun(50, iter); avg != 0 {
+	if avg := allocsPer16(50, iter); avg != 0 {
 		t.Errorf("routed sweep+sendOne+Step allocates %v per 16 steps, want 0", avg)
 	}
 	if st := w.sim.Stats(); st.Delivered-before.Delivered < 800 || st.NoRoute != before.NoRoute {
@@ -100,7 +104,7 @@ func TestSendOneImpairedAllocBudget(t *testing.T) {
 	}
 	p, w, iter := sendLoop(t, imps, 2, 2)
 	before, fbefore := w.sim.Stats(), w.sim.FaultStats()
-	if avg := testing.AllocsPerRun(50, iter); avg != 0 {
+	if avg := allocsPer16(50, iter); avg != 0 {
 		t.Errorf("impaired sweep+serveRetries+sendOne+Step allocates %v per 16 steps, want 0", avg)
 	}
 	st, f := w.sim.Stats(), w.sim.FaultStats()

@@ -3,8 +3,6 @@ package prober
 import (
 	"bytes"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"openresolver/internal/capture"
@@ -125,8 +123,7 @@ type Prober struct {
 	// probe belongs to the active cluster — the pool only rotates once the
 	// wheel has drained — so this slice replaces the old qname-keyed
 	// sendTimes map. Entries are reset on response or expiry.
-	sendAt    []time.Duration
-	latencies []time.Duration
+	sendAt []time.Duration
 	// Retransmission-engine state, parallel to sendAt (see retrans.go):
 	// per-subdomain transmission attempts beyond the first, the probe's
 	// target and query ID (for re-sends), the retry queue, and the RTT
@@ -136,9 +133,6 @@ type Prober struct {
 	qid      []uint16
 	retryq   []retryEntry
 	rtt      rttEstimator
-	// latSorted caches the sorted view of latencies for LatencyPercentiles;
-	// it is valid while its length matches latencies.
-	latSorted []time.Duration
 
 	// Steady-state scratch: inbound decode message and the tick closure
 	// (pre-bound so re-arming the tick timer does not allocate).
@@ -491,39 +485,6 @@ func (p *Prober) AppendPayload(dst []byte) []byte {
 	return p.appendProbe(dst, p.pendIdx, p.pendID)
 }
 
-// Latencies returns the response latencies observed so far (probe send to
-// R2 arrival), in arrival order.
-func (p *Prober) Latencies() []time.Duration {
-	return append([]time.Duration(nil), p.latencies...)
-}
-
-// LatencyPercentiles returns the given percentiles (0-100) of the observed
-// response latencies by the nearest-rank method (rank = ceil(pct/100 × n),
-// clamped to [1, n]), or nil when nothing was measured. The sorted view is
-// cached across calls and refreshed only when new latencies have arrived.
-func (p *Prober) LatencyPercentiles(pcts ...float64) []time.Duration {
-	n := len(p.latencies)
-	if n == 0 {
-		return nil
-	}
-	if len(p.latSorted) != n {
-		p.latSorted = append(p.latSorted[:0], p.latencies...)
-		sort.Slice(p.latSorted, func(i, j int) bool { return p.latSorted[i] < p.latSorted[j] })
-	}
-	out := make([]time.Duration, len(pcts))
-	for i, pct := range pcts {
-		rank := int(math.Ceil(pct / 100 * float64(n)))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > n {
-			rank = n
-		}
-		out[i] = p.latSorted[rank-1]
-	}
-	return out
-}
-
 // HandleDatagram implements netsim.Host: every inbound packet on the probe
 // port is a candidate R2.
 func (p *Prober) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
@@ -563,7 +524,6 @@ func (p *Prober) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
 		// a retransmitted probe's response is ambiguous.
 		if !p.retransmitting() || p.attempts[pn.Index] == 0 {
 			lat := n.Now() - sent
-			p.latencies = append(p.latencies, lat)
 			p.rtt.observe(lat)
 			p.cfg.Obs.Observe(obs.HRTT, int64(lat))
 		}

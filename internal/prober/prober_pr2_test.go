@@ -49,40 +49,6 @@ func TestSendOnePackFailureRestoresSubdomain(t *testing.T) {
 	}
 }
 
-// TestLatencyPercentilesEdgeCases pins the nearest-rank semantics at the
-// boundaries: no samples, a single sample, the 0th/100th percentiles, and
-// cache refresh when new samples arrive between calls.
-func TestLatencyPercentilesEdgeCases(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	p := &Prober{}
-	if got := p.LatencyPercentiles(50); got != nil {
-		t.Errorf("no samples: got %v, want nil", got)
-	}
-
-	p.latencies = []time.Duration{ms(7)}
-	for _, pct := range []float64{0, 50, 100} {
-		if got := p.LatencyPercentiles(pct)[0]; got != ms(7) {
-			t.Errorf("p%g of single sample = %v, want %v", pct, got, ms(7))
-		}
-	}
-
-	p.latencies = []time.Duration{ms(40), ms(10), ms(30), ms(20)} // unsorted on purpose
-	pcts := []float64{0, 1, 25, 50, 75, 99, 100}
-	want := []time.Duration{ms(10), ms(10), ms(10), ms(20), ms(30), ms(40), ms(40)}
-	got := p.LatencyPercentiles(pcts...)
-	for i := range pcts {
-		if got[i] != want[i] {
-			t.Errorf("p%g = %v, want %v", pcts[i], got[i], want[i])
-		}
-	}
-
-	// A new sample invalidates the cached sort (length changed).
-	p.latencies = append(p.latencies, ms(5))
-	if got := p.LatencyPercentiles(0)[0]; got != ms(5) {
-		t.Errorf("p0 after new sample = %v, want %v (stale cache?)", got, ms(5))
-	}
-}
-
 // TestSendOneAllocBudget drives the prober's steady-state send loop —
 // sweep, sendOne, and the delivery step for each probe — and requires it
 // to be allocation-free. Targets are unrouted (every probe dead-letters),
@@ -117,8 +83,11 @@ func TestSendOneAllocBudget(t *testing.T) {
 	for i := 0; i < 300; i++ { // warm the payload pool, wheel arena
 		iter()
 	}
-	if avg := testing.AllocsPerRun(300, iter); avg != 0 {
-		t.Errorf("sweep+sendOne+Step allocates %v/op, want 0", avg)
+	// The clock never advances, so no name is reclaimed: the warm-up and
+	// the 41 measured batches of 16 (one is AllocsPerRun's own warm-up)
+	// spend 956 of the cluster's 1024 names.
+	if avg := allocsPer16(40, iter); avg != 0 {
+		t.Errorf("sweep+sendOne+Step allocates %v per 16 steps, want 0", avg)
 	}
 	if p.sent < 600 {
 		t.Fatalf("sent %d probes, expected the loop to actually transmit", p.sent)

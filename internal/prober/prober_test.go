@@ -9,6 +9,7 @@ import (
 	"openresolver/internal/dnssrv"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
+	"openresolver/internal/obs"
 	"openresolver/internal/scan"
 )
 
@@ -280,33 +281,26 @@ func TestMixedPopulationFlows(t *testing.T) {
 func TestLatencyMeasurement(t *testing.T) {
 	w := newWorld(t, 24, 1000)
 	w.placeResolvers(t, 8, behavior.Honest(1))
-	p := startProber(t, w, Config{ClusterSize: 1000, Timeout: time.Second})
+	sh := obs.NewShard("probe")
+	p := startProber(t, w, Config{ClusterSize: 1000, Timeout: time.Second, Obs: sh})
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	lats := p.Latencies()
-	if len(lats) != 8 {
-		t.Fatalf("latencies = %d, want 8", len(lats))
-	}
 	// Honest resolution at 10ms constant latency: Q1 (10) + 3 legs × RTT
-	// (60) + R2 (10) = 80ms.
-	for _, l := range lats {
-		if l != 80*time.Millisecond {
-			t.Errorf("latency = %v, want 80ms", l)
-		}
+	// (60) + R2 (10) = 80ms, for each of the 8 resolvers. The RTT
+	// histogram keeps its exact extremes, so min = max = 80ms pins all 8.
+	rtt := sh.Histogram(obs.HRTT).Snapshot()
+	if rtt.Count != 8 || p.Stats().RTTSamples != 8 {
+		t.Fatalf("RTT samples: histogram %d, estimator %d, want 8", rtt.Count, p.Stats().RTTSamples)
 	}
-	pct := p.LatencyPercentiles(50, 99)
-	if len(pct) != 2 || pct[0] != 80*time.Millisecond || pct[1] != 80*time.Millisecond {
-		t.Errorf("percentiles = %v", pct)
+	if want := uint64(80 * time.Millisecond); rtt.Min != want || rtt.Max != want {
+		t.Errorf("latency range [%v, %v], want exactly 80ms", time.Duration(rtt.Min), time.Duration(rtt.Max))
 	}
 	// The in-flight table must not leak timed-out entries.
 	for idx, at := range p.sendAt {
 		if at >= 0 {
 			t.Errorf("sendAt leaked entry for subdomain %d (sent at %v)", idx, at)
 		}
-	}
-	if p.LatencyPercentiles() != nil && len(p.LatencyPercentiles()) != 0 {
-		t.Error("no-arg percentiles should be empty")
 	}
 }
 

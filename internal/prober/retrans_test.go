@@ -170,8 +170,8 @@ func TestRetransmitKarnRule(t *testing.T) {
 	if p.Answered() != 1 {
 		t.Fatalf("answered = %d, want 1 (the retransmitted probe)", p.Answered())
 	}
-	if len(p.Latencies()) != 0 {
-		t.Errorf("latencies = %v; Karn's rule forbids timing retransmitted probes", p.Latencies())
+	if n := p.Stats().RTTSamples; n != 0 {
+		t.Errorf("%d RTT samples; Karn's rule forbids timing retransmitted probes", n)
 	}
 	if p.Stats().SRTT != 0 {
 		t.Errorf("SRTT = %v, want 0 (no clean samples)", p.Stats().SRTT)
@@ -265,8 +265,8 @@ func TestRetransmitAllocBudget(t *testing.T) {
 	for i := 0; i < 400; i++ { // warm the payload pool, wheel arena, retry queue
 		iter()
 	}
-	if avg := testing.AllocsPerRun(300, iter); avg != 0 {
-		t.Errorf("sweep+serveRetries+sendOne+Step allocates %v/op, want 0", avg)
+	if avg := allocsPer16(300, iter); avg != 0 {
+		t.Errorf("sweep+serveRetries+sendOne+Step allocates %v per 16 steps, want 0", avg)
 	}
 	if p.retransmits == 0 {
 		t.Fatal("alloc loop never exercised the retransmit path")

@@ -24,24 +24,22 @@ import (
 // Result is one executed (or resumed) cell: the campaign's report, the
 // counters the matrix prints, and the cell's FaultDigest — the same digest
 // the golden tests pin, so a sweep cell can be cross-checked bit-for-bit
-// against the standalone campaign.
+// against the standalone campaign. Its JSON form is the body of the cell's
+// artifact; the cell itself and the resume mark are not stored.
 type Result struct {
-	Cell             Cell
-	Digest           string
-	Report           *analysis.Report
-	NetStats         netsim.Stats
-	FaultStats       netsim.FaultStats
-	ProbeStats       prober.Stats
-	ClustersUsed     int
-	SubdomainsReused uint64
+	Cell       Cell              `json:"-"`
+	Digest     string            `json:"digest"`
+	Report     *analysis.Report  `json:"report"`
+	FaultStats netsim.FaultStats `json:"fault_stats"`
+	ProbeStats prober.Stats      `json:"probe_stats"`
 	// VirtualNanos is the simulator's clock at quiesce (sim cells).
-	VirtualNanos uint64
+	VirtualNanos uint64 `json:"virtual_nanos"`
 	// WallNanos is the cell's wall-clock cost. It is reported on the log
 	// writer only — never in the matrix, which must stay byte-identical
 	// across runs.
-	WallNanos uint64
+	WallNanos uint64 `json:"wall_nanos"`
 	// Resumed marks cells loaded from a completed artifact instead of run.
-	Resumed bool
+	Resumed bool `json:"-"`
 }
 
 // RunConfig parameterizes one sweep execution.
@@ -359,24 +357,24 @@ func runCell(rc RunConfig, c Cell, interp *drift.Interpolator, shard *obs.Shard,
 	merged := reg.Merged()
 	merged.MergeInto(shard)
 	res := Result{
-		Cell:             c,
-		Digest:           core.FaultDigest(ds),
-		Report:           ds.Report,
-		NetStats:         ds.NetStats,
-		FaultStats:       ds.FaultStats,
-		ProbeStats:       ds.ProbeStats,
-		ClustersUsed:     ds.ClustersUsed,
-		SubdomainsReused: ds.SubdomainsReused,
-		VirtualNanos:     merged.Counter(obs.CSimVirtualNanos),
-		WallNanos:        uint64(time.Since(wallStart)),
+		Cell:         c,
+		Digest:       core.FaultDigest(ds),
+		Report:       ds.Report,
+		FaultStats:   ds.FaultStats,
+		ProbeStats:   ds.ProbeStats,
+		VirtualNanos: merged.Counter(obs.CSimVirtualNanos),
+		WallNanos:    uint64(time.Since(wallStart)),
 	}
 	return res, nil
 }
 
 // artifact is the on-disk form of a completed cell: the cell's identity
-// (key plus the spec scalars that shape it), its digest, and every field
-// the matrix needs — so a resumed sweep renders byte-identically to a cold
-// one without re-running the campaign.
+// (key plus the spec scalars that shape it) and its Result, which holds
+// the digest and every field the matrix needs — so a resumed sweep renders
+// byte-identically to a cold one without re-running the campaign.
+// Artifacts written while Result still carried net_stats, clusters_used
+// and subdomains_reused load unchanged: nothing read those fields, and the
+// decoder skips them.
 type artifact struct {
 	Version   int    `json:"version"`
 	Key       string `json:"key"`
@@ -385,16 +383,7 @@ type artifact struct {
 	Seed      int64  `json:"seed"`
 	PPS       uint64 `json:"pps"`
 	MaxEvents int    `json:"max_events"`
-
-	Digest           string            `json:"digest"`
-	Report           *analysis.Report  `json:"report"`
-	NetStats         netsim.Stats      `json:"net_stats"`
-	FaultStats       netsim.FaultStats `json:"fault_stats"`
-	ProbeStats       prober.Stats      `json:"probe_stats"`
-	ClustersUsed     int               `json:"clusters_used"`
-	SubdomainsReused uint64            `json:"subdomains_reused"`
-	VirtualNanos     uint64            `json:"virtual_nanos"`
-	WallNanos        uint64            `json:"wall_nanos"`
+	Result
 }
 
 const artifactVersion = 1
@@ -422,15 +411,7 @@ func writeArtifact(spec *Spec, res *Result, dir string) error {
 		Key:     res.Cell.Key(),
 		Mode:    spec.Mode, Shift: spec.Shift, Seed: spec.Seed,
 		PPS: spec.PPS, MaxEvents: spec.MaxEvents,
-		Digest:           res.Digest,
-		Report:           res.Report,
-		NetStats:         res.NetStats,
-		FaultStats:       res.FaultStats,
-		ProbeStats:       res.ProbeStats,
-		ClustersUsed:     res.ClustersUsed,
-		SubdomainsReused: res.SubdomainsReused,
-		VirtualNanos:     res.VirtualNanos,
-		WallNanos:        res.WallNanos,
+		Result: *res,
 	}
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
@@ -474,16 +455,6 @@ func loadArtifact(spec *Spec, c Cell, dir string) (Result, bool, error) {
 	if a.Digest == "" || a.Report == nil {
 		return Result{}, false, errors.New("artifact is missing its digest or report")
 	}
-	return Result{
-		Cell:             c,
-		Digest:           a.Digest,
-		Report:           a.Report,
-		NetStats:         a.NetStats,
-		FaultStats:       a.FaultStats,
-		ProbeStats:       a.ProbeStats,
-		ClustersUsed:     a.ClustersUsed,
-		SubdomainsReused: a.SubdomainsReused,
-		VirtualNanos:     a.VirtualNanos,
-		WallNanos:        a.WallNanos,
-	}, true, nil
+	a.Cell = c
+	return a.Result, true, nil
 }

@@ -68,7 +68,7 @@ func TestSweepGoldenCell(t *testing.T) {
 
 // smallSpec is a fast 2×2 grid (shift 16) used by the scheduling and
 // resume tests: pristine vs lossy network, single-shot vs retrying prober.
-func smallSpec(t *testing.T) *Spec {
+func smallSpec(t testing.TB) *Spec {
 	t.Helper()
 	lossy, err := ParseLoss("loss:0.3")
 	if err != nil {
@@ -309,22 +309,26 @@ func TestSweepInterruptAndResume(t *testing.T) { checkInterruptAndResume(t, smal
 // TestSynthSweepInterruptAndResume is the same contract for a synthetic
 // sweep: synth cells checkpoint per shard too.
 func TestSynthSweepInterruptAndResume(t *testing.T) {
-	checkInterruptAndResume(t, func(t *testing.T) *Spec {
-		var years []YearVal
-		for _, y := range []string{"2018", "2013"} {
-			year, err := ParseYear(y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			years = append(years, year)
+	checkInterruptAndResume(t, smallSynthSpec)
+}
+
+// smallSynthSpec is a fast synthetic grid: the 2018 and 2013 populations
+// at shift 8.
+func smallSynthSpec(t testing.TB) *Spec {
+	var years []YearVal
+	for _, y := range []string{"2018", "2013"} {
+		year, err := ParseYear(y)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return &Spec{Mode: "synth", Years: years, Shift: 8, Seed: 1}
-	})
+		years = append(years, year)
+	}
+	return &Spec{Mode: "synth", Years: years, Shift: 8, Seed: 1}
 }
 
 // checkInterruptAndResume runs the interrupt-and-resume contract on the
 // grid newSpec builds (a fresh Spec per run, since Run normalizes it).
-func checkInterruptAndResume(t *testing.T, newSpec func(*testing.T) *Spec) {
+func checkInterruptAndResume(t *testing.T, newSpec func(testing.TB) *Spec) {
 	coldSpec := newSpec(t)
 	cold, err := Run(RunConfig{Spec: coldSpec, PoolWorkers: 2})
 	if err != nil {
