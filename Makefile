@@ -168,7 +168,9 @@ bench-sim-par:
 # and BenchmarkUniverseNext, ns per address of the prober's universe walk:
 # BENCH_PR27.json; BenchmarkProberSend/{routed,unrouted,impaired}, ns per
 # probe of a running campaign's send path, impaired with the sim-chaos-2018
-# pipeline and three retries: BENCH_PR28.json).
+# pipeline and three retries: BENCH_PR28.json; BenchmarkRecursiveResolve, one
+# cold recursive resolution by a newly reached resolver through the netsim
+# shell: BENCH_PR30.json).
 # Fails on
 # >25% ns/op growth or >0.1% allocs/op growth for any benchmark both sides
 # know (zero-alloc benchmarks stay strict — 0 × 1.001 is still 0).
@@ -181,6 +183,7 @@ benchdiff:
 	  $(GO) test -run '^$$' -bench 'TruthAddr' -benchmem -count $(BENCH_COUNT) ./internal/dnssrv ; \
 	  $(GO) test -run '^$$' -bench 'AssignerDraw|AssignerWalkSteps' -benchmem -count $(BENCH_COUNT) ./internal/population ; \
 	  $(GO) test -run '^$$' -bench 'ProberSend' -benchmem -count $(BENCH_COUNT) ./internal/prober ; \
+	  $(GO) test -run '^$$' -bench 'RecursiveResolve' -benchmem -count $(BENCH_COUNT) ./internal/behavior ; \
 	  $(GO) test -run '^$$' -bench 'UniverseNext' -benchmem -count $(BENCH_COUNT) ./internal/scan ) \
 	  | $(GO) run ./scripts/bench2json > $(BENCH_FRESH)
 	$(GO) run ./scripts/benchdiff -fresh $(BENCH_FRESH) -alloc-ratio 1.001 -newest BENCH_PR*.json

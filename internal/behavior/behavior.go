@@ -82,9 +82,10 @@ type Profile struct {
 // Resolver is a netsim host executing a Profile. One Resolver serves one
 // simulated IP address.
 type Resolver struct {
-	profile  Profile
-	rootAddr ipv4.Addr
-	rec      *dnssrv.Recursive
+	profile Profile
+	// rec is the recursion engine, attached to the Scratch's tables when
+	// the profile resolves (Upstream > 0) and zero otherwise.
+	rec dnssrv.Recursive
 
 	// Forwarder state: upstream query ID → original client.
 	fwdPending map[uint16]fwdClient
@@ -100,18 +101,21 @@ type Resolver struct {
 	ForwardDrops uint64
 }
 
-// Scratch is a Resolver's message scratch: rmsg is the inbound decode
-// target, qmsg and respMsg rebuild the query and response on the answer
-// path. Every Resolver of one netsim.Sim may share one Scratch, because the
-// simulator never delivers a datagram or fires a timer inside a handler, so
-// each use ends before the next handler starts. A deferred recursion
-// callback must not read rmsg (later packets, to any resolver sharing it,
-// decode over it); it reads its by-value qinfo capture instead. Resolvers
-// of different Sims must not share one: Sims may run concurrently.
+// Scratch is what a Resolver shares with its neighbours: rmsg is the
+// inbound decode target, qmsg and respMsg rebuild the query and response on
+// the answer path, and rec holds the recursion engines' caches and
+// in-flight legs. Every Resolver of one netsim.Sim may share one Scratch,
+// because the simulator never delivers a datagram or fires a timer inside a
+// handler, so each use ends before the next handler starts. A deferred
+// recursion callback must not read rmsg (later packets, to any resolver
+// sharing it, decode over it); it reads its by-value qinfo capture instead.
+// Resolvers of different Sims must not share one: Sims may run
+// concurrently.
 type Scratch struct {
 	rmsg    dnswire.Message
 	qmsg    dnswire.Message
 	respMsg dnswire.Message
+	rec     dnssrv.Tables
 }
 
 type fwdClient struct {
@@ -163,13 +167,13 @@ func NewResolver(sim *netsim.Sim, addr ipv4.Addr, rootAddr ipv4.Addr, profile Pr
 // a Scratch shared with the other resolvers of sim. tune is only called
 // for profiles that actually embed an engine; nil leaves the defaults.
 func NewResolverTuned(sim *netsim.Sim, addr ipv4.Addr, rootAddr ipv4.Addr, profile Profile, tune func(*dnssrv.Recursive), scratch *Scratch) *Resolver {
-	r := &Resolver{profile: profile, rootAddr: rootAddr, scratch: scratch}
+	r := &Resolver{profile: profile, scratch: scratch}
 	node := sim.Register(addr, r)
 	if profile.Upstream > 0 {
-		r.rec = dnssrv.NewRecursive(node, rootAddr)
+		scratch.rec.Attach(&r.rec, node, rootAddr)
 		r.rec.DupQueries = profile.Upstream
 		if tune != nil {
-			tune(r.rec)
+			tune(&r.rec)
 		}
 	}
 	return r
@@ -182,9 +186,6 @@ func (r *Resolver) Profile() Profile { return r.profile }
 // resolutions that went upstream; both are zero for profiles that never
 // resolve.
 func (r *Resolver) CacheStats() (hits, upstream uint64) {
-	if r.rec == nil {
-		return 0, 0
-	}
 	return r.rec.CacheHits, r.rec.Resolutions - r.rec.CacheHits
 }
 
@@ -199,7 +200,7 @@ func (r *Resolver) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
 	if msg.Header.QR {
 		// An upstream response: recursion engine first, then the
 		// forwarding table. Both consume msg before returning.
-		if r.rec != nil && r.rec.HandleResponse(msg) {
+		if r.profile.Upstream > 0 && r.rec.HandleResponse(msg) {
 			return
 		}
 		r.relayBack(n, msg)

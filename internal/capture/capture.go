@@ -66,7 +66,9 @@ type ProbeLog struct {
 	counters Counters
 	// Keep controls R2 retention; when false packets go only to Sink.
 	Keep bool
-	// Sink, if set, receives every R2 as it arrives.
+	// Sink, if set, receives every R2 as it arrives. The packet's Payload
+	// is valid only during the call: without Keep it is the datagram's own
+	// buffer, which the network reuses once the delivery returns.
 	Sink func(Packet)
 	r2   []Packet
 }
@@ -77,18 +79,17 @@ func NewProbeLog() *ProbeLog { return &ProbeLog{Keep: true} }
 // CountQ1 records n probes sent.
 func (l *ProbeLog) CountQ1(n uint64) { l.counters.Q1 += n }
 
-// AddR2 records one response received at the prober.
+// AddR2 records one response received at the prober. Only a kept packet
+// is copied out of the datagram's buffer.
 func (l *ProbeLog) AddR2(at time.Duration, dg netsim.Datagram) {
 	l.counters.R2++
-	p := Packet{
-		Kind: KindR2, At: at, Src: dg.Src, Dst: dg.Dst,
-		Payload: append([]byte(nil), dg.Payload...),
+	p := Packet{Kind: KindR2, At: at, Src: dg.Src, Dst: dg.Dst, Payload: dg.Payload}
+	if l.Keep {
+		p.Payload = append([]byte(nil), dg.Payload...)
+		l.r2 = append(l.r2, p)
 	}
 	if l.Sink != nil {
 		l.Sink(p)
-	}
-	if l.Keep {
-		l.r2 = append(l.r2, p)
 	}
 }
 

@@ -50,6 +50,38 @@ func TestProbeLogCountsAndSink(t *testing.T) {
 	}
 }
 
+// TestProbeLogSinkOnlyAllocs: a log without Keep hands the sink the
+// datagram's own payload, so recording an R2 allocates nothing.
+func TestProbeLogSinkOnlyAllocs(t *testing.T) {
+	dg := mkDatagram("a.example.net", 1)
+	var n int
+	l := &ProbeLog{Sink: func(p Packet) { n += len(p.Payload) }}
+	if allocs := testing.AllocsPerRun(100, func() { l.AddR2(time.Second, dg) }); allocs != 0 {
+		t.Errorf("sink-only AddR2 allocates %v times, want 0", allocs)
+	}
+	if n == 0 || l.Counters().R2 == 0 {
+		t.Error("the sink saw no payload")
+	}
+}
+
+// TestProbeLogKeptPacketOwnsPayload: a kept packet, and the one its sink
+// sees, is a copy, so the network reusing the datagram's buffer after
+// delivery leaves it intact.
+func TestProbeLogKeptPacketOwnsPayload(t *testing.T) {
+	dg := mkDatagram("a.example.net", 1)
+	want := append([]byte(nil), dg.Payload...)
+	var sunk []byte
+	l := NewProbeLog()
+	l.Sink = func(p Packet) { sunk = p.Payload }
+	l.AddR2(time.Second, dg)
+	for i := range dg.Payload {
+		dg.Payload[i] ^= 0xFF
+	}
+	if !bytes.Equal(l.R2()[0].Payload, want) || !bytes.Equal(sunk, want) {
+		t.Error("a kept packet aliases the datagram buffer")
+	}
+}
+
 func TestAuthLogTap(t *testing.T) {
 	l := NewAuthLog()
 	dg := mkDatagram("x.example.net", 4)

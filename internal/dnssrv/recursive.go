@@ -23,45 +23,24 @@ type Result struct {
 // open resolvers embed one of these; the measurement's Q2/R1 flows are the
 // engine's authoritative-server legs. DESIGN.md §8 lists where the walk
 // deliberately departs from RFC 1034 §5.3.3.
+//
+// The engine itself is a few words: its caches and in-flight legs live in
+// the Tables it is attached to, under a slot of its own.
 type Recursive struct {
-	node     *netsim.Node
-	rootAddr ipv4.Addr
+	node *netsim.Node
+	t    *Tables
 
 	// Timeout and Retries govern each upstream leg.
 	Timeout time.Duration
 	Retries int
-	// Backoff doubles the retry timeout on every attempt (capped at
-	// maxBackoff×Timeout) instead of retrying on a fixed interval — the
-	// adverse-network discipline: a loss burst is outwaited, not hammered.
-	Backoff bool
-	// Jitter adds a ±12.5% deterministic perturbation (drawn from the
-	// node's rng) to each retry timeout, decorrelating retry storms across
-	// a population of resolvers hit by the same outage.
-	Jitter bool
 	// DupQueries duplicates the authoritative leg (retransmission
 	// behaviour observed in the wild; the Q2 ≈ 2×R2 ratio of Table II is
 	// calibrated with it). 1 means a single query.
 	DupQueries int
-	// DNSSEC sets the DO bit on upstream queries, requesting signatures.
-	DNSSEC bool
 	// Validate, when non-nil, vets every answered response (a DNSSEC
 	// validator hook); returning false makes the engine report ServFail,
 	// as validating resolvers do on bogus signatures (RFC 4035 §5.5).
 	Validate func(qname string, msg *dnswire.Message) bool
-
-	// referral cache: zone suffix -> server glue address.
-	referrals map[string]cacheEntry
-	// answer cache: qname -> address.
-	answers map[string]cacheEntry
-	// negative cache (RFC 2308): qname -> cached error rcode.
-	negative map[string]cacheEntry
-
-	nextID  uint16
-	pending map[uint16]*inflight
-
-	// qmsg is the upstream-query scratch; both transports encode it
-	// before returning.
-	qmsg dnswire.Message
 
 	// Stats.
 	Resolutions     uint64 // Resolve calls
@@ -71,6 +50,56 @@ type Recursive struct {
 	TCPFallbacks    uint64 // truncated UDP responses retried over TCP
 	Retransmits     uint64 // UDP legs re-sent after a timeout
 	TCPTruncated    uint64 // TCP answers still carrying TC=1
+
+	// The narrow fields come last, where they pack into two words.
+	slot     uint32
+	rootAddr ipv4.Addr
+	nextID   uint16
+
+	// Backoff doubles the retry timeout on every attempt (capped at
+	// maxBackoff×Timeout) instead of retrying on a fixed interval — the
+	// adverse-network discipline: a loss burst is outwaited, not hammered.
+	Backoff bool
+	// Jitter adds a ±12.5% deterministic perturbation (drawn from the
+	// node's rng) to each retry timeout, decorrelating retry storms across
+	// a population of resolvers hit by the same outage.
+	Jitter bool
+	// DNSSEC sets the DO bit on upstream queries, requesting signatures.
+	DNSSEC bool
+}
+
+// Tables holds the recursion state of every engine attached to it: the
+// referral, answer and negative caches, the in-flight legs and the
+// upstream-query scratch. Each engine gets a slot when it attaches and
+// every entry is keyed by that slot, so engines never see each other's
+// entries. All engines of one netsim.Sim may share one Tables, because the
+// simulator runs one handler at a time; engines of different Sims must not
+// (Sims may run concurrently). The zero value is ready to use.
+type Tables struct {
+	slots uint32
+	// zones interns every referral zone name once; referral keys carry
+	// the zone's index instead of the name.
+	zones map[string]uint32
+	// referrals: slot<<32 | zone index -> server glue address.
+	referrals map[uint64]cacheEntry
+	// answers: (slot, qname) -> address.
+	answers map[nameKey]cacheEntry
+	// negative (RFC 2308): (slot, qname) -> cached error rcode.
+	negative map[nameKey]cacheEntry
+	// pending: slot<<16 | transaction ID -> in-flight leg.
+	pending map[uint64]*inflight
+	// free holds finished legs for reuse.
+	free []*inflight
+
+	// qmsg is the upstream-query scratch; both transports encode it
+	// before returning.
+	qmsg dnswire.Message
+}
+
+// nameKey keys the answer and negative caches.
+type nameKey struct {
+	slot uint32
+	name string
 }
 
 const (
@@ -98,24 +127,91 @@ type cacheEntry struct {
 	expires time.Duration
 }
 
+// inflight is one resolution's current upstream leg. Legs are pooled in
+// the Tables; expire, the leg's timeout callback, is made once per pooled
+// leg. A leg handed to a TCP fallback is never pooled again: the
+// connection's callbacks keep referring to it.
 type inflight struct {
+	rec         *Recursive
 	qname       string
-	server      ipv4.Addr
+	done        func(Result)
+	expire      func()
+	timer       netsim.Timer
 	attempts    int
 	tcpAttempts int
-	timer       netsim.Timer
-	done        func(Result)
 	depth       int
+	server      ipv4.Addr
+	id          uint16
 	finished    bool
+	tcp         bool
 }
 
-// finish delivers the result exactly once.
+// Attach makes r a fresh engine bound to node, priming the hierarchy at
+// rootAddr, whose state lives in t under a new slot.
+func (t *Tables) Attach(r *Recursive, node *netsim.Node, rootAddr ipv4.Addr) {
+	if t.pending == nil {
+		t.zones = make(map[string]uint32)
+		t.referrals = make(map[uint64]cacheEntry)
+		t.answers = make(map[nameKey]cacheEntry)
+		t.negative = make(map[nameKey]cacheEntry)
+		t.pending = make(map[uint64]*inflight)
+	}
+	*r = Recursive{
+		node:       node,
+		t:          t,
+		slot:       t.slots,
+		rootAddr:   rootAddr,
+		Timeout:    2 * time.Second,
+		Retries:    2,
+		DupQueries: 1,
+		nextID:     1,
+	}
+	t.slots++
+}
+
+// leg returns a cleared leg for r, from the free list when it has one.
+func (t *Tables) leg(r *Recursive, qname string, done func(Result)) *inflight {
+	var fl *inflight
+	if n := len(t.free); n > 0 {
+		fl = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		fl = new(inflight)
+		fl.expire = func() { fl.rec.onTimeout(fl.id) }
+	}
+	fl.rec, fl.qname, fl.done = r, qname, done
+	return fl
+}
+
+// intern returns zone's index, storing an owned copy of zone (it may
+// alias a decode arena) on first sight.
+func (t *Tables) intern(zone string) uint32 {
+	z, ok := t.zones[zone]
+	if !ok {
+		z = uint32(len(t.zones))
+		t.zones[strings.Clone(zone)] = z
+	}
+	return z
+}
+
+// referralKey is the referral-table key of r's zone with index z.
+func (r *Recursive) referralKey(z uint32) uint64 { return uint64(r.slot)<<32 | uint64(z) }
+
+// pendingKey is the pending-table key of r's transaction id.
+func (r *Recursive) pendingKey(id uint16) uint64 { return uint64(r.slot)<<16 | uint64(id) }
+
+// finish delivers the result exactly once, then returns a UDP leg — one
+// no packet, timer or connection refers to any more — to the free list.
 func (r *Recursive) finish(fl *inflight, res Result) {
 	if fl.finished {
 		return
 	}
 	fl.finished = true
 	fl.done(res)
+	if !fl.tcp {
+		*fl = inflight{expire: fl.expire}
+		r.t.free = append(r.t.free, fl)
+	}
 }
 
 // fail ends the resolution with ServFail, the engine's one failure exit.
@@ -128,55 +224,63 @@ func (r *Recursive) fail(fl *inflight) {
 }
 
 // NewRecursive creates an engine bound to node, priming the hierarchy at
-// rootAddr.
+// rootAddr, with Tables of its own.
 func NewRecursive(node *netsim.Node, rootAddr ipv4.Addr) *Recursive {
-	return &Recursive{
-		node:       node,
-		rootAddr:   rootAddr,
-		Timeout:    2 * time.Second,
-		Retries:    2,
-		DupQueries: 1,
-		referrals:  make(map[string]cacheEntry),
-		answers:    make(map[string]cacheEntry),
-		negative:   make(map[string]cacheEntry),
-		pending:    make(map[uint16]*inflight),
-		nextID:     1,
-	}
+	r := new(Recursive)
+	new(Tables).Attach(r, node, rootAddr)
+	return r
 }
 
 // Resolve starts a recursive resolution of qname (type A) and calls done
-// exactly once with the outcome.
+// exactly once with the outcome. The engine keeps qname as a cache key,
+// so it must not alias a decode arena that is reused.
 func (r *Recursive) Resolve(qname string, done func(Result)) {
 	r.Resolutions++
 	qname = dnswire.CanonicalName(qname)
-	if ans, ok := r.answers[qname]; ok && r.node.Now() < ans.expires {
+	now := r.node.Now()
+	if ans, ok := r.t.answers[nameKey{r.slot, qname}]; ok && now < ans.expires {
 		r.CacheHits++
 		done(Result{Addr: ans.addr, Rcode: dnswire.RcodeNoError, OK: true})
 		return
 	}
-	if neg, ok := r.negative[qname]; ok && r.node.Now() < neg.expires {
+	if neg, ok := r.t.negative[nameKey{r.slot, qname}]; ok && now < neg.expires {
 		r.CacheHits++
 		done(Result{Rcode: neg.rcode})
 		return
 	}
-	server := r.bestServer(qname)
-	r.query(qname, server, done, 0)
+	r.query(r.t.leg(r, qname, done), r.bestServer(qname), 0)
 }
 
-// bestServer returns the deepest cached referral covering qname, falling
-// back to the root.
+// bestServer returns the deepest unexpired cached referral covering qname,
+// falling back to the root. The zones covering qname (inZone) are qname
+// itself and every suffix after one of its dots but the first character,
+// so it looks those up deepest first.
 func (r *Recursive) bestServer(qname string) ipv4.Addr {
-	best := r.rootAddr
-	bestLen := -1
-	for zone, e := range r.referrals {
-		if r.node.Now() >= e.expires {
+	if addr, ok := r.referral(qname); ok {
+		return addr
+	}
+	for i := 1; i < len(qname); i++ {
+		if qname[i] != '.' {
 			continue
 		}
-		if inZone(qname, zone) && len(zone) > bestLen {
-			best, bestLen = e.addr, len(zone)
+		if addr, ok := r.referral(qname[i+1:]); ok {
+			return addr
 		}
 	}
-	return best
+	return r.rootAddr
+}
+
+// referral returns r's unexpired cached server for zone.
+func (r *Recursive) referral(zone string) (ipv4.Addr, bool) {
+	z, ok := r.t.zones[zone]
+	if !ok {
+		return 0, false
+	}
+	e, ok := r.t.referrals[r.referralKey(z)]
+	if !ok || r.node.Now() >= e.expires {
+		return 0, false
+	}
+	return e.addr, true
 }
 
 // inZone reports whether name is zone or lies under it.
@@ -190,8 +294,9 @@ func hasSuffixLabel(name, zone string) bool {
 		name[len(name)-len(zone)-1] == '.'
 }
 
-func (r *Recursive) query(qname string, server ipv4.Addr, done func(Result), depth int) {
-	fl := &inflight{qname: qname, server: server, done: done, depth: depth}
+// query sends fl's leg at depth to server under a fresh transaction ID.
+func (r *Recursive) query(fl *inflight, server ipv4.Addr, depth int) {
+	fl.server, fl.depth, fl.attempts, fl.tcpAttempts = server, depth, 0, 0
 	if depth > maxDepth {
 		r.fail(fl)
 		return
@@ -201,25 +306,26 @@ func (r *Recursive) query(qname string, server ipv4.Addr, done func(Result), dep
 	if r.nextID == 0 {
 		r.nextID = 1
 	}
-	r.pending[id] = fl
+	fl.id = id
+	r.t.pending[r.pendingKey(id)] = fl
 
-	r.sendQuery(id, qname, server)
+	r.sendQuery(id, fl.qname, server)
 	// Upstream duplicates count against the authoritative leg only (depth
 	// 2 of the cold root→TLD→auth walk; every probe name is unique, so the
 	// walk is always cold in a campaign).
 	if r.DupQueries > 1 && depth >= 2 {
 		for i := 1; i < r.DupQueries; i++ {
-			r.sendQuery(id, qname, server)
+			r.sendQuery(id, fl.qname, server)
 		}
 	}
-	fl.timer = r.node.After(r.Timeout, func() { r.onTimeout(id) })
+	fl.timer = r.node.After(r.Timeout, fl.expire)
 }
 
 // upstreamQuery fills the query scratch for leg id: RD clear (iterative
 // legs), the DO bit when DNSSEC is set. Both transports encode it. qname
 // is canonical (Resolve made it so).
 func (r *Recursive) upstreamQuery(id uint16, qname string) *dnswire.Message {
-	q := &r.qmsg
+	q := &r.t.qmsg
 	q.Header = dnswire.Header{ID: id}
 	q.Questions = append(q.Questions[:0], dnswire.Question{
 		Name: qname, Type: dnswire.TypeA, Class: dnswire.ClassIN,
@@ -243,19 +349,20 @@ func (r *Recursive) sendQuery(id uint16, qname string, server ipv4.Addr) {
 }
 
 func (r *Recursive) onTimeout(id uint16) {
-	fl, ok := r.pending[id]
+	k := r.pendingKey(id)
+	fl, ok := r.t.pending[k]
 	if !ok {
 		return
 	}
 	fl.attempts++
 	if fl.attempts > r.Retries {
-		delete(r.pending, id)
+		delete(r.t.pending, k)
 		r.fail(fl)
 		return
 	}
 	r.Retransmits++
 	r.sendQuery(id, fl.qname, fl.server)
-	fl.timer = r.node.After(r.retryTimeout(fl.attempts), func() { r.onTimeout(id) })
+	fl.timer = r.node.After(r.retryTimeout(fl.attempts), fl.expire)
 }
 
 // retryTimeout is the wait before declaring the attempts-th retry lost:
@@ -283,7 +390,8 @@ func (r *Recursive) retryTimeout(attempts int) time.Duration {
 // true if the packet matched an in-flight query (callers route non-matching
 // packets elsewhere).
 func (r *Recursive) HandleResponse(msg *dnswire.Message) bool {
-	fl, ok := r.pending[msg.Header.ID]
+	k := r.pendingKey(msg.Header.ID)
+	fl, ok := r.t.pending[k]
 	if !ok {
 		return false
 	}
@@ -292,19 +400,19 @@ func (r *Recursive) HandleResponse(msg *dnswire.Message) bool {
 	if q, ok := msg.Question1(); !ok || q.Name != fl.qname {
 		return false
 	}
-	delete(r.pending, msg.Header.ID)
+	delete(r.t.pending, k)
 	fl.timer.Stop()
-	r.answer(fl, msg.Header.ID, msg, false)
+	r.answer(fl, msg, false)
 	return true
 }
 
-// answer completes leg id with msg, a response to its question that
+// answer completes leg fl with msg, a response to its question that
 // arrived over UDP or, when overTCP, over the leg's TCP fallback. A
 // truncated UDP answer retries the leg over TCP (RFC 7766); one truncated
 // even over TCP — a protocol violation some broken servers commit on every
 // answer — re-dials at most maxTCPRetries times, then fails instead of
 // looping forever.
-func (r *Recursive) answer(fl *inflight, id uint16, msg *dnswire.Message, overTCP bool) {
+func (r *Recursive) answer(fl *inflight, msg *dnswire.Message, overTCP bool) {
 	if fl.finished {
 		// The leg's TCP deadline already failed it; the answer is late.
 		return
@@ -318,7 +426,7 @@ func (r *Recursive) answer(fl *inflight, id uint16, msg *dnswire.Message, overTC
 			}
 			fl.tcpAttempts++
 		}
-		r.retryTCP(fl, id)
+		r.retryTCP(fl)
 		return
 	}
 	r.process(fl, msg)
@@ -330,7 +438,7 @@ func (r *Recursive) process(fl *inflight, msg *dnswire.Message) {
 		// RFC 2308: authoritative NXDomain is cacheable; other errors are
 		// transient and are not cached.
 		if msg.Header.Rcode == dnswire.RcodeNXDomain && msg.Header.AA {
-			r.negative[fl.qname] = cacheEntry{
+			r.t.negative[nameKey{r.slot, fl.qname}] = cacheEntry{
 				rcode:   msg.Header.Rcode,
 				expires: r.node.Now() + negativeTTL,
 			}
@@ -350,7 +458,7 @@ func (r *Recursive) process(fl *inflight, msg *dnswire.Message) {
 			return
 		}
 		addr := ipv4.Addr(rr.A)
-		r.answers[fl.qname] = cacheEntry{addr: addr, expires: r.node.Now() + time.Duration(rr.TTL)*time.Second}
+		r.t.answers[nameKey{r.slot, fl.qname}] = cacheEntry{addr: addr, expires: r.node.Now() + time.Duration(rr.TTL)*time.Second}
 		r.finish(fl, Result{Addr: addr, Rcode: dnswire.RcodeNoError, OK: true})
 		return
 	}
@@ -378,18 +486,22 @@ func (r *Recursive) process(fl *inflight, msg *dnswire.Message) {
 	}
 	// Cache the referral only when its zone covers the qname: an
 	// out-of-bailiwick NS set would otherwise become the server for a zone
-	// it was never delegated, for every later lookup under it. zone aliases
-	// msg's decode arena (dnswire.UnpackInto); the cache key outlives the
-	// packet, so pin a copy.
+	// it was never delegated, for every later lookup under it.
 	if inZone(fl.qname, zone) {
-		r.referrals[strings.Clone(zone)] = cacheEntry{addr: next, expires: r.node.Now() + referralTTL}
+		r.t.referrals[r.referralKey(r.t.intern(zone))] = cacheEntry{addr: next, expires: r.node.Now() + referralTTL}
 	}
-	r.query(fl.qname, next, fl.done, fl.depth+1)
+	depth := fl.depth + 1
+	if fl.tcp {
+		// The TCP fallback's callbacks still hold fl; descend on a new leg.
+		fl = r.t.leg(r, fl.qname, fl.done)
+	}
+	r.query(fl, next, depth)
 }
 
 // retryTCP re-issues the truncated leg over a stream connection. The
 // connection only deframes and matches the answer; answer decides.
-func (r *Recursive) retryTCP(fl *inflight, id uint16) {
+func (r *Recursive) retryTCP(fl *inflight) {
+	fl.tcp = true
 	r.TCPFallbacks++
 	deadline := r.node.After(r.Timeout, func() { r.fail(fl) })
 	abort := func(c *netsim.Conn) {
@@ -415,12 +527,12 @@ func (r *Recursive) retryTCP(fl *inflight, id uint16) {
 				if q, ok := m.Question1(); ok && q.Name == fl.qname && m.Header.QR {
 					deadline.Stop()
 					c.Close()
-					r.answer(fl, id, m, true)
+					r.answer(fl, m, true)
 					return
 				}
 			}
 		})
-		wire, err := r.upstreamQuery(id, fl.qname).AppendTCP(nil)
+		wire, err := r.upstreamQuery(fl.id, fl.qname).AppendTCP(nil)
 		if err != nil {
 			abort(c)
 			return
@@ -430,5 +542,14 @@ func (r *Recursive) retryTCP(fl *inflight, id uint16) {
 	})
 }
 
-// Outstanding returns the number of in-flight upstream queries.
-func (r *Recursive) Outstanding() int { return len(r.pending) }
+// Outstanding returns the number of the engine's in-flight upstream
+// queries.
+func (r *Recursive) Outstanding() int {
+	n := 0
+	for k := range r.t.pending {
+		if k>>16 == uint64(r.slot) {
+			n++
+		}
+	}
+	return n
+}
