@@ -157,7 +157,10 @@ bench-sim-par:
 # Benchmark-regression gate: run the committed benchmark suites, fold the
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
-# records it (BenchmarkShardEnvelope, the version-4 envelope: BENCH_PR29.json;
+# records it (BenchmarkShardEnvelope, the version-4 envelope encoded by copying
+# the shard's R2 log, BenchmarkHostLookupMiss, a host-table lookup of an empty
+# address, and BenchmarkProbeLogKeep, one kept R2 appended to a record log:
+# BENCH_PR31.json;
 # BenchmarkEventThroughput and BenchmarkStepDrain: BENCH_PR20.json; BenchmarkAssignerDraw, ns per
 # address that population.Assigner.Assign draws (the ledger timed the deleted cursor
 # walk, the same walk): BENCH_PR24.json; the synthetic-campaign benchmarks
@@ -184,7 +187,8 @@ benchdiff:
 	  $(GO) test -run '^$$' -bench 'AssignerDraw|AssignerWalkSteps' -benchmem -count $(BENCH_COUNT) ./internal/population ; \
 	  $(GO) test -run '^$$' -bench 'ProberSend' -benchmem -count $(BENCH_COUNT) ./internal/prober ; \
 	  $(GO) test -run '^$$' -bench 'RecursiveResolve' -benchmem -count $(BENCH_COUNT) ./internal/behavior ; \
-	  $(GO) test -run '^$$' -bench 'UniverseNext' -benchmem -count $(BENCH_COUNT) ./internal/scan ) \
+	  $(GO) test -run '^$$' -bench 'UniverseNext' -benchmem -count $(BENCH_COUNT) ./internal/scan ; \
+	  $(GO) test -run '^$$' -bench 'ProbeLogKeep' -benchmem -count $(BENCH_COUNT) ./internal/capture ) \
 	  | $(GO) run ./scripts/bench2json > $(BENCH_FRESH)
 	$(GO) run ./scripts/benchdiff -fresh $(BENCH_FRESH) -alloc-ratio 1.001 -newest BENCH_PR*.json
 

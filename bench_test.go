@@ -223,6 +223,19 @@ func BenchmarkFig1ResolutionChain(b *testing.B) {
 	}
 }
 
+// authCapture is the tcpdump tap of Fig. 2 at the authoritative server: it
+// keeps every Q2 and R1 in a record log.
+type authCapture struct{ capture.Log }
+
+// Packet implements dnssrv.Tap.
+func (c *authCapture) Packet(inbound bool, at time.Duration, dg netsim.Datagram, _ *dnswire.Message) {
+	kind := capture.KindR1
+	if inbound {
+		kind = capture.KindQ2
+	}
+	c.Append(capture.Packet{Kind: kind, At: at, Src: dg.Src, Dst: dg.Dst, Payload: dg.Payload})
+}
+
 // BenchmarkFig2FlowCapture measures the Q1/Q2/R1/R2 capture-and-group path
 // of Fig. 2 on a miniature campaign.
 func BenchmarkFig2FlowCapture(b *testing.B) {
@@ -234,9 +247,8 @@ func BenchmarkFig2FlowCapture(b *testing.B) {
 		dnssrv.NewReferralServer(sim, core.TLDAddr, []dnssrv.Referral{
 			{Zone: paperdata.SLD, NSName: "ns1." + paperdata.SLD, Addr: core.AuthAddr},
 		})
-		authLog := capture.NewAuthLog()
 		auth := dnssrv.NewAuthServer(sim, dnssrv.AuthConfig{
-			Addr: core.AuthAddr, SLD: paperdata.SLD, ClusterSize: 64, Tap: authLog,
+			Addr: core.AuthAddr, SLD: paperdata.SLD, ClusterSize: 64, Tap: &authCapture{},
 		})
 		u, err := scan.NewUniverse(uint64(i), 26, nil) // 64 candidates
 		if err != nil {
@@ -261,7 +273,7 @@ func BenchmarkFig2FlowCapture(b *testing.B) {
 		if err := sim.Run(0); err != nil {
 			b.Fatal(err)
 		}
-		flows := capture.GroupFlows(log.R2())
+		flows := capture.GroupFlows(log.R2Log())
 		if len(flows) == 0 {
 			b.Fatal("no flows captured")
 		}

@@ -27,8 +27,8 @@ func TestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ds.R2Packets {
-		if err := w.Write(p); err != nil {
+	for it := ds.R2Packets.Iter(); it.Next(); {
+		if err := w.Write(it.Packet()); err != nil {
 			t.Fatal(err)
 		}
 	}

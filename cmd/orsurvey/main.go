@@ -154,7 +154,7 @@ func run(args []string, stderr io.Writer) error {
 		if err := writeCapture(*capturePath, ds.R2Packets); err != nil {
 			return err
 		}
-		fmt.Printf("R2 capture (%d packets) written to %s\n", len(ds.R2Packets), *capturePath)
+		fmt.Printf("R2 capture (%d packets) written to %s\n", ds.R2Packets.Len(), *capturePath)
 	}
 	if *jsonPath != "" {
 		data, err := ds.Report.JSON()
@@ -191,7 +191,7 @@ func run(args []string, stderr io.Writer) error {
 	return nil
 }
 
-func writeCapture(path string, packets []capture.Packet) error {
+func writeCapture(path string, packets *capture.Log) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -201,8 +201,8 @@ func writeCapture(path string, packets []capture.Packet) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range packets {
-		if err := w.Write(p); err != nil {
+	for it := packets.Iter(); it.Next(); {
+		if err := w.Write(it.Packet()); err != nil {
 			return err
 		}
 	}

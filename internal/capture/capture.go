@@ -1,8 +1,8 @@
 // Package capture implements the measurement's packet-capture artifacts:
-// the prober-side log of Q1/R2 (the paper's modified-ZMap output) and the
-// authoritative-side log of Q2/R1 (the paper's tcpdump capture, Fig. 2),
-// plus qname-based flow grouping and a pcap-like binary log format for
-// persisting captures to disk.
+// the prober-side log of Q1/R2 (the paper's modified-ZMap output), kept as
+// a chunked record log (Log), and the authoritative-side tally of Q2/R1
+// (the paper's tcpdump capture, Fig. 2), plus qname-based flow grouping and
+// a pcap-like binary log format for persisting captures to disk.
 package capture
 
 import (
@@ -60,8 +60,8 @@ type Counters struct {
 }
 
 // ProbeLog is the prober-side capture: it counts Q1 (storing billions of
-// identical probes is pointless — ZMap does not either) and retains R2
-// packets, optionally forwarding them to a streaming sink.
+// identical probes is pointless — ZMap does not either) and keeps R2
+// packets in a record log, optionally forwarding them to a streaming sink.
 type ProbeLog struct {
 	counters Counters
 	// Keep controls R2 retention; when false packets go only to Sink.
@@ -70,7 +70,7 @@ type ProbeLog struct {
 	// is valid only during the call: without Keep it is the datagram's own
 	// buffer, which the network reuses once the delivery returns.
 	Sink func(Packet)
-	r2   []Packet
+	r2   Log
 }
 
 // NewProbeLog returns a retaining probe log.
@@ -80,13 +80,12 @@ func NewProbeLog() *ProbeLog { return &ProbeLog{Keep: true} }
 func (l *ProbeLog) CountQ1(n uint64) { l.counters.Q1 += n }
 
 // AddR2 records one response received at the prober. Only a kept packet
-// is copied out of the datagram's buffer.
+// is copied out of the datagram's buffer, into the log's current chunk.
 func (l *ProbeLog) AddR2(at time.Duration, dg netsim.Datagram) {
 	l.counters.R2++
 	p := Packet{Kind: KindR2, At: at, Src: dg.Src, Dst: dg.Dst, Payload: dg.Payload}
 	if l.Keep {
-		p.Payload = append([]byte(nil), dg.Payload...)
-		l.r2 = append(l.r2, p)
+		p.Payload = l.r2.Append(p)
 	}
 	if l.Sink != nil {
 		l.Sink(p)
@@ -96,45 +95,28 @@ func (l *ProbeLog) AddR2(at time.Duration, dg netsim.Datagram) {
 // Counters returns the flow tallies.
 func (l *ProbeLog) Counters() Counters { return l.counters }
 
-// R2 returns the retained responses.
-func (l *ProbeLog) R2() []Packet { return l.r2 }
+// R2Log returns the kept responses, in arrival order.
+func (l *ProbeLog) R2Log() *Log { return &l.r2 }
 
-// AuthLog is the authoritative-side capture; it implements dnssrv.Tap.
+// AuthLog is the authoritative-side capture; it implements dnssrv.Tap. It
+// counts Q2 and R1 and keeps no packets: a simulation shard indexes each
+// Q2's qname for the role join instead (classify.Index), since the join
+// reads nothing else of the capture.
 type AuthLog struct {
 	counters Counters
-	// Keep controls packet retention. When false the log only counts Q2
-	// and R1: a simulation shard runs it that way and indexes each Q2's
-	// qname for the role join instead (classify.Index), since the join
-	// reads nothing else of the capture.
-	Keep    bool
-	packets []Packet
 }
 
-// NewAuthLog returns a retaining authoritative-side log.
-func NewAuthLog() *AuthLog { return &AuthLog{Keep: true} }
-
 // Packet implements dnssrv.Tap.
-func (l *AuthLog) Packet(inbound bool, at time.Duration, dg netsim.Datagram, _ *dnswire.Message) {
-	kind := KindR1
+func (l *AuthLog) Packet(inbound bool, _ time.Duration, _ netsim.Datagram, _ *dnswire.Message) {
 	if inbound {
-		kind = KindQ2
 		l.counters.Q2++
 	} else {
 		l.counters.R1++
-	}
-	if l.Keep {
-		l.packets = append(l.packets, Packet{
-			Kind: kind, At: at, Src: dg.Src, Dst: dg.Dst,
-			Payload: append([]byte(nil), dg.Payload...),
-		})
 	}
 }
 
 // Counters returns the flow tallies.
 func (l *AuthLog) Counters() Counters { return l.counters }
-
-// Packets returns the retained packets.
-func (l *AuthLog) Packets() []Packet { return l.packets }
 
 // Flow is the grouped view of one probe: all packets sharing a qname
 // (§III-B: "we were able to easily group Q1, Q2, R1, and R2 for each flow").
@@ -143,12 +125,14 @@ type Flow struct {
 	Packets []Packet
 }
 
-// GroupFlows groups packets by the canonical qname of their first question.
-// Packets without a question group under the empty key — exactly the
-// §IV-B4 population. Groups preserve packet order.
-func GroupFlows(packets []Packet) map[string]*Flow {
+// GroupFlows groups a log's packets by the canonical qname of their first
+// question. Packets without a question group under the empty key — exactly
+// the §IV-B4 population. Groups preserve packet order, and their payloads
+// alias the log.
+func GroupFlows(l *Log) map[string]*Flow {
 	flows := make(map[string]*Flow)
-	for _, p := range packets {
+	for it := l.Iter(); it.Next(); {
+		p := it.Packet()
 		key := ""
 		if msg, err := dnswire.Unpack(p.Payload); err == nil {
 			if q, ok := msg.Question1(); ok {

@@ -35,17 +35,18 @@ func TestProbeLogCountsAndSink(t *testing.T) {
 	if c.Q1 != 15 || c.R2 != 2 {
 		t.Errorf("counters = %+v", c)
 	}
-	if len(l.R2()) != 2 || len(sunk) != 2 {
-		t.Errorf("retained %d, sunk %d", len(l.R2()), len(sunk))
+	if l.R2Log().Len() != 2 || len(sunk) != 2 {
+		t.Errorf("retained %d, sunk %d", l.R2Log().Len(), len(sunk))
 	}
-	if l.R2()[0].At != time.Second || l.R2()[0].Kind != KindR2 {
-		t.Errorf("packet meta = %+v", l.R2()[0])
+	it := l.R2Log().Iter()
+	if !it.Next() || it.Packet().At != time.Second || it.Packet().Kind != KindR2 {
+		t.Errorf("packet meta = %+v", it.Packet())
 	}
 
 	// Keep=false retains nothing but still counts and sinks.
 	l2 := &ProbeLog{Sink: func(Packet) {}}
 	l2.AddR2(0, mkDatagram("c.example.net", 3))
-	if len(l2.R2()) != 0 || l2.Counters().R2 != 1 {
+	if l2.R2Log().Len() != 0 || l2.R2Log().Size() != 0 || l2.Counters().R2 != 1 {
 		t.Error("non-retaining log misbehaves")
 	}
 }
@@ -77,35 +78,34 @@ func TestProbeLogKeptPacketOwnsPayload(t *testing.T) {
 	for i := range dg.Payload {
 		dg.Payload[i] ^= 0xFF
 	}
-	if !bytes.Equal(l.R2()[0].Payload, want) || !bytes.Equal(sunk, want) {
+	it := l.R2Log().Iter()
+	if !it.Next() || !bytes.Equal(it.Packet().Payload, want) || !bytes.Equal(sunk, want) {
 		t.Error("a kept packet aliases the datagram buffer")
 	}
 }
 
 func TestAuthLogTap(t *testing.T) {
-	l := NewAuthLog()
+	var l AuthLog
 	dg := mkDatagram("x.example.net", 4)
 	l.Packet(true, time.Second, dg, nil)
 	l.Packet(false, 2*time.Second, dg, nil)
 	l.Packet(true, 3*time.Second, dg, nil)
-	c := l.Counters()
-	if c.Q2 != 2 || c.R1 != 1 {
+	if c := l.Counters(); c != (Counters{Q2: 2, R1: 1}) {
 		t.Errorf("counters = %+v", c)
-	}
-	pk := l.Packets()
-	if len(pk) != 3 || pk[0].Kind != KindQ2 || pk[1].Kind != KindR1 {
-		t.Errorf("packets = %+v", pk)
 	}
 }
 
 func TestGroupFlows(t *testing.T) {
-	packets := []Packet{
+	var packets Log
+	for _, p := range []Packet{
 		{Kind: KindR2, Payload: mkDatagram("a.example.net", 1).Payload},
 		{Kind: KindR2, Payload: mkDatagram("b.example.net", 2).Payload},
 		{Kind: KindR2, Payload: mkDatagram("a.example.net", 3).Payload},
 		{Kind: KindR2, Payload: (&dnswire.Message{Header: dnswire.Header{QR: true}}).MustPack()},
+	} {
+		packets.Append(p)
 	}
-	flows := GroupFlows(packets)
+	flows := GroupFlows(&packets)
 	if len(flows) != 3 {
 		t.Fatalf("flows = %d, want 3", len(flows))
 	}

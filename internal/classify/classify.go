@@ -134,13 +134,14 @@ func (ix *Index) sources(qname string) []ipv4.Addr {
 // Classify joins the prober-side R2 packets with the indexed Q2 sources by
 // qname and classifies every responder, by its first decodable R2.
 // Verdicts are sorted by responder.
-func (ix *Index) Classify(r2 []capture.Packet) *Summary {
+func (ix *Index) Classify(r2 *capture.Log) *Summary {
 	var (
 		msg      dnswire.Message
 		verdicts []Verdict
 	)
 	seen := make(map[ipv4.Addr]bool)
-	for _, p := range r2 {
+	for it := r2.Iter(); it.Next(); {
+		p := it.Packet()
 		if p.Kind != capture.KindR2 || seen[p.Src] {
 			continue
 		}
@@ -177,11 +178,12 @@ func (ix *Index) Classify(r2 []capture.Packet) *Summary {
 }
 
 // Classify joins the prober-side R2 packets with the authoritative-side Q2
-// packets by qname and classifies every responder.
-func Classify(r2 []capture.Packet, auth []capture.Packet) *Summary {
+// packets by qname and classifies every responder. Either log may be nil.
+func Classify(r2, auth *capture.Log) *Summary {
 	ix := NewIndex()
 	var msg dnswire.Message
-	for _, p := range auth {
+	for it := auth.Iter(); it.Next(); {
+		p := it.Packet()
 		if p.Kind != capture.KindQ2 || dnswire.UnpackInto(&msg, p.Payload) != nil {
 			continue
 		}

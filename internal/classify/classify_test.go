@@ -25,6 +25,19 @@ var (
 
 const sld = "ucfsealresearch.net"
 
+// authCapture is the tcpdump tap of Fig. 2 at the authoritative server: it
+// keeps every Q2 and R1 in a record log.
+type authCapture struct{ capture.Log }
+
+// Packet implements dnssrv.Tap.
+func (c *authCapture) Packet(inbound bool, at time.Duration, dg netsim.Datagram, _ *dnswire.Message) {
+	kind := capture.KindR1
+	if inbound {
+		kind = capture.KindQ2
+	}
+	c.Append(capture.Packet{Kind: kind, At: at, Src: dg.Src, Dst: dg.Dst, Payload: dg.Payload})
+}
+
 func TestClassifyRoles(t *testing.T) {
 	sim := netsim.New(netsim.Config{Seed: 1, Latency: netsim.ConstantLatency(5 * time.Millisecond)})
 	dnssrv.NewReferralServer(sim, rootAddr, []dnssrv.Referral{
@@ -33,7 +46,7 @@ func TestClassifyRoles(t *testing.T) {
 	dnssrv.NewReferralServer(sim, tldAddr, []dnssrv.Referral{
 		{Zone: sld, NSName: "ns1." + sld, Addr: authAddr},
 	})
-	authLog := capture.NewAuthLog()
+	authLog := &authCapture{}
 	dnssrv.NewAuthServer(sim, dnssrv.AuthConfig{
 		Addr: authAddr, SLD: sld, ClusterSize: 1000, Tap: authLog,
 	})
@@ -64,7 +77,7 @@ func TestClassifyRoles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := Classify(probeLog.R2(), authLog.Packets())
+	s := Classify(probeLog.R2Log(), &authLog.Log)
 	want := map[ipv4.Addr]Role{
 		recursive:  RoleRecursive,
 		frontend:   RoleForwarder,
@@ -116,7 +129,7 @@ func TestMergeEqualsWholeJoin(t *testing.T) {
 	dnssrv.NewReferralServer(sim, tldAddr, []dnssrv.Referral{
 		{Zone: sld, NSName: "ns1." + sld, Addr: authAddr},
 	})
-	authLog := capture.NewAuthLog()
+	authLog := &authCapture{}
 	dnssrv.NewAuthServer(sim, dnssrv.AuthConfig{
 		Addr: authAddr, SLD: sld, ClusterSize: 1000, Tap: authLog,
 	})
@@ -172,30 +185,30 @@ func TestMergeEqualsWholeJoin(t *testing.T) {
 		}
 		return (pn.Index - 1) / len(targets)
 	}
-	var r2s, auths [2][]capture.Packet
-	for _, p := range probeLog.R2() {
-		r2s[partOf(p)] = append(r2s[partOf(p)], p)
-	}
-	for _, p := range authLog.Packets() {
-		auths[partOf(p)] = append(auths[partOf(p)], p)
-	}
 	// A refusal from targets[0] that opens part 1: that part alone calls it
 	// non-resolving, but the whole join sees part 0's answer first.
 	refused := dnswire.NewResponse(dnswire.NewQuery(99, dnssrv.FormatProbeName(0, 99, sld), dnswire.TypeA))
 	refused.Header.Rcode = dnswire.RcodeRefused
-	r2s[1] = append([]capture.Packet{{Kind: capture.KindR2, Src: targets[0], Dst: proberAddr, Payload: refused.MustPack()}}, r2s[1]...)
+	var r2s, auths [2]capture.Log
+	r2s[1].Append(capture.Packet{Kind: capture.KindR2, Src: targets[0], Dst: proberAddr, Payload: refused.MustPack()})
+	for it := probeLog.R2Log().Iter(); it.Next(); {
+		r2s[partOf(it.Packet())].Append(it.Packet())
+	}
+	for it := authLog.Iter(); it.Next(); {
+		auths[partOf(it.Packet())].Append(it.Packet())
+	}
 
 	var parts []*Summary
 	for i := range r2s {
 		ix := NewIndex()
-		for _, p := range auths[i] {
-			if p.Kind == capture.KindQ2 {
+		for it := auths[i].Iter(); it.Next(); {
+			if p := it.Packet(); p.Kind == capture.KindQ2 {
 				msg, _ := dnswire.Unpack(p.Payload)
 				q, _ := msg.Question1()
 				ix.AddQ2(q.Name, p.Src)
 			}
 		}
-		parts = append(parts, ix.Classify(r2s[i]))
+		parts = append(parts, ix.Classify(&r2s[i]))
 	}
 	for _, target := range targets {
 		for i, part := range parts {
@@ -206,7 +219,7 @@ func TestMergeEqualsWholeJoin(t *testing.T) {
 	}
 
 	got := Merge(parts)
-	want := Classify(slices.Concat(r2s[0], r2s[1]), slices.Concat(auths[0], auths[1]))
+	want := Classify(capture.ConcatLogs(&r2s[0], &r2s[1]), capture.ConcatLogs(&auths[0], &auths[1]))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("merged parts differ from the whole join\n got %+v\nwant %+v", got, want)
 	}
@@ -260,7 +273,10 @@ func TestClassifyDeduplicatesResponders(t *testing.T) {
 	resp := dnswire.NewResponse(q)
 	resp.Header.Rcode = dnswire.RcodeRefused
 	pkt := capture.Packet{Kind: capture.KindR2, Src: ipv4.MustParseAddr("9.9.9.9"), Payload: resp.MustPack()}
-	s := Classify([]capture.Packet{pkt, pkt}, nil)
+	var r2 capture.Log
+	r2.Append(pkt)
+	r2.Append(pkt)
+	s := Classify(&r2, nil)
 	if len(s.Verdicts) != 1 {
 		t.Errorf("verdicts = %d", len(s.Verdicts))
 	}

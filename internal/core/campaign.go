@@ -71,7 +71,7 @@ type shardEngine struct {
 type shardRun struct {
 	shardCounters
 	acc   *analysis.Accumulator
-	r2    []capture.Packet
+	r2    *capture.Log
 	roles *classify.Summary // responder verdicts; KeepPackets campaigns only
 	obs   *obs.Shard
 }
@@ -108,8 +108,8 @@ func OpenShardCampaign(cfg Config) (*ShardCampaign, error) {
 // shard order (so the snapshot's shard list never depends on scheduling),
 // and restores every shard with a valid checkpoint when cfg.Checkpoints is
 // configured.
-func newShardCampaign(cfg Config, eng shardEngine, plan []string, accCfg analysis.Config) (*ShardCampaign, error) {
-	n := len(plan)
+func newShardCampaign(cfg Config, eng shardEngine, plan keyPlan, accCfg analysis.Config) (*ShardCampaign, error) {
+	n := plan.shards
 	sc := &ShardCampaign{cfg: cfg, engine: eng, accCfg: accCfg, key: campaignKey(eng.label, cfg, plan),
 		obsShards: make([]*obs.Shard, n), runs: make([]*shardRun, n)}
 	for i := range sc.obsShards {

@@ -51,7 +51,7 @@ func checkInvariants(t *testing.T, ds *Dataset) {
 	if rcodes > c.R2 {
 		t.Errorf("Table VI counts %d packets, more than the %d analyzed R2s", rcodes, c.R2)
 	}
-	if got := uint64(len(ds.R2Packets)); ds.Config.KeepPackets && ds.Report.Campaign.R2 != got {
+	if got := uint64(ds.R2Packets.Len()); ds.Config.KeepPackets && ds.Report.Campaign.R2 != got {
 		t.Errorf("campaign R2=%d but %d packets captured", ds.Report.Campaign.R2, got)
 	}
 	if ds.Report.Campaign.Q1 != ps.Sent {

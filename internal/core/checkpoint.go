@@ -29,8 +29,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
-	"time"
 
 	"openresolver/internal/analysis"
 	"openresolver/internal/capture"
@@ -130,7 +130,8 @@ const checkpointVersion = 4
 // Integers are big-endian; the campaign key is the raw digest that
 // campaignKey renders in hex. The payload is the shard's small structured
 // state as JSON, behind a uvarint length, followed by the R2 packet stream
-// (appendPackets) and the shard's responder verdicts (appendVerdicts).
+// (the shard's capture.Log, copied chunk by chunk) and the shard's
+// responder verdicts (appendVerdicts).
 // Version 3 repeated four of the prober's counters beside its statistics,
 // and version 2 carried the authoritative Q2/R1 packet stream where the
 // verdicts now are; checkpoints of either rerun.
@@ -145,15 +146,15 @@ const (
 // shardCheckpoint is the decoded form of one completed shard (shardRun) —
 // exactly the fields the merges fold, so a restored shard merges
 // indistinguishably from a freshly run one. The JSON tags cover the
-// structured state; the R2 stream and the verdicts travel as binary
+// structured state; the R2 log and the verdicts travel as binary
 // records. The authoritative capture is not here: each shard joins it
 // against its own R2s before it finishes, and only the verdicts leave.
 type shardCheckpoint struct {
 	shardCounters
-	Acc       *analysis.AccumulatorState `json:"acc"`
-	Obs       *obs.ShardState            `json:"obs,omitempty"`
-	R2Packets []capture.Packet           `json:"-"`
-	Verdicts  []classify.Verdict         `json:"-"`
+	Acc      *analysis.AccumulatorState `json:"acc"`
+	Obs      *obs.ShardState            `json:"obs,omitempty"`
+	R2       *capture.Log               `json:"-"`
+	Verdicts []classify.Verdict         `json:"-"`
 }
 
 // checkpointStore writes and validates the per-shard checkpoint files of
@@ -178,17 +179,40 @@ type checkpointStore struct {
 // 2013 campaign with 2018 checkpoints, or after a shard-plan change, reruns
 // everything instead of merging mismatched state. Workers is absent on
 // purpose: scheduling never changes a byte.
-func campaignKey(engine string, cfg Config, plan []string) string {
+func campaignKey(engine string, cfg Config, plan keyPlan) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s ckpt v%d year=%d shift=%d seed=%d pps=%d keep=%t\n",
 		engine, checkpointVersion, cfg.Year, cfg.SampleShift, cfg.Seed, cfg.pps(), cfg.KeepPackets)
 	fmt.Fprintf(h, "retries=%d adaptive=%t backoff=%t maxev=%d imps=%s\n",
 		cfg.Faults.Retries, cfg.Faults.AdaptiveTimeout, cfg.Faults.UpstreamBackoff,
 		cfg.Faults.MaxQueuedEvents, netsim.DescribeImpairments(cfg.Faults.Impairments))
-	for _, line := range plan {
-		fmt.Fprintln(h, line)
+	var line []byte
+	for i := 0; i < plan.shards; i++ {
+		line = append(plan.line(line[:0], i), '\n')
+		h.Write(line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// keyPlan is a shard plan as campaignKey reads it: the shard count, and
+// line, which appends shard i's line to buf. Both engines write their lines
+// through appendPlanLine into one reused buffer, so keying a campaign builds
+// no string per shard.
+type keyPlan struct {
+	shards int
+	line   func(buf []byte, i int) []byte
+}
+
+// appendPlanLine appends the line every shard plan starts with, "shard i
+// [start,end) name=a+b": the shard's probe range and where its private
+// state starts (a cohort and an offset into it, or a cluster namespace).
+func appendPlanLine(buf []byte, i int, start, end uint64, name string, a, b uint64) []byte {
+	buf = strconv.AppendInt(append(buf, "shard "...), int64(i), 10)
+	buf = strconv.AppendUint(append(buf, " ["...), start, 10)
+	buf = strconv.AppendUint(append(buf, ','), end, 10)
+	buf = append(append(append(buf, ") "...), name...), '=')
+	buf = strconv.AppendUint(buf, a, 10)
+	return strconv.AppendUint(append(buf, '+'), b, 10)
 }
 
 // openCheckpointStore prepares the checkpoint directory of the campaign
@@ -240,13 +264,13 @@ func marshalShardEnvelope(key string, shard int, run *shardRun) ([]byte, error) 
 		shardCounters: run.shardCounters,
 		Acc:           run.acc.State(),
 		Obs:           run.obs.State(),
-		R2Packets:     run.r2,
+		R2:            run.r2,
 		Verdicts:      verdicts,
 	})
 }
 
 // encodeShardEnvelope lays ck out as a version-4 envelope in a single
-// allocation: the header, the structured state, the R2 stream, the
+// allocation: the header, the structured state, the R2 log's chunks, the
 // verdicts, and finally the digest over everything after the header.
 func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
 	state, err := json.Marshal(ck)
@@ -258,7 +282,7 @@ func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 		return nil, fmt.Errorf("campaign key %q is not a hex SHA-256 digest", key)
 	}
 	size := envHeaderLen + binary.MaxVarintLen64 + len(state) +
-		packetsSize(ck.R2Packets) + verdictsSize(ck.Verdicts)
+		binary.MaxVarintLen64 + ck.R2.Size() + verdictsSize(ck.Verdicts)
 	buf := make([]byte, envHeaderLen, size)
 	copy(buf, envMagic)
 	binary.BigEndian.PutUint32(buf[len(envMagic):], checkpointVersion)
@@ -266,88 +290,16 @@ func encodeShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 	binary.BigEndian.PutUint32(buf[envShardOff:], uint32(shard))
 	buf = binary.AppendUvarint(buf, uint64(len(state)))
 	buf = append(buf, state...)
-	buf = appendPackets(buf, ck.R2Packets)
+	buf = ck.R2.AppendStream(buf)
 	buf = appendVerdicts(buf, ck.Verdicts)
 	sum := sha256.Sum256(buf[envHeaderLen:])
 	copy(buf[envSumOff:], sum[:])
 	return buf, nil
 }
 
-// A packet stream is a uvarint record count followed by the records. A
-// record is the kind byte, At as a varint of nanoseconds, the source and
-// destination addresses (4 bytes each, big-endian), and a uvarint payload
-// length followed by the payload bytes; minPacketRecord is the smallest.
-const minPacketRecord = 1 + 1 + 4 + 4 + 1
-
-// packetsSize bounds the encoded size of one packet stream.
-func packetsSize(pkts []capture.Packet) int {
-	n := binary.MaxVarintLen64
-	for i := range pkts {
-		n += 1 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64 + len(pkts[i].Payload)
-	}
-	return n
-}
-
-// appendPackets appends pkts to buf as one packet stream.
-func appendPackets(buf []byte, pkts []capture.Packet) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(pkts)))
-	for i := range pkts {
-		p := &pkts[i]
-		buf = append(buf, byte(p.Kind))
-		buf = binary.AppendVarint(buf, int64(p.At))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(p.Src))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(p.Dst))
-		buf = binary.AppendUvarint(buf, uint64(len(p.Payload)))
-		buf = append(buf, p.Payload...)
-	}
-	return buf
-}
-
-// decodePackets reads one packet stream off the front of b and returns the
-// bytes after it. The count is checked against the bytes that remain before
-// the slice is allocated, and each payload length before it is taken.
-// Payloads alias b (capacity-capped), so the envelope buffer must never be
-// written while the packets live — and nothing downstream writes them.
-func decodePackets(b []byte) ([]capture.Packet, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return nil, nil, errors.New("bad packet count")
-	}
-	b = b[k:]
-	if n > uint64(len(b)/minPacketRecord) {
-		return nil, nil, fmt.Errorf("%d packets cannot fit in %d bytes", n, len(b))
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	pkts := make([]capture.Packet, n)
-	for i := range pkts {
-		if len(b) < minPacketRecord {
-			return nil, nil, fmt.Errorf("packet %d: truncated stream", i)
-		}
-		kind := capture.Kind(b[0])
-		if kind < capture.KindQ1 || kind > capture.KindR2 {
-			return nil, nil, fmt.Errorf("packet %d: unknown kind %d", i, b[0])
-		}
-		at, k := binary.Varint(b[1:])
-		if k <= 0 || len(b) < 1+k+8 {
-			return nil, nil, fmt.Errorf("packet %d: truncated record", i)
-		}
-		b = b[1+k:]
-		src, dst := ipv4.Addr(binary.BigEndian.Uint32(b)), ipv4.Addr(binary.BigEndian.Uint32(b[4:]))
-		ln, k := binary.Uvarint(b[8:])
-		if k <= 0 {
-			return nil, nil, fmt.Errorf("packet %d: bad payload length", i)
-		}
-		b = b[8+k:]
-		if ln > uint64(len(b)) {
-			return nil, nil, fmt.Errorf("packet %d: %d-byte payload overruns the %d bytes left", i, ln, len(b))
-		}
-		pkts[i] = capture.Packet{Kind: kind, At: time.Duration(at), Src: src, Dst: dst, Payload: b[:ln:ln]}
-		b = b[ln:]
-	}
-	return pkts, b, nil
-}
+// A packet stream is a uvarint record count followed by the records, in
+// capture.Log's record layout: capture.Log.AppendStream writes one and
+// capture.ReadLog validates one in place.
 
 // A verdict stream is a uvarint record count followed by the records, in
 // strictly ascending responder order. A record is the responder (4 bytes,
@@ -464,7 +416,7 @@ func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint, msh *obs.Shard
 	run := &shardRun{
 		shardCounters: ck.shardCounters,
 		acc:           analysis.NewAccumulatorFromState(accCfg, ck.Acc),
-		r2:            ck.R2Packets,
+		r2:            ck.R2,
 		roles:         classify.Summarize(ck.Verdicts),
 		obs:           msh,
 	}
@@ -556,7 +508,7 @@ func (s *checkpointStore) load(shard int, accCfg analysis.Config, msh *obs.Shard
 // validateShardEnvelope checks one envelope's integrity in layers —
 // well-formed header, format version, campaign key, shard index, payload
 // digest, decodable payload, accumulator present — and returns the decoded
-// payload, whose packet payloads alias data. It guards both transports of
+// payload, whose R2 log is data's packet section in place. It guards both transports of
 // the envelope format: checkpoint files read back from disk and RESULT
 // envelopes received from fabric workers.
 func validateShardEnvelope(key string, shard int, data []byte) (*shardCheckpoint, error) {
@@ -599,7 +551,7 @@ func decodeShardPayload(payload []byte) (*shardCheckpoint, error) {
 	}
 	rest := payload[k+int(n):]
 	var err error
-	if ck.R2Packets, rest, err = decodePackets(rest); err != nil {
+	if ck.R2, rest, err = capture.ReadLog(rest); err != nil {
 		return nil, fmt.Errorf("R2 packets: %v", err)
 	}
 	if ck.Verdicts, rest, err = decodeVerdicts(rest); err != nil {

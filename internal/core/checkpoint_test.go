@@ -531,7 +531,7 @@ func TestSimCampaignKeyPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := campaignKey("sim", tc.cfg, simPlanLines(planSimShards(tc.cfg, u))); got != tc.want {
+		if got := campaignKey("sim", tc.cfg, simKeyPlan(planSimShards(tc.cfg, u))); got != tc.want {
 			t.Errorf("%+v: sim campaign key %s, want %s", tc.cfg, got, tc.want)
 		}
 	}
@@ -583,7 +583,7 @@ func TestCheckpointCampaignKeyCoversPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return campaignKey("sim", c, simPlanLines(planSimShards(c, uni)))
+		return campaignKey("sim", c, simKeyPlan(planSimShards(c, uni)))
 	}
 	key := u(base)
 

@@ -164,8 +164,11 @@ type Dataset struct {
 	// retransmission engine's retransmit/late/duplicate/gave-up counters
 	// (simulation mode).
 	ProbeStats prober.Stats
-	// R2Packets are the raw captured responses (KeepPackets only).
-	R2Packets []capture.Packet
+	// R2Packets are the raw captured responses, in shard order and, within
+	// a shard, in arrival order (KeepPackets only; nil reads as empty). The
+	// log shares each shard's chunks or envelope bytes, so reading it
+	// copies nothing.
+	R2Packets *capture.Log
 	// Roles classifies every responder by correlating the prober and
 	// authoritative captures (simulation mode with KeepPackets only).
 	Roles *classify.Summary
@@ -414,7 +417,7 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 	env.walk = newSegWalk(assigner, first, segmentLength(assigner.Steps(), first))
 	env.pinnedAt = pinnedAt
 	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, merge: env.merge}
-	sc, err := newShardCampaign(cfg, eng, synthPlanLines(env.plans), env.accCfg)
+	sc, err := newShardCampaign(cfg, eng, synthKeyPlan(env.plans), env.accCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -426,14 +429,13 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 	return sc, nil
 }
 
-// synthPlanLines renders the synthetic shard plan for the campaign key, one
-// line per shard.
-func synthPlanLines(plans []shardPlan) []string {
-	lines := make([]string, len(plans))
-	for i, p := range plans {
-		lines[i] = fmt.Sprintf("shard %d [%d,%d) cohort=%d+%d", i, p.start, p.end, p.cohort, p.offset)
-	}
-	return lines
+// synthKeyPlan is the synthetic shard plan as the campaign key reads it:
+// "shard i [start,end) cohort=c+offset".
+func synthKeyPlan(plans []shardPlan) keyPlan {
+	return keyPlan{shards: len(plans), line: func(buf []byte, i int) []byte {
+		p := plans[i]
+		return appendPlanLine(buf, i, p.start, p.end, "cohort", uint64(p.cohort), p.offset)
+	}}
 }
 
 // drawOffsets returns where each shard's draws start: first[i] counts the

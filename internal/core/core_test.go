@@ -231,8 +231,8 @@ func TestSimulation2018EndToEnd(t *testing.T) {
 	}
 
 	// Raw packets were retained and group into flows by qname.
-	if len(ds.R2Packets) != int(r.Campaign.R2) {
-		t.Fatalf("retained %d packets, want %d", len(ds.R2Packets), r.Campaign.R2)
+	if ds.R2Packets.Len() != int(r.Campaign.R2) {
+		t.Fatalf("retained %d packets, want %d", ds.R2Packets.Len(), r.Campaign.R2)
 	}
 	flows := capture.GroupFlows(ds.R2Packets)
 	if emptyQ := flows[""]; ds.Report.EmptyQ.Total > 0 && emptyQ == nil {

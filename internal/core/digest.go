@@ -34,7 +34,8 @@ func SimulationDigest(ds *Dataset) string {
 	fmt.Fprintf(h, "stats=%+v clusters=%d reused=%d\n",
 		ds.NetStats, ds.ClustersUsed, ds.SubdomainsReused)
 	var num [8]byte
-	for _, p := range ds.R2Packets {
+	for it := ds.R2Packets.Iter(); it.Next(); {
+		p := it.Packet()
 		binary.BigEndian.PutUint64(num[:], uint64(p.At))
 		h.Write(num[:])
 		binary.BigEndian.PutUint32(num[:4], uint32(p.Src))

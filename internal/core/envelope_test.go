@@ -48,7 +48,7 @@ func legacyShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 		*shardCheckpoint
 		R2Packets   []capture.Packet `json:"r2_packets,omitempty"`
 		AuthPackets []capture.Packet `json:"auth_packets,omitempty"`
-	}{ck, ck.R2Packets, legacyAuthStream(ck.R2Packets)})
+	}{ck, logPackets(ck.R2), legacyAuthStream(ck.R2)})
 	if err != nil {
 		return nil, err
 	}
@@ -68,8 +68,8 @@ func legacyShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, er
 // stream, then the Q2/R1 stream where later versions have their verdicts.
 func legacyV2ShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, error) {
 	return legacyBinaryEnvelope(key, shard, 2, ck, func(buf []byte) []byte {
-		buf = appendPackets(buf, ck.R2Packets)
-		return appendPackets(buf, legacyAuthStream(ck.R2Packets))
+		buf = ck.R2.AppendStream(buf)
+		return refAppendPackets(buf, legacyAuthStream(ck.R2))
 	})
 }
 
@@ -87,7 +87,7 @@ func legacyV3ShardEnvelope(key string, shard int, ck *shardCheckpoint) ([]byte, 
 		ProbeCounters capture.Counters `json:"probe_counters"`
 	}{ck, st.Sent, st.Reused, st.ClustersUsed, capture.Counters{Q1: st.Sent, R2: st.Received}}
 	return legacyBinaryEnvelope(key, shard, 3, state, func(buf []byte) []byte {
-		buf = appendPackets(buf, ck.R2Packets)
+		buf = ck.R2.AppendStream(buf)
 		return appendVerdicts(buf, ck.Verdicts)
 	})
 }
@@ -120,9 +120,9 @@ func legacyBinaryEnvelope(key string, shard int, version uint32, state any, stre
 // legacyAuthStream stands in for the Q2 half of the authoritative capture
 // the old layouts carried: one Q2 per responding flow, from the responder
 // to the authoritative server, asking the R2's question.
-func legacyAuthStream(r2 []capture.Packet) []capture.Packet {
+func legacyAuthStream(r2 *capture.Log) []capture.Packet {
 	var auth []capture.Packet
-	for _, p := range r2 {
+	for _, p := range logPackets(r2) {
 		msg, err := dnswire.Unpack(p.Payload)
 		if err != nil {
 			continue
@@ -250,11 +250,11 @@ func TestV2PayloadUnderV3HeaderRejected(t *testing.T) {
 }
 
 // TestShardEnvelopeRoundTrip pins the codec: a marshaled envelope
-// validates back to the run's exact R2 stream, verdicts and state, and the
-// packet payloads alias the envelope buffer rather than copying it.
+// validates back to the run's exact R2 log, verdicts and state, and the
+// restored log is the envelope's packet section rather than a copy of it.
 func TestShardEnvelopeRoundTrip(t *testing.T) {
 	key, run := envelopeFixture(t, Config{Year: paperdata.Y2013, SampleShift: 16, Seed: 3, KeepPackets: true})
-	if len(run.r2) == 0 || run.roles == nil || !hasEgress(run.roles.Verdicts) {
+	if run.r2.Len() == 0 || run.roles == nil || !hasEgress(run.roles.Verdicts) {
 		t.Fatal("fixture shard captured no packets or no resolving verdicts; the round trip would prove nothing")
 	}
 	data, err := marshalShardEnvelope(key, 0, run)
@@ -265,8 +265,8 @@ func TestShardEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ck.R2Packets, run.r2) {
-		t.Error("R2 stream changed across the envelope")
+	if !bytes.Equal(ck.R2.AppendStream(nil), run.r2.AppendStream(nil)) {
+		t.Error("R2 log changed across the envelope")
 	}
 	if !reflect.DeepEqual(ck.Verdicts, run.roles.Verdicts) {
 		t.Error("verdicts changed across the envelope")
@@ -278,7 +278,9 @@ func TestShardEnvelopeRoundTrip(t *testing.T) {
 	if ck.shardCounters != run.shardCounters {
 		t.Error("counters changed across the envelope")
 	}
-	p := ck.R2Packets[0].Payload
+	it := ck.R2.Iter()
+	it.Next()
+	p := it.Packet().Payload
 	before := bytes.Clone(data)
 	p[0] ^= 0xFF
 	if bytes.Equal(before, data) {
@@ -324,7 +326,7 @@ func TestShardEnvelopeSizeBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		stateLen, k := binary.Uvarint(data[envHeaderLen:])
-		bound := envHeaderLen + k + int(stateLen) + len(appendPackets(nil, run.r2)) +
+		bound := envHeaderLen + k + int(stateLen) + len(run.r2.AppendStream(nil)) +
 			binary.MaxVarintLen64 + 16*len(run.roles.Verdicts)
 		if len(data) >= bound {
 			t.Errorf("%v: envelope is %d bytes, over its %d-byte bound (R2 stream + 16 B/verdict + state)", cfg.Year, len(data), bound)
@@ -389,7 +391,7 @@ func FuzzShardEnvelope(f *testing.F) {
 	payload := env[envHeaderLen:]
 	stateLen, k := binary.Uvarint(payload)
 	state := k + int(stateLen)
-	verdicts := state + len(appendPackets(nil, ck.R2Packets))
+	verdicts := state + len(ck.R2.AppendStream(nil))
 	f.Add(env)
 	f.Add(v1)
 	f.Add(v2)
@@ -441,8 +443,8 @@ func checkEnvelope(t *testing.T, key string, data []byte) {
 	if err != nil {
 		t.Fatalf("re-marshaled envelope rejected: %v", err)
 	}
-	if !reflect.DeepEqual(ck.R2Packets, ck2.R2Packets) || !reflect.DeepEqual(ck.Verdicts, ck2.Verdicts) {
-		t.Fatal("R2 stream or verdicts changed across a re-marshal")
+	if !bytes.Equal(ck.R2.AppendStream(nil), ck2.R2.AppendStream(nil)) || !reflect.DeepEqual(ck.Verdicts, ck2.Verdicts) {
+		t.Fatal("R2 log or verdicts changed across a re-marshal")
 	}
 	third, err := encodeShardEnvelope(key, 0, ck2)
 	if err != nil || !bytes.Equal(again, third) {

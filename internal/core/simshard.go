@@ -13,8 +13,8 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"openresolver/internal/analysis"
@@ -152,19 +152,18 @@ func openSimCampaign(cfg Config, pop *population.Population, threat *threatintel
 	tr.End(sp)
 	env := &simEnv{cfg: cfg, pop: pop, threat: threat, reg: reg, u: u, shards: shards, hosts: hosts}
 	eng := shardEngine{label: "sim", span: "simulate", runShard: env.runShard, merge: env.merge}
-	return newShardCampaign(cfg, eng, simPlanLines(shards),
+	return newShardCampaign(cfg, eng, simKeyPlan(shards),
 		analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg})
 }
 
-// simPlanLines renders the simulated shard plan for the campaign key, one
-// line per shard.
-func simPlanLines(shards []simShard) []string {
-	lines := make([]string, len(shards))
-	for i, sh := range shards {
-		lines[i] = fmt.Sprintf("shard %d [%d,%d) clusters=%d+%d pps=%d",
-			sh.index, sh.start, sh.end, sh.firstCluster, sh.clusterSpan, sh.pps)
-	}
-	return lines
+// simKeyPlan is the simulated shard plan as the campaign key reads it:
+// "shard i [start,end) clusters=first+span pps=rate".
+func simKeyPlan(shards []simShard) keyPlan {
+	return keyPlan{shards: len(shards), line: func(buf []byte, i int) []byte {
+		sh := shards[i]
+		buf = appendPlanLine(buf, sh.index, sh.start, sh.end, "clusters", uint64(sh.firstCluster), uint64(sh.clusterSpan))
+		return strconv.AppendUint(append(buf, " pps="...), sh.pps, 10)
+	}}
 }
 
 // simHost is one resolver: its address and its cohort's index.
@@ -338,7 +337,7 @@ func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 	}
 	var roles *classify.Summary
 	if tap.roles != nil {
-		roles = tap.roles.Classify(probeLog.R2())
+		roles = tap.roles.Classify(probeLog.R2Log())
 	}
 	return &shardRun{
 		shardCounters: shardCounters{
@@ -349,7 +348,7 @@ func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 			Duration:     pr.Duration(),
 		},
 		acc:   acc,
-		r2:    probeLog.R2(),
+		r2:    probeLog.R2Log(),
 		roles: roles,
 		obs:   msh,
 	}, nil
@@ -380,7 +379,7 @@ func (t *authTap) Packet(inbound bool, at time.Duration, dg netsim.Datagram, msg
 // sum field-wise, the campaign duration is the slowest shard's (the shards
 // probe concurrently at split rates), the R2 streams concatenate and the
 // per-shard role verdicts fold (classify.Merge) in shard order, so every
-// derived byte is deterministic.
+// derived byte is deterministic. The R2 logs are chained, not copied.
 func (env *simEnv) merge(runs []*shardRun) *Dataset {
 	cfg := env.cfg
 	ds := &Dataset{Config: cfg, Population: env.pop}
@@ -409,14 +408,12 @@ func (env *simEnv) merge(runs []*shardRun) *Dataset {
 	camp.SampleShift = cfg.SampleShift
 	ds.Report = acc.Report(camp)
 	if cfg.KeepPackets {
-		// Size each concatenation once: growing it shard by shard left
-		// about 100 MiB of garbage per paper-scale campaign.
-		r2s := make([][]capture.Packet, len(runs))
+		r2s := make([]*capture.Log, len(runs))
 		roles := make([]*classify.Summary, len(runs))
 		for i, r := range runs {
 			r2s[i], roles[i] = r.r2, r.roles
 		}
-		ds.R2Packets = slices.Concat(r2s...)
+		ds.R2Packets = capture.ConcatLogs(r2s...)
 		// Each shard joined its own captures; the cluster namespaces are
 		// disjoint, so folding the verdicts equals joining the merged streams.
 		ds.Roles = classify.Merge(roles)

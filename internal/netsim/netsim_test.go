@@ -313,6 +313,34 @@ func BenchmarkHostLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkHostLookupMiss is BenchmarkHostLookup's other side: the same
+// table, probed at addresses it does not hold. A campaign's lookups are
+// almost all of this kind (about 99.5%: the prober sends to every
+// candidate address, and few hold a resolver).
+func BenchmarkHostLookupMiss(b *testing.B) {
+	s := New(Config{Seed: 2})
+	const n = 1 << 16
+	base := ipv4.Addr(0x0B000000)
+	h := HostFunc(func(*Node, Datagram) {})
+	for i := 0; i < n; i++ {
+		s.Register(base+ipv4.Addr(i*2654435761), h)
+	}
+	misses := make([]ipv4.Addr, 0, n)
+	for i := 0; len(misses) < n; i++ {
+		a := base + ipv4.Addr(i*2246822519)
+		if _, ok := s.Lookup(a); !ok {
+			misses = append(misses, a)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Lookup(misses[i%n]); ok {
+			b.Fatal("hit")
+		}
+	}
+}
+
 func TestManyHostsStress(t *testing.T) {
 	// 20k hosts exchanging a burst each: the event queue and router must
 	// stay correct at population scale.

@@ -272,7 +272,7 @@ func TestMixedPopulationFlows(t *testing.T) {
 	if p.Received() != 7 {
 		t.Errorf("received = %d, want 7", p.Received())
 	}
-	flows := capture.GroupFlows(log.R2())
+	flows := capture.GroupFlows(log.R2Log())
 	if len(flows) != 7 {
 		t.Errorf("flows = %d, want 7 (unique qnames)", len(flows))
 	}
