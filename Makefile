@@ -157,7 +157,10 @@ bench-sim-par:
 # Benchmark-regression gate: run the committed benchmark suites, fold the
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
-# records it (BenchmarkShardEnvelope, the version-4 envelope encoded by copying
+# records it (BenchmarkBuildFull2018, BenchmarkBuildScaled2018 and
+# BenchmarkBuildScaled2013, one population compile at shift 0, 10 and 8, the
+# last the sim-2013 campaign's: BENCH_PR32.json;
+# BenchmarkShardEnvelope, the version-4 envelope encoded by copying
 # the shard's R2 log, BenchmarkHostLookupMiss, a host-table lookup of an empty
 # address, and BenchmarkProbeLogKeep, one kept R2 appended to a record log:
 # BENCH_PR31.json;
@@ -184,7 +187,7 @@ benchdiff:
 	  $(GO) test -run '^$$' -bench 'EventThroughput|TimerEnqueueDequeue|HostLookup|StepDrain' -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
 	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe' -benchmem -count $(BENCH_COUNT) ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'TruthAddr' -benchmem -count $(BENCH_COUNT) ./internal/dnssrv ; \
-	  $(GO) test -run '^$$' -bench 'AssignerDraw|AssignerWalkSteps' -benchmem -count $(BENCH_COUNT) ./internal/population ; \
+	  $(GO) test -run '^$$' -bench 'AssignerDraw|AssignerWalkSteps|BuildFull2018|BuildScaled' -benchmem -count $(BENCH_COUNT) ./internal/population ; \
 	  $(GO) test -run '^$$' -bench 'ProberSend' -benchmem -count $(BENCH_COUNT) ./internal/prober ; \
 	  $(GO) test -run '^$$' -bench 'RecursiveResolve' -benchmem -count $(BENCH_COUNT) ./internal/behavior ; \
 	  $(GO) test -run '^$$' -bench 'UniverseNext' -benchmem -count $(BENCH_COUNT) ./internal/scan ; \

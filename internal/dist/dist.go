@@ -35,47 +35,70 @@ func Sum(counts []uint64) uint64 {
 // The result always sums to target exactly. Ties in remainders are broken
 // by lower index, making the apportionment deterministic.
 func LargestRemainder(weights []uint64, target uint64) ([]uint64, error) {
+	out := make([]uint64, len(weights))
+	var a Apportioner
+	if err := a.Apportion(out, weights, target); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Apportioner computes LargestRemainder apportionments into caller-owned
+// slices, keeping its remainder scratch from one call to the next, so a
+// caller apportioning many groups allocates it once.
+type Apportioner struct {
+	rems []uint64
+}
+
+// Apportion writes LargestRemainder(weights, target) into out, which must
+// have len(weights) and must not overlap weights.
+func (a *Apportioner) Apportion(out, weights []uint64, target uint64) error {
 	total := Sum(weights)
 	if total == 0 {
-		if target == 0 {
-			return make([]uint64, len(weights)), nil
+		if target != 0 {
+			return ErrZeroWeights
 		}
-		return nil, ErrZeroWeights
+		clear(out)
+		return nil
 	}
-	out := make([]uint64, len(weights))
-	type rem struct {
-		idx int
-		r   uint64
-	}
-	rems := make([]rem, 0, len(weights))
+	rems := slices.Grow(a.rems[:0], len(weights))
 	var allocated uint64
 	for i, w := range weights {
-		// floor(w*target/total) without overflow for the magnitudes used
-		// here (counts ≤ 2^32, so w*target fits in uint64 up to 2^32*2^32
-		// only if both are large; use 128-bit-safe split).
+		// floor(w*target/total) and its remainder in 128-bit arithmetic:
+		// paper-scale weights times paper-scale targets overflow 64 bits.
 		q, r := mulDiv(w, target, total)
 		out[i] = q
 		allocated += q
-		rems = append(rems, rem{i, r})
+		rems = append(rems, r)
 	}
-	// Distribute the shortfall to the largest remainders.
-	// The comparator is a strict total order (idx breaks every remainder
-	// tie), so an unstable sort is fully determined; SortFunc avoids
-	// sort.Slice's reflect-based swapper on this population-builder hot path.
-	slices.SortFunc(rems, func(a, b rem) int {
-		if a.r != b.r {
-			if a.r > b.r {
-				return -1
-			}
-			return 1
-		}
-		return a.idx - b.idx
-	})
+	a.rems = rems
+	// The shortfall goes to the largest remainders, one each, lower index
+	// first among equals. Each remainder is below total, so the shortfall
+	// (their sum over total) is below len(weights): finding the
+	// short-th largest remainder, cut, decides every part.
 	short := target - allocated
-	for i := uint64(0); i < short; i++ {
-		out[rems[i%uint64(len(rems))].idx]++
+	if short == 0 {
+		return nil
 	}
-	return out, nil
+	if short >= uint64(len(rems)) {
+		return fmt.Errorf("dist: weights sum past 2^64 (shortfall %d over %d parts)", short, len(rems))
+	}
+	slices.Sort(rems)
+	cut := rems[len(rems)-int(short)]
+	firstAbove, _ := slices.BinarySearch(rems, cut+1)
+	atCut := short - uint64(len(rems)-firstAbove)
+	for i, w := range weights {
+		// The remainder again, in wrapping arithmetic: it is below total,
+		// so the low 64 bits of w*target - q*total are all of it.
+		switch r := w*target - out[i]*total; {
+		case r > cut:
+			out[i]++
+		case r == cut && atCut > 0:
+			out[i]++
+			atCut--
+		}
+	}
+	return nil
 }
 
 // mulDiv returns (a*b/c, a*b mod c) using 128-bit intermediate arithmetic.
@@ -168,31 +191,37 @@ func Transport(rows, cols []uint64) ([][]uint64, error) {
 	return m, nil
 }
 
+// Spread is a closed-form multiplicity profile over n unique values:
+// item i carries Base, plus one when i < Extra.
+type Spread struct {
+	Base, Extra uint64
+}
+
 // SpreadUnique produces multiplicities for unique values: it distributes
 // total over n items such that every item gets at least 1 and the result
 // sums to total exactly, with a mildly decreasing profile (the first items
 // receive the remainder) matching the long-tail shape of incorrect-answer
 // IPs in Table VII. It errors if total < n.
-func SpreadUnique(total uint64, n int) ([]uint64, error) {
+func SpreadUnique(total uint64, n int) (Spread, error) {
 	if n == 0 {
 		if total != 0 {
-			return nil, fmt.Errorf("dist: %d packets over zero unique values", total)
+			return Spread{}, fmt.Errorf("dist: %d packets over zero unique values", total)
 		}
-		return nil, nil
+		return Spread{}, nil
 	}
 	if total < uint64(n) {
-		return nil, fmt.Errorf("dist: total %d < unique %d", total, n)
+		return Spread{}, fmt.Errorf("dist: total %d < unique %d", total, n)
 	}
-	out := make([]uint64, n)
 	base := total / uint64(n)
-	rem := total - base*uint64(n)
-	for i := range out {
-		out[i] = base
-		if uint64(i) < rem {
-			out[i]++
-		}
+	return Spread{Base: base, Extra: total - base*uint64(n)}, nil
+}
+
+// At returns item i's multiplicity.
+func (s Spread) At(i int) uint64 {
+	if uint64(i) < s.Extra {
+		return s.Base + 1
 	}
-	return out, nil
+	return s.Base
 }
 
 func min(a, b uint64) uint64 {

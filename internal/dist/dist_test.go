@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -98,6 +99,71 @@ func TestLargestRemainderDeterministicTies(t *testing.T) {
 	}
 	if a[0] != 1 || a[1] != 1 || a[2] != 0 || a[3] != 0 {
 		t.Errorf("ties must favor low indexes: %v", a)
+	}
+}
+
+// referenceLargestRemainder is the textbook Hamilton method: floor every
+// quota, sort all remainders (largest first, lower index first among
+// equals) and hand the shortfall out down that order.
+func referenceLargestRemainder(weights []uint64, target uint64) []uint64 {
+	total := Sum(weights)
+	out := make([]uint64, len(weights))
+	type rem struct {
+		idx int
+		r   uint64
+	}
+	rems := make([]rem, len(weights))
+	var allocated uint64
+	for i, w := range weights {
+		q, r := mulDiv(w, target, total)
+		out[i] = q
+		allocated += q
+		rems[i] = rem{i, r}
+	}
+	sort.Slice(rems, func(a, b int) bool {
+		if rems[a].r != rems[b].r {
+			return rems[a].r > rems[b].r
+		}
+		return rems[a].idx < rems[b].idx
+	})
+	for i := uint64(0); i < target-allocated; i++ {
+		out[rems[i].idx]++
+	}
+	return out
+}
+
+// TestApportionMatchesReference checks the cut-based selection against
+// the full sort on weight lists full of ties (few distinct values, as in
+// the population's long tails) and of distinct paper-scale weights, with
+// one Apportioner reused across calls of every size.
+func TestApportionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var a Apportioner
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		ws := make([]uint64, n)
+		distinct := 1 + rng.Intn(6)
+		for i := range ws {
+			if trial%2 == 0 {
+				ws[i] = uint64(1 + rng.Intn(distinct))
+			} else {
+				ws[i] = uint64(rng.Int63n(1 << 33))
+			}
+		}
+		target := uint64(rng.Int63n(int64(Sum(ws)) + 1))
+		if trial%3 == 0 {
+			target = Sum(ws) >> uint(rng.Intn(12))
+		}
+		got := make([]uint64, n)
+		if err := a.Apportion(got, ws, target); err != nil {
+			t.Fatal(err)
+		}
+		want := referenceLargestRemainder(ws, target)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n=%d target=%d): part %d = %d, want %d", trial, n, target, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -246,10 +312,11 @@ func TestTransportZeroEdges(t *testing.T) {
 }
 
 func TestSpreadUnique(t *testing.T) {
-	got, err := SpreadUnique(10, 3)
+	s, err := SpreadUnique(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := []uint64{s.At(0), s.At(1), s.At(2)}
 	if Sum(got) != 10 {
 		t.Errorf("sum = %d", Sum(got))
 	}
@@ -264,8 +331,8 @@ func TestSpreadUnique(t *testing.T) {
 	if _, err := SpreadUnique(2, 3); err == nil {
 		t.Error("total < n accepted")
 	}
-	if out, err := SpreadUnique(0, 0); err != nil || out != nil {
-		t.Errorf("empty spread: %v, %v", out, err)
+	if s, err := SpreadUnique(0, 0); err != nil || s != (Spread{}) {
+		t.Errorf("empty spread: %v, %v", s, err)
 	}
 	if _, err := SpreadUnique(1, 0); err == nil {
 		t.Error("packets over zero uniques accepted")

@@ -60,29 +60,6 @@ func ReconciledEmptyQuestion() EmptyQuestionStats {
 	return e
 }
 
-// IncorrNoError returns the number of incorrect answers carrying rcode
-// NoError, derived from the reconciled Table VI: W[NoError] minus all
-// correct answers (which are NoError by construction of the ground truth).
-func IncorrNoError(y Year) uint64 {
-	return ReconciledRcode(y).With[0] - CorrectnessByYear[y].Correct
-}
-
-// NonMalIncorrect returns the incorrect-answer count excluding the
-// malicious packets of Table IX.
-func NonMalIncorrect(y Year) uint64 {
-	return CorrectnessByYear[y].Incorr - MaliciousTotals[y].R2
-}
-
-// MalTop10Packets returns the occurrences of the named malicious top-10
-// IPs (a subset of Table IX's malware row).
-func MalTop10Packets(y Year) uint64 {
-	var n uint64
-	for _, c := range NamedMalicious[y] {
-		n += c
-	}
-	return n
-}
-
 // BenignTop10 splits the top-10 rows into the non-malicious ones.
 func BenignTop10(y Year) []TopAnswer {
 	var out []TopAnswer

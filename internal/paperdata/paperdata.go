@@ -40,10 +40,6 @@ type Campaign struct {
 	R2EmptyQ      uint64        // R2 with an empty question section (§IV-B4)
 }
 
-// R2WithQuestion returns the R2 packets carrying a question section — the
-// universe of the behavioral analyses (Tables III–X).
-func (c Campaign) R2WithQuestion() uint64 { return c.R2 - c.R2EmptyQ }
-
 // Campaigns is Table II.
 var Campaigns = map[Year]Campaign{
 	Y2013: {

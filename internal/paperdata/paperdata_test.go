@@ -9,6 +9,27 @@ import (
 // numbers: every relation the population compiler depends on must hold
 // after reconciliation.
 
+// R2WithQuestion returns the R2 packets carrying a question section — the
+// universe of the behavioral analyses (Tables III–X).
+func (c Campaign) R2WithQuestion() uint64 { return c.R2 - c.R2EmptyQ }
+
+// IncorrNoError returns the number of incorrect answers carrying rcode
+// NoError, derived from the reconciled Table VI: W[NoError] minus all
+// correct answers (which are NoError by construction of the ground truth).
+func IncorrNoError(y Year) uint64 {
+	return ReconciledRcode(y).With[0] - CorrectnessByYear[y].Correct
+}
+
+// MalTop10Packets returns the occurrences of the named malicious top-10
+// IPs (a subset of Table IX's malware row).
+func MalTop10Packets(y Year) uint64 {
+	var n uint64
+	for _, c := range NamedMalicious[y] {
+		n += c
+	}
+	return n
+}
+
 func TestTableIIIInternal(t *testing.T) {
 	for y, c := range CorrectnessByYear {
 		if c.Without+c.With() != c.R2 {

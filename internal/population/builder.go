@@ -3,6 +3,8 @@ package population
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"openresolver/internal/behavior"
 	"openresolver/internal/dist"
@@ -11,13 +13,24 @@ import (
 	"openresolver/internal/paperdata"
 )
 
-// builder accumulates cohorts during full-scale construction.
+// builder compiles the paper's tables into full-scale cohorts held as
+// compact records, then materialises the Cohort values that survive
+// scaling.
 type builder struct {
-	cfg     Config
-	feed    feedSource
-	cohorts []Cohort
-	rng     *rand.Rand
-	used    map[ipv4.Addr]bool
+	cfg  Config
+	feed feedSource
+
+	records []record
+	groups  []group
+	last    int // the group of the previous record, looked up first
+	segs    []payloadSeg
+	// avoid lists the answer addresses the synthetic IP tail must not
+	// reuse: every feed address and the benign top-10.
+	avoid [][]ipv4.Addr
+	// tailSeg indexes the synthetic IP tail's segment (0 until built);
+	// tail holds its drawn addresses.
+	tailSeg int
+	tail    []ipv4.Addr
 }
 
 // feedSource is the slice of threatintel.Feed the builder needs.
@@ -25,14 +38,102 @@ type feedSource interface {
 	Addresses(cat paperdata.MalCategory) []ipv4.Addr
 }
 
+// record is one full-scale cohort in compact form. Its class, category,
+// answer form and country are its group's, its flags are flagCells[cell],
+// and its answer address or name is the value of payload.
+type record struct {
+	count   uint64
+	payload uint32
+	// Only malicious groups vary by category and country, so a population
+	// has far fewer than 2^16 groups.
+	group uint16
+	cell  uint8
+	rcode dnswire.Rcode
+}
+
+// groupKey is the unit of the first scaling level (see scale).
+type groupKey struct {
+	class    Class
+	category paperdata.MalCategory
+	answer   behavior.AnswerKind
+	country  string
+}
+
+type group struct {
+	groupKey
+	total uint64 // packets over the group's records
+}
+
+// payloadSeg is a stretch of the payload space: n answer payloads of one
+// form, numbered from first.
+type payloadSeg struct {
+	first  uint32
+	n      int
+	answer behavior.AnswerKind
+	cat    paperdata.MalCategory
+	// A payload streamed across the flag cells carries counts[i] packets,
+	// or spread.At(i) when counts is nil.
+	counts []uint64
+	spread dist.Spread
+	// Payload i answers with addrs[i], the i-th drawn tail address when
+	// tail is set, or the name names[i], past which format is filled
+	// with i. A segment with none of these carries no value.
+	addrs  []ipv4.Addr
+	tail   bool
+	names  []string
+	format string
+}
+
+func (s *payloadSeg) count(i int) uint64 {
+	if s.counts != nil {
+		return s.counts[i]
+	}
+	return s.spread.At(i)
+}
+
+// addSeg appends s to the payload space and returns its segment index.
+func (b *builder) addSeg(s payloadSeg) int {
+	if n := len(b.segs); n > 0 {
+		s.first = b.segs[n-1].first + uint32(b.segs[n-1].n)
+	}
+	b.segs = append(b.segs, s)
+	return len(b.segs) - 1
+}
+
+// payloadValue returns payload p's answer address or name.
+func (b *builder) payloadValue(p uint32) (ipv4.Addr, string) {
+	k := sort.Search(len(b.segs), func(k int) bool { return b.segs[k].first > p }) - 1
+	s := &b.segs[k]
+	i := int(p - s.first)
+	switch {
+	case s.tail:
+		return b.tail[i], ""
+	case s.addrs != nil:
+		return s.addrs[i], ""
+	case i < len(s.names):
+		return 0, s.names[i]
+	case s.format != "":
+		return 0, fmt.Sprintf(s.format, i)
+	}
+	return 0, ""
+}
+
+// cellOf is the flagCells index of an (RA, AA) pair.
+func cellOf(ra, aa bool) uint8 {
+	var c uint8
+	if ra {
+		c = 2
+	}
+	if aa {
+		c++
+	}
+	return c
+}
+
 func (b *builder) build() error {
-	b.rng = rand.New(rand.NewSource(b.cfg.Seed ^ 0x706F70))
-	b.used = make(map[ipv4.Addr]bool)
 	y := b.cfg.Year
-	// Pre-size the cohort slice: construction emits roughly one cohort per
-	// unique payload, and letting a slice this large grow geometrically was
-	// the single biggest allocator in the whole campaign benchmark.
-	b.cohorts = make([]Cohort, 0, b.estimateCohorts())
+	b.records = make([]record, 0, b.estimateCohorts())
+	b.addSeg(payloadSeg{n: 1}) // payload 0: no answer value
 
 	ra := paperdata.RATable[y]
 	aa := paperdata.ReconciledAA(y)
@@ -48,14 +149,7 @@ func (b *builder) build() error {
 		if n == 0 {
 			continue
 		}
-		b.emit(Cohort{
-			Count: n, Class: ClassCorrect,
-			Profile: behavior.Profile{
-				RA: flagCells[i].ra, AA: flagCells[i].aa,
-				Rcode: dnswire.RcodeNoError, Answer: behavior.AnswerTruth,
-				Upstream: 1, // calibrated later
-			},
-		})
+		b.emit(n, groupKey{class: ClassCorrect, answer: behavior.AnswerTruth}, 0, uint8(i), dnswire.RcodeNoError)
 	}
 
 	// ---- Incorrect classes (malicious carved out first) -----------------
@@ -103,15 +197,59 @@ func (b *builder) build() error {
 	return nil
 }
 
-func (b *builder) emit(c Cohort) {
-	b.cohorts = append(b.cohorts, c)
+// emit appends one record to group k, assigning k the next group id on
+// its first appearance.
+func (b *builder) emit(n uint64, k groupKey, payload uint32, cell uint8, rcode dnswire.Rcode) {
+	g := b.last
+	if g >= len(b.groups) || b.groups[g].groupKey != k {
+		g = slices.IndexFunc(b.groups, func(x group) bool { return x.groupKey == k })
+		if g < 0 {
+			g = len(b.groups)
+			b.groups = append(b.groups, group{groupKey: k})
+		}
+		b.last = g
+	}
+	b.groups[g].total += n
+	b.records = append(b.records, record{count: n, payload: payload, group: uint16(g), cell: cell, rcode: rcode})
 }
 
-// estimateCohorts bounds the cohort count from the paper tables before any
-// streams are built: one cohort per unique payload (feed address, URL/TXT
-// name, tail IP) plus slack for the fixed-size classes and run splits at
-// cell boundaries. Appends past the estimate still work; the point is that
-// in practice they never happen.
+// stream emits the records of one class whose payload stream, segments
+// from through to-1 in order, runs against ann, a (cell, rcode, country)
+// run stream of the same total: one record for every stretch over which
+// neither stream changes run.
+func (b *builder) stream(class Class, from, to int, ann []run) error {
+	ai := 0
+	var used uint64 // consumed from ann[ai]
+	for si := from; si < to; si++ {
+		s := &b.segs[si]
+		for i := 0; i < s.n; i++ {
+			for left := s.count(i); left > 0; {
+				if ai == len(ann) {
+					return fmt.Errorf("population: %s payload stream exceeds its flag cells", class)
+				}
+				a := ann[ai]
+				take := min(left, a.n-used)
+				b.emit(take, groupKey{class, s.cat, s.answer, a.country}, s.first+uint32(i), a.cell, a.rcode)
+				left -= take
+				used += take
+				if used == a.n {
+					ai++
+					used = 0
+				}
+			}
+		}
+	}
+	if ai != len(ann) {
+		return fmt.Errorf("population: %s payload stream falls short of its flag cells", class)
+	}
+	return nil
+}
+
+// estimateCohorts bounds the record count from the paper tables before
+// any stream is built: one record per unique payload (feed address,
+// URL/TXT name, tail IP) plus slack for the fixed-size classes and the
+// splits at cell and rcode boundaries, so the record slice is allocated
+// once.
 func (b *builder) estimateCohorts() int {
 	y := b.cfg.Year
 	n := 256 // correct / no-answer / empty-question cohorts, split slack
@@ -157,48 +295,48 @@ func (b *builder) maliciousCells(incorrCells [4]uint64) ([4]uint64, error) {
 	return out, nil
 }
 
-// maliciousPayloadRuns builds the ordered (address, category) stream of
-// Table IX: named addresses carry their §IV-C1 counts; synthetic feed
-// addresses share the category remainder near-uniformly.
-func (b *builder) maliciousPayloadRuns() ([]run, error) {
+// maliciousSegs adds the ordered (address, category) payload stream of
+// Table IX, one segment per category: named addresses carry their
+// §IV-C1 counts; synthetic feed addresses share the category remainder
+// near-uniformly.
+func (b *builder) maliciousSegs() error {
 	y := b.cfg.Year
-	named := paperdata.NamedMalicious[y]
-	total := 0
-	for _, cat := range paperdata.MalCategories {
-		total += int(paperdata.MaliciousTable[y][cat].IPs)
+	named := make(map[ipv4.Addr]uint64, len(paperdata.NamedMalicious[y]))
+	for s, n := range paperdata.NamedMalicious[y] {
+		named[ipv4.MustParseAddr(s)] = n
 	}
-	runs := make([]run, 0, total)
 	for _, cat := range paperdata.MalCategories {
 		want := paperdata.MaliciousTable[y][cat]
 		addrs := b.feed.Addresses(cat)
 		if uint64(len(addrs)) != want.IPs {
-			return nil, fmt.Errorf("population: feed has %d %s addresses, want %d", len(addrs), cat, want.IPs)
+			return fmt.Errorf("population: feed has %d %s addresses, want %d", len(addrs), cat, want.IPs)
 		}
 		budget := want.R2
-		tail := make([]ipv4.Addr, 0, len(addrs))
-		for _, a := range addrs {
-			if n, ok := named[a.String()]; ok {
-				runs = append(runs, run{n: n, kind: behavior.AnswerFixed, addr: a, cat: cat})
+		counts := make([]uint64, len(addrs))
+		tail := 0
+		for i, a := range addrs {
+			if n, ok := named[a]; ok {
+				counts[i] = n
 				budget -= n
-				b.used[a] = true
-				continue
+			} else {
+				tail++
 			}
-			tail = append(tail, a)
 		}
-		if len(tail) > 0 {
-			counts, err := dist.SpreadUnique(budget, len(tail))
-			if err != nil {
-				return nil, fmt.Errorf("population: %s spread: %w", cat, err)
-			}
-			for i, a := range tail {
-				runs = append(runs, run{n: counts[i], kind: behavior.AnswerFixed, addr: a, cat: cat})
-				b.used[a] = true
-			}
-		} else if budget != 0 {
-			return nil, fmt.Errorf("population: %s has budget %d with no addresses", cat, budget)
+		spread, err := dist.SpreadUnique(budget, tail)
+		if err != nil {
+			return fmt.Errorf("population: %s spread: %w", cat, err)
 		}
+		k := 0
+		for i, a := range addrs {
+			if _, ok := named[a]; !ok {
+				counts[i] = spread.At(k)
+				k++
+			}
+		}
+		b.avoid = append(b.avoid, addrs)
+		b.addSeg(payloadSeg{n: len(addrs), answer: behavior.AnswerFixed, cat: cat, counts: counts, addrs: addrs})
 	}
-	return runs, nil
+	return nil
 }
 
 // countryRuns builds the malicious-resolver placement stream.
@@ -211,124 +349,111 @@ func countryRuns(y paperdata.Year) []run {
 }
 
 // buildMalicious emits the malicious cohorts: fixed malicious answers,
-// NoError (§IV-C3), flags per Table X cells, placed per the geo
-// distribution.
+// NoError (§IV-C3, the zero rcode of every country run), flags per Table
+// X cells, placed per the geo distribution.
 func (b *builder) buildMalicious(cells [4]uint64) error {
-	payload, err := b.maliciousPayloadRuns()
-	if err != nil {
+	from := len(b.segs)
+	if err := b.maliciousSegs(); err != nil {
 		return err
-	}
-	byCellPayload, err := splitStream(cells[:], payload)
-	if err != nil {
-		return fmt.Errorf("malicious payload: %w", err)
 	}
 	byCellCountry, err := splitStream(cells[:], countryRuns(b.cfg.Year))
 	if err != nil {
 		return fmt.Errorf("malicious countries: %w", err)
 	}
-	for i := range cells {
-		cell := flagCells[i]
-		err := zipRuns(byCellPayload[i], byCellCountry[i], func(p, c run, n uint64) {
-			b.emit(Cohort{
-				Count: n, Class: ClassMalicious,
-				Country:  c.country,
-				Category: p.cat,
-				Profile: behavior.Profile{
-					RA: cell.ra, AA: cell.aa,
-					Rcode:  dnswire.RcodeNoError,
-					Answer: behavior.AnswerFixed, Addr: p.addr,
-				},
-			})
-		})
-		if err != nil {
-			return fmt.Errorf("malicious cell %d: %w", i, err)
-		}
+	return b.stream(ClassMalicious, from, len(b.segs), byCellCountry)
+}
+
+// nonMalSegs adds the ordered payload stream of the non-malicious
+// incorrect class: benign top-10 IPs, URL form, string form, the 2013 N/A
+// form, then the synthetic IP long tail.
+func (b *builder) nonMalSegs() error {
+	y := b.cfg.Year
+	forms := paperdata.IncorrectFormsByYear[y]
+	top := paperdata.BenignTop10(y)
+	topAddrs := make([]ipv4.Addr, len(top))
+	topCounts := make([]uint64, len(top))
+	for i, t := range top {
+		topAddrs[i] = ipv4.MustParseAddr(t.Addr)
+		topCounts[i] = t.Count
 	}
+	b.avoid = append(b.avoid, topAddrs)
+	b.addSeg(payloadSeg{n: len(top), answer: behavior.AnswerFixed, counts: topCounts, addrs: topAddrs})
+
+	urlN := int(forms.URL.Unique)
+	url, err := dist.SpreadUnique(forms.URL.Packets, urlN)
+	if err != nil {
+		return fmt.Errorf("url form: %w", err)
+	}
+	b.addSeg(payloadSeg{n: urlN, answer: behavior.AnswerCNAME, spread: url,
+		names: []string{"u.dcoin.co"}, format: "url%03d.redirect.example"})
+
+	strN := int(paperdata.ReconciledStrUnique(y))
+	str, err := dist.SpreadUnique(forms.Str.Packets, strN)
+	if err != nil {
+		return fmt.Errorf("string form: %w", err)
+	}
+	b.addSeg(payloadSeg{n: strN, answer: behavior.AnswerTXT, spread: str,
+		names: []string{"wild", "ff", "OK", "04b400000000"}, format: "str%02d"})
+
+	if forms.NA.Packets > 0 {
+		b.addSeg(payloadSeg{n: 1, answer: behavior.AnswerMalformed, counts: []uint64{forms.NA.Packets}})
+	}
+
+	tailPackets, tailUnique := paperdata.TailIPStats(y)
+	tail, err := dist.SpreadUnique(tailPackets, int(tailUnique))
+	if err != nil {
+		return fmt.Errorf("ip tail: %w", err)
+	}
+	b.tailSeg = b.addSeg(payloadSeg{n: int(tailUnique), answer: behavior.AnswerFixed, spread: tail, tail: true})
 	return nil
 }
 
-// nonMalPayloadRuns builds the ordered payload stream of the non-malicious
-// incorrect class: benign top-10 IPs, URL form, string form, the 2013 N/A
-// form, then the synthetic IP long tail.
-func (b *builder) nonMalPayloadRuns() ([]run, error) {
-	y := b.cfg.Year
-	forms := paperdata.IncorrectFormsByYear[y]
-	strUniqueN := int(paperdata.ReconciledStrUnique(y))
-	_, tailUnique := paperdata.TailIPStats(y)
-	runs := make([]run, 0, 10+int(forms.URL.Unique)+strUniqueN+1+int(tailUnique))
-	for _, t := range paperdata.BenignTop10(y) {
-		addr := ipv4.MustParseAddr(t.Addr)
-		runs = append(runs, run{n: t.Count, kind: behavior.AnswerFixed, addr: addr})
-		b.used[addr] = true
+// drawTail draws the synthetic IP tail's addresses, in tail order, up to
+// the last one a kept record answers with. Each is a fresh public
+// address: outside reserved space (so it is never a truthful private
+// answer by accident), outside the ground-truth range, and unused so
+// Table VII's unique counts hold. The draws come from one seeded stream
+// whatever the scale, so a tail payload has the same address at every
+// scale.
+func (b *builder) drawTail(keep []record) {
+	s := &b.segs[b.tailSeg]
+	need := 0
+	for _, r := range keep {
+		if i := int(r.payload) - int(s.first); i >= 0 && i < s.n {
+			need = max(need, i+1)
+		}
 	}
-
-	urlNames := syntheticNames("u.dcoin.co", "url%03d.redirect.example", int(forms.URL.Unique))
-	urlCounts, err := dist.SpreadUnique(forms.URL.Packets, len(urlNames))
-	if err != nil {
-		return nil, fmt.Errorf("url form: %w", err)
+	if need == 0 {
+		return
 	}
-	for i, name := range urlNames {
-		runs = append(runs, run{n: urlCounts[i], kind: behavior.AnswerCNAME, name: name})
+	size := need
+	for _, addrs := range b.avoid {
+		size += len(addrs)
 	}
-
-	strNamed := []string{"wild", "ff", "OK", "04b400000000"}
-	strNames := append(make([]string, 0, strUniqueN), strNamed...)
-	for i := len(strNames); i < strUniqueN; i++ {
-		strNames = append(strNames, fmt.Sprintf("str%02d", i))
+	used := make(map[ipv4.Addr]struct{}, size)
+	for _, addrs := range b.avoid {
+		for _, a := range addrs {
+			used[a] = struct{}{}
+		}
 	}
-	strNames = strNames[:strUniqueN]
-	strCounts, err := dist.SpreadUnique(forms.Str.Packets, len(strNames))
-	if err != nil {
-		return nil, fmt.Errorf("string form: %w", err)
-	}
-	for i, name := range strNames {
-		runs = append(runs, run{n: strCounts[i], kind: behavior.AnswerTXT, name: name})
-	}
-
-	if forms.NA.Packets > 0 {
-		runs = append(runs, run{n: forms.NA.Packets, kind: behavior.AnswerMalformed})
-	}
-
-	tailPackets, _ := paperdata.TailIPStats(y)
-	tailCounts, err := dist.SpreadUnique(tailPackets, int(tailUnique))
-	if err != nil {
-		return nil, fmt.Errorf("ip tail: %w", err)
-	}
+	rng := rand.New(rand.NewSource(b.cfg.Seed ^ 0x706F70))
 	reserved := ipv4.NewReservedBlocklist()
 	truthRange := ipv4.MustParseBlock("96.0.0.0/6")
-	for _, n := range tailCounts {
-		addr := b.syntheticTailAddr(reserved, truthRange)
-		runs = append(runs, run{n: n, kind: behavior.AnswerFixed, addr: addr})
-	}
-	return runs, nil
-}
-
-// syntheticTailAddr draws a fresh public address for the incorrect-IP long
-// tail: outside reserved space (so it is never a truthful private answer by
-// accident), outside the ground-truth range, and unused so Table VII's
-// unique counts hold.
-func (b *builder) syntheticTailAddr(reserved *ipv4.Blocklist, truthRange ipv4.Block) ipv4.Addr {
-	for {
-		a := ipv4.Addr(b.rng.Uint32())
-		if reserved.Contains(a) || truthRange.Contains(a) || b.used[a] {
-			continue
+	b.tail = make([]ipv4.Addr, need)
+	for i := range b.tail {
+		for {
+			a := ipv4.Addr(rng.Uint32())
+			if reserved.Contains(a) || truthRange.Contains(a) {
+				continue
+			}
+			if _, dup := used[a]; dup {
+				continue
+			}
+			used[a] = struct{}{}
+			b.tail[i] = a
+			break
 		}
-		b.used[a] = true
-		return a
 	}
-}
-
-// syntheticNames produces unique names led by a paper-named example.
-func syntheticNames(first, format string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	out = append(out, first)
-	for i := 1; i < n; i++ {
-		out = append(out, fmt.Sprintf(format, i))
-	}
-	return out
 }
 
 // nonZeroWithRcodes returns the reconciled nonzero with-answer rcode
@@ -348,21 +473,14 @@ func nonZeroWithRcodes(y paperdata.Year) []run {
 // streamed across the flag cells, nonzero rcodes layered by capacity with
 // NoError filling the rest.
 func (b *builder) buildNonMalIncorrect(cells [4]uint64) error {
-	payload, err := b.nonMalPayloadRuns()
-	if err != nil {
+	from := len(b.segs)
+	if err := b.nonMalSegs(); err != nil {
 		return err
-	}
-	if got, want := totalRuns(payload), cells[0]+cells[1]+cells[2]+cells[3]; got != want {
-		return fmt.Errorf("population: non-mal payload %d != cells %d", got, want)
-	}
-	byCellPayload, err := splitStream(cells[:], payload)
-	if err != nil {
-		return fmt.Errorf("non-mal payload: %w", err)
 	}
 
 	// rcode allocation: nonzero rcodes spread by capacity, NoError fills.
 	capacity := append([]uint64(nil), cells[:]...)
-	perCell := make([][]run, 4)
+	var perCell [4][]run
 	for _, rz := range nonZeroWithRcodes(b.cfg.Year) {
 		alloc, err := fillByCapacity(capacity, rz.n)
 		if err != nil {
@@ -370,36 +488,22 @@ func (b *builder) buildNonMalIncorrect(cells [4]uint64) error {
 		}
 		for i, n := range alloc {
 			if n > 0 {
-				perCell[i] = append(perCell[i], run{n: n, rcode: rz.rcode})
+				perCell[i] = append(perCell[i], run{n: n, cell: uint8(i), rcode: rz.rcode})
 			}
 		}
 	}
+	var ann []run
 	for i, rem := range capacity {
 		if rem > 0 {
-			// Prepend NoError so the nonzero rcodes land on the tail of the
-			// payload stream (the long-tail IPs), keeping the named top-10
-			// answers NoError as the paper observes for the malicious ones.
-			perCell[i] = append([]run{{n: rem, rcode: dnswire.RcodeNoError}}, perCell[i]...)
+			// NoError leads each cell so the nonzero rcodes land on the tail
+			// of the payload stream (the long-tail IPs), keeping the named
+			// top-10 answers NoError as the paper observes for the
+			// malicious ones.
+			ann = append(ann, run{n: rem, cell: uint8(i), rcode: dnswire.RcodeNoError})
 		}
+		ann = append(ann, perCell[i]...)
 	}
-
-	for i := range cells {
-		cell := flagCells[i]
-		err := zipRuns(byCellPayload[i], perCell[i], func(p, rc run, n uint64) {
-			b.emit(Cohort{
-				Count: n, Class: ClassIncorrect,
-				Profile: behavior.Profile{
-					RA: cell.ra, AA: cell.aa,
-					Rcode:  rc.rcode,
-					Answer: p.kind, Addr: p.addr, Name: p.name,
-				},
-			})
-		})
-		if err != nil {
-			return fmt.Errorf("incorrect cell %d: %w", i, err)
-		}
-	}
-	return nil
+	return b.stream(ClassIncorrect, from, len(b.segs), ann)
 }
 
 // buildNoAnswer emits the no-answer cohorts with Table VI's W/O rcodes
@@ -426,16 +530,8 @@ func (b *builder) buildNoAnswer(cells [4]uint64) error {
 		if rem != 0 {
 			return fmt.Errorf("no-answer cell %d under-filled by %d", i, rem)
 		}
-		cell := flagCells[i]
 		for _, r := range perCell[i] {
-			b.emit(Cohort{
-				Count: r.n, Class: ClassNoAnswer,
-				Profile: behavior.Profile{
-					RA: cell.ra, AA: cell.aa,
-					Rcode:  r.rcode,
-					Answer: behavior.AnswerNone,
-				},
-			})
+			b.emit(r.n, groupKey{class: ClassNoAnswer, answer: behavior.AnswerNone}, 0, uint8(i), r.rcode)
 		}
 	}
 	return nil
@@ -446,32 +542,42 @@ func (b *builder) buildNoAnswer(cells [4]uint64) error {
 func (b *builder) buildEmptyQuestion() error {
 	e := paperdata.ReconciledEmptyQuestion()
 
-	mk := func(count uint64, ra, aa bool, rcode dnswire.Rcode, kind behavior.AnswerKind, addr ipv4.Addr, name string) {
+	// The with-answer payloads, in emission order: private 192.168/16
+	// addresses, 10.1.1.1, then unroutable 240/4 addresses; and the one
+	// badly formatted TXT answer.
+	addrs := make([]ipv4.Addr, 0, int(max(e.Private192, 1)+1+e.Unroutable))
+	addrs = append(addrs, ipv4.MustParseAddr("192.168.0.1"))
+	for i := uint64(1); i < e.Private192; i++ {
+		addrs = append(addrs, ipv4.MustParseAddr("192.168.0.1")+ipv4.Addr(i*256))
+	}
+	addrs = append(addrs, ipv4.MustParseAddr("10.1.1.1"))
+	for i := uint64(0); i < e.Unroutable; i++ {
+		addrs = append(addrs, ipv4.MustParseAddr("240.10.0.1")+ipv4.Addr(i))
+	}
+	fixed := b.segs[b.addSeg(payloadSeg{n: len(addrs), answer: behavior.AnswerFixed, addrs: addrs})].first
+	txt := b.segs[b.addSeg(payloadSeg{n: 1, answer: behavior.AnswerTXT, names: []string{"0000"}})].first
+
+	mk := func(count uint64, ra, aa bool, rcode dnswire.Rcode, kind behavior.AnswerKind, payload uint32) {
 		if count == 0 {
 			return
 		}
-		b.emit(Cohort{
-			Count: count, Class: ClassEmptyQuestion,
-			Profile: behavior.Profile{
-				RA: ra, AA: aa, Rcode: rcode,
-				Answer: kind, Addr: addr, Name: name,
-				OmitQuestion: true,
-			},
-		})
+		b.emit(count, groupKey{class: ClassEmptyQuestion, answer: kind}, payload, cellOf(ra, aa), rcode)
 	}
 
 	// The 19 with-answer packets: all RA=1, rcode NoError; one of them has
 	// AA=1 (the single with-answer AA1 packet of the section).
-	mk(1, true, true, dnswire.RcodeNoError, behavior.AnswerFixed, ipv4.MustParseAddr("192.168.0.1"), "")
+	next := fixed
+	mk(1, true, true, dnswire.RcodeNoError, behavior.AnswerFixed, next)
 	for i := uint64(1); i < e.Private192; i++ {
-		mk(1, true, false, dnswire.RcodeNoError, behavior.AnswerFixed,
-			ipv4.MustParseAddr("192.168.0.1")+ipv4.Addr(i*256), "")
+		next++
+		mk(1, true, false, dnswire.RcodeNoError, behavior.AnswerFixed, next)
 	}
-	mk(e.Private10, true, false, dnswire.RcodeNoError, behavior.AnswerFixed, ipv4.MustParseAddr("10.1.1.1"), "")
-	mk(e.BadFormat, true, false, dnswire.RcodeNoError, behavior.AnswerTXT, 0, "0000")
+	next++
+	mk(e.Private10, true, false, dnswire.RcodeNoError, behavior.AnswerFixed, next)
+	mk(e.BadFormat, true, false, dnswire.RcodeNoError, behavior.AnswerTXT, txt)
 	for i := uint64(0); i < e.Unroutable; i++ {
-		mk(1, true, false, dnswire.RcodeNoError, behavior.AnswerFixed,
-			ipv4.MustParseAddr("240.10.0.1")+ipv4.Addr(i), "")
+		next++
+		mk(1, true, false, dnswire.RcodeNoError, behavior.AnswerFixed, next)
 	}
 
 	// No-answer packets: the remaining RA1 (165, one with AA=1), then RA0.
@@ -492,17 +598,111 @@ func (b *builder) buildEmptyQuestion() error {
 		return fmt.Errorf("empty-question rcodes: %w", err)
 	}
 	aa1Left := true // one no-answer packet carries AA=1
-	for si, seg := range segs {
-		ra := si == 0
-		for _, r := range seg {
-			n := r.n
-			if aa1Left && ra && n > 0 {
-				mk(1, ra, true, r.rcode, behavior.AnswerNone, 0, "")
-				n--
-				aa1Left = false
-			}
-			mk(n, ra, false, r.rcode, behavior.AnswerNone, 0, "")
+	for _, r := range segs {
+		ra := r.cell == 0
+		n := r.n
+		if aa1Left && ra && n > 0 {
+			mk(1, ra, true, r.rcode, behavior.AnswerNone, 0)
+			n--
+			aa1Left = false
 		}
+		mk(n, ra, false, r.rcode, behavior.AnswerNone, 0)
 	}
 	return nil
+}
+
+// cohorts materialises the population's cohorts: at full scale every
+// record in emission order, else the survivors of scale.
+func (b *builder) cohorts() ([]Cohort, error) {
+	keep := b.records
+	if b.cfg.SampleShift > 0 {
+		var err error
+		if keep, err = b.scale(b.cfg.SampleShift); err != nil {
+			return nil, err
+		}
+	}
+	b.drawTail(keep)
+	out := make([]Cohort, len(keep))
+	for i, r := range keep {
+		g := &b.groups[r.group]
+		cell := flagCells[r.cell]
+		addr, name := b.payloadValue(r.payload)
+		out[i] = Cohort{
+			Count: r.count, Class: g.class,
+			Country:  g.country,
+			Category: g.category,
+			Profile: behavior.Profile{
+				RA: cell.ra, AA: cell.aa,
+				Rcode:  r.rcode,
+				Answer: g.answer, Addr: addr, Name: name,
+				OmitQuestion: g.class == ClassEmptyQuestion,
+			},
+		}
+	}
+	return out, nil
+}
+
+// scale applies hierarchical largest-remainder scaling to the record
+// counts: groups (class × category × answer form × country) are scaled
+// against each other first, then records within each group. Flat
+// apportionment over tens of thousands of heterogeneous cohorts would
+// systematically inflate classes made of many small cohorts (their
+// fractional remainders outrank the long tail's), distorting the class
+// proportions every table reports; the group level pins those proportions
+// to rounding error. It returns the records that keep a nonzero count,
+// with their scaled counts, by group in first-appearance order and by
+// emission order within a group.
+func (b *builder) scale(shift uint8) ([]record, error) {
+	totals := make([]uint64, len(b.groups))
+	for g := range b.groups {
+		totals[g] = b.groups[g].total
+	}
+	groupScaled, err := dist.ScaleDown(totals, shift)
+	if err != nil {
+		return nil, fmt.Errorf("population: scale down groups: %w", err)
+	}
+
+	// Counting sort of the record indexes by group: group g's members are
+	// members[start[g]:start[g+1]], in emission order.
+	start := make([]int, len(b.groups)+1)
+	for _, r := range b.records {
+		start[r.group+1]++
+	}
+	largest := 0 // members in the biggest group
+	for g := range b.groups {
+		largest = max(largest, start[g+1])
+		start[g+1] += start[g]
+	}
+	members := make([]uint32, len(b.records))
+	next := slices.Clone(start[:len(b.groups)])
+	for i, r := range b.records {
+		members[next[r.group]] = uint32(i)
+		next[r.group]++
+	}
+
+	weights := make([]uint64, largest)
+	scaled := make([]uint64, largest)
+	var apportion dist.Apportioner
+	keep := make([]record, 0, len(b.records)>>shift+16)
+	for g, target := range groupScaled {
+		if target == 0 {
+			continue
+		}
+		idxs := members[start[g]:start[g+1]]
+		w, out := weights[:len(idxs)], scaled[:len(idxs)]
+		for j, i := range idxs {
+			w[j] = b.records[i].count
+		}
+		if err := apportion.Apportion(out, w, target); err != nil {
+			return nil, fmt.Errorf("population: scale down group %v: %w", b.groups[g].groupKey, err)
+		}
+		for j, i := range idxs {
+			if out[j] > 0 {
+				r := b.records[i]
+				r.count = out[j]
+				keep = append(keep, r)
+			}
+		}
+	}
+	return keep, nil
 }

@@ -32,7 +32,6 @@ import (
 	"openresolver/internal/behavior"
 	"openresolver/internal/dist"
 	"openresolver/internal/dnswire"
-	"openresolver/internal/ipv4"
 	"openresolver/internal/paperdata"
 	"openresolver/internal/threatintel"
 )
@@ -123,17 +122,16 @@ func Build(cfg Config) (*Population, error) {
 	if err := b.build(); err != nil {
 		return nil, err
 	}
+	cohorts, err := b.cohorts()
+	if err != nil {
+		return nil, err
+	}
 
 	pop := &Population{
 		Year:    cfg.Year,
 		Shift:   cfg.SampleShift,
-		Cohorts: b.cohorts,
+		Cohorts: cohorts,
 		Feed:    feed,
-	}
-	if cfg.SampleShift > 0 {
-		if err := pop.scaleDown(cfg.SampleShift); err != nil {
-			return nil, err
-		}
 	}
 	if err := pop.calibrateUpstream(); err != nil {
 		return nil, err
@@ -143,72 +141,6 @@ func Build(cfg Config) (*Population, error) {
 		pop.ExpectedQ2 += c.Count * uint64(c.Profile.Upstream)
 	}
 	return pop, nil
-}
-
-// scaleDown applies hierarchical largest-remainder scaling to the cohort
-// counts: groups (class × category × answer form × country) are scaled
-// against each other first, then cohorts within each group. Flat
-// apportionment over tens of thousands of heterogeneous cohorts would
-// systematically inflate classes made of many small cohorts (their
-// fractional remainders outrank the long tail's), distorting the class
-// proportions every table reports; the group level pins those proportions
-// to rounding error.
-func (p *Population) scaleDown(shift uint8) error {
-	type groupKey struct {
-		class    Class
-		category paperdata.MalCategory
-		answer   behavior.AnswerKind
-		country  string
-	}
-	keyOf := func(c Cohort) groupKey {
-		return groupKey{c.Class, c.Category, c.Profile.Answer, c.Country}
-	}
-	var order []groupKey
-	groups := make(map[groupKey][]int)
-	totals := make(map[groupKey]uint64)
-	for i, c := range p.Cohorts {
-		k := keyOf(c)
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-		totals[k] += c.Count
-	}
-
-	groupCounts := make([]uint64, len(order))
-	for i, k := range order {
-		groupCounts[i] = totals[k]
-	}
-	groupScaled, err := dist.ScaleDown(groupCounts, shift)
-	if err != nil {
-		return fmt.Errorf("population: scale down groups: %w", err)
-	}
-
-	out := make([]Cohort, 0, len(p.Cohorts)>>shift+16)
-	for gi, k := range order {
-		if groupScaled[gi] == 0 {
-			continue
-		}
-		idxs := groups[k]
-		counts := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			counts[j] = p.Cohorts[i].Count
-		}
-		scaled, err := dist.LargestRemainder(counts, groupScaled[gi])
-		if err != nil {
-			return fmt.Errorf("population: scale down group %v: %w", k, err)
-		}
-		for j, i := range idxs {
-			if scaled[j] == 0 {
-				continue
-			}
-			c := p.Cohorts[i]
-			c.Count = scaled[j]
-			out = append(out, c)
-		}
-	}
-	p.Cohorts = out
-	return nil
 }
 
 // resolvingRcodes are the no-answer rcodes whose senders plausibly
@@ -324,101 +256,44 @@ func (p *Population) Stats() Stats {
 	return s
 }
 
-// run is one homogeneous stretch of an allocation stream.
+// run is one homogeneous stretch of a small allocation stream: rcodes,
+// countries, and the flag cell a split assigns it to.
 type run struct {
-	n uint64
-	// payload fields (zero when the stream carries rcodes or countries).
-	kind behavior.AnswerKind
-	addr ipv4.Addr
-	name string
-	cat  paperdata.MalCategory
-	// rcode stream field.
-	rcode dnswire.Rcode
-	// country stream field.
+	n       uint64
+	cell    uint8
+	rcode   dnswire.Rcode
 	country string
 }
 
 // splitStream partitions an ordered run stream into len(cells) consecutive
 // segments whose sizes are the cell capacities, splitting runs at
-// boundaries. The total run length must equal the total capacity.
-func splitStream(cells []uint64, runs []run) ([][]run, error) {
-	out := make([][]run, len(cells))
-	// All segments share one exactly-sized backing array: every inner-loop
-	// iteration either consumes a run or finishes a cell, so the segment
-	// count is bounded by len(runs)+len(cells) and per-cell append growth
-	// (quadratic bytes over four cells of a long stream) never happens.
-	flat := make([]run, 0, len(runs)+len(cells))
+// boundaries and marking each piece with its cell index. The total run
+// length must equal the total capacity.
+func splitStream(cells []uint64, runs []run) ([]run, error) {
+	out := make([]run, 0, len(runs)+len(cells))
 	ri := 0
 	var used uint64 // consumed from runs[ri]
 	for ci, capacity := range cells {
-		need := capacity
-		cellStart := len(flat)
-		for need > 0 {
+		for need := capacity; need > 0; {
 			if ri >= len(runs) {
 				return nil, fmt.Errorf("population: stream underflow at cell %d (need %d more)", ci, need)
 			}
-			r := runs[ri]
-			avail := r.n - used
-			take := avail
-			if take > need {
-				take = need
-			}
-			seg := r
-			seg.n = take
-			flat = append(flat, seg)
-			need -= take
-			used += take
-			if used == r.n {
+			seg := runs[ri]
+			seg.n = min(seg.n-used, need)
+			seg.cell = uint8(ci)
+			out = append(out, seg)
+			need -= seg.n
+			used += seg.n
+			if used == runs[ri].n {
 				ri++
 				used = 0
 			}
 		}
-		out[ci] = flat[cellStart:len(flat):len(flat)]
 	}
 	if ri != len(runs) || used != 0 {
 		return nil, fmt.Errorf("population: stream overflow (%d runs unconsumed)", len(runs)-ri)
 	}
 	return out, nil
-}
-
-// zipRuns merges two run streams of equal total length into cohortSpecs:
-// for every overlapping stretch the fields of both runs apply.
-func zipRuns(a, b []run, apply func(a, b run, n uint64)) error {
-	ai, bi := 0, 0
-	var aUsed, bUsed uint64
-	for ai < len(a) && bi < len(b) {
-		ra, rb := a[ai], b[bi]
-		availA := ra.n - aUsed
-		availB := rb.n - bUsed
-		take := availA
-		if availB < take {
-			take = availB
-		}
-		apply(ra, rb, take)
-		aUsed += take
-		bUsed += take
-		if aUsed == ra.n {
-			ai++
-			aUsed = 0
-		}
-		if bUsed == rb.n {
-			bi++
-			bUsed = 0
-		}
-	}
-	if ai != len(a) || bi != len(b) {
-		return fmt.Errorf("population: zip length mismatch")
-	}
-	return nil
-}
-
-// totalRuns sums a run stream's length.
-func totalRuns(runs []run) uint64 {
-	var n uint64
-	for _, r := range runs {
-		n += r.n
-	}
-	return n
 }
 
 // fillByCapacity distributes amount across cells with the given remaining

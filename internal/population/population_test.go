@@ -1,6 +1,7 @@
 package population
 
 import (
+	"runtime"
 	"testing"
 
 	"openresolver/internal/behavior"
@@ -387,7 +388,34 @@ func TestIncorrectAddrsAvoidTruthRange(t *testing.T) {
 	}
 }
 
+// TestScaledBuildBytes bounds what a scaled compile allocates: 2013 at
+// shift 8 keeps 360 of its 28,696 full-scale cohorts, so a build that
+// materialised the full-scale list (about 10.7 MB) or copied its payload
+// streams would blow the budget.
+func TestScaledBuildBytes(t *testing.T) {
+	const (
+		builds = 4
+		budget = 2 << 20 // bytes per build
+	)
+	build := func(seed int64) {
+		if _, err := Build(Config{Year: paperdata.Y2013, SampleShift: 8, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build(0) // first-use initialisation outside the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seed := int64(1); seed <= builds; seed++ {
+		build(seed)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > budget {
+		t.Errorf("2013 shift-8 build allocates %d bytes, budget %d", per, budget)
+	}
+}
+
 func BenchmarkBuildFull2018(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(Config{Year: paperdata.Y2018, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
@@ -396,8 +424,20 @@ func BenchmarkBuildFull2018(b *testing.B) {
 }
 
 func BenchmarkBuildScaled2018(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(Config{Year: paperdata.Y2018, SampleShift: 10, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildScaled2013 is the compile the sim-2013 campaign opens
+// with: 2013 at shift 8.
+func BenchmarkBuildScaled2013(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(Config{Year: paperdata.Y2013, SampleShift: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
