@@ -157,7 +157,9 @@ bench-sim-par:
 # Benchmark-regression gate: run the committed benchmark suites, fold the
 # output through bench2json (repeat runs collapse to per-metric minima), and
 # compare each benchmark against the newest checked-in BENCH_PR<n>.json that
-# records it (BenchmarkBuildFull2018, BenchmarkBuildScaled2018 and
+# records it (BenchmarkShardFold, a coordinator recording every shard
+# envelope of a shift-10 2013 simulated campaign and merging it:
+# BENCH_PR33.json; BenchmarkBuildFull2018, BenchmarkBuildScaled2018 and
 # BenchmarkBuildScaled2013, one population compile at shift 0, 10 and 8, the
 # last the sim-2013 campaign's: BENCH_PR32.json;
 # BenchmarkShardEnvelope, the version-4 envelope encoded by copying
@@ -185,7 +187,7 @@ benchdiff:
 	( $(GO) test -run '^$$' -bench 'CampaignSynthetic(2018|Serial|Parallel)' -benchmem -count $(BENCH_COUNT) . ; \
 	  $(GO) test -run '^$$' -bench 'CampaignSimulated' -benchmem -count $(BENCH_COUNT) . ; \
 	  $(GO) test -run '^$$' -bench 'EventThroughput|TimerEnqueueDequeue|HostLookup|StepDrain' -benchmem -count $(BENCH_COUNT) ./internal/netsim ; \
-	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe' -benchmem -count $(BENCH_COUNT) ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'ShardEnvelope|SynthProbe|ShardFold' -benchmem -count $(BENCH_COUNT) ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'TruthAddr' -benchmem -count $(BENCH_COUNT) ./internal/dnssrv ; \
 	  $(GO) test -run '^$$' -bench 'AssignerDraw|AssignerWalkSteps|BuildFull2018|BuildScaled' -benchmem -count $(BENCH_COUNT) ./internal/population ; \
 	  $(GO) test -run '^$$' -bench 'ProberSend' -benchmem -count $(BENCH_COUNT) ./internal/prober ; \

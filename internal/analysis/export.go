@@ -20,15 +20,6 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// ReportFromJSON deserializes a report produced by JSON.
-func ReportFromJSON(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("analysis: decode report: %w", err)
-	}
-	return &r, nil
-}
-
 // WriteCSV emits one named table as CSV. Supported tables: "correctness"
 // (Table III), "ra" (IV), "aa" (V), "rcode" (VI), "forms" (VII), "top10"
 // (VIII), "malicious" (IX), "geo".

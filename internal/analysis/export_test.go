@@ -3,6 +3,8 @@ package analysis
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -98,4 +100,13 @@ func TestWriteCSVUnknownTable(t *testing.T) {
 	if err := r.WriteCSV(&bytes.Buffer{}, "nope"); err == nil {
 		t.Error("unknown table accepted")
 	}
+}
+
+// ReportFromJSON deserializes a report produced by JSON.
+func ReportFromJSON(data []byte) (*Report, error) {
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("analysis: decode report: %w", err)
+	}
+	return &r, nil
 }

@@ -424,12 +424,3 @@ func Manipulator(addr ipv4.Addr) Profile {
 func Forwarder(upstream ipv4.Addr) Profile {
 	return Profile{ForwardTo: upstream}
 }
-
-// LyingRA returns the §IV-B1 deviant: it answers correctly but claims
-// recursion unavailable.
-func LyingRA(upstream int) Profile {
-	if upstream < 1 {
-		upstream = 1
-	}
-	return Profile{RA: false, Answer: AnswerTruth, Upstream: upstream}
-}

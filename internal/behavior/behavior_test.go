@@ -467,3 +467,12 @@ func TestSharedScratchSameBytes(t *testing.T) {
 		t.Errorf("R2 capture digest = %s, want %s", got, want)
 	}
 }
+
+// LyingRA returns the §IV-B1 deviant: it answers correctly but claims
+// recursion unavailable.
+func LyingRA(upstream int) Profile {
+	if upstream < 1 {
+		upstream = 1
+	}
+	return Profile{RA: false, Answer: AnswerTruth, Upstream: upstream}
+}

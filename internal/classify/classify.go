@@ -224,18 +224,6 @@ func Summarize(verdicts []Verdict) *Summary {
 	return s
 }
 
-// Fabricators returns the responders with the §IV-C manipulation
-// signature (answers with no authoritative contact).
-func (s *Summary) Fabricators() []ipv4.Addr {
-	var out []ipv4.Addr
-	for _, v := range s.Verdicts {
-		if v.Role == RoleFabricator {
-			out = append(out, v.Responder)
-		}
-	}
-	return out
-}
-
 // Render formats the role counts.
 func (s *Summary) Render() string {
 	var b strings.Builder

@@ -290,3 +290,15 @@ func TestRoleString(t *testing.T) {
 		t.Error("unknown role string")
 	}
 }
+
+// Fabricators returns the responders with the §IV-C manipulation
+// signature (answers with no authoritative contact).
+func (s *Summary) Fabricators() []ipv4.Addr {
+	var out []ipv4.Addr
+	for _, v := range s.Verdicts {
+		if v.Role == RoleFabricator {
+			out = append(out, v.Responder)
+		}
+	}
+	return out
+}

@@ -6,7 +6,7 @@ package core
 // fixed plan (campaign.go) gives natural checkpoint units, so every
 // completed shard's run is written as one self-validating file at the
 // shard boundary, and a restarted campaign with the same configuration
-// loads the completed shards and runs only the missing ones. The merge is
+// loads the completed shards and runs only the missing ones. The fold is
 // identical either way, so a resumed campaign is byte-identical to an
 // uninterrupted one.
 //
@@ -144,7 +144,7 @@ const (
 )
 
 // shardCheckpoint is the decoded form of one completed shard (shardRun) —
-// exactly the fields the merges fold, so a restored shard merges
+// exactly the fields the fold reads, so a restored shard folds
 // indistinguishably from a freshly run one. The JSON tags cover the
 // structured state; the R2 log and the verdicts travel as binary
 // records. The authoritative capture is not here: each shard joins it
@@ -408,20 +408,17 @@ func decodeVerdicts(b []byte) ([]classify.Verdict, []byte, error) {
 	return vs, rest, nil
 }
 
-// restoreShardRun rebuilds a mergeable shard run from a validated
-// checkpoint payload, feeding the checkpointed observability state into
-// msh. The restored run carries exactly the fields the merges fold,
-// so it merges indistinguishably from a freshly executed one.
-func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint, msh *obs.Shard) *shardRun {
-	run := &shardRun{
+// restoreShardRun rebuilds a foldable shard run from a validated
+// checkpoint payload. The restored run carries exactly the fields the fold
+// reads, so it folds indistinguishably from a freshly executed one; its
+// observability state (ck.Obs) is loaded by whoever records it.
+func restoreShardRun(accCfg analysis.Config, ck *shardCheckpoint) *shardRun {
+	return &shardRun{
 		shardCounters: ck.shardCounters,
 		acc:           analysis.NewAccumulatorFromState(accCfg, ck.Acc),
 		r2:            ck.R2,
 		roles:         classify.Summarize(ck.Verdicts),
-		obs:           msh,
 	}
-	msh.LoadState(ck.Obs)
-	return run
 }
 
 // write persists one completed shard atomically: marshal, digest-stamp,
@@ -480,29 +477,28 @@ func (s *checkpointStore) writeTemp(tmp string, data []byte) error {
 	return nil
 }
 
-// load validates and restores shard's checkpoint. A missing file is a
-// silent "not checkpointed"; anything present-but-invalid (truncated,
-// digest mismatch, wrong version/campaign/shard) is logged, removed
-// best-effort, and reported as not restorable — the shard re-runs. msh,
-// when non-nil, receives the checkpointed observability state.
-func (s *checkpointStore) load(shard int, accCfg analysis.Config, msh *obs.Shard) (*shardRun, bool) {
+// load validates shard's checkpoint and returns its decoded payload. A
+// missing file is a silent "not checkpointed"; anything present-but-invalid
+// (truncated, digest mismatch, wrong version/campaign/shard) is logged,
+// removed best-effort, and reported as not restorable (nil) — the shard
+// re-runs.
+func (s *checkpointStore) load(shard int) *shardCheckpoint {
 	path := s.path(shard)
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			s.logf("core: checkpoint shard %d: read: %v; rerunning shard\n", shard, err)
 		}
-		return nil, false
+		return nil
 	}
 	ck, err := validateShardEnvelope(s.key, shard, data)
 	if err != nil {
 		s.logf("core: checkpoint shard %d: %v; rerunning shard\n", shard, err)
 		_ = s.fs.Remove(path)
-		return nil, false
+		return nil
 	}
-	run := restoreShardRun(accCfg, ck, msh)
 	s.logf("core: shard %d restored from checkpoint\n", shard)
-	return run, true
+	return ck
 }
 
 // validateShardEnvelope checks one envelope's integrity in layers —

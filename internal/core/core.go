@@ -416,13 +416,13 @@ func openSynthCampaign(cfg Config, pop *population.Population, threat *threatint
 	first, pinnedAt := drawOffsets(pop, env.plans)
 	env.walk = newSegWalk(assigner, first, segmentLength(assigner.Steps(), first))
 	env.pinnedAt = pinnedAt
-	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, merge: env.merge}
+	eng := shardEngine{label: "synth", span: "synthesize", runShard: env.runShard, counts: env.counts}
 	sc, err := newShardCampaign(cfg, eng, synthKeyPlan(env.plans), env.accCfg)
 	if err != nil {
 		return nil, err
 	}
-	for i, run := range sc.runs {
-		if run != nil {
+	for i := range sc.NumShards() {
+		if sc.Recorded(i) {
 			env.walk.restored(i)
 		}
 	}
@@ -494,21 +494,14 @@ func (env *synthEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 	return &shardRun{acc: acc, obs: msh}, nil
 }
 
-// merge folds the shards' accumulators in shard order — Accumulator.Merge
-// is exact, so the shard layout never changes a byte — and reports them
-// against the campaign counts the population and configuration imply.
-func (env *synthEnv) merge(runs []*shardRun) *Dataset {
-	acc := analysis.NewAccumulator(env.accCfg)
-	for _, r := range runs {
-		acc.Merge(r.acc)
-	}
+// counts completes a synthetic Dataset: the campaign counts are the ones
+// the population and configuration imply, and the clusters used are the
+// ones its expected responses fill.
+func (env *synthEnv) counts(ds *Dataset, _ *shardFold) analysis.CampaignCounts {
 	size := uint64(env.clusterSize)
-	return &Dataset{
-		Config:       env.cfg,
-		Report:       acc.Report(syntheticCampaignCounts(env.cfg, env.pop, env.clusterSize)),
-		Population:   env.pop,
-		ClustersUsed: int((env.pop.ExpectedR2 + size - 1) / size),
-	}
+	ds.Population = env.pop
+	ds.ClustersUsed = int((env.pop.ExpectedR2 + size - 1) / size)
+	return syntheticCampaignCounts(env.cfg, env.pop, env.clusterSize)
 }
 
 // syntheticCampaignCounts derives the Table II row for a synthetic run: Q1
@@ -548,9 +541,9 @@ func RunSimulation(cfg Config) (*Dataset, error) {
 // sub-simulation's network is built with the plan's impairments (stateful
 // pipelines forked per shard) and the prober and resolver population get
 // its retransmission knobs. The campaign runs as a fixed set of private
-// sub-simulations scheduled over cfg.Workers goroutines and merged in
-// shard order (simshard.go); the merged dataset is byte-identical for
-// every worker count.
+// sub-simulations (simshard.go) scheduled over cfg.Workers goroutines and
+// folded in shard order (campaign.go); the merged dataset is
+// byte-identical for every worker count.
 func SimulatePopulation(cfg Config, pop *population.Population, threat *threatintel.DB) (*Dataset, error) {
 	sc, err := openSimCampaign(cfg, pop, threat)
 	if err != nil {

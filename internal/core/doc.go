@@ -27,8 +27,9 @@
 //     to the serial walk for every worker count (DESIGN.md §2).
 //
 // Both modes run on one shard engine, ShardCampaign: a fixed shard plan, a
-// worker pool, checkpoints and cancellation at shard boundaries, and one
-// ordered merge (DESIGN.md §13).
+// worker pool, checkpoints and cancellation at shard boundaries (DESIGN.md
+// §13), and one ordered fold that takes each shard in as soon as the
+// shards before it are in (DESIGN.md §12).
 //
 // Both modes accept an optional obs.Registry (Config.Obs) that receives
 // the campaign's observability stream — phase spans for every stage, one

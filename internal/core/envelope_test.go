@@ -271,7 +271,7 @@ func TestShardEnvelopeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(ck.Verdicts, run.roles.Verdicts) {
 		t.Error("verdicts changed across the envelope")
 	}
-	restored := restoreShardRun(analysis.Config{}, ck, nil)
+	restored := restoreShardRun(analysis.Config{}, ck)
 	if !reflect.DeepEqual(restored.roles, run.roles) {
 		t.Error("restored role summary differs from the shard's own")
 	}

@@ -176,7 +176,7 @@ func TestRestoredLogAliasesEnvelope(t *testing.T) {
 	if n == 0 || n != run.r2.Len() {
 		t.Fatalf("restored log has %d packets, want %d", n, run.r2.Len())
 	}
-	if restored := restoreShardRun(analysis.Config{}, ck, nil); restored.r2 != ck.R2 {
+	if restored := restoreShardRun(analysis.Config{}, ck); restored.r2 != ck.R2 {
 		t.Error("the restored run does not hold the decoded log")
 	}
 }

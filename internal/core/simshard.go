@@ -151,7 +151,7 @@ func openSimCampaign(cfg Config, pop *population.Population, threat *threatintel
 	}
 	tr.End(sp)
 	env := &simEnv{cfg: cfg, pop: pop, threat: threat, reg: reg, u: u, shards: shards, hosts: hosts}
-	eng := shardEngine{label: "sim", span: "simulate", runShard: env.runShard, merge: env.merge}
+	eng := shardEngine{label: "sim", span: "simulate", runShard: env.runShard, counts: env.counts}
 	return newShardCampaign(cfg, eng, simKeyPlan(shards),
 		analysis.Config{Year: cfg.Year, Threat: threat, Geo: reg})
 }
@@ -335,6 +335,9 @@ func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 		return nil, fmt.Errorf("core: shard %d consumed %d clusters, over its %d-cluster namespace",
 			sh.index, used, sh.clusterSpan)
 	}
+	// The kept R2 log outlives the shard in the campaign's fold, and it
+	// lives inside probeLog, whose sink would hold the shard's accumulator.
+	probeLog.Sink = nil
 	var roles *classify.Summary
 	if tap.roles != nil {
 		roles = tap.roles.Classify(probeLog.R2Log())
@@ -373,50 +376,23 @@ func (t *authTap) Packet(inbound bool, at time.Duration, dg netsim.Datagram, msg
 	}
 }
 
-// merge folds the completed shards, in shard order, into one Dataset —
-// exactly the synth engine's discipline: accumulators merge with
-// analysis.Accumulator.Merge (exact for arbitrary stream splits), counters
-// sum field-wise, the campaign duration is the slowest shard's (the shards
-// probe concurrently at split rates), the R2 streams concatenate and the
-// per-shard role verdicts fold (classify.Merge) in shard order, so every
-// derived byte is deterministic. The R2 logs are chained, not copied.
-func (env *simEnv) merge(runs []*shardRun) *Dataset {
+// counts completes a simulated Dataset from the fold. The prober counts
+// every Q1 it sends and every R2 it receives, and the fold merges its
+// statistics, so the campaign's Q1/R2 and cluster counts come from the
+// merged stats; Q2/R1 come from the auth taps. When the campaign keeps
+// packets, the R2 logs are chained in shard order, not copied, and the
+// shards' role verdicts fold in shard order: the cluster namespaces are
+// disjoint, so folding them equals joining the merged streams.
+func (env *simEnv) counts(ds *Dataset, f *shardFold) analysis.CampaignCounts {
 	cfg := env.cfg
-	ds := &Dataset{Config: cfg, Population: env.pop}
-	acc := runs[0].acc
-	var camp analysis.CampaignCounts
-	for i, r := range runs {
-		if i > 0 {
-			acc.Merge(r.acc)
-			ds.ProbeStats = ds.ProbeStats.Merge(r.ProbeStats)
-		} else {
-			ds.ProbeStats = r.ProbeStats
-		}
-		camp.Q2 += r.AuthCounters.Q2
-		camp.R1 += r.AuthCounters.R1
-		if r.Duration > camp.Duration {
-			camp.Duration = r.Duration
-		}
-		ds.NetStats.Add(r.NetStats)
-		ds.FaultStats.Add(r.FaultStats)
-	}
-	// The prober counts every Q1 it sends and every R2 it receives, and
-	// Merge sums counters, so the campaign's come from the merged stats.
-	camp.Q1, camp.R2 = ds.ProbeStats.Sent, ds.ProbeStats.Received
+	ds.Population = env.pop
 	ds.ClustersUsed, ds.SubdomainsReused = ds.ProbeStats.ClustersUsed, ds.ProbeStats.Reused
-	camp.PacketsPerSec = cfg.pps()
-	camp.SampleShift = cfg.SampleShift
-	ds.Report = acc.Report(camp)
 	if cfg.KeepPackets {
-		r2s := make([]*capture.Log, len(runs))
-		roles := make([]*classify.Summary, len(runs))
-		for i, r := range runs {
-			r2s[i], roles[i] = r.r2, r.roles
-		}
-		ds.R2Packets = capture.ConcatLogs(r2s...)
-		// Each shard joined its own captures; the cluster namespaces are
-		// disjoint, so folding the verdicts equals joining the merged streams.
-		ds.Roles = classify.Merge(roles)
+		ds.R2Packets = capture.ConcatLogs(f.r2s...)
+		ds.Roles = classify.Merge(f.roles)
 	}
-	return ds
+	return analysis.CampaignCounts{
+		Q1: ds.ProbeStats.Sent, Q2: f.AuthCounters.Q2, R1: f.AuthCounters.R1, R2: ds.ProbeStats.Received,
+		Duration: f.Duration, PacketsPerSec: cfg.pps(), SampleShift: cfg.SampleShift,
+	}
 }

@@ -199,11 +199,6 @@ func NewValidator(keys ...*KeyPair) *Validator {
 	return v
 }
 
-// AddAnchor trusts an additional zone key.
-func (v *Validator) AddAnchor(zone string, pub ed25519.PublicKey) {
-	v.anchors[dnswire.CanonicalName(zone)] = pub
-}
-
 // ValidateMessage checks the A RRset of an answered message: it must carry
 // an RRSIG from a trusted signer that verifies. It returns false for
 // missing, unverifiable or forged signatures. Hook-compatible with

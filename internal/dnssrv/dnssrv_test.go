@@ -975,3 +975,18 @@ func TestResolutionSurvivesPacketLoss(t *testing.T) {
 		t.Errorf("outstanding = %d", rec.Outstanding())
 	}
 }
+
+// Reloads returns how many cluster loads have occurred.
+func (s *AuthServer) Reloads() int { return s.reloads }
+
+// Outstanding returns the number of the engine's in-flight upstream
+// queries.
+func (r *Recursive) Outstanding() int {
+	n := 0
+	for k := range r.t.pending {
+		if k>>16 == uint64(r.slot) {
+			n++
+		}
+	}
+	return n
+}

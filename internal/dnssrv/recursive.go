@@ -541,15 +541,3 @@ func (r *Recursive) retryTCP(fl *inflight) {
 		c.Send(wire)
 	})
 }
-
-// Outstanding returns the number of the engine's in-flight upstream
-// queries.
-func (r *Recursive) Outstanding() int {
-	n := 0
-	for k := range r.t.pending {
-		if k>>16 == uint64(r.slot) {
-			n++
-		}
-	}
-	return n
-}

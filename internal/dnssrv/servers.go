@@ -116,10 +116,9 @@ type AuthServer struct {
 	qmsg, respMsg dnswire.Message
 
 	// Stats.
-	queries   uint64
-	responses uint64
-	nxdomain  uint64
-	refused   uint64
+	queries  uint64
+	nxdomain uint64
+	refused  uint64
 }
 
 // AuthConfig parameterizes the authoritative server.
@@ -187,7 +186,6 @@ func (s *AuthServer) acceptTCP(c *netsim.Conn) {
 			if err != nil {
 				continue
 			}
-			s.responses++
 			c.Send(wire)
 		}
 	})
@@ -199,14 +197,8 @@ func (s *AuthServer) Addr() ipv4.Addr { return s.node.Addr() }
 // ActiveCluster returns the loaded cluster number.
 func (s *AuthServer) ActiveCluster() int { return s.activeCluster }
 
-// Reloads returns how many cluster loads have occurred.
-func (s *AuthServer) Reloads() int { return s.reloads }
-
 // QueriesSeen returns the number of Q2 packets received.
 func (s *AuthServer) QueriesSeen() uint64 { return s.queries }
-
-// ResponsesSent returns the number of R1 packets sent.
-func (s *AuthServer) ResponsesSent() uint64 { return s.responses }
 
 // SetCluster loads cluster c: the server goes silent for ReloadTime of
 // virtual time (the paper's one-minute zone load), then serves c.
@@ -239,7 +231,6 @@ func (s *AuthServer) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
 	if err != nil {
 		return
 	}
-	s.responses++
 	if s.tap != nil {
 		s.tap.Packet(false, n.Now(), netsim.Datagram{
 			Src: n.Addr(), Dst: dg.Src, SrcPort: dg.DstPort, DstPort: dg.SrcPort,

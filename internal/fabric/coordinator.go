@@ -59,21 +59,21 @@ type Coordinator struct {
 	wg        sync.WaitGroup
 }
 
-// campaignState is one campaign in flight: its compiled ShardCampaign,
-// the wire spec workers receive, and the lease-pool bookkeeping. All
-// fields below the key are guarded by the Coordinator's mu.
+// campaignState is one campaign in flight: its compiled ShardCampaign
+// (which alone knows which shards are recorded), the wire spec workers
+// receive, and the lease-pool bookkeeping. pending, leased and nacks are
+// guarded by the Coordinator's mu.
 type campaignState struct {
 	key  string
 	spec core.Spec
 	sc   *core.ShardCampaign
 
-	pending   []int // shards awaiting a lease, ascending on entry
-	leased    map[int]bool
-	nacks     map[int]int // per-shard failure count
-	remaining int         // shards not yet recorded
-	err       error       // sticky failure; set before done closes
-	done      chan struct{}
-	finish    sync.Once
+	pending []int // shards awaiting a lease, ascending on entry
+	leased  map[int]bool
+	nacks   map[int]int // per-shard failure count
+	err     error       // sticky failure; set before done closes
+	done    chan struct{}
+	finish  sync.Once
 }
 
 // lease is one outstanding grant, tracked by the connection that holds it.
@@ -161,11 +161,10 @@ func (c *Coordinator) RunCampaign(cfg core.Config, lossSpec string) (*core.Datas
 		done:   make(chan struct{}),
 	}
 	cam.pending = sc.Pending()
-	cam.remaining = len(cam.pending)
 	c.logf("campaign %.12s: %d shards (%d restored from checkpoints)",
-		cam.key, sc.NumShards(), sc.NumShards()-cam.remaining)
+		cam.key, sc.NumShards(), sc.NumShards()-len(cam.pending))
 
-	if cam.remaining > 0 {
+	if len(cam.pending) > 0 {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
@@ -406,13 +405,11 @@ func (c *Coordinator) record(worker string, msg *message) {
 	switch err := cam.sc.LoadEnvelope(msg.Shard, msg.Envelope); {
 	case err == nil:
 		c.cfg.Obs.Inc(obs.CFabricResults)
-		c.mu.Lock()
-		cam.remaining--
-		last := cam.remaining == 0
-		c.mu.Unlock()
 		c.logf("worker %s: recorded shard %d of campaign %.12s", worker, msg.Shard, cam.key)
-		if last {
-			cam.fail(nil) // close done with no error: campaign complete
+		if len(cam.sc.Pending()) == 0 {
+			// Complete. Racing last RESULTs may both see it; finish closes
+			// done once.
+			cam.fail(nil)
 		}
 	case errors.Is(err, core.ErrShardRecorded):
 		c.cfg.Obs.Inc(obs.CFabricDupResults)

@@ -113,16 +113,6 @@ func (r *Registry) CountryBlocks(country string) []Allocation {
 	return r.byCountry[country]
 }
 
-// Countries returns the sorted list of countries with allocations.
-func (r *Registry) Countries() []string {
-	out := make([]string, 0, len(r.byCountry))
-	for c := range r.byCountry {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // countrySeats lays out one /12 (1,048,576 addresses) per country for every
 // country in the paper's malicious-resolver distributions, carved out of
 // unreserved unicast space. The US additionally receives the large legacy

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"sort"
 	"testing"
 
 	"openresolver/internal/ipv4"
@@ -173,4 +174,14 @@ func BenchmarkLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Lookup(ipv4.Addr(uint32(i) * 2654435761))
 	}
+}
+
+// Countries returns the sorted list of countries with allocations.
+func (r *Registry) Countries() []string {
+	out := make([]string, 0, len(r.byCountry))
+	for c := range r.byCountry {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -229,11 +229,6 @@ func (bl *Blocklist) Interval(i int) (lo, hi Addr) {
 	return bl.starts[i], bl.ends[i]
 }
 
-// Blocks returns a copy of the blocks the list was built from (unmerged).
-func (bl *Blocklist) Blocks() []Block {
-	return append([]Block(nil), bl.blocks...)
-}
-
 // ReservedBlock is one row of the paper's Table I: an address block excluded
 // from probing together with the RFC that reserves it.
 type ReservedBlock struct {

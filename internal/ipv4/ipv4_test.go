@@ -251,3 +251,8 @@ func BenchmarkAddrString(b *testing.B) {
 		_ = Addr(i * 2654435761).String()
 	}
 }
+
+// Blocks returns a copy of the blocks the list was built from (unmerged).
+func (bl *Blocklist) Blocks() []Block {
+	return append([]Block(nil), bl.blocks...)
+}

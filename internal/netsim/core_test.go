@@ -354,3 +354,6 @@ func TestSendStepAllocBudget(t *testing.T) {
 		t.Errorf("pooled round trip allocates %v per 16 ops, want 0", avg)
 	}
 }
+
+// NumHosts returns the number of registered hosts.
+func (s *Sim) NumHosts() int { return s.live }

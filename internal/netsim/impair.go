@@ -213,12 +213,6 @@ func (g *GilbertElliott) StationaryBad() float64 {
 	return g.PGoodBad / d
 }
 
-// MeanLoss returns the stationary packet-loss rate of the channel.
-func (g *GilbertElliott) MeanLoss() float64 {
-	pb := g.StationaryBad()
-	return pb*g.LossBad + (1-pb)*g.LossGood
-}
-
 // Apply implements Impairment. Exactly two rng draws per packet (state
 // transition, then loss) keep the stream advance constant regardless of
 // state, so stacked impairments see a stable draw sequence.

@@ -428,3 +428,9 @@ func TestImpairedPooledPayloadRecycling(t *testing.T) {
 		t.Errorf("impaired pooled send allocates %v per 16 sends, want 0", avg)
 	}
 }
+
+// MeanLoss returns the stationary packet-loss rate of the channel.
+func (g *GilbertElliott) MeanLoss() float64 {
+	pb := g.StationaryBad()
+	return pb*g.LossBad + (1-pb)*g.LossGood
+}

@@ -371,9 +371,6 @@ func (s *Sim) Lookup(addr ipv4.Addr) (*Node, bool) {
 	return s.nodeAt(s.slots[si].idx), true
 }
 
-// NumHosts returns the number of registered hosts.
-func (s *Sim) NumHosts() int { return s.live }
-
 // --- payload pool -------------------------------------------------------
 
 // getPayload returns a zero-length recycled buffer (or a fresh one).

@@ -36,18 +36,9 @@ type Conn struct {
 	closed  bool
 }
 
-// Local returns the connection's local address.
-func (c *Conn) Local() ipv4.Addr { return c.local }
-
-// Remote returns the connection's remote address.
-func (c *Conn) Remote() ipv4.Addr { return c.remote }
-
 // OnData registers the receive callback. Data sent before registration is
 // NOT buffered; register in the accept/dial callback before returning.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
-
-// OnClose registers a callback fired when the peer closes.
-func (c *Conn) OnClose(fn func()) { c.onClose = fn }
 
 // Send transmits bytes to the peer, delivered in order after the latency
 // of one segment. Sends on a closed connection are dropped.

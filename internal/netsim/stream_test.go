@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"openresolver/internal/ipv4"
 )
 
 func TestStreamDialSendClose(t *testing.T) {
@@ -112,3 +114,12 @@ func TestSendOnClosedConnDropped(t *testing.T) {
 		t.Errorf("received = %d, want 1", received)
 	}
 }
+
+// Local returns the connection's local address.
+func (c *Conn) Local() ipv4.Addr { return c.local }
+
+// Remote returns the connection's remote address.
+func (c *Conn) Remote() ipv4.Addr { return c.remote }
+
+// OnClose registers a callback fired when the peer closes.
+func (c *Conn) OnClose(fn func()) { c.onClose = fn }

@@ -387,3 +387,13 @@ func BenchmarkUniverseNext(b *testing.B) {
 		}
 	}
 }
+
+// Remaining returns an upper bound on candidates left (including excluded),
+// counting the buffered positions not yet handed out.
+func (it *Iterator) Remaining() uint64 {
+	n := uint64(it.held)
+	if it.pos < it.end {
+		n += (it.end - it.pos + it.step - 1) / it.step
+	}
+	return n
+}
