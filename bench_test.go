@@ -262,18 +262,18 @@ func BenchmarkFig2FlowCapture(b *testing.B) {
 			}
 			behavior.NewResolver(sim, a, core.RootAddr, behavior.Honest(1))
 		}
-		log := capture.NewProbeLog()
+		log := &capture.Log{}
 		if _, err := prober.Start(sim, prober.Config{
 			Addr: core.ProberAddr, Universe: u, SLD: paperdata.SLD,
 			ClusterSize: 64, PacketsPerSec: 10000, Timeout: time.Second,
-			Auth: auth, Log: log,
+			Auth: auth, R2Log: log,
 		}); err != nil {
 			b.Fatal(err)
 		}
 		if err := sim.Run(0); err != nil {
 			b.Fatal(err)
 		}
-		flows := capture.GroupFlows(log.R2Log())
+		flows := capture.GroupFlows(log)
 		if len(flows) == 0 {
 			b.Fatal("no flows captured")
 		}

@@ -23,13 +23,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "orreplay:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("orreplay", flag.ContinueOnError)
 	year := fs.Int("year", 2018, "campaign year the capture came from (2013 or 2018)")
 	seed := fs.Int64("seed", 1, "seed of the campaign (selects the threat landscape)")
@@ -39,14 +39,13 @@ func run(args []string) error {
 	if fs.NArg() != 1 {
 		return errors.New("usage: orreplay [-year Y] [-seed N] <capture.orlog>")
 	}
-	f, err := os.Open(fs.Arg(0))
+	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r, err := capture.NewReader(f)
+	r2, err := capture.ReadFile(data)
 	if err != nil {
-		return err
+		return fmt.Errorf("read capture: %w", err)
 	}
 
 	feed := threatintel.NewFeed(paperdata.Year(*year), *seed)
@@ -56,14 +55,8 @@ func run(args []string) error {
 		Geo:    geo.DefaultRegistry(),
 	})
 	var counts analysis.CampaignCounts
-	for {
-		p, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("read capture: %w", err)
-		}
+	for it := r2.Iter(); it.Next(); {
+		p := it.Packet()
 		if p.Kind != capture.KindR2 {
 			continue
 		}
@@ -74,7 +67,6 @@ func run(args []string) error {
 		acc.AddR2(p.Src, p.Payload)
 	}
 	report := acc.Report(counts)
-	fmt.Printf("replayed %d R2 packets from %s\n\n", counts.R2, fs.Arg(0))
-	fmt.Print(report.RenderAll())
-	return nil
+	_, err = fmt.Fprintf(stdout, "replayed %d R2 packets from %s\n\n%s", counts.R2, fs.Arg(0), report.RenderAll())
+	return err
 }

@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 
 	"openresolver/internal/analysis"
-	"openresolver/internal/capture"
 	"openresolver/internal/core"
 	"openresolver/internal/netsim"
 	"openresolver/internal/obs"
@@ -151,7 +150,9 @@ func run(args []string, stderr io.Writer) error {
 	}
 
 	if *capturePath != "" {
-		if err := writeCapture(*capturePath, ds.R2Packets); err != nil {
+		// os.WriteFile returns the close error too: a capture whose last
+		// bytes never reached the disk is a failed write.
+		if err := os.WriteFile(*capturePath, ds.R2Packets.AppendFile(nil), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("R2 capture (%d packets) written to %s\n", ds.R2Packets.Len(), *capturePath)
@@ -189,22 +190,4 @@ func run(args []string, stderr io.Writer) error {
 		metricsUp(metricsAddr)
 	}
 	return nil
-}
-
-func writeCapture(path string, packets *capture.Log) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := capture.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	for it := packets.Iter(); it.Next(); {
-		if err := w.Write(it.Packet()); err != nil {
-			return err
-		}
-	}
-	return w.Close()
 }

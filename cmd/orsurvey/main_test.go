@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"openresolver/internal/core"
 )
 
 func TestRunSynth(t *testing.T) {
@@ -29,12 +31,36 @@ func TestRunSimWithCapture(t *testing.T) {
 	if err := run([]string{"-mode", "sim", "-shift", "13", "-capture", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	st, err := os.Stat(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() == 0 {
-		t.Error("capture file empty")
+	// The file is the header, then the campaign's R2 log as one packet
+	// stream, byte for byte.
+	cfg, err := core.Spec{Year: 2018, Shift: 13, Seed: 1, Keep: true}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := core.RunSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.R2Packets.Len() == 0 {
+		t.Fatal("the campaign kept no R2s")
+	}
+	if want := ds.R2Packets.AppendStream([]byte("ORDNSCAP\x02")); !bytes.Equal(got, want) {
+		t.Errorf("capture file is %d bytes, want the %d-byte header and packet stream", len(got), len(want))
+	}
+}
+
+// A capture that cannot be written fails the run: here the path is a
+// directory, so the write is refused.
+func TestRunCaptureWriteError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full simulation")
+	}
+	if err := run([]string{"-mode", "sim", "-shift", "14", "-capture", t.TempDir()}, io.Discard); err == nil {
+		t.Error("a capture written to a directory reported success")
 	}
 }
 

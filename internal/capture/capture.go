@@ -1,21 +1,18 @@
-// Package capture implements the measurement's packet-capture artifacts:
-// the prober-side log of Q1/R2 (the paper's modified-ZMap output), kept as
-// a chunked record log (Log), and the authoritative-side tally of Q2/R1
-// (the paper's tcpdump capture, Fig. 2), plus qname-based flow grouping and
-// a pcap-like binary log format for persisting captures to disk.
+// Package capture implements the measurement's packet-capture artifacts
+// (Fig. 2): the prober-side R2 log (the paper's modified-ZMap output), kept
+// as a chunked record log (Log) and persisted to disk as a capture file
+// (AppendFile, ReadFile); the flow tallies, of which the authoritative-side
+// Q2/R1 stand in for the paper's tcpdump capture; and qname-based flow
+// grouping.
 package capture
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"openresolver/internal/dnswire"
 	"openresolver/internal/ipv4"
-	"openresolver/internal/netsim"
 )
 
 // Kind identifies which leg of Fig. 2 a captured packet belongs to.
@@ -59,65 +56,6 @@ type Counters struct {
 	Q1, Q2, R1, R2 uint64
 }
 
-// ProbeLog is the prober-side capture: it counts Q1 (storing billions of
-// identical probes is pointless — ZMap does not either) and keeps R2
-// packets in a record log, optionally forwarding them to a streaming sink.
-type ProbeLog struct {
-	counters Counters
-	// Keep controls R2 retention; when false packets go only to Sink.
-	Keep bool
-	// Sink, if set, receives every R2 as it arrives. The packet's Payload
-	// is valid only during the call: without Keep it is the datagram's own
-	// buffer, which the network reuses once the delivery returns.
-	Sink func(Packet)
-	r2   Log
-}
-
-// NewProbeLog returns a retaining probe log.
-func NewProbeLog() *ProbeLog { return &ProbeLog{Keep: true} }
-
-// CountQ1 records n probes sent.
-func (l *ProbeLog) CountQ1(n uint64) { l.counters.Q1 += n }
-
-// AddR2 records one response received at the prober. Only a kept packet
-// is copied out of the datagram's buffer, into the log's current chunk.
-func (l *ProbeLog) AddR2(at time.Duration, dg netsim.Datagram) {
-	l.counters.R2++
-	p := Packet{Kind: KindR2, At: at, Src: dg.Src, Dst: dg.Dst, Payload: dg.Payload}
-	if l.Keep {
-		p.Payload = l.r2.Append(p)
-	}
-	if l.Sink != nil {
-		l.Sink(p)
-	}
-}
-
-// Counters returns the flow tallies.
-func (l *ProbeLog) Counters() Counters { return l.counters }
-
-// R2Log returns the kept responses, in arrival order.
-func (l *ProbeLog) R2Log() *Log { return &l.r2 }
-
-// AuthLog is the authoritative-side capture; it implements dnssrv.Tap. It
-// counts Q2 and R1 and keeps no packets: a simulation shard indexes each
-// Q2's qname for the role join instead (classify.Index), since the join
-// reads nothing else of the capture.
-type AuthLog struct {
-	counters Counters
-}
-
-// Packet implements dnssrv.Tap.
-func (l *AuthLog) Packet(inbound bool, _ time.Duration, _ netsim.Datagram, _ *dnswire.Message) {
-	if inbound {
-		l.counters.Q2++
-	} else {
-		l.counters.R1++
-	}
-}
-
-// Counters returns the flow tallies.
-func (l *AuthLog) Counters() Counters { return l.counters }
-
 // Flow is the grouped view of one probe: all packets sharing a qname
 // (§III-B: "we were able to easily group Q1, Q2, R1, and R2 for each flow").
 type Flow struct {
@@ -149,116 +87,47 @@ func GroupFlows(l *Log) map[string]*Flow {
 	return flows
 }
 
-// Binary log format: a fixed magic header then length-prefixed records.
-// Like pcap it is stream-appendable and self-describing enough to replay.
-const logMagic = "ORDNSCAP"
-
-const logVersion = 1
-
-var (
-	// ErrBadMagic reports a log with the wrong header.
-	ErrBadMagic = errors.New("capture: bad log magic")
-	// ErrBadVersion reports an unsupported log version.
-	ErrBadVersion = errors.New("capture: unsupported log version")
+// A capture file is one packet stream (Log.AppendStream) behind a header:
+// the magic "ORDNSCAP" and a version byte. Version 1, whose records had
+// fixed 22-byte headers, is no longer read.
+const (
+	fileMagic   = "ORDNSCAP"
+	fileVersion = 2
 )
 
-// Writer persists packets to a binary capture log.
-type Writer struct {
-	w      *bufio.Writer
-	wrote  uint64
-	closed bool
+var (
+	// ErrBadMagic reports a capture file with the wrong header.
+	ErrBadMagic = errors.New("capture: bad file magic")
+	// ErrBadVersion reports an unsupported capture-file version.
+	ErrBadVersion = errors.New("capture: unsupported file version")
+)
+
+// AppendFile appends the log to buf as a capture file.
+func (l *Log) AppendFile(buf []byte) []byte {
+	buf = append(buf, fileMagic...)
+	buf = append(buf, fileVersion)
+	return l.AppendStream(buf)
 }
 
-// NewWriter writes the log header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(logMagic); err != nil {
-		return nil, err
+// ReadFile reads a capture file (AppendFile), validating every record. The
+// log is b's records in place, as with ReadLog, so b must never be written
+// while the log lives. Bytes after the packet stream are an error.
+func ReadFile(b []byte) (*Log, error) {
+	if len(b) < len(fileMagic)+1 {
+		return nil, fmt.Errorf("capture: %d-byte file is shorter than its header", len(b))
 	}
-	if err := bw.WriteByte(logVersion); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one packet record.
-func (w *Writer) Write(p Packet) error {
-	if w.closed {
-		return errors.New("capture: write after close")
-	}
-	var hdr [22]byte
-	hdr[0] = byte(p.Kind)
-	binary.BigEndian.PutUint64(hdr[1:], uint64(p.At))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(p.Src))
-	binary.BigEndian.PutUint32(hdr[13:], uint32(p.Dst))
-	binary.BigEndian.PutUint32(hdr[17:], uint32(len(p.Payload)))
-	// hdr[21] reserved.
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(p.Payload); err != nil {
-		return err
-	}
-	w.wrote++
-	return nil
-}
-
-// Count returns the number of records written.
-func (w *Writer) Count() uint64 { return w.wrote }
-
-// Close flushes the log.
-func (w *Writer) Close() error {
-	w.closed = true
-	return w.w.Flush()
-}
-
-// Reader reads a binary capture log.
-type Reader struct {
-	r *bufio.Reader
-}
-
-// NewReader validates the header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != logMagic {
+	if string(b[:len(fileMagic)]) != fileMagic {
 		return nil, ErrBadMagic
 	}
-	ver, err := br.ReadByte()
+	if v := b[len(fileMagic)]; v != fileVersion {
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	}
+	l, rest, err := ReadLog(b[len(fileMagic)+1:])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("capture: %w", err)
 	}
-	if ver != logVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("capture: %d bytes after the packet stream", len(rest))
 	}
-	return &Reader{r: br}, nil
-}
-
-// Next returns the next packet, or io.EOF at the end of the log.
-func (r *Reader) Next() (Packet, error) {
-	var hdr [22]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return Packet{}, io.ErrUnexpectedEOF
-		}
-		return Packet{}, err
-	}
-	p := Packet{
-		Kind: Kind(hdr[0]),
-		At:   time.Duration(binary.BigEndian.Uint64(hdr[1:])),
-		Src:  ipv4.Addr(binary.BigEndian.Uint32(hdr[9:])),
-		Dst:  ipv4.Addr(binary.BigEndian.Uint32(hdr[13:])),
-	}
-	n := binary.BigEndian.Uint32(hdr[17:])
-	if n > 1<<16 {
-		return Packet{}, fmt.Errorf("capture: record size %d exceeds datagram limit", n)
-	}
-	p.Payload = make([]byte, n)
-	if _, err := io.ReadFull(r.r, p.Payload); err != nil {
-		return Packet{}, io.ErrUnexpectedEOF
-	}
-	return p, nil
+	return l, nil
 }

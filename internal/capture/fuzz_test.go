@@ -2,7 +2,6 @@ package capture
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"time"
 
@@ -11,42 +10,32 @@ import (
 
 func ipv4Addr(n int) ipv4.Addr { return ipv4.Addr(uint32(n) * 2654435761) }
 
-// FuzzReader: arbitrary bytes must never panic the log reader, and any log
-// the Writer produces must read back intact.
+// FuzzReader: arbitrary bytes must never panic the capture-file reader,
+// and a log it accepts must write back to a file that reads back intact.
 func FuzzReader(f *testing.F) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	_ = w.Write(Packet{Kind: KindR2, At: time.Second, Src: 1, Dst: 2, Payload: []byte{1, 2, 3}})
-	_ = w.Close()
-	f.Add(buf.Bytes())
+	var l Log
+	l.Append(Packet{Kind: KindR2, At: time.Second, Src: 1, Dst: 2, Payload: []byte{1, 2, 3}})
+	f.Add(l.AppendFile(nil))
 	f.Add([]byte("ORDNSCAP\x01"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
+		l, err := ReadFile(data)
 		if err != nil {
 			return
 		}
-		for i := 0; i < 1000; i++ {
-			_, err := r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
+		again, err := ReadFile(l.AppendFile(nil))
+		if err != nil {
+			t.Fatalf("a log read from a file does not read back: %v", err)
 		}
+		equalPackets(t, collect(again), collect(l))
 	})
 }
 
 func TestWriterReaderPropertyRoundTrip(t *testing.T) {
 	// Deterministic pseudo-random packet streams round-trip exactly.
 	for trial := 0; trial < 20; trial++ {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var l Log
 		var want []Packet
 		for i := 0; i < 50; i++ {
 			p := Packet{
@@ -59,29 +48,12 @@ func TestWriterReaderPropertyRoundTrip(t *testing.T) {
 				p.Payload = bytes.Repeat([]byte{byte(i)}, i%97)
 			}
 			want = append(want, p)
-			if err := w.Write(p); err != nil {
-				t.Fatal(err)
-			}
+			l.Append(p)
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		got, err := ReadFile(l.AppendFile(nil))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for i, wp := range want {
-			got, err := r.Next()
-			if err != nil {
-				t.Fatalf("trial %d record %d: %v", trial, i, err)
-			}
-			if got.Kind != wp.Kind || got.At != wp.At || got.Src != wp.Src || got.Dst != wp.Dst ||
-				!bytes.Equal(got.Payload, wp.Payload) {
-				t.Fatalf("trial %d record %d mismatch", trial, i)
-			}
-		}
-		if _, err := r.Next(); err != io.EOF {
-			t.Fatalf("trial %d: expected EOF, got %v", trial, err)
-		}
+		equalPackets(t, collect(got), want)
 	}
 }

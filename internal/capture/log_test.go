@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"openresolver/internal/ipv4"
 )
 
 // logFixture is a packet mix that exercises every field's range: empty
@@ -202,36 +204,41 @@ func TestConcatLogs(t *testing.T) {
 	}
 }
 
-// TestProbeLogKeepAllocs pins the kept path's allocation budget: a kept R2
-// costs no allocation of its own, only its share of the chunk it lands in.
-// The runs span several chunks, so the chunk allocations are amortised.
+// TestProbeLogKeepAllocs pins the allocation budget of the prober's keep
+// step: appending one R2 to the shard's log and handing the log's copy to
+// OnR2. A kept R2 costs no allocation of its own, only its share of the
+// chunk it lands in. The runs span several chunks, so the chunk
+// allocations are amortised.
 func TestProbeLogKeepAllocs(t *testing.T) {
-	dg := mkDatagram("a.example.net", 1)
-	l := NewProbeLog()
+	p := mkR2("a.example.net", 1)
+	var l Log
 	var n int
-	l.Sink = func(p Packet) { n += len(p.Payload) }
-	runs := 4 * logChunk / (len(dg.Payload) + minRecord)
-	if allocs := testing.AllocsPerRun(runs, func() { l.AddR2(time.Second, dg) }); allocs != 0 {
-		t.Errorf("kept AddR2 allocates %v times per packet, want 0 amortised", allocs)
+	onR2 := func(_ ipv4.Addr, payload []byte) { n += len(payload) }
+	runs := 4 * logChunk / (len(p.Payload) + minRecord)
+	if allocs := testing.AllocsPerRun(runs, func() { onR2(p.Src, l.Append(p)) }); allocs != 0 {
+		t.Errorf("keeping an R2 allocates %v times per packet, want 0 amortised", allocs)
 	}
-	if l.R2Log().Len() != runs+1 || n == 0 {
-		t.Errorf("kept %d packets, want %d", l.R2Log().Len(), runs+1)
+	if l.Len() != runs+1 || n == 0 {
+		t.Errorf("kept %d packets, want %d", l.Len(), runs+1)
 	}
 }
 
-// BenchmarkProbeLogKeep times recording one kept R2, the prober's receive
-// path in a campaign that keeps packets. The log restarts every 4,096
-// packets, so the benchmark's memory stays bounded and every chunk
-// allocation is counted.
+// BenchmarkProbeLogKeep times the prober's keep step in a campaign that
+// keeps packets: one R2 appended to the shard's log, with the log's copy
+// handed to OnR2. The log restarts every 4,096 packets, so the
+// benchmark's memory stays bounded and every chunk allocation is counted.
 func BenchmarkProbeLogKeep(b *testing.B) {
-	dg := mkDatagram("a.example.net", 1)
-	var l *ProbeLog
+	p := mkR2("a.example.net", 1)
+	var l *Log
+	var n int
+	onR2 := func(_ ipv4.Addr, payload []byte) { n += len(payload) }
 	b.ReportAllocs()
-	b.SetBytes(int64(len(dg.Payload)))
+	b.SetBytes(int64(len(p.Payload)))
 	for i := 0; i < b.N; i++ {
 		if i%4096 == 0 {
-			l = NewProbeLog()
+			l = &Log{}
 		}
-		l.AddR2(time.Duration(i), dg)
+		p.At = time.Duration(i)
+		onR2(p.Src, l.Append(p))
 	}
 }

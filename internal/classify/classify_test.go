@@ -63,9 +63,9 @@ func TestClassifyRoles(t *testing.T) {
 	behavior.NewResolver(sim, fabricator, rootAddr, behavior.Manipulator(ipv4.MustParseAddr("208.91.197.91")))
 	behavior.NewResolver(sim, refuser, rootAddr, behavior.Refuser())
 
-	probeLog := capture.NewProbeLog()
+	var probeLog capture.Log
 	prober := sim.Register(proberAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
-		probeLog.AddR2(n.Now(), dg)
+		probeLog.Append(capture.Packet{Kind: capture.KindR2, At: n.Now(), Src: dg.Src, Dst: dg.Dst, Payload: dg.Payload})
 	}))
 	targets := []ipv4.Addr{recursive, frontend, fabricator, refuser}
 	for i, target := range targets {
@@ -77,7 +77,7 @@ func TestClassifyRoles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := Classify(probeLog.R2Log(), &authLog.Log)
+	s := Classify(&probeLog, &authLog.Log)
 	want := map[ipv4.Addr]Role{
 		recursive:  RoleRecursive,
 		frontend:   RoleForwarder,
@@ -152,9 +152,9 @@ func TestMergeEqualsWholeJoin(t *testing.T) {
 		}
 		behavior.NewResolver(sim, a, rootAddr, p)
 	}
-	probeLog := capture.NewProbeLog()
+	var probeLog capture.Log
 	prober := sim.Register(proberAddr, netsim.HostFunc(func(n *netsim.Node, dg netsim.Datagram) {
-		probeLog.AddR2(n.Now(), dg)
+		probeLog.Append(capture.Packet{Kind: capture.KindR2, At: n.Now(), Src: dg.Src, Dst: dg.Dst, Payload: dg.Payload})
 	}))
 	// Every target is probed twice; the two qnames land in different parts.
 	id := 0
@@ -191,7 +191,7 @@ func TestMergeEqualsWholeJoin(t *testing.T) {
 	refused.Header.Rcode = dnswire.RcodeRefused
 	var r2s, auths [2]capture.Log
 	r2s[1].Append(capture.Packet{Kind: capture.KindR2, Src: targets[0], Dst: proberAddr, Payload: refused.MustPack()})
-	for it := probeLog.R2Log().Iter(); it.Next(); {
+	for it := probeLog.Iter(); it.Next(); {
 		r2s[partOf(it.Packet())].Append(it.Packet())
 	}
 	for it := authLog.Iter(); it.Next(); {

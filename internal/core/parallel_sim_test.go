@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
+	"openresolver/internal/capture"
 	"openresolver/internal/netsim"
 	"openresolver/internal/paperdata"
 )
@@ -122,5 +124,19 @@ func TestSimulationWorkerInvarianceProperty(t *testing.T) {
 			t.Errorf("trial %d (year=%v seed=%d faults=%v): Workers=%d diverged\n got %s\nwant %s",
 				trial, year, cfg.Seed, cfg.Faults.Impairments != nil, w, d, want)
 		}
+	}
+}
+
+// TestAuthTapCounts: a shard's tap at the authoritative server counts each
+// inbound datagram as a Q2 and each outbound one as an R1, into the
+// counters the shard's envelope carries, and counts nothing else.
+func TestAuthTapCounts(t *testing.T) {
+	var tap authTap
+	dg := netsim.Datagram{Src: 1, Dst: AuthAddr}
+	tap.Packet(true, time.Second, dg, nil)
+	tap.Packet(false, 2*time.Second, dg, nil)
+	tap.Packet(true, 3*time.Second, dg, nil)
+	if tap.counters != (capture.Counters{Q2: 2, R1: 1}) {
+		t.Errorf("counters = %+v, want Q2 2 and R1 1", tap.counters)
 	}
 }

@@ -281,11 +281,13 @@ func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 		sim.Register(h.addr, &stubs[i])
 	}
 
-	// The analysis pipeline, fed live from this shard's capture log.
+	// The analysis pipeline, fed live with every R2, and the R2 log, kept
+	// only when the campaign keeps packets.
 	acc := analysis.NewAccumulator(analysis.Config{Year: cfg.Year, Threat: env.threat, Geo: env.reg})
-	probeLog := capture.NewProbeLog()
-	probeLog.Keep = cfg.KeepPackets
-	probeLog.Sink = func(p capture.Packet) { acc.AddR2(p.Src, p.Payload) }
+	var r2 *capture.Log
+	if cfg.KeepPackets {
+		r2 = &capture.Log{}
+	}
 
 	sim.SetObserver(msh)
 
@@ -308,7 +310,8 @@ func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 		AdaptiveTimeout: cfg.Faults.AdaptiveTimeout,
 		SendSkip:        cfg.sendSkip(),
 		Auth:            auth,
-		Log:             probeLog,
+		R2Log:           r2,
+		OnR2:            acc.AddR2,
 		Obs:             msh,
 		Skip:            skipInfra,
 	})
@@ -335,41 +338,42 @@ func (env *simEnv) runShard(i int, msh *obs.Shard) (*shardRun, error) {
 		return nil, fmt.Errorf("core: shard %d consumed %d clusters, over its %d-cluster namespace",
 			sh.index, used, sh.clusterSpan)
 	}
-	// The kept R2 log outlives the shard in the campaign's fold, and it
-	// lives inside probeLog, whose sink would hold the shard's accumulator.
-	probeLog.Sink = nil
 	var roles *classify.Summary
 	if tap.roles != nil {
-		roles = tap.roles.Classify(probeLog.R2Log())
+		roles = tap.roles.Classify(r2)
 	}
 	return &shardRun{
 		shardCounters: shardCounters{
 			NetStats:     sim.Stats(),
 			FaultStats:   sim.FaultStats(),
 			ProbeStats:   pr.Stats(),
-			AuthCounters: tap.log.Counters(),
+			AuthCounters: tap.counters,
 			Duration:     pr.Duration(),
 		},
 		acc:   acc,
-		r2:    probeLog.R2Log(),
+		r2:    r2,
 		roles: roles,
 		obs:   msh,
 	}, nil
 }
 
 // authTap is a shard's tcpdump tap at the authoritative server (Fig. 2):
-// it counts Q2/R1 in log, which keeps no packets (its zero Keep), and,
-// when roles is set, feeds each inbound Q2's already-decoded qname and
-// source into the shard's role index.
+// it counts Q2/R1, keeps no packets, and, when roles is set, feeds each
+// inbound Q2's already-decoded qname and source into the shard's role
+// index.
 type authTap struct {
-	log   capture.AuthLog
-	roles *classify.Index
+	counters capture.Counters // Q2 and R1 only
+	roles    *classify.Index
 }
 
 // Packet implements dnssrv.Tap.
-func (t *authTap) Packet(inbound bool, at time.Duration, dg netsim.Datagram, msg *dnswire.Message) {
-	t.log.Packet(inbound, at, dg, msg)
-	if inbound && t.roles != nil {
+func (t *authTap) Packet(inbound bool, _ time.Duration, dg netsim.Datagram, msg *dnswire.Message) {
+	if !inbound {
+		t.counters.R1++
+		return
+	}
+	t.counters.Q2++
+	if t.roles != nil {
 		if q, ok := msg.Question1(); ok {
 			t.roles.AddQ2(q.Name, dg.Src)
 		}

@@ -223,10 +223,3 @@ func (s Spread) At(i int) uint64 {
 	}
 	return s.Base
 }
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

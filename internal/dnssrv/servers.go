@@ -116,9 +116,7 @@ type AuthServer struct {
 	qmsg, respMsg dnswire.Message
 
 	// Stats.
-	queries  uint64
-	nxdomain uint64
-	refused  uint64
+	queries uint64
 }
 
 // AuthConfig parameterizes the authoritative server.
@@ -255,7 +253,6 @@ func (s *AuthServer) buildResponseInto(resp *dnswire.Message, q *dnswire.Message
 	case qst.Name != s.sld && !strings.HasSuffix(qst.Name, "."+s.sld):
 		// Not our zone: a lame query; refuse.
 		resp.Header.Rcode = dnswire.RcodeRefused
-		s.refused++
 	default:
 		resp.Header.AA = true // we are authoritative for the SLD
 		if s.anyName {
@@ -269,11 +266,9 @@ func (s *AuthServer) buildResponseInto(resp *dnswire.Message, q *dnswire.Message
 		case err != nil:
 			// The SLD apex or a non-probe name: NXDomain.
 			resp.Header.Rcode = dnswire.RcodeNXDomain
-			s.nxdomain++
 		case pn.Cluster != s.activeCluster || pn.Index < 0 || pn.Index >= s.clusterSize:
 			// Fig. 3: only the active cluster's zone file is loaded.
 			resp.Header.Rcode = dnswire.RcodeNXDomain
-			s.nxdomain++
 		default:
 			if qst.Type == dnswire.TypeA || qst.Type == dnswire.TypeANY {
 				resp.AnswerA(uint32(TruthAddr(qst.Name)), 60)

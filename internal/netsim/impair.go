@@ -203,16 +203,6 @@ type GilbertElliott struct {
 	Packets, BadPackets uint64
 }
 
-// StationaryBad returns the chain's stationary probability of the Bad
-// state, PGB/(PGB+PBG).
-func (g *GilbertElliott) StationaryBad() float64 {
-	d := g.PGoodBad + g.PBadGood
-	if d == 0 {
-		return 0
-	}
-	return g.PGoodBad / d
-}
-
 // Apply implements Impairment. Exactly two rng draws per packet (state
 // transition, then loss) keep the stream advance constant regardless of
 // state, so stacked impairments see a stable draw sequence.

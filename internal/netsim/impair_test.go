@@ -10,6 +10,16 @@ import (
 	"openresolver/internal/ipv4"
 )
 
+// StationaryBad returns the chain's stationary probability of the Bad
+// state, PGB/(PGB+PBG).
+func (g *GilbertElliott) StationaryBad() float64 {
+	d := g.PGoodBad + g.PBadGood
+	if d == 0 {
+		return 0
+	}
+	return g.PGoodBad / d
+}
+
 // TestGilbertElliottStationaryConvergence is the burst-loss property test:
 // over a long packet stream, the empirical time in the Bad state and the
 // empirical loss rate must converge to the chain's stationary distribution.

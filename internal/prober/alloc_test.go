@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"openresolver/internal/capture"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
 )
@@ -34,7 +33,6 @@ func sendLoop(t *testing.T, imps []netsim.Impairment, hostEvery, retries int) (*
 			Addr: proberAddr, Universe: w.u, SLD: sld, ClusterSize: 1024,
 			PacketsPerSec: 10000, Timeout: time.Millisecond,
 			Retries: retries, MaxRTO: 4 * time.Millisecond,
-			Log:  capture.NewProbeLog(),
 			Skip: func(a ipv4.Addr) bool { return infra[a] },
 		},
 		it: w.u.Iterate(), srcPort: 40000, nextID: 1,

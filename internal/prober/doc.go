@@ -5,6 +5,10 @@
 // subdomains that drew no response — the optimization that reduced the
 // clusters needed from a theoretical 800 to 4 (§III-B).
 //
+// Each R2 is appended to Config.R2Log, when one is set, and handed to
+// Config.OnR2. Stats is the prober's only count: Q1 is Stats.Sent and R2
+// is Stats.Received.
+//
 // Every in-flight probe's timeout lives in one timing wheel (wheel.go,
 // DESIGN.md §7) with a slot per 10 ms send-loop tick, so arming a timeout
 // is O(1) and each tick expires exactly the probes whose deadline it

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"openresolver/internal/behavior"
-	"openresolver/internal/capture"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/obs"
 )
@@ -21,7 +20,6 @@ func TestInstrumentedSendOneAllocBudget(t *testing.T) {
 		cfg: Config{
 			Addr: proberAddr, Universe: w.u, SLD: sld, ClusterSize: 1024,
 			PacketsPerSec: 10000, Timeout: time.Millisecond,
-			Log:  capture.NewProbeLog(),
 			Obs:  sh,
 			Skip: func(a ipv4.Addr) bool { return infra[a] },
 		},
@@ -66,7 +64,7 @@ func TestInstrumentedEndToEnd(t *testing.T) {
 	p, err := Start(w.sim, Config{
 		Addr: proberAddr, Universe: w.u, SLD: sld, ClusterSize: 64,
 		PacketsPerSec: 10000, Timeout: 2 * time.Second,
-		Auth: w.auth, Log: capture.NewProbeLog(),
+		Auth: w.auth,
 		Obs:  sh,
 		Skip: func(a ipv4.Addr) bool { return infra[a] },
 	})

@@ -63,8 +63,14 @@ type Config struct {
 	// Auth, when set, has its cluster rotated in lockstep with the
 	// prober's subdomain clusters.
 	Auth *dnssrv.AuthServer
-	// Log captures Q1 counts and R2 packets.
-	Log *capture.ProbeLog
+	// R2Log, when non-nil, keeps every response (R2) the prober receives,
+	// in arrival order. A nil R2Log keeps nothing.
+	R2Log *capture.Log
+	// OnR2, when non-nil, sees every response's source and payload. The
+	// payload is valid only during the call: it is R2Log's copy when a log
+	// is set, else the datagram's own buffer, which the network reuses once
+	// the delivery returns.
+	OnR2 func(src ipv4.Addr, payload []byte)
 	// Obs, when non-nil, mirrors the prober's counters and response
 	// latencies into the observability layer. It never influences probing
 	// decisions, so campaigns stay bit-identical with it attached.
@@ -188,16 +194,12 @@ func Start(sim *netsim.Sim, cfg Config) (*Prober, error) {
 	if cfg.MaxRTO <= 0 {
 		cfg.MaxRTO = 4 * cfg.Timeout
 	}
-	if cfg.Log == nil {
-		cfg.Log = capture.NewProbeLog()
-	}
-	it := cfg.Universe.Iterate()
-	if cfg.RangeEnd > 0 {
-		it = cfg.Universe.Range(cfg.RangeStart, cfg.RangeEnd)
+	if cfg.RangeEnd == 0 {
+		cfg.RangeStart, cfg.RangeEnd = 0, cfg.Universe.Indexes()
 	}
 	p := &Prober{
 		cfg:     cfg,
-		it:      it,
+		it:      cfg.Universe.Range(cfg.RangeStart, cfg.RangeEnd),
 		srcPort: 40000,
 		nextID:  1,
 	}
@@ -306,19 +308,6 @@ func (p *Prober) burn(idx int) {
 func (p *Prober) isBurned(idx int) bool {
 	return p.burnedBits[idx>>6]&(uint64(1)<<(idx&63)) != 0
 }
-
-// Sent returns the number of probes transmitted (Q1).
-func (p *Prober) Sent() uint64 { return p.sent }
-
-// Skipped returns probes suppressed by the SendSkip model.
-func (p *Prober) Skipped() uint64 { return p.skipped }
-
-// Received returns the number of R2 packets collected.
-func (p *Prober) Received() uint64 { return p.received }
-
-// Reused returns how many subdomains were returned to the pool after
-// drawing no response.
-func (p *Prober) Reused() uint64 { return p.reused }
 
 // Done reports campaign completion.
 func (p *Prober) Done() bool { return p.done }
@@ -458,7 +447,6 @@ func (p *Prober) sendOne(now time.Duration) bool {
 	p.transmit(target, idx, id)
 	p.sent++
 	p.cfg.Obs.Inc(obs.CProbeSent)
-	p.cfg.Log.CountQ1(1)
 	p.sendAt[idx] = now
 	if p.retransmitting() {
 		p.attempts[idx] = 0
@@ -490,7 +478,13 @@ func (p *Prober) AppendPayload(dst []byte) []byte {
 func (p *Prober) HandleDatagram(n *netsim.Node, dg netsim.Datagram) {
 	p.received++
 	p.cfg.Obs.Inc(obs.CProbeRecv)
-	p.cfg.Log.AddR2(n.Now(), dg)
+	payload := dg.Payload
+	if p.cfg.R2Log != nil {
+		payload = p.cfg.R2Log.Append(capture.Packet{Kind: capture.KindR2, At: n.Now(), Src: dg.Src, Dst: dg.Dst, Payload: payload})
+	}
+	if p.cfg.OnR2 != nil {
+		p.cfg.OnR2(dg.Src, payload)
+	}
 	// Burn the subdomain so it is never reused (it may now be cached at
 	// the responding resolver) and record the response latency. Decoding
 	// reuses the scratch message; nothing downstream retains it.

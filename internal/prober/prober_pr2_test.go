@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"openresolver/internal/capture"
 	"openresolver/internal/ipv4"
 )
 
@@ -17,9 +16,8 @@ import (
 func TestSendOnePackFailureRestoresSubdomain(t *testing.T) {
 	w := newWorld(t, 24, 8) // 256 candidates
 	badSLD := strings.Repeat("a", 64) + ".net"
-	log := capture.NewProbeLog()
 	p := startProber(t, w, Config{
-		SLD: badSLD, ClusterSize: 8, Timeout: time.Second, Log: log,
+		SLD: badSLD, ClusterSize: 8, Timeout: time.Second,
 	})
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
@@ -29,11 +27,8 @@ func TestSendOnePackFailureRestoresSubdomain(t *testing.T) {
 	}
 	// Every encode failed before the wire: nothing sent, nothing pending,
 	// and — the regression — the full pool is back in avail.
-	if p.Sent() != 0 {
-		t.Errorf("Sent = %d, want 0", p.Sent())
-	}
-	if got := log.Counters().Q1; got != 0 {
-		t.Errorf("Q1 = %d, want 0", got)
+	if p.Stats().Sent != 0 {
+		t.Errorf("Sent = %d, want 0", p.Stats().Sent)
 	}
 	if p.wheel.n != 0 {
 		t.Errorf("in flight = %d names, want 0", p.wheel.n)
@@ -44,8 +39,8 @@ func TestSendOnePackFailureRestoresSubdomain(t *testing.T) {
 	if p.ClustersUsed() != 1 {
 		t.Errorf("ClustersUsed = %d, want 1", p.ClustersUsed())
 	}
-	if p.Reused() != 0 {
-		t.Errorf("Reused = %d, want 0", p.Reused())
+	if p.Stats().Reused != 0 {
+		t.Errorf("Reused = %d, want 0", p.Stats().Reused)
 	}
 }
 
@@ -60,7 +55,6 @@ func TestSendOneAllocBudget(t *testing.T) {
 		cfg: Config{
 			Addr: proberAddr, Universe: w.u, SLD: sld, ClusterSize: 1024,
 			PacketsPerSec: 10000, Timeout: time.Millisecond,
-			Log:  capture.NewProbeLog(),
 			Skip: func(a ipv4.Addr) bool { return infra[a] },
 		},
 		it: w.u.Iterate(), srcPort: 40000, nextID: 1,

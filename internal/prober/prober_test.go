@@ -113,20 +113,23 @@ func startProber(t *testing.T, w *world, cfg Config) *Prober {
 func TestProbeCampaignCollectsAllResponders(t *testing.T) {
 	w := newWorld(t, 24, 1000) // 256 candidates
 	w.placeResolvers(t, 10, behavior.Honest(1))
-	log := capture.NewProbeLog()
-	p := startProber(t, w, Config{ClusterSize: 1000, Timeout: time.Second, Log: log})
+	log := &capture.Log{}
+	p := startProber(t, w, Config{ClusterSize: 1000, Timeout: time.Second, R2Log: log})
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Done() {
 		t.Fatal("prober not done")
 	}
-	if got := log.Counters().R2; got != 10 {
+	if got := p.Stats().Received; got != 10 {
 		t.Errorf("R2 = %d, want 10", got)
 	}
+	if got := log.Len(); got != 10 {
+		t.Errorf("kept %d R2s, want 10", got)
+	}
 	// Q1 = all 256 candidates minus infra that fall in this universe.
-	if p.Sent() < 250 || p.Sent() > 256 {
-		t.Errorf("Q1 = %d", p.Sent())
+	if p.Stats().Sent < 250 || p.Stats().Sent > 256 {
+		t.Errorf("Q1 = %d", p.Stats().Sent)
 	}
 	if p.ClustersUsed() != 1 {
 		t.Errorf("clusters = %d", p.ClustersUsed())
@@ -135,7 +138,7 @@ func TestProbeCampaignCollectsAllResponders(t *testing.T) {
 		t.Errorf("duration = %v", p.Duration())
 	}
 	// All non-responding probes' subdomains were reused or pending-drained.
-	if p.Reused() == 0 {
+	if p.Stats().Reused == 0 {
 		t.Error("no subdomain reuse observed")
 	}
 	if w.auth.QueriesSeen() != 10 {
@@ -156,8 +159,8 @@ func TestSubdomainReuseKeepsClustersLow(t *testing.T) {
 	if !p.Done() {
 		t.Fatal("prober not done")
 	}
-	if p.Received() != 30 {
-		t.Errorf("received = %d", p.Received())
+	if p.Stats().Received != 30 {
+		t.Errorf("received = %d", p.Stats().Received)
 	}
 	if p.ClustersUsed() > 3 {
 		t.Errorf("clusters used = %d; reuse not effective", p.ClustersUsed())
@@ -179,8 +182,8 @@ func TestClusterRotationKeepsAuthInLockstep(t *testing.T) {
 	}
 	// Every honest resolver resolved successfully despite rotations: no
 	// probe was in flight across a zone reload.
-	if p.Received() != 40 {
-		t.Errorf("received = %d, want 40", p.Received())
+	if p.Stats().Received != 40 {
+		t.Errorf("received = %d, want 40", p.Stats().Received)
 	}
 	if got := w.auth.ActiveCluster() + 1; got != p.ClustersUsed() {
 		t.Errorf("auth cluster %d vs prober clusters %d", got, p.ClustersUsed())
@@ -199,15 +202,15 @@ func TestReuseAblation(t *testing.T) {
 	if !p.Done() {
 		t.Fatal("prober not done")
 	}
-	if p.Reused() != 0 {
-		t.Errorf("reused = %d with reuse disabled", p.Reused())
+	if p.Stats().Reused != 0 {
+		t.Errorf("reused = %d with reuse disabled", p.Stats().Reused)
 	}
 	// ~256 candidates / 24 names per cluster ≈ 11 clusters.
 	if p.ClustersUsed() < 10 {
 		t.Errorf("clusters used = %d, want the theoretical ~11", p.ClustersUsed())
 	}
-	if p.Received() != 30 {
-		t.Errorf("received = %d", p.Received())
+	if p.Stats().Received != 30 {
+		t.Errorf("received = %d", p.Stats().Received)
 	}
 }
 
@@ -217,12 +220,12 @@ func TestSendSkipModel(t *testing.T) {
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	total := p.Sent() + p.Skipped()
+	total := p.Stats().Sent + p.Stats().Skipped
 	if total < 1000 || total > 1024 {
 		t.Errorf("candidates = %d", total)
 	}
-	if p.Skipped() < 400 || p.Skipped() > 620 {
-		t.Errorf("skipped = %d of %d at 50%%", p.Skipped(), total)
+	if p.Stats().Skipped < 400 || p.Stats().Skipped > 620 {
+		t.Errorf("skipped = %d of %d at 50%%", p.Stats().Skipped, total)
 	}
 }
 
@@ -264,15 +267,15 @@ func TestMixedPopulationFlows(t *testing.T) {
 	behavior.NewResolver(w.sim, extra[0], rootAddr, behavior.Manipulator(ipv4.MustParseAddr("208.91.197.91")))
 	behavior.NewResolver(w.sim, extra[1], rootAddr, behavior.Refuser())
 
-	log := capture.NewProbeLog()
-	p := startProber(t, w, Config{ClusterSize: 500, Timeout: time.Second, Log: log})
+	log := &capture.Log{}
+	p := startProber(t, w, Config{ClusterSize: 500, Timeout: time.Second, R2Log: log})
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if p.Received() != 7 {
-		t.Errorf("received = %d, want 7", p.Received())
+	if p.Stats().Received != 7 {
+		t.Errorf("received = %d, want 7", p.Stats().Received)
 	}
-	flows := capture.GroupFlows(log.R2Log())
+	flows := capture.GroupFlows(log)
 	if len(flows) != 7 {
 		t.Errorf("flows = %d, want 7 (unique qnames)", len(flows))
 	}
@@ -331,8 +334,8 @@ func TestProactiveRotationAvoidsTailCrawl(t *testing.T) {
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if p.Received() != 100 {
-		t.Errorf("received = %d", p.Received())
+	if p.Stats().Received != 100 {
+		t.Errorf("received = %d", p.Stats().Received)
 	}
 	// 100 burns over 64-name pools with rotation at 48 burned: 3±1 clusters.
 	if p.ClustersUsed() < 2 || p.ClustersUsed() > 4 {
@@ -349,5 +352,76 @@ func TestOnDoneCallback(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Errorf("OnDone fired %d times", fired)
+	}
+}
+
+// r2Seen is one response as OnR2 saw it, its payload copied out.
+type r2Seen struct {
+	src     ipv4.Addr
+	payload string
+}
+
+// TestOnR2SeesEveryResponse: OnR2 sees every response the prober
+// receives, in arrival order, whether or not an R2Log keeps them. A kept
+// response is handed to OnR2 as the log's own copy; with a nil R2Log the
+// prober keeps nothing and hands OnR2 the datagram's payload without an
+// allocation.
+func TestOnR2SeesEveryResponse(t *testing.T) {
+	// campaign runs a 10-responder campaign and returns what OnR2 saw and
+	// the payload slices it was handed.
+	campaign := func(log *capture.Log) (*Prober, []r2Seen, [][]byte) {
+		w := newWorld(t, 24, 1000) // 256 candidates
+		w.placeResolvers(t, 10, behavior.Honest(1))
+		var seen []r2Seen
+		var handed [][]byte
+		p := startProber(t, w, Config{
+			ClusterSize: 1000, Timeout: time.Second, R2Log: log,
+			OnR2: func(src ipv4.Addr, payload []byte) {
+				seen = append(seen, r2Seen{src, string(payload)})
+				handed = append(handed, payload)
+			},
+		})
+		if err := w.sim.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return p, seen, handed
+	}
+
+	log := &capture.Log{}
+	kept, seenKept, handed := campaign(log)
+	if got := kept.Stats().Received; got != 10 || len(seenKept) != 10 || log.Len() != 10 {
+		t.Fatalf("received %d, OnR2 saw %d, log kept %d; want 10 each", got, len(seenKept), log.Len())
+	}
+	i := 0
+	for it := log.Iter(); it.Next(); i++ {
+		p := it.Packet()
+		if p.Kind != capture.KindR2 || (r2Seen{p.Src, string(p.Payload)}) != seenKept[i] {
+			t.Errorf("log record %d differs from the response OnR2 saw", i)
+		}
+		if &p.Payload[0] != &handed[i][0] {
+			t.Errorf("OnR2 was not handed the log's copy of response %d", i)
+		}
+	}
+
+	bare, seenBare, _ := campaign(nil)
+	if got := bare.Stats().Received; got != 10 || len(seenBare) != 10 {
+		t.Fatalf("without a log: received %d, OnR2 saw %d; want 10 each", got, len(seenBare))
+	}
+	for i := range seenBare {
+		if seenBare[i] != seenKept[i] {
+			t.Errorf("response %d differs between the kept and the unkept campaign", i)
+		}
+	}
+
+	// One more response, delivered by hand: its payload reaches OnR2 as
+	// the datagram's own bytes, and handling it allocates nothing.
+	dg := netsim.Datagram{Src: seenBare[0].src, Dst: proberAddr, Payload: []byte(seenBare[0].payload)}
+	var got []byte
+	bare.cfg.OnR2 = func(_ ipv4.Addr, payload []byte) { got = payload }
+	if allocs := testing.AllocsPerRun(100, func() { bare.HandleDatagram(bare.node, dg) }); allocs != 0 {
+		t.Errorf("HandleDatagram with a nil R2Log allocates %v times, want 0", allocs)
+	}
+	if &got[0] != &dg.Payload[0] {
+		t.Error("with a nil R2Log, OnR2 was handed a copy of the datagram's payload")
 	}
 }

@@ -244,18 +244,3 @@ func (s Stats) Merge(o Stats) Stats {
 	}
 	return out
 }
-
-// Late returns responses that arrived after their subdomain was swept or
-// its cluster rotated away (previously indistinguishable from noise).
-func (p *Prober) Late() uint64 { return p.late }
-
-// Retransmits returns the number of retry transmissions sent.
-func (p *Prober) Retransmits() uint64 { return p.retransmits }
-
-// GaveUp returns probes abandoned after exhausting their retry budget.
-func (p *Prober) GaveUp() uint64 { return p.gaveUp }
-
-// Answered returns the number of subdomains answered by at least one
-// response — the recovery metric the chaos tests compare across fault
-// configurations.
-func (p *Prober) Answered() uint64 { return p.answered }

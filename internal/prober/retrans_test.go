@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"openresolver/internal/behavior"
-	"openresolver/internal/capture"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/netsim"
 )
@@ -33,17 +32,17 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 
 	with := run(6)
 	without := run(0)
-	if with.Answered() < 18 {
-		t.Errorf("with retries: answered %d of 20 responders", with.Answered())
+	if with.Stats().Answered < 18 {
+		t.Errorf("with retries: answered %d of 20 responders", with.Stats().Answered)
 	}
-	if without.Answered() > 14 {
-		t.Errorf("without retries: answered %d of 20, expected a paper-style shortfall", without.Answered())
+	if without.Stats().Answered > 14 {
+		t.Errorf("without retries: answered %d of 20, expected a paper-style shortfall", without.Stats().Answered)
 	}
-	if with.Retransmits() == 0 {
+	if with.Stats().Retransmits == 0 {
 		t.Error("no retransmissions recorded under 40% loss")
 	}
-	if without.Retransmits() != 0 || without.GaveUp() != 0 {
-		t.Errorf("single-shot run recorded retransmits=%d gaveUp=%d", without.Retransmits(), without.GaveUp())
+	if without.Stats().Retransmits != 0 || without.Stats().GaveUp != 0 {
+		t.Errorf("single-shot run recorded retransmits=%d gaveUp=%d", without.Stats().Retransmits, without.Stats().GaveUp)
 	}
 	// Probes that stayed unanswered through the whole budget are gave-up.
 	if st := with.Stats(); st.GaveUp == 0 {
@@ -77,14 +76,14 @@ func TestLateCounter(t *testing.T) {
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if p.Received() != 1 {
-		t.Fatalf("received = %d, want 1", p.Received())
+	if p.Stats().Received != 1 {
+		t.Fatalf("received = %d, want 1", p.Stats().Received)
 	}
-	if p.Late() != 1 {
-		t.Errorf("Late = %d, want 1 (response after sweep)", p.Late())
+	if p.Stats().Late != 1 {
+		t.Errorf("Late = %d, want 1 (response after sweep)", p.Stats().Late)
 	}
-	if p.Answered() != 0 {
-		t.Errorf("Answered = %d, want 0", p.Answered())
+	if p.Stats().Answered != 0 {
+		t.Errorf("Answered = %d, want 0", p.Stats().Answered)
 	}
 }
 
@@ -100,11 +99,11 @@ func TestDuplicateResponseCounter(t *testing.T) {
 	// Every packet (Q1 and R2) is duplicated; each responder's R2 arrives
 	// at least twice, and resolvers also see duplicate Q1s they answer
 	// again. Unique answers must stay at 5.
-	if p.Answered() != 5 {
-		t.Errorf("Answered = %d, want 5", p.Answered())
+	if p.Stats().Answered != 5 {
+		t.Errorf("Answered = %d, want 5", p.Stats().Answered)
 	}
-	if p.Received() <= 5 {
-		t.Errorf("Received = %d, expected duplicates on top of 5 answers", p.Received())
+	if p.Stats().Received <= 5 {
+		t.Errorf("Received = %d, expected duplicates on top of 5 answers", p.Stats().Received)
 	}
 	if st := p.Stats(); st.DupResponses == 0 {
 		t.Errorf("DupResponses = 0 with a 100%% duplicating network (stats %+v)", st)
@@ -125,8 +124,8 @@ func TestAdaptiveTimeoutLearnsRTT(t *testing.T) {
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if p.Answered() != 10 {
-		t.Fatalf("answered = %d, want 10", p.Answered())
+	if p.Stats().Answered != 10 {
+		t.Fatalf("answered = %d, want 10", p.Stats().Answered)
 	}
 	st := p.Stats()
 	// Honest resolution at 10ms/leg takes 80ms; SRTT must land there and
@@ -167,8 +166,8 @@ func TestRetransmitKarnRule(t *testing.T) {
 	if err := w.sim.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if p.Answered() != 1 {
-		t.Fatalf("answered = %d, want 1 (the retransmitted probe)", p.Answered())
+	if p.Stats().Answered != 1 {
+		t.Fatalf("answered = %d, want 1 (the retransmitted probe)", p.Stats().Answered)
 	}
 	if n := p.Stats().RTTSamples; n != 0 {
 		t.Errorf("%d RTT samples; Karn's rule forbids timing retransmitted probes", n)
@@ -227,7 +226,6 @@ func TestRetransmitAllocBudget(t *testing.T) {
 			PacketsPerSec: 10000, Timeout: time.Millisecond,
 			Retries: 2, AdaptiveTimeout: true,
 			MinRTO: time.Millisecond, MaxRTO: 8 * time.Millisecond,
-			Log:  capture.NewProbeLog(),
 			Skip: func(a ipv4.Addr) bool { return infra[a] },
 		},
 		it: w.u.Iterate(), srcPort: 40000, nextID: 1,

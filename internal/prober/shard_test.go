@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"openresolver/internal/capture"
 	"openresolver/internal/ipv4"
 	"openresolver/internal/obs"
 )
@@ -27,7 +26,6 @@ func TestShardSendOneAllocBudget(t *testing.T) {
 			PacketsPerSec: 10000, Timeout: time.Millisecond,
 			RangeStart: total / 4, RangeEnd: total,
 			FirstCluster: 1022,
-			Log:          capture.NewProbeLog(),
 			Obs:          sh,
 			Skip:         func(a ipv4.Addr) bool { return infra[a] },
 		},

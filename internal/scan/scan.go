@@ -259,9 +259,7 @@ func (u *Universe) AllowedCount() uint64 {
 	return total - excluded
 }
 
-// Iterator walks the universe in probe order, optionally sharded: shard s of
-// n visits positions s, s+n, s+2n, … permitting parallel senders exactly as
-// ZMap shards do.
+// Iterator walks a contiguous range of the universe's probe order.
 //
 // The walk evaluates its positions four at a time (Universe.At4) and hands
 // the buffered addresses out in position order; a tail shorter than four
@@ -270,7 +268,6 @@ func (u *Universe) AllowedCount() uint64 {
 type Iterator struct {
 	u        *Universe
 	pos, end uint64 // next position not yet evaluated, and the bound
-	step     uint64
 	buf      [4]ipv4.Addr
 	// elig holds the eligible bits of buf not yet handed out; held counts
 	// the buffered positions after the last one handed out, eligible or
@@ -279,16 +276,8 @@ type Iterator struct {
 	held uint8
 }
 
-// Iterate returns an iterator over the whole universe (one shard).
-func (u *Universe) Iterate() *Iterator { return u.Shard(0, 1) }
-
-// Shard returns an iterator over shard i of n.
-func (u *Universe) Shard(i, n uint64) *Iterator {
-	if n == 0 {
-		n = 1
-	}
-	return &Iterator{u: u, pos: i % n, end: u.perm.Size(), step: n}
-}
+// Iterate returns an iterator over the whole universe.
+func (u *Universe) Iterate() *Iterator { return u.Range(0, u.perm.Size()) }
 
 // Range returns an iterator over the contiguous position range [start, end)
 // of the probe order — the partition shape of the sharded simulation, where
@@ -302,10 +291,10 @@ func (u *Universe) Range(start, end uint64) *Iterator {
 	if start > end {
 		start = end
 	}
-	return &Iterator{u: u, pos: start, end: end, step: 1}
+	return &Iterator{u: u, pos: start, end: end}
 }
 
-// Next returns the next probe-eligible address. ok is false when the shard
+// Next returns the next probe-eligible address. ok is false when the range
 // is exhausted. Excluded candidates are skipped internally.
 func (it *Iterator) Next() (addr ipv4.Addr, ok bool) {
 	for {
@@ -316,19 +305,19 @@ func (it *Iterator) Next() (addr ipv4.Addr, ok bool) {
 			return it.buf[k], true
 		}
 		it.held = 0
-		// Four lanes need pos+3·step < end; fewer positions left take the
-		// one-lane tail.
-		if it.pos >= it.end || (it.end-it.pos-1)/3 < it.step {
+		// Four lanes need pos+3 < end (pos never passes end); fewer
+		// positions left take the one-lane tail.
+		if it.end-it.pos < 4 {
 			break
 		}
-		p, s := it.pos, it.step
-		idx := [4]uint64{p, p + s, p + 2*s, p + 3*s}
+		p := it.pos
+		idx := [4]uint64{p, p + 1, p + 2, p + 3}
 		it.elig = it.u.At4(&idx, &it.buf)
-		it.pos += 4 * s
+		it.pos += 4
 	}
 	for it.pos < it.end {
 		a, eligible := it.u.At(it.pos)
-		it.pos += it.step
+		it.pos++
 		if eligible {
 			return a, true
 		}

@@ -176,30 +176,6 @@ func TestPropertyAllowedCountMatchesScan(t *testing.T) {
 	}
 }
 
-func TestSharding(t *testing.T) {
-	u, _ := NewUniverse(5, 22, nil) // 1024 indexes
-	const shards = 3
-	seen := make(map[ipv4.Addr]int)
-	for s := uint64(0); s < shards; s++ {
-		it := u.Shard(s, shards)
-		for {
-			a, ok := it.Next()
-			if !ok {
-				break
-			}
-			seen[a]++
-		}
-	}
-	if len(seen) != 1024 {
-		t.Fatalf("shards covered %d addresses, want 1024", len(seen))
-	}
-	for a, n := range seen {
-		if n != 1 {
-			t.Fatalf("address %v visited %d times", a, n)
-		}
-	}
-}
-
 func TestIteratorRemaining(t *testing.T) {
 	u, _ := NewUniverse(5, 24, nil) // 256 indexes
 	it := u.Iterate()
@@ -393,7 +369,7 @@ func BenchmarkUniverseNext(b *testing.B) {
 func (it *Iterator) Remaining() uint64 {
 	n := uint64(it.held)
 	if it.pos < it.end {
-		n += (it.end - it.pos + it.step - 1) / it.step
+		n += it.end - it.pos
 	}
 	return n
 }
